@@ -5,6 +5,10 @@ function (magnitude, phase, coherence, broadband delay), generalized
 cross-correlation ITD estimation with sub-sample peak refinement, per-band
 sine ITD, microphone-pair calibration verdicts, and octave-band level
 summaries. All functions are pure and reentrant.
+
+The Welch spectra come from one batched Hann-windowed STFT per channel. When
+their lag windows match, the broadband delay and the "none"-weighted ITD share
+one direct correlation, computed as matrix products over short blocks.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ SILENCE_RMS = 1e-6
 _ITD_SANITY_S = 0.0021
 
 WEIGHTINGS = ("none", "phat")
+
+# Kernel batch sizes: each caps its kernel's working memory at a few MiB.
+_XCORR_BLOCK = 128
+_SEGMENT_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -91,28 +99,54 @@ class CueReport:
                 )
 
 
-def _require_comparable(a: SampleBuffer, b: SampleBuffer) -> None:
-    if a.sample_rate != b.sample_rate:
-        raise ValidationError(f"sample rates differ: {a.sample_rate} vs {b.sample_rate}")
-    if len(a) != len(b):
-        raise ValidationError(f"lengths differ: {len(a)} vs {len(b)}")
-
-
 def _require_audible(x: np.ndarray, what: str) -> None:
     if np.sqrt(np.mean(np.square(x))) < SILENCE_RMS:
         raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
 
 
+def _require_finite(*buffers: SampleBuffer) -> None:
+    if not all(np.isfinite(buf.samples).all() for buf in buffers):
+        raise ValidationError("samples must be finite; the capture holds NaN or inf")
+
+
+def _block_lags(a: np.ndarray, b: np.ndarray, chunks: int) -> np.ndarray:
+    """sum(a[j + m] * b[j]) for m < chunks * block, where b is whole blocks
+    long and a is `chunks` blocks longer."""
+    size = _XCORR_BLOCK
+    a_blocks, b_blocks = a.reshape(-1, size), b.reshape(-1, size)
+    k = b_blocks.shape[0]
+    col = np.arange(size)
+    row = col[:, None] + col
+    out = np.empty(chunks * size)
+    # Product d sums a[(r + d) * size + j] * b[r * size + i] over block rows r,
+    # which is lag d * size + j - i: each lag is a diagonal of two stacked products.
+    prev = a_blocks[:k].T @ b_blocks
+    for d in range(chunks):
+        nxt = a_blocks[d + 1 : d + 1 + k].T @ b_blocks
+        out[d * size : (d + 1) * size] = np.vstack([prev, nxt])[row, col].sum(axis=1)
+        prev = nxt
+    return out
+
+
+def _lag_products(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
+    """sum(a[j + m] * b[j]) over j for m = 0..max_lag, as blocked matrix products.
+    Full blocks are views of the inputs; only the tail is copied and zero-padded."""
+    size = _XCORR_BLOCK
+    chunks = max_lag // size + 1
+    cut = max(a.size // size - chunks, 0) * size
+    pad = -(b.size - cut) % size
+    out = _block_lags(np.pad(a[cut:], (0, pad + chunks * size)), np.pad(b[cut:], (0, pad)), chunks)
+    if cut:
+        out += _block_lags(a[: cut + chunks * size], b[:cut], chunks)
+    return out[: max_lag + 1]
+
+
 def _xcorr_direct(left: np.ndarray, right: np.ndarray, max_lag: int) -> np.ndarray:
-    """Truncated cross-correlation sum(right[n] * left[n - m]) for |m| <= max_lag."""
-    n = left.size
-    cc = np.empty(2 * max_lag + 1)
-    for i, m in enumerate(range(-max_lag, max_lag + 1)):
-        if m >= 0:
-            cc[i] = np.dot(right[m:], left[: n - m])
-        else:
-            cc[i] = np.dot(right[: n + m], left[-m:])
-    return cc
+    """Truncated cross-correlation sum(right[n] * left[n - m]) for |m| <= max_lag.
+    Negative lags swap the channels, so identical channels give an exactly
+    symmetric correlation."""
+    return np.concatenate([_lag_products(left, right, max_lag)[:0:-1],
+                           _lag_products(right, left, max_lag)])
 
 
 def _xcorr_phat(left: np.ndarray, right: np.ndarray, max_lag: int) -> np.ndarray:
@@ -151,12 +185,16 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     return np.arange(-m, m + 1), cc
 
 
-def _parabolic_offset(y0: float, y1: float, y2: float) -> float:
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return 0.0
-    offset = 0.5 * (y0 - y2) / denom
-    return offset if -1.0 < offset < 1.0 else 0.0
+def _peak_lag_s(lags: np.ndarray, cc: np.ndarray, sample_rate: int) -> float:
+    """Correlation peak lag in seconds, refined by a parabola through its neighbors."""
+    k = int(np.argmax(cc))
+    offset = 0.0
+    if 0 < k < cc.size - 1:
+        denom = cc[k - 1] - 2.0 * cc[k] + cc[k + 1]
+        if denom != 0.0:
+            offset = 0.5 * (cc[k - 1] - cc[k + 1]) / denom
+            offset = offset if -1.0 < offset < 1.0 else 0.0
+    return float((lags[k] + offset) / sample_rate)
 
 
 def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
@@ -167,14 +205,18 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     parabolic fit through the peak and its neighbors, resolving delays well
     below one sample period.
     """
+    _require_finite(stereo.left, stereo.right)
+    return _estimate_itd(stereo, max_lag, weighting)
+
+
+def _estimate_itd(stereo: StereoBuffer, max_lag: float, weighting: str,
+                  xcorr: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """estimate_itd without the finiteness check, on xcorr when already computed."""
     _require_audible(stereo.left.samples, "left channel")
     _require_audible(stereo.right.samples, "right channel")
-    lags, cc = cross_correlation(stereo, max_lag=max_lag, weighting=weighting)
-    k = int(np.argmax(cc))
-    offset = 0.0
-    if 0 < k < cc.size - 1:
-        offset = _parabolic_offset(cc[k - 1], cc[k], cc[k + 1])
-    return float((lags[k] + offset) / stereo.sample_rate)
+    if xcorr is None:
+        xcorr = cross_correlation(stereo, max_lag=max_lag, weighting=weighting)
+    return _peak_lag_s(*xcorr, stereo.sample_rate)
 
 
 def _octave_sos(center_hz: float, sample_rate: int):
@@ -198,6 +240,12 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
     no delay, then the band-limited pair goes through estimate_itd. Raises
     AnalysisError when a band holds no usable energy.
     """
+    _require_finite(stereo.left, stereo.right)
+    return _band_itd(stereo, low_hz, high_hz, max_lag)
+
+
+def _band_itd(stereo: StereoBuffer, low_hz: float, high_hz: float,
+              max_lag: float) -> tuple[float, float]:
     sr = stereo.sample_rate
     results = []
     for center in (low_hz, high_hz):
@@ -208,7 +256,7 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
                 or np.sqrt(np.mean(np.square(right))) < SILENCE_RMS):
             raise AnalysisError(f"no usable energy in the {center:g} Hz octave band")
         banded = StereoBuffer(SampleBuffer(left, sr), SampleBuffer(right, sr))
-        results.append(estimate_itd(banded, max_lag=max_lag))
+        results.append(_estimate_itd(banded, max_lag, "none"))
     return results[0], results[1]
 
 
@@ -221,23 +269,46 @@ def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
     fft_size samples at the given overlap fraction. The broadband delay is
     the refined cross-correlation peak (positive: measurement lags).
     """
-    _require_comparable(reference, measurement)
+    _require_finite(reference, measurement)
+    return _transfer_function(StereoBuffer(reference, measurement), fft_size, overlap)[0]
+
+
+def _welch_spectra(stereo: StereoBuffer, fft_size: int,
+                   overlap: float) -> tuple[np.ndarray, ...]:
+    """(freqs, S_xx, S_yy, S_xy) of left x and right y from one Hann-windowed STFT
+    per channel, as scipy.signal.welch and csd give them with detrend=False."""
+    step = fft_size - int(fft_size * overlap)
+    window = _sig.get_window("hann", fft_size)
+    segs_x, segs_y = (np.lib.stride_tricks.sliding_window_view(c.samples, fft_size)[::step]
+                      for c in (stereo.left, stereo.right))
+    bins = fft_size // 2 + 1
+    s_xx, s_yy, s_xy = np.zeros(bins), np.zeros(bins), np.zeros(bins, dtype=complex)
+    for i in range(0, len(segs_x), _SEGMENT_BATCH):
+        fx = np.fft.rfft(segs_x[i : i + _SEGMENT_BATCH] * window)
+        fy = np.fft.rfft(segs_y[i : i + _SEGMENT_BATCH] * window)
+        s_xx += np.sum(fx.real ** 2 + fx.imag ** 2, axis=0)
+        s_yy += np.sum(fy.real ** 2 + fy.imag ** 2, axis=0)
+        s_xy += np.sum(fx.conj() * fy, axis=0)
+    # onesided density: every bin but DC and Nyquist counts twice
+    sr = stereo.sample_rate
+    scale = np.full(bins, 2.0 / (sr * np.sum(window ** 2) * len(segs_x)))
+    scale[[0, -1]] /= 2.0
+    return np.fft.rfftfreq(fft_size, 1.0 / sr), s_xx * scale, s_yy * scale, s_xy * scale
+
+
+def _transfer_function(stereo: StereoBuffer, fft_size: int, overlap: float
+                       ) -> tuple[TransferFunction, tuple[np.ndarray, np.ndarray]]:
+    """transfer_function without the finiteness check, plus its broadband xcorr."""
+    n = len(stereo)
     if fft_size < 2 or fft_size & (fft_size - 1):
         raise ValidationError(f"fft_size must be a power of two, got {fft_size}")
-    if len(reference) < fft_size:
-        raise ValidationError(f"signals ({len(reference)} samples) are shorter than fft_size {fft_size}")
+    if n < fft_size:
+        raise ValidationError(f"signals ({n} samples) are shorter than fft_size {fft_size}")
     if not 0.0 <= overlap < 1.0:
         raise ValidationError(f"overlap must lie in [0, 1), got {overlap}")
 
-    sr = reference.sample_rate
-    x = reference.samples
-    y = measurement.samples
-    kwargs = dict(fs=sr, window="hann", nperseg=fft_size,
-                  noverlap=int(fft_size * overlap), detrend=False)
-    freqs, s_xx = _sig.welch(x, **kwargs)
-    _, s_yy = _sig.welch(y, **kwargs)
-    _, s_xy = _sig.csd(x, y, **kwargs)
-
+    sr = stereo.sample_rate
+    freqs, s_xx, s_yy, s_xy = _welch_spectra(stereo, fft_size, overlap)
     tiny = np.finfo(np.float64).tiny
     h = s_xy / np.maximum(s_xx, tiny)
     magnitude_db = 20.0 * np.log10(np.maximum(np.abs(h), tiny))
@@ -245,13 +316,9 @@ def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
     phase_deg[phase_deg == -180.0] = 180.0
     coherence = np.clip(np.abs(s_xy) ** 2 / np.maximum(s_xx * s_yy, tiny), 0.0, 1.0)
 
-    max_lag = min(DEFAULT_MAX_LAG_S, (len(reference) - 1) / sr)
-    lags, cc = cross_correlation(StereoBuffer(reference, measurement), max_lag=max_lag)
-    k = int(np.argmax(cc))
-    offset = _parabolic_offset(cc[k - 1], cc[k], cc[k + 1]) if 0 < k < cc.size - 1 else 0.0
-    delay = float((lags[k] + offset) / sr)
-
-    return TransferFunction(freqs, magnitude_db, phase_deg, coherence, delay)
+    xcorr = cross_correlation(stereo, max_lag=min(DEFAULT_MAX_LAG_S, (n - 1) / sr))
+    delay = _peak_lag_s(*xcorr, sr)
+    return TransferFunction(freqs, magnitude_db, phase_deg, coherence, delay), xcorr
 
 
 def calibration_check(ref: SampleBuffer, meas: SampleBuffer, tolerance_db: float = 3.0,
@@ -298,8 +365,14 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
                     low_hz: float = DEFAULT_LOW_BAND_HZ,
                     high_hz: float = DEFAULT_HIGH_BAND_HZ,
                     max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
-    """Full cue extraction for one stereo capture (left = reference channel)."""
-    tf = transfer_function(stereo.left, stereo.right, fft_size=fft_size, overlap=overlap)
-    itd = estimate_itd(stereo, max_lag=max_lag, weighting=weighting)
-    itd_low, itd_high = band_itd(stereo, low_hz=low_hz, high_hz=high_hz, max_lag=max_lag)
+    """Full cue extraction for one stereo capture (left = reference channel).
+
+    With weighting "none" and the transfer function's lag window, the ITD comes
+    from the correlation behind the broadband delay.
+    """
+    _require_finite(stereo.left, stereo.right)
+    tf, xcorr = _transfer_function(stereo, fft_size, overlap)
+    shared = weighting == "none" and xcorr[0][-1] == int(round(max_lag * stereo.sample_rate))
+    itd = _estimate_itd(stereo, max_lag, weighting, xcorr if shared else None)
+    itd_low, itd_high = _band_itd(stereo, low_hz, high_hz, max_lag)
     return CueReport(itd, itd_low, itd_high, tf, tf.phase_deg)

@@ -92,8 +92,8 @@ def _decode(payload: bytes, tag: int, bits: int) -> np.ndarray:
 def read_wav(path: str | Path) -> SampleBuffer | StereoBuffer:
     """Read a WAV file; returns SampleBuffer for mono, StereoBuffer for stereo.
 
-    Raises WavFormatError for malformed files, unsupported encodings, or more
-    than two channels.
+    Raises WavFormatError for malformed files, unsupported encodings, more
+    than two channels, a zero sample rate, or float samples that are NaN or inf.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -126,12 +126,16 @@ def read_wav(path: str | Path) -> SampleBuffer | StereoBuffer:
         (tag,) = struct.unpack("<H", fmt[24:26])
     if channels == 0 or channels > 2:
         raise WavFormatError(f"{path}: {channels} channels; only mono and stereo are supported")
+    if rate == 0:
+        raise WavFormatError(f"{path}: sample rate is 0")
 
     frame_bytes = channels * bits // 8
     if frame_bytes == 0 or len(payload) % frame_bytes:
         raise WavFormatError(f"{path}: data size is not a whole number of frames")
 
     samples = _decode(payload, tag, bits).reshape(-1, channels)
+    if not np.isfinite(samples).all():
+        raise WavFormatError(f"{path}: samples hold NaN or inf")
     if channels == 1:
         return SampleBuffer(samples[:, 0], rate)
     return StereoBuffer(SampleBuffer(samples[:, 0], rate), SampleBuffer(samples[:, 1], rate))

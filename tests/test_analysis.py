@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as scipy_signal
 
+from bincues import analysis
 from bincues import (AnalysisError, SampleBuffer, ShadowParams, SilentSignalError,
                      StereoBuffer, TransferFunction, ValidationError, analyze_capture,
                      apply_fractional_delay, band_itd, calibration_check, cross_correlation,
@@ -321,3 +323,100 @@ def test_analyze_capture_constructed_delay(pink_5s):
     assert report.itd_s == pytest.approx(0.69e-3, abs=ONE_SAMPLE)
     assert report.itd_low_s == pytest.approx(0.69e-3, abs=2 * ONE_SAMPLE)
     assert report.itd_high_s == pytest.approx(0.69e-3, abs=ONE_SAMPLE)
+
+
+# --- non-finite input -----------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [
+    analyze_capture, lambda s: transfer_function(s.left, s.right), estimate_itd, band_itd,
+], ids=["analyze_capture", "transfer_function", "estimate_itd", "band_itd"])
+def test_non_finite_sample_is_rejected(pink_2s, call, bad):
+    right = pink_2s.samples.copy()
+    right[1000] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        call(StereoBuffer(pink_2s, SampleBuffer(right, SR)))
+
+
+# --- direct correlation kernel and spectral pass ---------------------------------
+
+@st.composite
+def lag_cases(draw):
+    n = draw(st.one_of(st.integers(2, 127), st.integers(128, 1500)))
+    return n, draw(st.integers(1, n - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+@given(lag_cases())
+@settings(max_examples=60, deadline=None)
+def test_xcorr_direct_matches_full_correlation(case):
+    n, max_lag, seed = case
+    rng = np.random.default_rng(seed)
+    left, right = rng.standard_normal(n), rng.standard_normal(n)
+    cc = analysis._xcorr_direct(left, right, max_lag)
+    window = np.correlate(right, left, "full")[n - 1 - max_lag : n + max_lag]
+    np.testing.assert_allclose(cc, window, rtol=0, atol=1e-12 * np.sqrt(n))
+
+
+@given(lag_cases())
+@settings(max_examples=30, deadline=None)
+def test_xcorr_direct_is_exactly_symmetric_for_identical_channels(case):
+    n, max_lag, seed = case
+    x = np.random.default_rng(seed).standard_normal(n)
+    cc = analysis._xcorr_direct(x, x, max_lag)
+    assert np.array_equal(cc, cc[::-1])
+
+
+@given(st.integers(1, 10), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 4000),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_welch_spectra_match_scipy(log2_size, overlap, extra, seed):
+    fft_size = 2 ** log2_size
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(fft_size + extra)
+    y = 0.5 * np.roll(x, 3) + rng.standard_normal(x.size)
+    kwargs = dict(fs=SR, window="hann", nperseg=fft_size,
+                  noverlap=int(fft_size * overlap), detrend=False)
+    stereo = StereoBuffer(SampleBuffer(x, SR), SampleBuffer(y, SR))
+    ours = analysis._welch_spectra(stereo, fft_size, overlap)
+    ref = (*scipy_signal.welch(x, **kwargs), scipy_signal.welch(y, **kwargs)[1],
+           scipy_signal.csd(x, y, **kwargs)[1])
+    # relative to each spectrum's peak: single S_xy bins can cancel to near zero
+    for got, want in zip(ours, ref):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# --- shared broadband correlation -------------------------------------------------
+
+def count_direct_correlations(monkeypatch):
+    calls = []
+    original = analysis._xcorr_direct
+
+    def spy(left, right, max_lag):
+        calls.append(max_lag)
+        return original(left, right, max_lag)
+
+    monkeypatch.setattr(analysis, "_xcorr_direct", spy)
+    return calls
+
+
+def test_analyze_capture_shares_the_broadband_correlation(pink_2s, monkeypatch):
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 0.43e-3))
+    expected = estimate_itd(stereo)
+    calls = count_direct_correlations(monkeypatch)
+    report = analyze_capture(stereo)
+    assert len(calls) == 3  # broadband (delay and ITD) plus two bands
+    assert report.itd_s == expected == report.ild_spectrum.broadband_delay_s
+
+
+@pytest.mark.parametrize("kwargs, direct_lags", [
+    (dict(max_lag=0.001), [96, 48, 48, 48]),
+    (dict(weighting="phat"), [96, 96, 96]),
+], ids=["own_lag_window", "phat"])
+def test_analyze_capture_itd_gets_its_own_correlation(pink_2s, monkeypatch, kwargs,
+                                                     direct_lags):
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 0.43e-3))
+    expected = estimate_itd(stereo, **kwargs)
+    calls = count_direct_correlations(monkeypatch)
+    report = analyze_capture(stereo, **kwargs)
+    assert calls == direct_lags
+    assert report.itd_s == expected

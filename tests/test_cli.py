@@ -128,6 +128,21 @@ def test_analyze_garbage_file_is_io_failure(tmp_path):
     assert run("analyze", path, "--out", tmp_path / "r.json") == EXIT_IO
 
 
+def test_analyze_zero_sample_rate_is_io_failure(capture_wav, tmp_path):
+    blob = bytearray(capture_wav.read_bytes())
+    blob[24:28] = bytes(4)  # fmt chunk: sample rate field
+    capture_wav.write_bytes(bytes(blob))
+    assert run("analyze", capture_wav, "--out", tmp_path / "r.json") == EXIT_IO
+
+
+def test_analyze_nan_float_sample_is_io_failure(capture_wav, tmp_path):
+    blob = bytearray(capture_wav.read_bytes())
+    data = blob.index(b"data") + 8
+    blob[data : data + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    capture_wav.write_bytes(bytes(blob))
+    assert run("analyze", capture_wav, "--out", tmp_path / "r.json") == EXIT_IO
+
+
 # --- simulate ------------------------------------------------------------------
 
 def test_simulate_ortf_sidecar_prediction(tmp_path):

@@ -104,6 +104,24 @@ def test_read_rejects_unsupported_encoding(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_rejects_non_finite_float_samples(tmp_path, bad):
+    path = tmp_path / "nan.wav"
+    _raw_wav(path, 3, 2, 32, np.array([0.5, -0.5, bad, 0.0], dtype="<f4").tobytes())
+    with pytest.raises(WavFormatError, match="NaN or inf"):
+        read_wav(path)
+
+
+def test_read_rejects_zero_sample_rate(tmp_path):
+    path = tmp_path / "rate0.wav"
+    write_wav(path, SampleBuffer(np.zeros(16), SR))
+    blob = bytearray(path.read_bytes())
+    blob[24:28] = struct.pack("<I", 0)  # fmt chunk: sample rate field
+    path.write_bytes(bytes(blob))
+    with pytest.raises(WavFormatError, match="sample rate"):
+        read_wav(path)
+
+
 def test_read_rejects_non_wav(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"this is definitely not audio")
