@@ -80,15 +80,13 @@ class CueReport:
 
     itd_s is broadband and signed (positive: right lags left); itd_low_s and
     itd_high_s come from octave-band-filtered estimates around the low and
-    high probe tones; ild_spectrum is the right-vs-left transfer function and
-    ipd_spectrum_deg its per-bin phase.
+    high probe tones; ild_spectrum is the right-vs-left transfer function.
     """
 
     itd_s: float
     itd_low_s: float
     itd_high_s: float
     ild_spectrum: TransferFunction
-    ipd_spectrum_deg: np.ndarray
 
     def __post_init__(self) -> None:
         for name, value in (("itd_s", self.itd_s), ("itd_low_s", self.itd_low_s),
@@ -375,4 +373,4 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
     shared = weighting == "none" and xcorr[0][-1] == int(round(max_lag * stereo.sample_rate))
     itd = _estimate_itd(stereo, max_lag, weighting, xcorr if shared else None)
     itd_low, itd_high = _band_itd(stereo, low_hz, high_hz, max_lag)
-    return CueReport(itd, itd_low, itd_high, tf, tf.phase_deg)
+    return CueReport(itd, itd_low, itd_high, tf)

@@ -181,10 +181,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         sig = signals.gen_pink_noise(args.seconds, args.sample_rate, args.seed)
 
+    itd = rigsim.predicted_itd(rig, src, temperature_c=args.temp)  # validates before writing
     capture = rigsim.simulate_capture(rig, src, sig, temperature_c=args.temp)
     wavio.write_wav(out, capture)
 
-    itd = rigsim.predicted_itd(rig, src, temperature_c=args.temp)
     anchors = {
         str(int(center)): rigsim.predicted_ild_db(rig, src, center)
         for center in analysis.DEFAULT_OCTAVE_CENTERS

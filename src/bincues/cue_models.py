@@ -29,6 +29,12 @@ def speed_of_sound(temperature_c: float) -> float:
     return 331.0 + 0.6 * temperature_c
 
 
+def check_temperature(temperature_c: float) -> None:
+    """Raise ValidationError unless the air temperature lies in -20..50 C."""
+    if not -20.0 <= temperature_c <= 50.0:
+        raise ValidationError(f"temperature_c must lie in -20..50, got {temperature_c}")
+
+
 @dataclass(frozen=True)
 class HeadGeometry:
     """Head radius in meters plus the air temperature the model runs at."""
@@ -41,8 +47,7 @@ class HeadGeometry:
             raise ValidationError(
                 f"radius_m must lie in 0.05..0.15 m (plausible human range), got {self.radius_m}"
             )
-        if not -20.0 <= self.temperature_c <= 50.0:
-            raise ValidationError(f"temperature_c must lie in -20..50, got {self.temperature_c}")
+        check_temperature(self.temperature_c)
 
     @property
     def speed_of_sound(self) -> float:
@@ -103,7 +108,8 @@ def duplex_classify(freq: float, thresholds: DuplexThresholds | None = None) -> 
     return CueBand.ILD_EFFECTIVE
 
 
-def _check_azimuth(azimuth: float) -> None:
+def check_azimuth(azimuth: float) -> None:
+    """Raise ValidationError unless azimuth lies in [0, pi/2], the models' domain."""
     if not 0.0 <= azimuth <= math.pi / 2:
         raise ValidationError(f"azimuth must lie in [0, pi/2], got {azimuth}")
 
@@ -115,7 +121,7 @@ def itd_simple(geom: HeadGeometry, azimuth: float) -> float:
     the arc around the head; azimuth is restricted to [0, pi/2] where this
     derivation holds.
     """
-    _check_azimuth(azimuth)
+    check_azimuth(azimuth)
     return geom.radius_m * (azimuth + math.sin(azimuth)) / geom.speed_of_sound
 
 
@@ -127,7 +133,7 @@ def itd_modified(geom: HeadGeometry, azimuth: float, freq: float) -> float:
     2 kHz the model is not separately specified, so the 2 kHz coefficient is
     kept; ITD carries little localization weight up there anyway.
     """
-    _check_azimuth(azimuth)
+    check_azimuth(azimuth)
     if freq <= 0:
         raise ValidationError(f"freq must be positive, got {freq}")
     a = 3.0 if freq < 500.0 else 2.0
@@ -166,10 +172,12 @@ class ShadowParams:
             raise ValidationError(
                 f"max_attenuation_db must lie in 0..30, got {self.max_attenuation_db}"
             )
-        if self.corner_hz <= 0:
-            raise ValidationError(f"corner_hz must be positive, got {self.corner_hz}")
-        if self.azimuth_exponent <= 0:
-            raise ValidationError(f"azimuth_exponent must be positive, got {self.azimuth_exponent}")
+        if not 0 < self.corner_hz < math.inf:
+            raise ValidationError(f"corner_hz must be positive and finite, got {self.corner_hz}")
+        if not 0 < self.azimuth_exponent < math.inf:
+            raise ValidationError(
+                f"azimuth_exponent must be positive and finite, got {self.azimuth_exponent}"
+            )
 
 
 def head_shadow_ild(params: ShadowParams, azimuth: float, freq) -> float | np.ndarray:
@@ -178,7 +186,7 @@ def head_shadow_ild(params: ShadowParams, azimuth: float, freq) -> float | np.nd
     Smooth and non-decreasing in both frequency and azimuth; exactly 0 on the
     median plane. `freq` may be a scalar or an array of positive frequencies.
     """
-    _check_azimuth(azimuth)
+    check_azimuth(azimuth)
     f = np.asarray(freq, dtype=np.float64)
     if np.any(f <= 0):
         raise ValidationError("freq must be positive")

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cue_models import check_temperature
 from .errors import ValidationError
-from .rigsim import (RigKind, RigSpec, SourceSpec, _apply_zero_phase, _cardioid_gains,
-                     human_head, predicted_itd, shadow_filter_kernel)
-from .signals import DEFAULT_SAMPLE_RATE, SampleBuffer, StereoBuffer, apply_fractional_delay
+from .rigsim import RigSpec, far_ear, human_head
+from .signals import DEFAULT_SAMPLE_RATE, SampleBuffer, StereoBuffer
 
 log = logging.getLogger(__name__)
 
@@ -43,26 +43,16 @@ class RenderSpec:
             )
         if self.gain_db > 0:
             raise ValidationError(f"gain_db must be <= 0, got {self.gain_db}")
-
-
-def _far_channel(rig: RigSpec, azimuth: float, temperature_c: float,
-                 signal: SampleBuffer) -> np.ndarray:
-    itd = predicted_itd(rig, SourceSpec(azimuth_rad=azimuth), temperature_c)
-    delayed = apply_fractional_delay(signal, itd)
-    if rig.kind is RigKind.ORTF:
-        g_near, g_far = _cardioid_gains(rig.capsule_angle_deg, azimuth)
-        return (g_far / g_near) * delayed.samples
-    kernel = shadow_filter_kernel(rig.shadow, azimuth, signal.sample_rate)
-    return _apply_zero_phase(delayed.samples, kernel)
+        check_temperature(self.temperature_c)
 
 
 def binauralize(signal: SampleBuffer, spec: RenderSpec) -> StereoBuffer:
     """Render a mono source at the spec's azimuth.
 
     The near ear gets the dry signal, the far ear the delayed and shadowed
-    one; a negative azimuth mirrors the channels sample-exactly. If the
-    result would peak above 1.0 after gain, both channels are scaled down
-    together so the interaural cues survive intact.
+    one from rigsim.far_ear; a negative azimuth mirrors the channels
+    sample-exactly. If the result would peak above 1.0 after gain, both
+    channels are scaled down together so the interaural cues survive intact.
     """
     if len(signal) == 0:
         raise ValidationError("signal is empty")
@@ -74,7 +64,7 @@ def binauralize(signal: SampleBuffer, spec: RenderSpec) -> StereoBuffer:
         return StereoBuffer(SampleBuffer(mono, sr), SampleBuffer(mono, sr))
 
     near = gain * signal.samples
-    far = gain * _far_channel(spec.rig, abs(spec.azimuth_rad), spec.temperature_c, signal)
+    far = gain * far_ear(spec.rig, abs(spec.azimuth_rad), signal, spec.temperature_c)
     peak = max(np.max(np.abs(near)), np.max(np.abs(far)))
     if peak > 1.0:
         near = near / peak

@@ -12,19 +12,19 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
+from . import __version__
 from .analysis import DEFAULT_OCTAVE_CENTERS, CueReport, TransferFunction, ild_spectrum_summary
 from .errors import ValidationError
-from .rigsim import RigKind, RigSpec
+from .rigsim import RigSpec, rig_fields
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 CSV_SPECTRUM_HEADER = "freq_hz,magnitude_db,phase_deg,coherence"
 
 
 def build_metadata(deterministic: bool = False, **fields: Any) -> dict[str, Any]:
     """Common report metadata; pass deterministic=True to omit the timestamp."""
-    meta: dict[str, Any] = {"tool_version": TOOL_VERSION}
+    meta: dict[str, Any] = {"tool_version": __version__}
     meta.update({k: v for k, v in fields.items() if v is not None})
     if not deterministic:
         meta["created_utc"] = datetime.now(timezone.utc).isoformat()
@@ -32,23 +32,11 @@ def build_metadata(deterministic: bool = False, **fields: Any) -> dict[str, Any]
 
 
 def rig_to_dict(spec: RigSpec) -> dict[str, Any]:
+    """The rig's config keys and values; a dotted key nests: shadow.max_db -> shadow/max_db."""
     out: dict[str, Any] = {"kind": spec.kind.value}
-    if spec.head is not None:
-        out["radius_m"] = spec.head.radius_m
-    if spec.mic_spacing_m is not None:
-        out["mic_spacing_m"] = spec.mic_spacing_m
-    if spec.disc_diameter_m is not None:
-        out["disc_diameter_m"] = spec.disc_diameter_m
-    if spec.capsule_angle_deg is not None:
-        out["capsule_angle_deg"] = spec.capsule_angle_deg
-    if spec.kind in (RigKind.SEMI_DUMMY, RigKind.JECKLIN):
-        out["path_extension"] = spec.path_extension
-    if spec.shadow is not None:
-        out["shadow"] = {
-            "max_db": spec.shadow.max_attenuation_db,
-            "corner_hz": spec.shadow.corner_hz,
-            "exponent": spec.shadow.azimuth_exponent,
-        }
+    for key, value in rig_fields(spec).items():
+        group, _, name = key.rpartition(".")
+        (out.setdefault(group, {}) if group else out)[name] = value
     return out
 
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 from scipy import signal as _sig
 
-from .cue_models import HeadGeometry, ShadowParams, head_shadow_ild, itd_simple, speed_of_sound
+from .cue_models import (HeadGeometry, ShadowParams, check_azimuth, check_temperature,
+                         head_shadow_ild, itd_simple, speed_of_sound)
 from .errors import ValidationError
 from .signals import SampleBuffer, StereoBuffer, apply_fractional_delay
 
@@ -61,12 +63,13 @@ _SHADOW_DESIGN_FFT = 8192
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Far-field source position: azimuth in radians (0 ahead, +pi/2 far left)."""
+    """Far-field source position: azimuth in radians, 0 ahead to +pi/2 far left."""
 
     azimuth_rad: float
     distance_m: float = 3.0
 
     def __post_init__(self) -> None:
+        check_azimuth(self.azimuth_rad)
         if self.distance_m < 1.0:
             raise ValidationError(
                 f"distance_m must be >= 1 (far-field contract), got {self.distance_m}"
@@ -99,18 +102,24 @@ class RigSpec:
         if self.kind in _SPACED_KINDS:
             if self.mic_spacing_m is None:
                 object.__setattr__(self, "mic_spacing_m", _default_spacing(self.kind))
-            if self.mic_spacing_m <= 0:
-                raise ValidationError(f"mic_spacing_m must be positive, got {self.mic_spacing_m}")
+            if not 0 < self.mic_spacing_m < math.inf:
+                raise ValidationError(
+                    f"mic_spacing_m must be positive and finite, got {self.mic_spacing_m}"
+                )
         if self.kind in _BAFFLED_KINDS:
             if self.shadow is None:
                 object.__setattr__(self, "shadow", _default_shadow(self.kind))
-            if self.path_extension < 1.0:
-                raise ValidationError(f"path_extension must be >= 1, got {self.path_extension}")
+            if not 1.0 <= self.path_extension < math.inf:
+                raise ValidationError(
+                    f"path_extension must be >= 1 and finite, got {self.path_extension}"
+                )
         if self.kind is RigKind.JECKLIN:
             if self.disc_diameter_m is None:
                 object.__setattr__(self, "disc_diameter_m", JECKLIN_DISC_DIAMETER_M)
-            if self.disc_diameter_m <= 0:
-                raise ValidationError(f"disc_diameter_m must be positive, got {self.disc_diameter_m}")
+            if not 0 < self.disc_diameter_m < math.inf:
+                raise ValidationError(
+                    f"disc_diameter_m must be positive and finite, got {self.disc_diameter_m}"
+                )
         if self.kind is RigKind.ORTF:
             if self.capsule_angle_deg is None:
                 object.__setattr__(self, "capsule_angle_deg", ORTF_CAPSULE_ANGLE_DEG)
@@ -170,18 +179,16 @@ def default_rig(kind: RigKind) -> RigSpec:
     return factories[kind]()
 
 
-def _check_sim_azimuth(azimuth: float) -> None:
-    if not 0.0 <= azimuth <= math.pi / 2:
-        raise ValidationError(f"azimuth must lie in [0, pi/2], got {azimuth}")
+def _free_field_itd(mic_spacing_m: float, azimuth: float, temperature_c: float) -> float:
+    check_temperature(temperature_c)
+    return mic_spacing_m * math.sin(azimuth) / speed_of_sound(temperature_c)
 
 
 def predicted_itd(rig: RigSpec, src: SourceSpec, temperature_c: float = 20.0) -> float:
     """Model ITD in seconds for the rig at the source azimuth."""
-    _check_sim_azimuth(src.azimuth_rad)
     if rig.kind in _HEAD_KINDS:
-        geom = replace(rig.head, temperature_c=temperature_c)
-        return itd_simple(geom, src.azimuth_rad)
-    free_field = rig.mic_spacing_m * math.sin(src.azimuth_rad) / speed_of_sound(temperature_c)
+        return itd_simple(replace(rig.head, temperature_c=temperature_c), src.azimuth_rad)
+    free_field = _free_field_itd(rig.mic_spacing_m, src.azimuth_rad, temperature_c)
     if rig.kind is RigKind.ORTF:
         return free_field
     return rig.path_extension * free_field
@@ -200,7 +207,6 @@ def predicted_ild_db(rig: RigSpec, src: SourceSpec, freq: float) -> float:
     Head and baffled kinds evaluate their shadow curve; ORTF returns the
     level ratio of its two cardioid capsules, which is frequency-independent.
     """
-    _check_sim_azimuth(src.azimuth_rad)
     if rig.kind is RigKind.ORTF:
         g_left, g_right = _cardioid_gains(rig.capsule_angle_deg, src.azimuth_rad)
         return 20.0 * math.log10(g_left / g_right)
@@ -230,42 +236,41 @@ def shadow_filter_kernel(shadow: ShadowParams, azimuth: float, sample_rate: int,
     return kernel
 
 
-def _apply_zero_phase(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
+            temperature_c: float = 20.0) -> np.ndarray:
+    """The far ear's samples of a source at azimuth in [0, pi/2], near ear at unit gain.
+
+    The signal is delayed by the rig's predicted ITD and then shaped by its
+    ILD model: a zero-phase FIR fit of the shadow curve, or for ORTF the
+    far-to-near capsule gain ratio.
+    """
+    itd = predicted_itd(rig, SourceSpec(azimuth_rad=azimuth), temperature_c)
+    delayed = apply_fractional_delay(signal, itd).samples
+    if rig.kind is RigKind.ORTF:
+        g_near, g_far = _cardioid_gains(rig.capsule_angle_deg, azimuth)
+        return (g_far / g_near) * delayed
+    kernel = shadow_filter_kernel(rig.shadow, azimuth, signal.sample_rate)
     half = kernel.size // 2
-    return _sig.fftconvolve(x, kernel)[half : half + x.size]
+    return _sig.fftconvolve(delayed, kernel)[half : half + delayed.size]
 
 
 def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,
                      temperature_c: float = 20.0) -> StereoBuffer:
     """Synthesize the rig's two-channel capture of a test signal.
 
-    The near (left) channel takes the unit path. The far (right) channel is
-    delayed by the rig's predicted ITD and shaped by its ILD model: a
-    zero-phase FIR fit of the shadow curve, or plain capsule gains for ORTF.
+    The near (left) channel takes the unit path and the far (right) channel
+    comes from far_ear; ORTF then scales both by the near capsule's gain.
     At azimuth 0 both channels are identical by construction.
     """
     if len(signal) == 0:
         raise ValidationError("signal is empty")
-    _check_sim_azimuth(src.azimuth_rad)
-    sr = signal.sample_rate
-
+    near = signal.samples
+    far = near if src.azimuth_rad == 0.0 else far_ear(rig, src.azimuth_rad, signal, temperature_c)
     if rig.kind is RigKind.ORTF:
-        g_left, g_right = _cardioid_gains(rig.capsule_angle_deg, src.azimuth_rad)
-        if src.azimuth_rad == 0.0:
-            near = g_left * signal.samples
-            return StereoBuffer(SampleBuffer(near, sr), SampleBuffer(near, sr))
-        delayed = apply_fractional_delay(signal, predicted_itd(rig, src, temperature_c))
-        return StereoBuffer(
-            SampleBuffer(g_left * signal.samples, sr),
-            SampleBuffer(g_right * delayed.samples, sr),
-        )
-
-    if src.azimuth_rad == 0.0:
-        return StereoBuffer(SampleBuffer(signal.samples, sr), SampleBuffer(signal.samples, sr))
-    delayed = apply_fractional_delay(signal, predicted_itd(rig, src, temperature_c))
-    kernel = shadow_filter_kernel(rig.shadow, src.azimuth_rad, sr)
-    far = _apply_zero_phase(delayed.samples, kernel)
-    return StereoBuffer(SampleBuffer(signal.samples, sr), SampleBuffer(far, sr))
+        g_near = _cardioid_gains(rig.capsule_angle_deg, src.azimuth_rad)[0]
+        near, far = g_near * near, g_near * far
+    sr = signal.sample_rate
+    return StereoBuffer(SampleBuffer(near, sr), SampleBuffer(far, sr))
 
 
 def fit_path_extension(rig_kind: RigKind, measured_itd_s: float, azimuth: float,
@@ -278,16 +283,14 @@ def fit_path_extension(rig_kind: RigKind, measured_itd_s: float, azimuth: float,
     """
     if rig_kind not in _SPACED_KINDS:
         raise ValidationError(f"{rig_kind.value} has no spaced-pair path to fit")
-    _check_sim_azimuth(azimuth)
+    check_azimuth(azimuth)
     if azimuth == 0.0:
         raise ValidationError("cannot fit at azimuth 0: the free-field path difference is zero")
-    free_field = _default_spacing(rig_kind) * math.sin(azimuth) / speed_of_sound(temperature_c)
-    return measured_itd_s / free_field
+    return measured_itd_s / _free_field_itd(_default_spacing(rig_kind), azimuth, temperature_c)
 
 
 # --- rig config files: flat "key = value" text -----------------------------
 
-_COMMON_KEYS = ("kind",)
 _KEYS_BY_KIND = {
     RigKind.HUMAN_HEAD: ("radius_m", "shadow.max_db", "shadow.corner_hz", "shadow.exponent"),
     RigKind.FULL_DUMMY: ("radius_m", "shadow.max_db", "shadow.corner_hz", "shadow.exponent"),
@@ -298,27 +301,29 @@ _KEYS_BY_KIND = {
     RigKind.ORTF: ("mic_spacing_m", "capsule_angle_deg"),
 }
 
+#: Config key -> RigSpec attribute path of its value: the one key schema, read
+#: by rig_fields for files and reports and by load_rig_config.
+_FIELDS = {
+    "radius_m": ("head", "radius_m"),
+    "mic_spacing_m": ("mic_spacing_m",),
+    "disc_diameter_m": ("disc_diameter_m",),
+    "capsule_angle_deg": ("capsule_angle_deg",),
+    "path_extension": ("path_extension",),
+    "shadow.max_db": ("shadow", "max_attenuation_db"),
+    "shadow.corner_hz": ("shadow", "corner_hz"),
+    "shadow.exponent": ("shadow", "azimuth_exponent"),
+}
+
+
+def rig_fields(spec: RigSpec) -> dict[str, float]:
+    """The spec's config keys (all but 'kind') and their values, in file order."""
+    return {key: reduce(getattr, _FIELDS[key], spec) for key in _KEYS_BY_KIND[spec.kind]}
+
 
 def save_rig_config(spec: RigSpec, path: str | Path) -> None:
     """Write a rig spec as flat key = value text."""
     lines = [f"kind = {spec.kind.value}"]
-    for key in _KEYS_BY_KIND[spec.kind]:
-        if key == "radius_m":
-            lines.append(f"radius_m = {spec.head.radius_m!r}")
-        elif key == "mic_spacing_m":
-            lines.append(f"mic_spacing_m = {spec.mic_spacing_m!r}")
-        elif key == "disc_diameter_m":
-            lines.append(f"disc_diameter_m = {spec.disc_diameter_m!r}")
-        elif key == "capsule_angle_deg":
-            lines.append(f"capsule_angle_deg = {spec.capsule_angle_deg!r}")
-        elif key == "path_extension":
-            lines.append(f"path_extension = {spec.path_extension!r}")
-        elif key == "shadow.max_db":
-            lines.append(f"shadow.max_db = {spec.shadow.max_attenuation_db!r}")
-        elif key == "shadow.corner_hz":
-            lines.append(f"shadow.corner_hz = {spec.shadow.corner_hz!r}")
-        elif key == "shadow.exponent":
-            lines.append(f"shadow.exponent = {spec.shadow.azimuth_exponent!r}")
+    lines += [f"{key} = {value!r}" for key, value in rig_fields(spec).items()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -349,32 +354,15 @@ def load_rig_config(path: str | Path) -> RigSpec:
             f"{path}: invalid config key(s) for kind '{kind.value}': {', '.join(unknown)}"
         )
 
-    def fval(key: str, default: float) -> float:
-        if key not in entries:
-            return default
-        try:
-            return float(entries[key])
-        except ValueError:
-            raise ValidationError(f"{path}: key '{key}' must be a number, got {entries[key]!r}") from None
-
     base = default_rig(kind)
-    if kind is RigKind.ORTF:
-        return ortf(mic_spacing_m=fval("mic_spacing_m", base.mic_spacing_m),
-                    capsule_angle_deg=fval("capsule_angle_deg", base.capsule_angle_deg))
-
-    shadow = ShadowParams(
-        max_attenuation_db=fval("shadow.max_db", base.shadow.max_attenuation_db),
-        corner_hz=fval("shadow.corner_hz", base.shadow.corner_hz),
-        azimuth_exponent=fval("shadow.exponent", base.shadow.azimuth_exponent),
-    )
-    if kind in _HEAD_KINDS:
-        factory = human_head if kind is RigKind.HUMAN_HEAD else full_dummy
-        return factory(radius_m=fval("radius_m", base.head.radius_m), shadow=shadow)
-    if kind is RigKind.SEMI_DUMMY:
-        return semi_dummy(mic_spacing_m=fval("mic_spacing_m", base.mic_spacing_m),
-                          path_extension=fval("path_extension", base.path_extension),
-                          shadow=shadow)
-    return jecklin(mic_spacing_m=fval("mic_spacing_m", base.mic_spacing_m),
-                   disc_diameter_m=fval("disc_diameter_m", base.disc_diameter_m),
-                   path_extension=fval("path_extension", base.path_extension),
-                   shadow=shadow)
+    changes: dict[str, object] = {}
+    for key, text in entries.items():
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValidationError(f"{path}: key '{key}' must be a number, got {text!r}") from None
+        attr, *inner = _FIELDS[key]
+        if inner:
+            value = replace(changes.get(attr, getattr(base, attr)), **{inner[0]: value})
+        changes[attr] = value
+    return replace(base, **changes)

@@ -156,7 +156,7 @@ def _integer_shift(x: np.ndarray, shift: int) -> np.ndarray:
 
 
 def apply_fractional_delay(buf: SampleBuffer, delay: float) -> SampleBuffer:
-    """Delay a buffer by an arbitrary non-negative time, sub-sample accurate.
+    """Delay a buffer by an arbitrary finite non-negative time, sub-sample accurate.
 
     Integer-sample delays are exact shifts. Fractional residues go through a
     65-tap Kaiser-windowed sinc interpolator, which keeps the phase of any
@@ -164,8 +164,8 @@ def apply_fractional_delay(buf: SampleBuffer, delay: float) -> SampleBuffer:
     ideal 360*f*delay lag. Output length equals input length; samples shifted
     past the end are dropped and the head is zero-filled.
     """
-    if delay < 0:
-        raise ValidationError(f"delay must be non-negative, got {delay}")
+    if not 0 <= delay < np.inf:
+        raise ValidationError(f"delay must be finite and non-negative, got {delay}")
     x = buf.samples
     total = delay * buf.sample_rate
     d_int = int(np.floor(total))

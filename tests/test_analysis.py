@@ -314,7 +314,6 @@ def test_analyze_capture_identical_channels(pink_5s):
     assert report.itd_low_s == pytest.approx(0.0, abs=1e-7)
     assert report.itd_high_s == pytest.approx(0.0, abs=1e-7)
     assert np.max(np.abs(report.ild_spectrum.magnitude_db)) < 1e-6
-    assert np.array_equal(report.ipd_spectrum_deg, report.ild_spectrum.phase_deg)
 
 
 def test_analyze_capture_constructed_delay(pink_5s):

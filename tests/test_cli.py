@@ -196,6 +196,26 @@ def test_simulate_azimuth_range(tmp_path, capsys):
     assert "--azimuth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("azimuth", (0, 90))
+def test_simulate_nan_temperature_is_validation_failure(azimuth, tmp_path, capsys):
+    code = run("simulate", "--rig", "ortf", "--azimuth", azimuth, "--temp", "nan",
+               "--seconds", 0.1, "--out", tmp_path / "x.wav")
+    assert code == EXIT_ANALYSIS
+    assert "temperature_c" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
+@pytest.mark.parametrize("config", ("kind = ortf\nmic_spacing_m = nan\n",
+                                    "kind = semi_dummy\npath_extension = inf\n"))
+def test_simulate_non_finite_rig_config_is_validation_failure(config, tmp_path, capsys):
+    cfg = tmp_path / "rig.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    code = run("simulate", "--rig-config", cfg, "--azimuth", 90, "--seconds", 0.1,
+               "--out", tmp_path / "x.wav")
+    assert code == EXIT_ANALYSIS
+    assert "finite" in capsys.readouterr().err
+
+
 # --- render --------------------------------------------------------------------
 
 @pytest.fixture()

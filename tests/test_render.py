@@ -77,6 +77,9 @@ def test_render_spec_validation():
         RenderSpec(azimuth_rad=2.0)
     with pytest.raises(ValidationError):
         RenderSpec(gain_db=1.0)
+    for temperature_c in (math.nan, 60.0):  # checked even where azimuth 0 never uses it
+        with pytest.raises(ValidationError, match="temperature_c"):
+            RenderSpec(azimuth_rad=0.0, temperature_c=temperature_c)
 
 
 def test_render_rejects_empty_signal():

@@ -1,15 +1,19 @@
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
-from bincues import (HeadGeometry, RigKind, RigSpec, ShadowParams, SourceSpec,
-                     StereoBuffer, ValidationError, default_rig, estimate_itd,
-                     fit_path_extension, full_dummy, head_shadow_ild, human_head,
-                     ild_spectrum_summary, jecklin, load_rig_config, ortf, predicted_ild_db,
-                     predicted_itd, save_rig_config, shadow_filter_kernel, semi_dummy,
-                     simulate_capture, transfer_function)
+from bincues import (HeadGeometry, RenderSpec, RigKind, RigSpec, ShadowParams, SourceSpec,
+                     StereoBuffer, ValidationError, binauralize, default_rig, estimate_itd,
+                     fit_path_extension, full_dummy, gen_pink_noise, head_shadow_ild,
+                     human_head, ild_spectrum_summary, jecklin, load_rig_config, ortf,
+                     predicted_ild_db, predicted_itd, save_rig_config, shadow_filter_kernel,
+                     semi_dummy, simulate_capture, transfer_function)
+from bincues.reports import rig_to_dict
 
 SR = 48000
 HALF_PI = math.pi / 2
@@ -52,6 +56,15 @@ def test_itd_monotone_in_azimuth(rig):
 def test_ortf_within_one_percent_of_spacing_over_c():
     itd = predicted_itd(ortf(), BROADSIDE, temperature_c=20.0)
     assert abs(itd - 0.17 / 343.0) / (0.17 / 343.0) < 0.01
+
+
+@pytest.mark.parametrize("temperature_c", (math.nan, -20.5, 50.5))
+@pytest.mark.parametrize("rig", ALL_RIGS, ids=lambda r: r.kind.value)
+def test_itd_applies_the_temperature_rule_to_every_rig(rig, temperature_c):
+    with pytest.raises(ValidationError, match="temperature_c"):
+        predicted_itd(rig, BROADSIDE, temperature_c)
+    with pytest.raises(ValidationError, match="temperature_c"):
+        simulate_capture(rig, BROADSIDE, gen_pink_noise(0.1), temperature_c)
 
 
 def test_itd_rejects_out_of_range_azimuth():
@@ -152,6 +165,21 @@ def test_capture_swap_negates_itd(pink_2s):
     assert estimate_itd(capture.swapped()) == -estimate_itd(capture)
 
 
+@pytest.mark.parametrize("degrees", (5.0, 30.0, 60.0, 90.0))
+@pytest.mark.parametrize("rig", ALL_RIGS, ids=lambda r: r.kind.value)
+def test_capture_and_render_share_the_far_ear(rig, degrees, pink_2s):
+    # Both build the far ear through far_ear; an ORTF capture then scales both
+    # channels by the near capsule's cardioid gain, which binauralize leaves at 1.
+    azimuth = math.radians(degrees)
+    near_gain = 1.0
+    if rig.kind is RigKind.ORTF:
+        near_gain = 0.5 * (1.0 + math.cos(azimuth - math.radians(rig.capsule_angle_deg / 2.0)))
+    capture = simulate_capture(rig, SourceSpec(azimuth_rad=azimuth), pink_2s)
+    rendered = binauralize(pink_2s, RenderSpec(rig=rig, azimuth_rad=azimuth))
+    assert np.array_equal(capture.left.samples, near_gain * pink_2s.samples)
+    assert np.array_equal(capture.right.samples, near_gain * rendered.right.samples)
+
+
 def test_capture_rejects_empty_signal():
     from bincues import SampleBuffer
     with pytest.raises(ValidationError):
@@ -177,6 +205,8 @@ def test_fit_path_extension_rejects_zero_azimuth_and_head_rigs():
         fit_path_extension(RigKind.SEMI_DUMMY, 0.8e-3, 0.0)
     with pytest.raises(ValidationError):
         fit_path_extension(RigKind.HUMAN_HEAD, 0.7e-3, HALF_PI)
+    with pytest.raises(ValidationError, match="temperature_c"):
+        fit_path_extension(RigKind.ORTF, 0.5e-3, HALF_PI, math.nan)
 
 
 # --- spec validation --------------------------------------------------------
@@ -203,18 +233,77 @@ def test_rig_spec_invariants():
         human_head(radius_m=0.4)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_rig_spec_rejects_non_finite_geometry(bad):
+    builds = (lambda: semi_dummy(mic_spacing_m=bad), lambda: semi_dummy(path_extension=bad),
+              lambda: jecklin(disc_diameter_m=bad), lambda: ortf(mic_spacing_m=bad),
+              lambda: ortf(capsule_angle_deg=bad), lambda: human_head(radius_m=bad),
+              lambda: full_dummy(shadow=ShadowParams(corner_hz=bad)),
+              lambda: jecklin(shadow=ShadowParams(azimuth_exponent=bad)))
+    for build in builds:
+        with pytest.raises(ValidationError):
+            build()
+
+
 def test_source_spec_far_field_contract():
     with pytest.raises(ValidationError):
         SourceSpec(azimuth_rad=0.0, distance_m=0.5)
 
 
+@pytest.mark.parametrize("azimuth", (-0.1, HALF_PI + 1e-9, math.nan))
+def test_source_spec_azimuth_rule(azimuth):
+    with pytest.raises(ValidationError, match=r"azimuth must lie in \[0, pi/2\]"):
+        SourceSpec(azimuth_rad=azimuth)
+
+
 # --- config files -----------------------------------------------------------
 
-@pytest.mark.parametrize("rig", ALL_RIGS, ids=lambda r: r.kind.value)
-def test_rig_config_round_trip(rig, tmp_path):
-    path = tmp_path / f"{rig.kind.value}.cfg"
-    save_rig_config(rig, path)
-    assert load_rig_config(path) == rig
+SHADOW_KEYS = ("shadow.max_db", "shadow.corner_hz", "shadow.exponent")
+CONFIG_KEYS = {
+    RigKind.HUMAN_HEAD: ("radius_m", *SHADOW_KEYS),
+    RigKind.FULL_DUMMY: ("radius_m", *SHADOW_KEYS),
+    RigKind.SEMI_DUMMY: ("mic_spacing_m", "path_extension", *SHADOW_KEYS),
+    RigKind.JECKLIN: ("mic_spacing_m", "disc_diameter_m", "path_extension", *SHADOW_KEYS),
+    RigKind.ORTF: ("mic_spacing_m", "capsule_angle_deg"),
+}
+#: Config key -> (RigSpec attribute path, valid values).
+CONFIG_FIELDS = {
+    "radius_m": ("head.radius_m", st.floats(0.05, 0.15)),
+    "mic_spacing_m": ("mic_spacing_m", st.floats(0.01, 2.0)),
+    "disc_diameter_m": ("disc_diameter_m", st.floats(0.05, 1.0)),
+    "capsule_angle_deg": ("capsule_angle_deg", st.floats(1.0, 180.0)),
+    "path_extension": ("path_extension", st.floats(1.0, 3.0)),
+    "shadow.max_db": ("shadow.max_attenuation_db", st.floats(0.0, 30.0)),
+    "shadow.corner_hz": ("shadow.corner_hz", st.floats(20.0, 20000.0)),
+    "shadow.exponent": ("shadow.azimuth_exponent", st.floats(0.1, 4.0)),
+}
+
+
+def flattened(doc: dict) -> dict:
+    flat = {key: value for key, value in doc.items() if not isinstance(value, dict)}
+    for group, inner in doc.items():
+        if isinstance(inner, dict):
+            flat.update({f"{group}.{key}": value for key, value in inner.items()})
+    return flat
+
+
+@pytest.mark.parametrize("kind", list(RigKind), ids=lambda k: k.value)
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_rig_config_round_trip(kind, tmp_path, data):
+    drawn = data.draw(st.fixed_dictionaries({key: CONFIG_FIELDS[key][1]
+                                             for key in CONFIG_KEYS[kind]}))
+    path = tmp_path / f"{kind.value}.cfg"
+    lines = [f"kind = {kind.value}"] + [f"{key} = {value!r}" for key, value in drawn.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for rig in (default_rig(kind), load_rig_config(path)):
+        save_rig_config(rig, path)
+        assert load_rig_config(path) == rig
+        saved = dict(line.split(" = ") for line in path.read_text(encoding="utf-8").splitlines())
+        assert set(saved) == set(flattened(rig_to_dict(rig))) == {"kind", *CONFIG_KEYS[kind]}
+    assert flattened(rig_to_dict(rig)) == {"kind": kind.value, **drawn}
+    assert {key: attrgetter(CONFIG_FIELDS[key][0])(rig) for key in drawn} == drawn
 
 
 def test_rig_config_overrides_and_comments(tmp_path):
@@ -244,6 +333,15 @@ def test_rig_config_wrong_kind_key(tmp_path):
     path = tmp_path / "rig.cfg"
     path.write_text("kind = ortf\nradius_m = 0.09\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="radius_m"):
+        load_rig_config(path)
+
+
+@pytest.mark.parametrize("line", ("mic_spacing_m = nan", "path_extension = inf",
+                                  "shadow.corner_hz = nan"))
+def test_rig_config_rejects_non_finite_values(line, tmp_path):
+    path = tmp_path / "rig.cfg"
+    path.write_text(f"kind = semi_dummy\n{line}\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="finite"):
         load_rig_config(path)
 
 

@@ -151,6 +151,12 @@ def test_fractional_delay_rejects_negative(pink_2s):
         apply_fractional_delay(pink_2s, -1e-6)
 
 
+@pytest.mark.parametrize("delay", (np.nan, np.inf))
+def test_fractional_delay_rejects_non_finite(delay, pink_2s):
+    with pytest.raises(ValidationError, match="finite"):
+        apply_fractional_delay(pink_2s, delay)
+
+
 def test_fractional_delay_longer_than_buffer_is_silence(pink_2s):
     out = apply_fractional_delay(pink_2s, 3.0)
     assert np.all(out.samples == 0.0)
