@@ -97,14 +97,18 @@ class CueReport:
                 )
 
 
-def _require_audible(x: np.ndarray, what: str) -> None:
-    if np.sqrt(np.mean(np.square(x))) < SILENCE_RMS:
-        raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
+def _require_audible(stereo: StereoBuffer) -> None:
+    for what, channel in (("left channel", stereo.left), ("right channel", stereo.right)):
+        if np.sqrt(np.mean(np.square(channel.samples))) < SILENCE_RMS:
+            raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
 
 
-def _require_finite(*buffers: SampleBuffer) -> None:
-    if not all(np.isfinite(buf.samples).all() for buf in buffers):
-        raise ValidationError("samples must be finite; the capture holds NaN or inf")
+def _lag_samples(max_lag: float, sample_rate: int) -> int:
+    """The lag window max_lag in whole samples."""
+    lag = max_lag * sample_rate
+    if not np.isfinite(lag):
+        raise ValidationError(f"max_lag must be finite, got {max_lag}")
+    return int(round(lag))
 
 
 def _block_lags(a: np.ndarray, b: np.ndarray, chunks: int) -> np.ndarray:
@@ -169,7 +173,7 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
         raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     sr = stereo.sample_rate
     n = len(stereo)
-    m = int(round(max_lag * sr))
+    m = _lag_samples(max_lag, sr)
     if m < 1:
         raise ValidationError(f"max_lag {max_lag} s is under one sample period")
     if m >= n:
@@ -203,17 +207,8 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     parabolic fit through the peak and its neighbors, resolving delays well
     below one sample period.
     """
-    _require_finite(stereo.left, stereo.right)
-    return _estimate_itd(stereo, max_lag, weighting)
-
-
-def _estimate_itd(stereo: StereoBuffer, max_lag: float, weighting: str,
-                  xcorr: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """estimate_itd without the finiteness check, on xcorr when already computed."""
-    _require_audible(stereo.left.samples, "left channel")
-    _require_audible(stereo.right.samples, "right channel")
-    if xcorr is None:
-        xcorr = cross_correlation(stereo, max_lag=max_lag, weighting=weighting)
+    _require_audible(stereo)
+    xcorr = cross_correlation(stereo, max_lag=max_lag, weighting=weighting)
     return _peak_lag_s(*xcorr, stereo.sample_rate)
 
 
@@ -238,12 +233,6 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
     no delay, then the band-limited pair goes through estimate_itd. Raises
     AnalysisError when a band holds no usable energy.
     """
-    _require_finite(stereo.left, stereo.right)
-    return _band_itd(stereo, low_hz, high_hz, max_lag)
-
-
-def _band_itd(stereo: StereoBuffer, low_hz: float, high_hz: float,
-              max_lag: float) -> tuple[float, float]:
     sr = stereo.sample_rate
     results = []
     for center in (low_hz, high_hz):
@@ -254,7 +243,7 @@ def _band_itd(stereo: StereoBuffer, low_hz: float, high_hz: float,
                 or np.sqrt(np.mean(np.square(right))) < SILENCE_RMS):
             raise AnalysisError(f"no usable energy in the {center:g} Hz octave band")
         banded = StereoBuffer(SampleBuffer(left, sr), SampleBuffer(right, sr))
-        results.append(_estimate_itd(banded, max_lag, "none"))
+        results.append(estimate_itd(banded, max_lag))
     return results[0], results[1]
 
 
@@ -267,7 +256,6 @@ def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
     fft_size samples at the given overlap fraction. The broadband delay is
     the refined cross-correlation peak (positive: measurement lags).
     """
-    _require_finite(reference, measurement)
     return _transfer_function(StereoBuffer(reference, measurement), fft_size, overlap)[0]
 
 
@@ -296,7 +284,8 @@ def _welch_spectra(stereo: StereoBuffer, fft_size: int,
 
 def _transfer_function(stereo: StereoBuffer, fft_size: int, overlap: float
                        ) -> tuple[TransferFunction, tuple[np.ndarray, np.ndarray]]:
-    """transfer_function without the finiteness check, plus its broadband xcorr."""
+    """transfer_function of right against left, plus the broadband correlation
+    its delay was read from, which analyze_capture reuses."""
     n = len(stereo)
     if fft_size < 2 or fft_size & (fft_size - 1):
         raise ValidationError(f"fft_size must be a power of two, got {fft_size}")
@@ -365,12 +354,14 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
                     max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
     """Full cue extraction for one stereo capture (left = reference channel).
 
-    With weighting "none" and the transfer function's lag window, the ITD comes
-    from the correlation behind the broadband delay.
+    With weighting "none" and the transfer function's lag window, the ITD is
+    read, as estimate_itd reads it, from the correlation behind the broadband delay.
     """
-    _require_finite(stereo.left, stereo.right)
     tf, xcorr = _transfer_function(stereo, fft_size, overlap)
-    shared = weighting == "none" and xcorr[0][-1] == int(round(max_lag * stereo.sample_rate))
-    itd = _estimate_itd(stereo, max_lag, weighting, xcorr if shared else None)
-    itd_low, itd_high = _band_itd(stereo, low_hz, high_hz, max_lag)
+    if weighting == "none" and xcorr[0][-1] == _lag_samples(max_lag, stereo.sample_rate):
+        _require_audible(stereo)
+        itd = _peak_lag_s(*xcorr, stereo.sample_rate)
+    else:
+        itd = estimate_itd(stereo, max_lag, weighting)
+    itd_low, itd_high = band_itd(stereo, low_hz, high_hz, max_lag)
     return CueReport(itd, itd_low, itd_high, tf)

@@ -110,8 +110,8 @@ def _report_name(doc_path: Path, doc: dict) -> str:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     out = _require_out(args)
-    if args.seconds <= 0:
-        raise UsageError(f"--seconds must be positive, got {args.seconds}")
+    if not 0 < args.seconds < math.inf:
+        raise UsageError(f"--seconds must be positive and finite, got {args.seconds}")
     if args.signal_kind == "sine":
         if args.freq is None:
             raise UsageError("--freq is required for sine")
@@ -209,7 +209,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
             f"--azimuth must lie in -90..90 degrees (rear hemisphere unsupported), "
             f"got {args.azimuth}"
         )
-    if args.gain_db > 0:
+    if not args.gain_db <= 0:
         raise UsageError(f"--gain-db must be <= 0, got {args.gain_db}")
     sig = wavio.read_wav(args.wav)
     if not isinstance(sig, signals.SampleBuffer):

@@ -41,7 +41,7 @@ class RenderSpec:
             raise ValidationError(
                 f"azimuth must lie in [-pi/2, pi/2] (rear hemisphere unsupported), got {self.azimuth_rad}"
             )
-        if self.gain_db > 0:
+        if not self.gain_db <= 0:
             raise ValidationError(f"gain_db must be <= 0, got {self.gain_db}")
         check_temperature(self.temperature_c)
 

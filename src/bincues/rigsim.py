@@ -53,6 +53,22 @@ SEMI_DUMMY_SHADOW = ShadowParams(max_attenuation_db=15.0, corner_hz=4500.0)
 #: Disc baffle: under 3 dB until ~6 kHz, about 8 dB across the top octaves.
 JECKLIN_SHADOW = ShadowParams(max_attenuation_db=8.0, corner_hz=7500.0)
 
+#: Per-kind defaults: the one place a rig kind's default geometry lives.
+#: RigSpec(kind) fills every field left at None from its kind's row.
+_DEFAULTS = {
+    RigKind.HUMAN_HEAD: {"head": HeadGeometry(), "shadow": ShadowParams()},
+    RigKind.FULL_DUMMY: {"head": HeadGeometry(), "shadow": FULL_DUMMY_SHADOW},
+    RigKind.SEMI_DUMMY: {"mic_spacing_m": SEMI_DUMMY_SPACING_M,
+                         "path_extension": SEMI_DUMMY_PATH_EXTENSION,
+                         "shadow": SEMI_DUMMY_SHADOW},
+    RigKind.JECKLIN: {"mic_spacing_m": JECKLIN_SPACING_M,
+                      "disc_diameter_m": JECKLIN_DISC_DIAMETER_M,
+                      "path_extension": JECKLIN_PATH_EXTENSION,
+                      "shadow": JECKLIN_SHADOW},
+    RigKind.ORTF: {"mic_spacing_m": ORTF_SPACING_M,
+                   "capsule_angle_deg": ORTF_CAPSULE_ANGLE_DEG},
+}
+
 _SPACED_KINDS = (RigKind.SEMI_DUMMY, RigKind.JECKLIN, RigKind.ORTF)
 _HEAD_KINDS = (RigKind.HUMAN_HEAD, RigKind.FULL_DUMMY)
 _BAFFLED_KINDS = (RigKind.SEMI_DUMMY, RigKind.JECKLIN)
@@ -82,7 +98,9 @@ class RigSpec:
 
     Head kinds carry a HeadGeometry and a ShadowParams; baffled kinds carry
     mic spacing, a baffle ShadowParams, and a path_extension >= 1; ORTF
-    carries mic spacing and the capsule angle of its cardioid pair.
+    carries mic spacing and the capsule angle of its cardioid pair. Fields
+    left at None take the kind's defaults; path_extension is 1 for kinds
+    without a fitted one.
     """
 
     kind: RigKind
@@ -90,93 +108,63 @@ class RigSpec:
     mic_spacing_m: float | None = None
     disc_diameter_m: float | None = None
     capsule_angle_deg: float | None = None
-    path_extension: float = 1.0
+    path_extension: float | None = None
     shadow: ShadowParams | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _HEAD_KINDS:
-            if self.head is None:
-                object.__setattr__(self, "head", HeadGeometry())
-            if self.shadow is None:
-                object.__setattr__(self, "shadow", _default_shadow(self.kind))
-        if self.kind in _SPACED_KINDS:
-            if self.mic_spacing_m is None:
-                object.__setattr__(self, "mic_spacing_m", _default_spacing(self.kind))
-            if not 0 < self.mic_spacing_m < math.inf:
-                raise ValidationError(
-                    f"mic_spacing_m must be positive and finite, got {self.mic_spacing_m}"
-                )
-        if self.kind in _BAFFLED_KINDS:
-            if self.shadow is None:
-                object.__setattr__(self, "shadow", _default_shadow(self.kind))
-            if not 1.0 <= self.path_extension < math.inf:
-                raise ValidationError(
-                    f"path_extension must be >= 1 and finite, got {self.path_extension}"
-                )
-        if self.kind is RigKind.JECKLIN:
-            if self.disc_diameter_m is None:
-                object.__setattr__(self, "disc_diameter_m", JECKLIN_DISC_DIAMETER_M)
-            if not 0 < self.disc_diameter_m < math.inf:
-                raise ValidationError(
-                    f"disc_diameter_m must be positive and finite, got {self.disc_diameter_m}"
-                )
-        if self.kind is RigKind.ORTF:
-            if self.capsule_angle_deg is None:
-                object.__setattr__(self, "capsule_angle_deg", ORTF_CAPSULE_ANGLE_DEG)
-            if not 0.0 < self.capsule_angle_deg <= 180.0:
-                raise ValidationError(
-                    f"capsule_angle_deg must lie in (0, 180], got {self.capsule_angle_deg}"
-                )
+        for name, value in {"path_extension": 1.0, **_DEFAULTS[self.kind]}.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        if self.kind in _SPACED_KINDS and not 0 < self.mic_spacing_m < math.inf:
+            raise ValidationError(
+                f"mic_spacing_m must be positive and finite, got {self.mic_spacing_m}"
+            )
+        if self.kind in _BAFFLED_KINDS and not 1.0 <= self.path_extension < math.inf:
+            raise ValidationError(
+                f"path_extension must be >= 1 and finite, got {self.path_extension}"
+            )
+        if self.kind is RigKind.JECKLIN and not 0 < self.disc_diameter_m < math.inf:
+            raise ValidationError(
+                f"disc_diameter_m must be positive and finite, got {self.disc_diameter_m}"
+            )
+        if self.kind is RigKind.ORTF and not 0.0 < self.capsule_angle_deg <= 180.0:
+            raise ValidationError(
+                f"capsule_angle_deg must lie in (0, 180], got {self.capsule_angle_deg}"
+            )
 
 
-def _default_spacing(kind: RigKind) -> float:
-    return {RigKind.SEMI_DUMMY: SEMI_DUMMY_SPACING_M,
-            RigKind.JECKLIN: JECKLIN_SPACING_M,
-            RigKind.ORTF: ORTF_SPACING_M}[kind]
-
-
-def _default_shadow(kind: RigKind) -> ShadowParams:
-    return {RigKind.HUMAN_HEAD: ShadowParams(),
-            RigKind.FULL_DUMMY: FULL_DUMMY_SHADOW,
-            RigKind.SEMI_DUMMY: SEMI_DUMMY_SHADOW,
-            RigKind.JECKLIN: JECKLIN_SHADOW}[kind]
-
-
-def human_head(radius_m: float = 0.089, shadow: ShadowParams | None = None) -> RigSpec:
+def human_head(radius_m: float = HeadGeometry.radius_m,
+               shadow: ShadowParams | None = None) -> RigSpec:
     return RigSpec(RigKind.HUMAN_HEAD, head=HeadGeometry(radius_m=radius_m), shadow=shadow)
 
 
-def full_dummy(radius_m: float = 0.089, shadow: ShadowParams | None = None) -> RigSpec:
+def full_dummy(radius_m: float = HeadGeometry.radius_m,
+               shadow: ShadowParams | None = None) -> RigSpec:
     return RigSpec(RigKind.FULL_DUMMY, head=HeadGeometry(radius_m=radius_m), shadow=shadow)
 
 
-def semi_dummy(mic_spacing_m: float = SEMI_DUMMY_SPACING_M,
-               path_extension: float = SEMI_DUMMY_PATH_EXTENSION,
+def semi_dummy(mic_spacing_m: float | None = None, path_extension: float | None = None,
                shadow: ShadowParams | None = None) -> RigSpec:
     return RigSpec(RigKind.SEMI_DUMMY, mic_spacing_m=mic_spacing_m,
                    path_extension=path_extension, shadow=shadow)
 
 
-def jecklin(mic_spacing_m: float = JECKLIN_SPACING_M,
-            disc_diameter_m: float = JECKLIN_DISC_DIAMETER_M,
-            path_extension: float = JECKLIN_PATH_EXTENSION,
+def jecklin(mic_spacing_m: float | None = None, disc_diameter_m: float | None = None,
+            path_extension: float | None = None,
             shadow: ShadowParams | None = None) -> RigSpec:
     return RigSpec(RigKind.JECKLIN, mic_spacing_m=mic_spacing_m,
                    disc_diameter_m=disc_diameter_m, path_extension=path_extension,
                    shadow=shadow)
 
 
-def ortf(mic_spacing_m: float = ORTF_SPACING_M,
-         capsule_angle_deg: float = ORTF_CAPSULE_ANGLE_DEG) -> RigSpec:
+def ortf(mic_spacing_m: float | None = None,
+         capsule_angle_deg: float | None = None) -> RigSpec:
     return RigSpec(RigKind.ORTF, mic_spacing_m=mic_spacing_m,
                    capsule_angle_deg=capsule_angle_deg)
 
 
 def default_rig(kind: RigKind) -> RigSpec:
-    factories = {RigKind.HUMAN_HEAD: human_head, RigKind.FULL_DUMMY: full_dummy,
-                 RigKind.SEMI_DUMMY: semi_dummy, RigKind.JECKLIN: jecklin,
-                 RigKind.ORTF: ortf}
-    return factories[kind]()
+    return RigSpec(kind)
 
 
 def _free_field_itd(mic_spacing_m: float, azimuth: float, temperature_c: float) -> float:
@@ -286,7 +274,8 @@ def fit_path_extension(rig_kind: RigKind, measured_itd_s: float, azimuth: float,
     check_azimuth(azimuth)
     if azimuth == 0.0:
         raise ValidationError("cannot fit at azimuth 0: the free-field path difference is zero")
-    return measured_itd_s / _free_field_itd(_default_spacing(rig_kind), azimuth, temperature_c)
+    spacing = _DEFAULTS[rig_kind]["mic_spacing_m"]
+    return measured_itd_s / _free_field_itd(spacing, azimuth, temperature_c)
 
 
 # --- rig config files: flat "key = value" text -----------------------------

@@ -1,9 +1,10 @@
 """Test-signal generators, sample-accurate delay, and the audio buffer types.
 
 Sample values are dimensionless amplitudes in the nominal range -1.0..+1.0
-at a fixed integer sample rate. Buffers are immutable once constructed;
-generators and transforms always return new buffers, so concurrent use on
-distinct buffers is safe.
+at a fixed integer sample rate. Buffers are finite and immutable: a NaN or
+infinite sample is rejected when a buffer is built, so no later stage sees
+one. Generators and transforms always return new buffers, so concurrent use
+on distinct buffers is safe.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _FD_SNAP = 1e-9      # sub-sample residue below this collapses to an integer shi
 
 @dataclass(frozen=True)
 class SampleBuffer:
-    """Uniformly sampled mono audio: float64 samples plus a sample rate in Hz."""
+    """Uniformly sampled mono audio: finite float64 samples plus a sample rate in Hz."""
 
     samples: np.ndarray
     sample_rate: int
@@ -46,6 +47,8 @@ class SampleBuffer:
         samples = np.array(self.samples, dtype=np.float64, copy=True)
         if samples.ndim != 1:
             raise ValidationError(f"samples must be one-dimensional, got shape {samples.shape}")
+        if not np.isfinite(samples).all():
+            raise ValidationError("samples must be finite; the buffer holds NaN or inf")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
@@ -86,8 +89,8 @@ class StereoBuffer:
 
 
 def _num_samples(duration: float, sample_rate: int) -> int:
-    if duration <= 0:
-        raise ValidationError(f"duration must be positive, got {duration}")
+    if not 0 < duration < np.inf:
+        raise ValidationError(f"duration must be positive and finite, got {duration}")
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ValidationError(f"duration {duration} s is shorter than one sample at {sample_rate} Hz")

@@ -56,24 +56,24 @@ def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
         rate = buffer.sample_rate
     else:
         raise ValidationError(f"expected SampleBuffer or StereoBuffer, got {type(buffer).__name__}")
-    if not np.all(np.isfinite(frames)):
-        raise ValidationError("cannot write non-finite sample values")
 
     channels = frames.shape[1]
     payload, tag, bits = _encode(frames.reshape(-1), encoding)
     block_align = channels * bits // 8
     byte_rate = rate * block_align
 
-    chunks = [b"fmt " + struct.pack("<I", 16)
-              + struct.pack("<HHIIHH", tag, channels, rate, byte_rate, block_align, bits)]
+    header = b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate, byte_rate,
+                                   block_align, bits)
     if tag == _TAG_FLOAT:
-        chunks.append(b"fact" + struct.pack("<II", 4, frames.shape[0]))
-    data = payload + (b"\x00" if len(payload) % 2 else b"")
-    chunks.append(b"data" + struct.pack("<I", len(payload)) + data)
-
-    body = b"WAVE" + b"".join(chunks)
+        header += b"fact" + struct.pack("<II", 4, frames.shape[0])
+    header += b"data" + struct.pack("<I", len(payload))
+    pad = b"\x00" * (len(payload) % 2)
+    riff_size = 4 + len(header) + len(payload) + len(pad)
+    # The payload goes out in its own write, so it is never copied into a bigger bytes object.
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + header)
+        fh.write(payload)
+        fh.write(pad)
 
 
 def _decode(payload: bytes, tag: int, bits: int) -> np.ndarray:
@@ -134,8 +134,8 @@ def read_wav(path: str | Path) -> SampleBuffer | StereoBuffer:
         raise WavFormatError(f"{path}: data size is not a whole number of frames")
 
     samples = _decode(payload, tag, bits).reshape(-1, channels)
-    if not np.isfinite(samples).all():
-        raise WavFormatError(f"{path}: samples hold NaN or inf")
-    if channels == 1:
-        return SampleBuffer(samples[:, 0], rate)
-    return StereoBuffer(SampleBuffer(samples[:, 0], rate), SampleBuffer(samples[:, 1], rate))
+    try:
+        channel_buffers = [SampleBuffer(samples[:, c], rate) for c in range(channels)]
+    except ValidationError as exc:  # float samples that are NaN or inf
+        raise WavFormatError(f"{path}: {exc}") from None
+    return channel_buffers[0] if channels == 1 else StereoBuffer(*channel_buffers)

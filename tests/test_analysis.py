@@ -151,6 +151,15 @@ def test_itd_rejects_silence():
         estimate_itd(StereoBuffer(quiet, quiet))
 
 
+@pytest.mark.parametrize("weighting", ["none", "phat"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_analyze_capture_rejects_a_silent_channel(pink_2s, side, weighting):
+    quiet = SampleBuffer(np.zeros(len(pink_2s)), SR)
+    stereo = StereoBuffer(quiet, pink_2s) if side == "left" else StereoBuffer(pink_2s, quiet)
+    with pytest.raises(SilentSignalError, match=f"{side} channel"):
+        analyze_capture(stereo, weighting=weighting)
+
+
 def test_itd_rejects_oversized_lag_window():
     pink = gen_pink_noise(0.01, SR, seed=1)
     with pytest.raises(ValidationError):
@@ -335,6 +344,13 @@ def test_non_finite_sample_is_rejected(pink_2s, call, bad):
     right[1000] = bad
     with pytest.raises(ValidationError, match="finite"):
         call(StereoBuffer(pink_2s, SampleBuffer(right, SR)))
+
+
+@pytest.mark.parametrize("max_lag", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [cross_correlation, estimate_itd, analyze_capture])
+def test_non_finite_lag_window_is_rejected(pink_2s, call, max_lag):
+    with pytest.raises(ValidationError, match="finite"):
+        call(StereoBuffer(pink_2s, pink_2s), max_lag=max_lag)
 
 
 # --- direct correlation kernel and spectral pass ---------------------------------

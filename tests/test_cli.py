@@ -62,6 +62,12 @@ def test_generate_pcm16_clipping_is_validation_failure(tmp_path, capsys):
     assert code == EXIT_ANALYSIS  # full-scale sine cannot be coded losslessly
 
 
+@pytest.mark.parametrize("kind, seconds", [("pink", "nan"), ("pink", "inf"), ("impulse", "nan")])
+def test_generate_non_finite_seconds_is_usage_error(kind, seconds, tmp_path, capsys):
+    assert run("generate", kind, "--seconds", seconds, "--out", tmp_path / "x.wav") == EXIT_USAGE
+    assert "--seconds" in capsys.readouterr().err
+
+
 # --- analyze -------------------------------------------------------------------
 
 @pytest.fixture()
@@ -143,6 +149,14 @@ def test_analyze_nan_float_sample_is_io_failure(capture_wav, tmp_path):
     assert run("analyze", capture_wav, "--out", tmp_path / "r.json") == EXIT_IO
 
 
+@pytest.mark.parametrize("max_lag_ms", ["nan", "inf"])
+def test_analyze_non_finite_max_lag_is_validation_failure(max_lag_ms, capture_wav, tmp_path,
+                                                          capsys):
+    code = run("analyze", capture_wav, "--max-lag-ms", max_lag_ms, "--out", tmp_path / "r.json")
+    assert code == EXIT_ANALYSIS
+    assert "max_lag" in capsys.readouterr().err
+
+
 # --- simulate ------------------------------------------------------------------
 
 def test_simulate_ortf_sidecar_prediction(tmp_path):
@@ -216,6 +230,15 @@ def test_simulate_non_finite_rig_config_is_validation_failure(config, tmp_path, 
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seconds", ["nan", "inf"])
+def test_simulate_non_finite_seconds_is_validation_failure(seconds, tmp_path, capsys):
+    code = run("simulate", "--rig", "human", "--azimuth", 30, "--seconds", seconds,
+               "--out", tmp_path / "x.wav")
+    assert code == EXIT_ANALYSIS
+    assert "duration" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
 # --- render --------------------------------------------------------------------
 
 @pytest.fixture()
@@ -246,6 +269,14 @@ def test_render_rejects_rear_hemisphere(voice_wav, tmp_path, capsys):
     code = run("render", voice_wav, "--azimuth", 120, "--out", tmp_path / "x.wav")
     assert code == EXIT_USAGE
     assert "--azimuth" in capsys.readouterr().err
+
+
+def test_render_nan_gain_is_usage_error(voice_wav, tmp_path, capsys):
+    code = run("render", voice_wav, "--azimuth", 30, "--gain-db", "nan",
+               "--out", tmp_path / "x.wav")
+    assert code == EXIT_USAGE
+    assert "--gain-db" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
 
 
 def test_render_rejects_stereo_input(tmp_path, capsys):

@@ -77,6 +77,8 @@ def test_render_spec_validation():
         RenderSpec(azimuth_rad=2.0)
     with pytest.raises(ValidationError):
         RenderSpec(gain_db=1.0)
+    with pytest.raises(ValidationError, match="gain_db"):
+        RenderSpec(gain_db=math.nan)
     for temperature_c in (math.nan, 60.0):  # checked even where azimuth 0 never uses it
         with pytest.raises(ValidationError, match="temperature_c"):
             RenderSpec(azimuth_rad=0.0, temperature_c=temperature_c)

@@ -222,6 +222,15 @@ def test_rig_spec_fills_kind_defaults():
     assert spec.capsule_angle_deg == 110.0
 
 
+FACTORIES = {RigKind.HUMAN_HEAD: human_head, RigKind.FULL_DUMMY: full_dummy,
+             RigKind.SEMI_DUMMY: semi_dummy, RigKind.JECKLIN: jecklin, RigKind.ORTF: ortf}
+
+
+@pytest.mark.parametrize("kind", list(RigKind), ids=lambda k: k.value)
+def test_rig_spec_defaults_are_one_table(kind):
+    assert RigSpec(kind) == default_rig(kind) == FACTORIES[kind]()
+
+
 def test_rig_spec_invariants():
     with pytest.raises(ValidationError):
         semi_dummy(path_extension=0.9)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import signal as sps
 
 from bincues import (SampleBuffer, StereoBuffer, ValidationError, apply_fractional_delay,
@@ -149,6 +151,23 @@ def test_fractional_delay_additivity(pink_2s):
 def test_fractional_delay_rejects_negative(pink_2s):
     with pytest.raises(ValidationError):
         apply_fractional_delay(pink_2s, -1e-6)
+
+
+@given(data=st.data(), n=st.integers(1, 5000), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_buffer_rejects_non_finite_sample_anywhere(data, n, bad):
+    samples = np.zeros(n)
+    samples[data.draw(st.integers(0, n - 1))] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        SampleBuffer(samples, SR)
+
+
+@pytest.mark.parametrize("duration", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("generate", (
+    lambda d: gen_sine(440.0, d, SR), lambda d: gen_pink_noise(d, SR), lambda d: gen_impulse(d, SR),
+), ids=["sine", "pink", "impulse"])
+def test_generators_reject_non_finite_duration(generate, duration):
+    with pytest.raises(ValidationError, match="finite"):
+        generate(duration)
 
 
 @pytest.mark.parametrize("delay", (np.nan, np.inf))

@@ -69,9 +69,31 @@ def test_pcm24_odd_frame_count_pads(tmp_path):
     np.testing.assert_allclose(back.samples, buf.samples, atol=1.0 / (1 << 23))
 
 
+def riff(*chunks):
+    """A RIFF/WAVE file from (tag, body) chunks, each padded to an even length."""
+    body = b"WAVE" + b"".join(tag + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) % 2)
+                              for tag, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def test_write_wav_file_layout(tmp_path):
+    path = tmp_path / "odd24.wav"
+    write_wav(path, SampleBuffer(np.array([0.5, -0.25, 0.125]), SR), encoding="pcm24")
+    fmt = struct.pack("<HHIIHH", 1, 1, SR, 3 * SR, 3, 24)
+    codes = bytes.fromhex("000040 0000e0 000010")  # 0.5, -0.25, 0.125 as 24-bit little-endian
+    assert path.read_bytes() == riff((b"fmt ", fmt), (b"data", codes))
+
+    path = tmp_path / "stereo32.wav"
+    write_wav(path, StereoBuffer(SampleBuffer([0.5], SR), SampleBuffer([-1.0], SR)))
+    fmt = struct.pack("<HHIIHH", 3, 2, SR, 8 * SR, 8, 32)
+    payload = np.array([0.5, -1.0], dtype="<f4").tobytes()
+    assert path.read_bytes() == riff((b"fmt ", fmt), (b"fact", struct.pack("<I", 1)),
+                                     (b"data", payload))
+
+
 def test_write_rejects_nonfinite(tmp_path):
-    buf = SampleBuffer(np.array([0.0, np.nan]), SR)
     with pytest.raises(ValidationError):
+        buf = SampleBuffer(np.array([0.0, np.nan]), SR)
         write_wav(tmp_path / "nan.wav", buf)
 
 
