@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, render, reports, rigsim, signals, wavio
-from .errors import (AnalysisError, BincuesError, SilentSignalError, ValidationError,
-                     WavFormatError)
+from .errors import AnalysisError, BincuesError, WavFormatError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,7 +65,8 @@ def build_parser() -> _Parser:
                       help="low probe-tone band center in Hz (default 220)")
     p_an.add_argument("--high-freq", type=float, default=analysis.DEFAULT_HIGH_BAND_HZ,
                       help="high probe-tone band center in Hz (default 6000)")
-    p_an.add_argument("--max-lag-ms", type=float, default=2.0)
+    p_an.add_argument("--max-lag-ms", type=float, default=analysis.DEFAULT_MAX_LAG_S * 1e3,
+                      help="ITD lag window in ms either side of zero (default %(default)g)")
     p_an.add_argument("--name", help="report name (default: input file stem)")
     p_an.add_argument("--csv", type=Path, help="spectrum CSV path (default: out with .csv)")
     _common_flags(p_an)
@@ -126,9 +126,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     elif args.signal_kind == "pink":
         buf = signals.gen_pink_noise(args.seconds, args.sample_rate, args.seed)
     else:
-        n = int(round(args.seconds * args.sample_rate))
-        if not 0 <= args.offset < n:
-            raise UsageError(f"--offset must lie in [0, {n}), got {args.offset}")
+        n = args.seconds * args.sample_rate  # gen_impulse rejects an overflowing count
+        if math.isfinite(n) and not 0 <= args.offset < round(n):
+            raise UsageError(f"--offset must lie in [0, {round(n)}), got {args.offset}")
         buf = signals.gen_impulse(args.seconds, args.sample_rate, args.offset)
     wavio.write_wav(out, buf, encoding=args.encoding)
     print(f"wrote {out}")
@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except (WavFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValidationError, SilentSignalError, AnalysisError, BincuesError) as exc:
+    except BincuesError as exc:  # validation, silence and analysis failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except SystemExit as exc:  # argparse --help

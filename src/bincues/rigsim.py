@@ -280,18 +280,9 @@ def fit_path_extension(rig_kind: RigKind, measured_itd_s: float, azimuth: float,
 
 # --- rig config files: flat "key = value" text -----------------------------
 
-_KEYS_BY_KIND = {
-    RigKind.HUMAN_HEAD: ("radius_m", "shadow.max_db", "shadow.corner_hz", "shadow.exponent"),
-    RigKind.FULL_DUMMY: ("radius_m", "shadow.max_db", "shadow.corner_hz", "shadow.exponent"),
-    RigKind.SEMI_DUMMY: ("mic_spacing_m", "path_extension",
-                         "shadow.max_db", "shadow.corner_hz", "shadow.exponent"),
-    RigKind.JECKLIN: ("mic_spacing_m", "disc_diameter_m", "path_extension",
-                      "shadow.max_db", "shadow.corner_hz", "shadow.exponent"),
-    RigKind.ORTF: ("mic_spacing_m", "capsule_angle_deg"),
-}
-
 #: Config key -> RigSpec attribute path of its value: the one key schema, read
-#: by rig_fields for files and reports and by load_rig_config.
+#: by rig_fields for files and reports and by load_rig_config. A kind's keys
+#: are those whose attribute its _DEFAULTS row has, in this (file) order.
 _FIELDS = {
     "radius_m": ("head", "radius_m"),
     "mic_spacing_m": ("mic_spacing_m",),
@@ -306,7 +297,8 @@ _FIELDS = {
 
 def rig_fields(spec: RigSpec) -> dict[str, float]:
     """The spec's config keys (all but 'kind') and their values, in file order."""
-    return {key: reduce(getattr, _FIELDS[key], spec) for key in _KEYS_BY_KIND[spec.kind]}
+    row = _DEFAULTS[spec.kind]
+    return {key: reduce(getattr, path, spec) for key, path in _FIELDS.items() if path[0] in row}
 
 
 def save_rig_config(spec: RigSpec, path: str | Path) -> None:
@@ -336,14 +328,13 @@ def load_rig_config(path: str | Path) -> RigSpec:
         valid = ", ".join(k.value for k in RigKind)
         raise ValidationError(f"{path}: unknown rig kind; expected one of: {valid}") from None
 
-    allowed = set(_KEYS_BY_KIND[kind])
-    unknown = sorted(set(entries) - allowed)
+    base = default_rig(kind)
+    unknown = sorted(set(entries) - set(rig_fields(base)))
     if unknown:
         raise ValidationError(
             f"{path}: invalid config key(s) for kind '{kind.value}': {', '.join(unknown)}"
         )
 
-    base = default_rig(kind)
     changes: dict[str, object] = {}
     for key, text in entries.items():
         try:

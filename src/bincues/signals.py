@@ -17,6 +17,7 @@ from scipy import signal as _sig
 from .errors import ValidationError
 
 DEFAULT_SAMPLE_RATE = 48000
+_MAX_SAMPLES = (2**32 - 1) // 4  # the most float32 samples one WAV data chunk can hold
 
 # Third-order pinking IIR: -3 dB/octave power slope across the audio band
 # (slope error < 0.02 dB/octave over 100 Hz..10 kHz at 48 kHz).
@@ -89,8 +90,12 @@ class StereoBuffer:
 
 
 def _num_samples(duration: float, sample_rate: int) -> int:
+    """duration in whole samples, from 1 up to _MAX_SAMPLES."""
     if not 0 < duration < np.inf:
         raise ValidationError(f"duration must be positive and finite, got {duration}")
+    if duration * sample_rate > _MAX_SAMPLES:
+        raise ValidationError(
+            f"duration {duration} s is over {_MAX_SAMPLES} samples at {sample_rate} Hz")
     n = int(round(duration * sample_rate))
     if n < 1:
         raise ValidationError(f"duration {duration} s is shorter than one sample at {sample_rate} Hz")
@@ -151,10 +156,12 @@ def _fd_kernel(mu: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _integer_shift(x: np.ndarray, shift: int) -> np.ndarray:
-    out = np.zeros_like(x)
-    if shift < x.size:
-        out[shift:] = x[: x.size - shift]
+def _shifted(x: np.ndarray, shift: int, n: int) -> np.ndarray:
+    """n samples of x delayed by shift (advanced if negative), zero where x has none."""
+    out = np.zeros(n)
+    lo, hi = max(shift, 0), min(n, x.size + shift)
+    if lo < hi:
+        out[lo:hi] = x[lo - shift : hi - shift]
     return out
 
 
@@ -170,21 +177,13 @@ def apply_fractional_delay(buf: SampleBuffer, delay: float) -> SampleBuffer:
     if not 0 <= delay < np.inf:
         raise ValidationError(f"delay must be finite and non-negative, got {delay}")
     x = buf.samples
-    total = delay * buf.sample_rate
+    # Past the buffer and the kernel's reach the output is all zeros: cap there, as int(inf) fails.
+    total = min(delay * buf.sample_rate, x.size + _FD_TAPS)
     d_int = int(np.floor(total))
     mu = total - d_int
     if mu < _FD_SNAP or mu > 1.0 - _FD_SNAP:
-        return SampleBuffer(_integer_shift(x, int(round(total))), buf.sample_rate)
-
+        return SampleBuffer(_shifted(x, int(round(total)), x.size), buf.sample_rate)
     conv = _sig.fftconvolve(x, _fd_kernel(mu))
     # conv lags x by _FD_HALF + mu samples; shift the read point so the total
     # delay is exactly d_int + mu.
-    shift = d_int - _FD_HALF
-    out = np.zeros_like(x)
-    n = x.size
-    if shift >= 0:
-        if shift < n:
-            out[shift:] = conv[: n - shift]
-    else:
-        out[:] = conv[-shift : -shift + n]
-    return SampleBuffer(out, buf.sample_rate)
+    return SampleBuffer(_shifted(conv, d_int - _FD_HALF, x.size), buf.sample_rate)

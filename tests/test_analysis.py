@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as scipy_signal
 
 from bincues import analysis
-from bincues import (AnalysisError, SampleBuffer, ShadowParams, SilentSignalError,
+from bincues import (AnalysisError, BincuesError, SampleBuffer, ShadowParams, SilentSignalError,
                      StereoBuffer, TransferFunction, ValidationError, analyze_capture,
                      apply_fractional_delay, band_itd, calibration_check, cross_correlation,
                      estimate_itd, gen_pink_noise, gen_sine, head_shadow_ild,
@@ -333,6 +333,52 @@ def test_analyze_capture_constructed_delay(pink_5s):
     assert report.itd_high_s == pytest.approx(0.69e-3, abs=ONE_SAMPLE)
 
 
+# --- the ITD rule: a finite peak strictly inside the lag window -------------------
+
+def test_itd_past_the_lag_window_is_an_error(pink_2s):
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 3.3e-3))
+    for call in (estimate_itd, analyze_capture):
+        with pytest.raises(AnalysisError, match=r"edge of the 2 ms lag window.*max_lag"):
+            call(stereo)
+
+
+def test_itd_past_2ms_is_measured_in_a_wider_window(pink_2s):
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 3.3e-3))
+    for weighting in ("none", "phat"):
+        report = analyze_capture(stereo, weighting=weighting, max_lag=0.005)
+        for itd in (report.itd_s, report.itd_low_s, report.itd_high_s):
+            assert itd == pytest.approx(3.3e-3, abs=ONE_SAMPLE)
+
+
+@pytest.mark.parametrize("weighting", ["none", "phat"])
+def test_overflowing_correlation_is_an_error(pink_2s, weighting):
+    loud = SampleBuffer(pink_2s.samples * 1e160, SR)
+    stereo = StereoBuffer(loud, delayed_copy(loud, 0.3e-3))
+    with np.errstate(all="ignore"):
+        for call in (estimate_itd, analyze_capture):
+            with pytest.raises(AnalysisError, match="overflowed"):
+                call(stereo, weighting=weighting)
+
+
+@given(seed=st.integers(0, 2**32 - 1), delay=st.floats(0.0, 5e-3),
+       log_gain=st.floats(-3.0, 200.0), lag=st.integers(1, 300),
+       weighting=st.sampled_from(analysis.WEIGHTINGS), log2_fft=st.integers(6, 10))
+@settings(max_examples=40, deadline=None)
+def test_analyze_capture_itds_are_finite_and_inside_the_window(seed, delay, log_gain, lag,
+                                                               weighting, log2_fft):
+    noise = SampleBuffer(np.random.default_rng(seed).standard_normal(4096) * 10.0 ** log_gain, SR)
+    stereo = StereoBuffer(noise, delayed_copy(noise, delay))
+    max_lag = lag / SR  # a whole number of samples, so the window is exactly max_lag wide
+    try:
+        with np.errstate(all="ignore"):
+            report = analyze_capture(stereo, fft_size=2**log2_fft, weighting=weighting,
+                                     max_lag=max_lag)
+    except BincuesError:
+        return
+    for itd in (report.itd_s, report.itd_low_s, report.itd_high_s):
+        assert math.isfinite(itd) and abs(itd) < max_lag
+
+
 # --- non-finite input -----------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -384,6 +430,7 @@ def test_xcorr_direct_is_exactly_symmetric_for_identical_channels(case):
 @given(st.integers(1, 10), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 4000),
        st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
+@example(log2_size=1, overlap=0.0, extra=2201, seed=2201)  # S_xy bins cancel to 1.6e-11
 def test_welch_spectra_match_scipy(log2_size, overlap, extra, seed):
     fft_size = 2 ** log2_size
     rng = np.random.default_rng(seed)
@@ -395,9 +442,12 @@ def test_welch_spectra_match_scipy(log2_size, overlap, extra, seed):
     ours = analysis._welch_spectra(stereo, fft_size, overlap)
     ref = (*scipy_signal.welch(x, **kwargs), scipy_signal.welch(y, **kwargs)[1],
            scipy_signal.csd(x, y, **kwargs)[1])
-    # relative to each spectrum's peak: single S_xy bins can cancel to near zero
-    for got, want in zip(ours, ref):
+    # Auto-spectra relative to their peak. A cross-spectrum bin can cancel to near
+    # zero, so its error is bounded per bin by the sum over segments of |X||Y|,
+    # which Cauchy-Schwarz bounds by sqrt(S_xx * S_yy).
+    for got, want in zip(ours[:3], ref[:3]):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.all(np.abs(ours[3] - ref[3]) <= 1e-12 * np.sqrt(ref[1] * ref[2]))
 
 
 # --- shared broadband correlation -------------------------------------------------

@@ -68,6 +68,13 @@ def test_generate_non_finite_seconds_is_usage_error(kind, seconds, tmp_path, cap
     assert "--seconds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["pink", "impulse"])
+def test_generate_overlong_seconds_is_validation_failure(kind, tmp_path, capsys):
+    assert run("generate", kind, "--seconds", "1e308", "--out", tmp_path / "x.wav") == EXIT_ANALYSIS
+    assert "samples" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
 # --- analyze -------------------------------------------------------------------
 
 @pytest.fixture()
@@ -237,6 +244,46 @@ def test_simulate_non_finite_seconds_is_validation_failure(seconds, tmp_path, ca
     assert code == EXIT_ANALYSIS
     assert "duration" in capsys.readouterr().err
     assert not (tmp_path / "x.wav").exists()
+
+
+def test_simulate_overlong_seconds_is_validation_failure(tmp_path, capsys):
+    code = run("simulate", "--rig", "human", "--azimuth", 30, "--seconds", "1e308",
+               "--out", tmp_path / "x.wav")
+    assert code == EXIT_ANALYSIS
+    assert "samples" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
+@pytest.fixture(scope="module")
+def wide_pair(tmp_path_factory):
+    """A 1 m Jecklin pair at broadside: its 3.303 ms ITD lies past the default 2 ms window."""
+    tmp = tmp_path_factory.mktemp("wide")
+    config = tmp / "wide.cfg"
+    config.write_text("kind = jecklin\nmic_spacing_m = 1.0\n", encoding="utf-8")
+    capture = tmp / "wide.wav"
+    assert run("simulate", "--rig-config", config, "--azimuth", 90, "--seconds", 2,
+               "--out", capture, "--deterministic") == EXIT_OK
+    predicted = json.loads(capture.with_suffix(".json").read_text())["predicted_itd_s"]
+    assert predicted == pytest.approx(3.303e-3, abs=1e-6)
+    return capture, predicted
+
+
+def test_analyze_wide_pair_needs_a_wider_lag_window(wide_pair, tmp_path, capsys):
+    capture, _ = wide_pair
+    assert run("analyze", capture, "--out", tmp_path / "r.json") == EXIT_ANALYSIS
+    assert "--max-lag-ms" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("weighting", ["none", "phat"])
+def test_analyze_wide_pair_in_a_5ms_window(wide_pair, weighting, tmp_path):
+    capture, predicted = wide_pair
+    out = tmp_path / "r.json"
+    assert run("analyze", capture, "--max-lag-ms", 5, "--weighting", weighting,
+               "--out", out) == EXIT_OK
+    doc = json.loads(out.read_text())
+    for key in ("itd_s", "itd_low_s", "itd_high_s"):
+        assert doc[key] == pytest.approx(predicted, abs=1 / 48000)
 
 
 # --- render --------------------------------------------------------------------

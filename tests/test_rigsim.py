@@ -297,6 +297,14 @@ def flattened(doc: dict) -> dict:
 
 
 @pytest.mark.parametrize("kind", list(RigKind), ids=lambda k: k.value)
+def test_rig_config_file_lists_the_kind_keys_in_order(kind, tmp_path):
+    path = tmp_path / "rig.cfg"
+    save_rig_config(default_rig(kind), path)
+    keys = [line.split(" = ")[0] for line in path.read_text(encoding="utf-8").splitlines()]
+    assert keys == ["kind", *CONFIG_KEYS[kind]]
+
+
+@pytest.mark.parametrize("kind", list(RigKind), ids=lambda k: k.value)
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())

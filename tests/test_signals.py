@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import signal as sps
 
+from bincues import signals
 from bincues import (SampleBuffer, StereoBuffer, ValidationError, apply_fractional_delay,
                      gen_impulse, gen_pink_noise, gen_sine)
 
@@ -179,6 +180,38 @@ def test_fractional_delay_rejects_non_finite(delay, pink_2s):
 def test_fractional_delay_longer_than_buffer_is_silence(pink_2s):
     out = apply_fractional_delay(pink_2s, 3.0)
     assert np.all(out.samples == 0.0)
+
+
+@pytest.mark.parametrize("delay", (1e300, 1e306))  # 1e306 s is inf samples at 48 kHz
+def test_fractional_delay_of_overflowing_length_is_silence(delay, pink_2s):
+    assert np.all(apply_fractional_delay(pink_2s, delay).samples == 0.0)
+
+
+@pytest.mark.parametrize("delay_samples", (0, 3, 4.5, 40.25, 400.75, 95990, 96010.5, 96070))
+def test_fractional_delay_edges_match_a_padded_delay(delay_samples):
+    # Delaying a zero-padded copy and dropping the padding changes nothing, so
+    # the samples shifted past the end and the zero-filled head are exact.
+    x = gen_pink_noise(2.0, SR, seed=9)
+    padded = SampleBuffer(np.concatenate([x.samples, np.zeros(200)]), SR)
+    got = apply_fractional_delay(x, delay_samples / SR).samples
+    want = apply_fractional_delay(padded, delay_samples / SR).samples[: len(x)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("generate", (
+    lambda d: gen_sine(440.0, d, SR), lambda d: gen_pink_noise(d, SR), lambda d: gen_impulse(d, SR),
+), ids=["sine", "pink", "impulse"])
+@pytest.mark.parametrize("duration", (1e308, 1e12))
+def test_generators_reject_more_samples_than_a_wav_chunk_holds(generate, duration):
+    with pytest.raises(ValidationError, match="samples"):
+        generate(duration)
+
+
+def test_sample_count_cap_is_one_float32_wav_chunk():
+    cap = (2**32 - 1) // 4  # checked without allocating: no generator runs
+    assert signals._num_samples(cap / SR, SR) == cap
+    with pytest.raises(ValidationError, match="samples"):
+        signals._num_samples((cap + 1) / SR, SR)
 
 
 def test_sample_buffer_immutable():

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bincues import (ClippingError, SampleBuffer, StereoBuffer, ValidationError,
                      WavFormatError, read_wav, write_wav)
@@ -171,3 +173,25 @@ def test_read_extensible_pcm16(tmp_path):
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     back = read_wav(path)
     assert np.array_equal(back.samples, np.array([-16384, 0, 16384, 32767]) / 32768.0)
+
+
+@given(encoding=st.sampled_from(["float32", "pcm16", "pcm24"]), stereo=st.booleans(),
+       cut=st.integers(0, 80), edits=st.lists(st.tuples(st.integers(0, 59), st.integers(0, 255)),
+                                                 max_size=4),
+       truncate=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_damaged_header_raises_only_wav_format_error(tmp_path_factory, encoding, stereo, cut,
+                                                      edits, truncate):
+    path = tmp_path_factory.getbasetemp() / "damaged.wav"
+    mono = SampleBuffer(np.linspace(-0.5, 0.5, 7), SR)
+    write_wav(path, StereoBuffer(mono, mono) if stereo else mono, encoding=encoding)
+    blob = bytearray(path.read_bytes())
+    header = blob.index(b"data") + 8  # 44 bytes, 56 with float32's fact chunk
+    for offset, value in edits:
+        blob[offset % header] = value
+    path.write_bytes(bytes(blob[:cut] if truncate else blob))
+    try:
+        back = read_wav(path)
+    except WavFormatError:
+        return
+    assert isinstance(back, (SampleBuffer, StereoBuffer))
