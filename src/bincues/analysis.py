@@ -6,9 +6,11 @@ cross-correlation ITD estimation with sub-sample peak refinement, per-band
 sine ITD, microphone-pair calibration verdicts, and octave-band level
 summaries. All functions are pure and reentrant.
 
-The Welch spectra come from one batched Hann-windowed STFT per channel. When
-their lag windows match, the broadband delay and the "none"-weighted ITD share
-one direct correlation, computed as matrix products over short blocks.
+The Welch spectra come from one batched Hann-windowed STFT per channel, and the
+broadband delay is the peak of their averaged cross-spectrum's inverse
+transform (Knapp & Carter's GCC on Welch's estimate), so the transfer function
+takes one spectral pass and no correlation of its own. The "none"-weighted ITD
+is a direct correlation, computed as matrix products over short blocks.
 """
 
 from __future__ import annotations
@@ -86,12 +88,6 @@ class CueReport:
     ild_spectrum: TransferFunction
 
 
-def _require_audible(stereo: StereoBuffer) -> None:
-    for what, channel in (("left channel", stereo.left), ("right channel", stereo.right)):
-        if np.sqrt(np.mean(np.square(channel.samples))) < SILENCE_RMS:
-            raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
-
-
 def _lag_samples(max_lag: float, sample_rate: int) -> int:
     """The lag window max_lag in whole samples."""
     lag = max_lag * sample_rate
@@ -147,7 +143,12 @@ def _xcorr_phat(left: np.ndarray, right: np.ndarray, max_lag: int) -> np.ndarray
     mag = np.abs(spec)
     spec = spec / np.maximum(mag, mag.max() * 1e-12 + np.finfo(np.float64).tiny)
     cc_full = np.fft.irfft(spec, nfft)
-    return np.concatenate([cc_full[-max_lag:], cc_full[: max_lag + 1]])
+    cc = np.concatenate([cc_full[-max_lag:], cc_full[: max_lag + 1]])
+    # A window that misses the delay holds only sidelobes; a NaN peak is left to the caller.
+    if cc_full.max() > cc.max():
+        raise AnalysisError("the PHAT correlation peaks outside the lag window;"
+                            " widen max_lag (--max-lag-ms)")
+    return cc
 
 
 def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
@@ -156,7 +157,8 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
 
     Returns (lags_samples, correlation); a peak at a positive lag means the
     right channel lags the left. weighting="phat" whitens the cross-spectrum
-    before the inverse transform.
+    before the inverse transform, and raises AnalysisError when the
+    full-length whitened correlation peaks outside the lag window.
     """
     if weighting not in WEIGHTINGS:
         raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
@@ -167,13 +169,8 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
         raise ValidationError(f"max_lag {max_lag} s is under one sample period")
     if m >= n:
         raise ValidationError(f"max_lag {max_lag} s exceeds the buffer length {n / sr} s")
-    left = stereo.left.samples
-    right = stereo.right.samples
-    if weighting == "phat":
-        cc = _xcorr_phat(left, right, m)
-    else:
-        cc = _xcorr_direct(left, right, m)
-    return np.arange(-m, m + 1), cc
+    xcorr = _xcorr_phat if weighting == "phat" else _xcorr_direct
+    return np.arange(-m, m + 1), xcorr(stereo.left.samples, stereo.right.samples, m)
 
 
 def _peak_lag_s(lags: np.ndarray, cc: np.ndarray, sample_rate: int) -> float:
@@ -188,27 +185,25 @@ def _peak_lag_s(lags: np.ndarray, cc: np.ndarray, sample_rate: int) -> float:
     return float((lags[k] + offset) / sample_rate)
 
 
-def _itd_s(lags: np.ndarray, cc: np.ndarray, sample_rate: int) -> float:
-    """_peak_lag_s of a correlation whose peak is finite and strictly inside its window."""
-    if not np.isfinite(cc).all():
-        raise AnalysisError("the cross-correlation overflowed; scale the input down")
-    if int(np.argmax(cc)) in (0, cc.size - 1):
-        raise AnalysisError(f"ITD peak on the edge of the {lags[-1] / sample_rate * 1e3:g} ms lag"
-                            " window; widen max_lag (--max-lag-ms)")
-    return _peak_lag_s(lags, cc, sample_rate)
-
-
 def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
                  weighting: str = "none") -> float:
     """Interaural time difference in seconds, positive when right lags left.
 
     Takes the peak of the generalized cross-correlation and refines it with a
     parabolic fit through the peak and its neighbors, resolving delays well
-    below one sample period. A peak that is not finite or that sits on the
-    window's first or last lag raises AnalysisError."""
-    _require_audible(stereo)
-    xcorr = cross_correlation(stereo, max_lag=max_lag, weighting=weighting)
-    return _itd_s(*xcorr, stereo.sample_rate)
+    below one sample period. A silent channel raises SilentSignalError; a
+    peak that is not finite or that sits on the window's first or last lag
+    raises AnalysisError."""
+    for what, channel in (("left channel", stereo.left), ("right channel", stereo.right)):
+        if np.sqrt(np.mean(np.square(channel.samples))) < SILENCE_RMS:
+            raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
+    lags, cc = cross_correlation(stereo, max_lag=max_lag, weighting=weighting)
+    if not np.isfinite(cc).all():
+        raise AnalysisError("the cross-correlation overflowed; scale the input down")
+    if int(np.argmax(cc)) in (0, cc.size - 1):
+        raise AnalysisError(f"ITD peak on the edge of the {lags[-1] / stereo.sample_rate * 1e3:g}"
+                            " ms lag window; widen max_lag (--max-lag-ms)")
+    return _peak_lag_s(lags, cc, stereo.sample_rate)
 
 
 def _octave_sos(center_hz: float, sample_rate: int):
@@ -252,59 +247,62 @@ def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
     """Welch-averaged dual-channel transfer function.
 
     H = S_xy / S_xx with x the reference, estimated with Hann windows of
-    fft_size samples at the given overlap fraction. The broadband delay is
-    the refined cross-correlation peak (positive: measurement lags).
+    fft_size samples at the given overlap fraction. The broadband delay
+    (positive: measurement lags; 0 for identical inputs) is the refined peak
+    of the averaged S_xy's inverse transform within DEFAULT_MAX_LAG_S, at
+    least one sample. That transform is circular: fft_size must hold four
+    windows (512 at 48 kHz), or ValidationError is raised.
     """
-    return _transfer_function(StereoBuffer(reference, measurement), fft_size, overlap)[0]
-
-
-def _welch_spectra(stereo: StereoBuffer, fft_size: int,
-                   overlap: float) -> tuple[np.ndarray, ...]:
-    """(freqs, S_xx, S_yy, S_xy) of left x and right y from one Hann-windowed STFT
-    per channel, as scipy.signal.welch and csd give them with detrend=False."""
-    step = fft_size - int(fft_size * overlap)
-    window = _sig.get_window("hann", fft_size)
-    segs_x, segs_y = (np.lib.stride_tricks.sliding_window_view(c.samples, fft_size)[::step]
-                      for c in (stereo.left, stereo.right))
-    bins = fft_size // 2 + 1
-    s_xx, s_yy, s_xy = np.zeros(bins), np.zeros(bins), np.zeros(bins, dtype=complex)
-    for i in range(0, len(segs_x), _SEGMENT_BATCH):
-        fx = np.fft.rfft(segs_x[i : i + _SEGMENT_BATCH] * window)
-        fy = np.fft.rfft(segs_y[i : i + _SEGMENT_BATCH] * window)
-        s_xx += np.sum(fx.real ** 2 + fx.imag ** 2, axis=0)
-        s_yy += np.sum(fy.real ** 2 + fy.imag ** 2, axis=0)
-        s_xy += np.sum(fx.conj() * fy, axis=0)
-    # onesided density: every bin but DC and Nyquist counts twice
-    sr = stereo.sample_rate
-    scale = np.full(bins, 2.0 / (sr * np.sum(window ** 2) * len(segs_x)))
-    scale[[0, -1]] /= 2.0
-    return np.fft.rfftfreq(fft_size, 1.0 / sr), s_xx * scale, s_yy * scale, s_xy * scale
-
-
-def _transfer_function(stereo: StereoBuffer, fft_size: int, overlap: float
-                       ) -> tuple[TransferFunction, tuple[np.ndarray, np.ndarray]]:
-    """transfer_function of right against left, plus the broadband correlation
-    its delay was read from, which analyze_capture reuses."""
-    n = len(stereo)
+    stereo = StereoBuffer(reference, measurement)
+    n, sr = len(stereo), stereo.sample_rate
+    m = max(_lag_samples(DEFAULT_MAX_LAG_S, sr), 1)
     if fft_size < 2 or fft_size & (fft_size - 1):
         raise ValidationError(f"fft_size must be a power of two, got {fft_size}")
+    if fft_size < 4 * m:
+        raise ValidationError(f"fft_size {fft_size} is under 4x the {DEFAULT_MAX_LAG_S * 1e3:g} ms"
+                              f" delay window ({4 * m} samples at {sr} Hz); the delay would alias")
     if n < fft_size:
         raise ValidationError(f"signals ({n} samples) are shorter than fft_size {fft_size}")
     if not 0.0 <= overlap < 1.0:
         raise ValidationError(f"overlap must lie in [0, 1), got {overlap}")
 
-    sr = stereo.sample_rate
-    freqs, s_xx, s_yy, s_xy = _welch_spectra(stereo, fft_size, overlap)
+    freqs, s_xx, s_yy, s_xy, s_yx = _welch_spectra(stereo, fft_size, overlap)
     tiny = np.finfo(np.float64).tiny
     h = s_xy / np.maximum(s_xx, tiny)
     magnitude_db = 20.0 * np.log10(np.maximum(np.abs(h), tiny))
     phase_deg = np.degrees(np.angle(h))
     phase_deg[phase_deg == -180.0] = 180.0
     coherence = np.clip(np.abs(s_xy) ** 2 / np.maximum(s_xx * s_yy, tiny), 0.0, 1.0)
+    # Negative lags from S_yx, as in _xcorr_direct: equal channels give a symmetric window.
+    pos, neg = (np.fft.irfft(s, fft_size)[: m + 1] for s in (s_xy, s_yx))
+    delay = _peak_lag_s(np.arange(-m, m + 1), np.concatenate([neg[:0:-1], pos]), sr)
+    return TransferFunction(freqs, magnitude_db, phase_deg, coherence, delay)
 
-    xcorr = cross_correlation(stereo, max_lag=min(DEFAULT_MAX_LAG_S, (n - 1) / sr))
-    delay = _peak_lag_s(*xcorr, sr)
-    return TransferFunction(freqs, magnitude_db, phase_deg, coherence, delay), xcorr
+
+def _welch_spectra(stereo: StereoBuffer, fft_size: int,
+                   overlap: float) -> tuple[np.ndarray, ...]:
+    """(freqs, S_xx, S_yy, S_xy, S_yx) of left x and right y from one Hann-windowed
+    STFT per channel, as scipy.signal.welch and csd give them with detrend=False;
+    S_yx sums the swapped product, so equal channels give bit-equal S_xy and S_yx."""
+    step = fft_size - int(fft_size * overlap)
+    window = _sig.get_window("hann", fft_size)
+    segs_x, segs_y = (np.lib.stride_tricks.sliding_window_view(c.samples, fft_size)[::step]
+                      for c in (stereo.left, stereo.right))
+    bins = fft_size // 2 + 1
+    s_xx, s_yy = np.zeros((2, bins))
+    s_xy, s_yx = np.zeros((2, bins), dtype=complex)
+    for i in range(0, len(segs_x), _SEGMENT_BATCH):
+        fx = np.fft.rfft(segs_x[i : i + _SEGMENT_BATCH] * window)
+        fy = np.fft.rfft(segs_y[i : i + _SEGMENT_BATCH] * window)
+        s_xx += np.sum(fx.real ** 2 + fx.imag ** 2, axis=0)
+        s_yy += np.sum(fy.real ** 2 + fy.imag ** 2, axis=0)
+        s_xy += np.sum(fx.conj() * fy, axis=0)
+        s_yx += np.sum(fy.conj() * fx, axis=0)
+    # onesided density: every bin but DC and Nyquist counts twice
+    sr = stereo.sample_rate
+    scale = np.full(bins, 2.0 / (sr * np.sum(window ** 2) * len(segs_x)))
+    scale[[0, -1]] /= 2.0
+    return np.fft.rfftfreq(fft_size, 1.0 / sr), *(s * scale for s in (s_xx, s_yy, s_xy, s_yx))
 
 
 def calibration_check(ref: SampleBuffer, meas: SampleBuffer, tolerance_db: float = 3.0,
@@ -353,14 +351,10 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
                     max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
     """Full cue extraction for one stereo capture (left = reference channel).
 
-    With weighting "none" and the transfer function's lag window, the ITD is
-    read, as estimate_itd reads it, from the correlation behind the broadband delay.
+    Exactly its three stages: transfer_function of right against left,
+    estimate_itd and band_itd, each with the arguments given here.
     """
-    tf, xcorr = _transfer_function(stereo, fft_size, overlap)
-    if weighting == "none" and xcorr[0][-1] == _lag_samples(max_lag, stereo.sample_rate):
-        _require_audible(stereo)
-        itd = _itd_s(*xcorr, stereo.sample_rate)
-    else:
-        itd = estimate_itd(stereo, max_lag, weighting)
+    tf = transfer_function(stereo.left, stereo.right, fft_size, overlap)
+    itd = estimate_itd(stereo, max_lag, weighting)
     itd_low, itd_high = band_itd(stereo, low_hz, high_hz, max_lag)
     return CueReport(itd, itd_low, itd_high, tf)

@@ -32,15 +32,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sample-rate", type=int, default=signals.DEFAULT_SAMPLE_RATE,
-                        help="sample rate in Hz for generated signals (default 48000)")
-    parser.add_argument("--temp", type=float, default=20.0,
-                        help="air temperature in Celsius (default 20)")
-    parser.add_argument("--seed", type=int, default=0, help="noise generator seed")
-    parser.add_argument("--deterministic", action="store_true",
-                        help="omit timestamps so outputs are byte-reproducible")
-    parser.add_argument("--out", type=Path, help="output path")
+_FLAGS = {
+    "--sample-rate": dict(type=int, default=signals.DEFAULT_SAMPLE_RATE,
+                          help="sample rate in Hz for generated signals (default 48000)"),
+    "--temp": dict(type=float, default=20.0, help="air temperature in Celsius (default 20)"),
+    "--seed": dict(type=int, default=0, help="noise generator seed"),
+    "--deterministic": dict(action="store_true", help="omit timestamps from reports"),
+    "--out": dict(type=Path, help="output path"),
+}
+
+
+def _common_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Adds the named _FLAGS, then --deterministic and --out, which every subcommand takes."""
+    for flag in (*flags, "--deterministic", "--out"):
+        parser.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> _Parser:
@@ -55,7 +60,7 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--amplitude", type=float, default=1.0, help="sine peak amplitude (0..1)")
     p_gen.add_argument("--offset", type=int, default=0, help="impulse position in samples")
     p_gen.add_argument("--encoding", choices=wavio.ENCODINGS, default="float32")
-    _common_flags(p_gen)
+    _common_flags(p_gen, "--sample-rate", "--seed")
 
     p_an = sub.add_parser("analyze", help="extract ITD/ILD/IPD cues from a stereo WAV")
     p_an.add_argument("wav", type=Path)
@@ -79,7 +84,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--signal", type=Path, help="mono WAV test signal (default: built-in pink)")
     p_sim.add_argument("--seconds", type=float, default=5.0,
                        help="built-in pink signal duration (default 5)")
-    _common_flags(p_sim)
+    _common_flags(p_sim, "--sample-rate", "--temp", "--seed")
 
     p_ren = sub.add_parser("render", help="binauralize a mono WAV")
     p_ren.add_argument("wav", type=Path)
@@ -87,7 +92,7 @@ def build_parser() -> _Parser:
                        help="degrees, -90..90, negative to the right")
     p_ren.add_argument("--rig", choices=RIG_NAMES, default="human")
     p_ren.add_argument("--gain-db", type=float, default=0.0, help="output gain, <= 0 dB")
-    _common_flags(p_ren)
+    _common_flags(p_ren, "--temp")
 
     p_cmp = sub.add_parser("compare", help="delta one or more cue reports against a baseline")
     p_cmp.add_argument("baseline", type=Path)

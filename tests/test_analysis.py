@@ -450,7 +450,20 @@ def test_welch_spectra_match_scipy(log2_size, overlap, extra, seed):
     assert np.all(np.abs(ours[3] - ref[3]) <= 1e-12 * np.sqrt(ref[1] * ref[2]))
 
 
-# --- shared broadband correlation -------------------------------------------------
+# --- analyze_capture is its three stages ------------------------------------------
+
+@pytest.mark.parametrize("max_lag", [0.001, 0.002, 0.005])
+@pytest.mark.parametrize("weighting", analysis.WEIGHTINGS)
+def test_analyze_capture_equals_its_stages_called_alone(pink_2s, weighting, max_lag):
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 0.43e-3))
+    report = analyze_capture(stereo, weighting=weighting, max_lag=max_lag)
+    assert report.itd_s == estimate_itd(stereo, max_lag, weighting)
+    assert (report.itd_low_s, report.itd_high_s) == band_itd(stereo, max_lag=max_lag)
+    tf = transfer_function(stereo.left, stereo.right)
+    assert report.ild_spectrum.broadband_delay_s == tf.broadband_delay_s
+    for field in ("freqs", "magnitude_db", "phase_deg", "coherence"):
+        assert np.array_equal(getattr(report.ild_spectrum, field), getattr(tf, field))
+
 
 def count_direct_correlations(monkeypatch):
     calls = []
@@ -464,24 +477,59 @@ def count_direct_correlations(monkeypatch):
     return calls
 
 
-def test_analyze_capture_shares_the_broadband_correlation(pink_2s, monkeypatch):
+@pytest.mark.parametrize("weighting, direct_lags", [("none", [96, 96, 96]), ("phat", [96, 96])])
+def test_analyze_capture_direct_correlations(pink_2s, monkeypatch, weighting, direct_lags):
+    # the broadband ITD under "none" and the two bands; the transfer function runs none
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 0.43e-3))
-    expected = estimate_itd(stereo)
     calls = count_direct_correlations(monkeypatch)
-    report = analyze_capture(stereo)
-    assert len(calls) == 3  # broadband (delay and ITD) plus two bands
-    assert report.itd_s == expected == report.ild_spectrum.broadband_delay_s
-
-
-@pytest.mark.parametrize("kwargs, direct_lags", [
-    (dict(max_lag=0.001), [96, 48, 48, 48]),
-    (dict(weighting="phat"), [96, 96, 96]),
-], ids=["own_lag_window", "phat"])
-def test_analyze_capture_itd_gets_its_own_correlation(pink_2s, monkeypatch, kwargs,
-                                                     direct_lags):
-    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 0.43e-3))
-    expected = estimate_itd(stereo, **kwargs)
-    calls = count_direct_correlations(monkeypatch)
-    report = analyze_capture(stereo, **kwargs)
+    analyze_capture(stereo, weighting=weighting)
     assert calls == direct_lags
-    assert report.itd_s == expected
+
+
+# --- the broadband delay from the averaged cross-spectrum ---------------------------
+
+@given(seed=st.integers(0, 2**32 - 1), delay=st.floats(0.0, 1.95e-3))
+@settings(max_examples=20, deadline=None)
+def test_broadband_delay_matches_the_direct_correlation_peak(seed, delay):
+    pink = gen_pink_noise(1.0, SR, seed=seed)
+    stereo = StereoBuffer(pink, delayed_copy(pink, delay))
+    direct = estimate_itd(stereo)  # the refined peak of the direct 2 ms correlation
+    for fft_size in (512, 1024, 2048, 4096, 8192):  # every accepted size up to the default
+        tf = transfer_function(stereo.left, stereo.right, fft_size=fft_size)
+        assert tf.broadband_delay_s == pytest.approx(direct, abs=0.05 * ONE_SAMPLE)
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 44100, 48000])
+def test_broadband_delay_of_identical_channels_is_exactly_zero(sample_rate):
+    # Read off S_xy alone, or off S_xy and its conjugate, the window would be symmetric
+    # only up to rounding, and the parabola would leave about 1e-21 s on some of these.
+    for seed in range(8):
+        white = np.random.default_rng(seed).standard_normal(sample_rate) * 10.0 ** (seed - 4)
+        for mono in (gen_pink_noise(1.0, sample_rate, seed=seed), SampleBuffer(white, sample_rate)):
+            for fft_size in (512, 2048, 4096):
+                assert transfer_function(mono, mono, fft_size=fft_size).broadband_delay_s == 0.0
+
+
+@pytest.mark.parametrize("fft_size", [2, 64, 128, 256])
+def test_fft_size_under_four_delay_windows_is_rejected(pink_2s, fft_size):
+    with pytest.raises(ValidationError, match="under 4x the 2 ms"):
+        transfer_function(pink_2s, pink_2s, fft_size=fft_size)
+    with pytest.raises(ValidationError, match="under 4x the 2 ms"):
+        analyze_capture(StereoBuffer(pink_2s, pink_2s), fft_size=fft_size)
+
+
+def test_fft_size_minimum_follows_the_sample_rate():
+    pink = gen_pink_noise(0.5, 8000, seed=4)  # the 2 ms window is 16 samples at 8 kHz
+    assert transfer_function(pink, pink, fft_size=64).broadband_delay_s == 0.0
+    with pytest.raises(ValidationError, match=r"\(64 samples at 8000 Hz\)"):
+        transfer_function(pink, pink, fft_size=32)
+
+
+# --- PHAT: the whitened correlation must peak inside the window ---------------------
+
+def test_phat_peak_outside_the_window_is_an_error(pink_2s):
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 3.3e-3))
+    with pytest.raises(AnalysisError, match="outside the lag window.*--max-lag-ms"):
+        estimate_itd(stereo, weighting="phat")
+    with pytest.raises(AnalysisError, match="outside the lag window"):
+        cross_correlation(stereo, weighting="phat")

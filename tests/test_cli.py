@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bincues import StereoBuffer, gen_pink_noise, gen_sine, read_wav, write_wav
+from bincues import StereoBuffer, estimate_itd, gen_pink_noise, gen_sine, read_wav, write_wav
 from bincues.cli import EXIT_ANALYSIS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 
@@ -275,6 +275,23 @@ def test_analyze_wide_pair_needs_a_wider_lag_window(wide_pair, tmp_path, capsys)
     assert not (tmp_path / "r.json").exists()
 
 
+def test_analyze_wide_pair_under_phat_needs_a_wider_lag_window(wide_pair, tmp_path, capsys):
+    # the whitened correlation has no edge peak here; its global peak lies outside the window
+    capture, _ = wide_pair
+    out = tmp_path / "r.json"
+    assert run("analyze", capture, "--weighting", "phat", "--out", out) == EXIT_ANALYSIS
+    assert "outside the lag window" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_fft_size_under_four_lag_windows_is_validation_failure(capture_wav, tmp_path,
+                                                                       capsys):
+    out = tmp_path / "r.json"
+    assert run("analyze", capture_wav, "--fft-size", 256, "--out", out) == EXIT_ANALYSIS
+    assert "fft_size 256" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("weighting", ["none", "phat"])
 def test_analyze_wide_pair_in_a_5ms_window(wide_pair, weighting, tmp_path):
     capture, predicted = wide_pair
@@ -397,6 +414,33 @@ def test_full_workflow_simulate_analyze_compare(tmp_path):
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     assert "generate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "pink", "--temp", 18),
+    ("analyze", "cap.wav", "--sample-rate", 44100),
+    ("analyze", "cap.wav", "--temp", 18),
+    ("analyze", "cap.wav", "--seed", 1),
+    ("render", "mono.wav", "--azimuth", 30, "--sample-rate", 44100),
+    ("render", "mono.wav", "--azimuth", 30, "--seed", 1),
+    ("compare", "a.json", "b.json", "--sample-rate", 44100),
+    ("compare", "a.json", "b.json", "--temp", 18),
+    ("compare", "a.json", "b.json", "--seed", 1),
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flag_its_handler_does_not_read_is_usage_error(argv, tmp_path, capsys):
+    assert run(*argv, "--out", tmp_path / "x") == EXIT_USAGE
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_kept_flags_reach_their_handlers(voice_wav, tmp_path):
+    tone = tmp_path / "tone.wav"
+    assert run("generate", "sine", "--freq", 220, "--sample-rate", 44100, "--out", tone) == EXIT_OK
+    assert read_wav(tone).sample_rate == 44100
+    cold, warm = tmp_path / "cold.wav", tmp_path / "warm.wav"
+    for temp, out in ((-20, cold), (50, warm)):
+        assert run("render", voice_wav, "--azimuth", 60, "--temp", temp, "--out", out) == EXIT_OK
+    assert estimate_itd(read_wav(cold)) > estimate_itd(read_wav(warm))  # sound is slower cold
 
 
 def test_unknown_command_is_usage_error(capsys):
