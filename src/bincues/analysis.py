@@ -6,11 +6,11 @@ cross-correlation ITD estimation with sub-sample peak refinement, per-band
 sine ITD, microphone-pair calibration verdicts, and octave-band level
 summaries. All functions are pure and reentrant.
 
-The Welch spectra come from one batched Hann-windowed STFT per channel, and the
-broadband delay is the peak of their averaged cross-spectrum's inverse
-transform (Knapp & Carter's GCC on Welch's estimate), so the transfer function
-takes one spectral pass and no correlation of its own. The "none"-weighted ITD
-is a direct correlation, computed as matrix products over short blocks.
+The Welch spectra come from one batched Hann-windowed STFT per channel. Both
+spectral correlations are Knapp & Carter's GCC on Welch's estimate: the broadband
+delay is the peak of the averaged cross-spectrum's inverse transform, the "phat"
+ITD the peak of the whitened one, and no transform spans the whole capture. The
+"none"-weighted ITD is a direct correlation, as matrix products over short blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 from scipy import signal as _sig
 
 from .errors import AnalysisError, SilentSignalError, ValidationError
@@ -136,19 +135,29 @@ def _xcorr_direct(left: np.ndarray, right: np.ndarray, max_lag: int) -> np.ndarr
                            _lag_products(right, left, max_lag)])
 
 
-def _xcorr_phat(left: np.ndarray, right: np.ndarray, max_lag: int) -> np.ndarray:
-    n = left.size
-    nfft = _fft.next_fast_len(2 * n - 1)
-    spec = np.fft.rfft(right, nfft) * np.conj(np.fft.rfft(left, nfft))
-    mag = np.abs(spec)
-    spec = spec / np.maximum(mag, mag.max() * 1e-12 + np.finfo(np.float64).tiny)
-    cc_full = np.fft.irfft(spec, nfft)
-    cc = np.concatenate([cc_full[-max_lag:], cc_full[: max_lag + 1]])
-    # A window that misses the delay holds only sidelobes; a NaN peak is left to the caller.
-    if cc_full.max() > cc.max():
+def _lag_window(s_xy: np.ndarray, s_yx: np.ndarray, size: int, max_lag: int) -> np.ndarray:
+    """Lags -max_lag..max_lag of a `size`-point circular correlation: 0..max_lag from S_xy,
+    the negative lags from S_yx as in _xcorr_direct, so equal channels give a symmetric window."""
+    pos, neg = (np.fft.irfft(s, size)[: max_lag + 1] for s in (s_xy, s_yx))
+    return np.concatenate([neg[:0:-1], pos])
+
+
+def _xcorr_phat(stereo: StereoBuffer, max_lag: int) -> np.ndarray:
+    """GCC-PHAT on the Welch cross-spectra, as cross_correlation documents it."""
+    size = min(DEFAULT_FFT_SIZE, len(stereo))
+    if size < 4 * max_lag:
+        raise ValidationError(f"the PHAT lag window ({max_lag} samples) does not fit four times"
+                              f" in its {size}-sample segment; narrow max_lag (--max-lag-ms)")
+    _, _, _, s_xy, s_yx = _welch_spectra(stereo, size, DEFAULT_OVERLAP)
+    tiny = np.finfo(np.float64).tiny
+    s_xy, s_yx = (s / np.maximum(np.abs(s), np.abs(s).max() * 1e-12 + tiny) for s in (s_xy, s_yx))
+    # A window that misses the delay holds only sidelobes. An overflow makes every lag NaN,
+    # and argmax then reads lag 0, so it is left to the caller.
+    k = int(np.argmax(np.fft.irfft(s_xy, size)))
+    if max_lag < k < size - max_lag:
         raise AnalysisError("the PHAT correlation peaks outside the lag window;"
                             " widen max_lag (--max-lag-ms)")
-    return cc
+    return _lag_window(s_xy, s_yx, size, max_lag)
 
 
 def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
@@ -156,9 +165,11 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     """Generalized cross-correlation of right against left.
 
     Returns (lags_samples, correlation); a peak at a positive lag means the
-    right channel lags the left. weighting="phat" whitens the cross-spectrum
-    before the inverse transform, and raises AnalysisError when the
-    full-length whitened correlation peaks outside the lag window.
+    right channel lags the left. weighting="phat" whitens the Welch-averaged
+    cross-spectrum over DEFAULT_FFT_SIZE segments (one segment when the buffer
+    is shorter). Its window must fit four times in a segment (42.7 ms at
+    48 kHz) or ValidationError is raised; AnalysisError is raised when the
+    whitened circular correlation peaks outside the window.
     """
     if weighting not in WEIGHTINGS:
         raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
@@ -169,8 +180,9 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
         raise ValidationError(f"max_lag {max_lag} s is under one sample period")
     if m >= n:
         raise ValidationError(f"max_lag {max_lag} s exceeds the buffer length {n / sr} s")
-    xcorr = _xcorr_phat if weighting == "phat" else _xcorr_direct
-    return np.arange(-m, m + 1), xcorr(stereo.left.samples, stereo.right.samples, m)
+    if weighting == "phat":
+        return np.arange(-m, m + 1), _xcorr_phat(stereo, m)
+    return np.arange(-m, m + 1), _xcorr_direct(stereo.left.samples, stereo.right.samples, m)
 
 
 def _peak_lag_s(lags: np.ndarray, cc: np.ndarray, sample_rate: int) -> float:
@@ -189,11 +201,11 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
                  weighting: str = "none") -> float:
     """Interaural time difference in seconds, positive when right lags left.
 
-    Takes the peak of the generalized cross-correlation and refines it with a
-    parabolic fit through the peak and its neighbors, resolving delays well
-    below one sample period. A silent channel raises SilentSignalError; a
-    peak that is not finite or that sits on the window's first or last lag
-    raises AnalysisError."""
+    Takes the peak of cross_correlation (direct, or GCC-PHAT on the Welch
+    cross-spectrum) and refines it with a parabolic fit through the peak and
+    its neighbors, resolving delays well below one sample period. A silent
+    channel raises SilentSignalError; a peak that is not finite or that sits
+    on the window's first or last lag raises AnalysisError."""
     for what, channel in (("left channel", stereo.left), ("right channel", stereo.right)):
         if np.sqrt(np.mean(np.square(channel.samples))) < SILENCE_RMS:
             raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
@@ -242,16 +254,15 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
 
 
 def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
-                      fft_size: int = DEFAULT_FFT_SIZE,
-                      overlap: float = DEFAULT_OVERLAP) -> TransferFunction:
+                      fft_size: int = DEFAULT_FFT_SIZE) -> TransferFunction:
     """Welch-averaged dual-channel transfer function.
 
     H = S_xy / S_xx with x the reference, estimated with Hann windows of
-    fft_size samples at the given overlap fraction. The broadband delay
-    (positive: measurement lags; 0 for identical inputs) is the refined peak
-    of the averaged S_xy's inverse transform within DEFAULT_MAX_LAG_S, at
-    least one sample. That transform is circular: fft_size must hold four
-    windows (512 at 48 kHz), or ValidationError is raised.
+    fft_size samples at DEFAULT_OVERLAP. The broadband delay (positive:
+    measurement lags; 0 for identical inputs) is the refined peak of the
+    averaged S_xy's inverse transform within DEFAULT_MAX_LAG_S, at least one
+    sample. That transform is circular: fft_size must hold four windows (512
+    at 48 kHz), or ValidationError is raised.
     """
     stereo = StereoBuffer(reference, measurement)
     n, sr = len(stereo), stereo.sample_rate
@@ -263,19 +274,15 @@ def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
                               f" delay window ({4 * m} samples at {sr} Hz); the delay would alias")
     if n < fft_size:
         raise ValidationError(f"signals ({n} samples) are shorter than fft_size {fft_size}")
-    if not 0.0 <= overlap < 1.0:
-        raise ValidationError(f"overlap must lie in [0, 1), got {overlap}")
 
-    freqs, s_xx, s_yy, s_xy, s_yx = _welch_spectra(stereo, fft_size, overlap)
+    freqs, s_xx, s_yy, s_xy, s_yx = _welch_spectra(stereo, fft_size, DEFAULT_OVERLAP)
     tiny = np.finfo(np.float64).tiny
     h = s_xy / np.maximum(s_xx, tiny)
     magnitude_db = 20.0 * np.log10(np.maximum(np.abs(h), tiny))
     phase_deg = np.degrees(np.angle(h))
     phase_deg[phase_deg == -180.0] = 180.0
     coherence = np.clip(np.abs(s_xy) ** 2 / np.maximum(s_xx * s_yy, tiny), 0.0, 1.0)
-    # Negative lags from S_yx, as in _xcorr_direct: equal channels give a symmetric window.
-    pos, neg = (np.fft.irfft(s, fft_size)[: m + 1] for s in (s_xy, s_yx))
-    delay = _peak_lag_s(np.arange(-m, m + 1), np.concatenate([neg[:0:-1], pos]), sr)
+    delay = _peak_lag_s(np.arange(-m, m + 1), _lag_window(s_xy, s_yx, fft_size, m), sr)
     return TransferFunction(freqs, magnitude_db, phase_deg, coherence, delay)
 
 
@@ -345,7 +352,7 @@ def ild_spectrum_summary(tf: TransferFunction,
 
 
 def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
-                    overlap: float = DEFAULT_OVERLAP, weighting: str = "none",
+                    weighting: str = "none",
                     low_hz: float = DEFAULT_LOW_BAND_HZ,
                     high_hz: float = DEFAULT_HIGH_BAND_HZ,
                     max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
@@ -354,7 +361,7 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
     Exactly its three stages: transfer_function of right against left,
     estimate_itd and band_itd, each with the arguments given here.
     """
-    tf = transfer_function(stereo.left, stereo.right, fft_size, overlap)
+    tf = transfer_function(stereo.left, stereo.right, fft_size)
     itd = estimate_itd(stereo, max_lag, weighting)
     itd_low, itd_high = band_itd(stereo, low_hz, high_hz, max_lag)
     return CueReport(itd, itd_low, itd_high, tf)

@@ -82,14 +82,9 @@ class SourceSpec:
     """Far-field source position: azimuth in radians, 0 ahead to +pi/2 far left."""
 
     azimuth_rad: float
-    distance_m: float = 3.0
 
     def __post_init__(self) -> None:
         check_azimuth(self.azimuth_rad)
-        if self.distance_m < 1.0:
-            raise ValidationError(
-                f"distance_m must be >= 1 (far-field contract), got {self.distance_m}"
-            )
 
 
 @dataclass(frozen=True)
@@ -201,8 +196,7 @@ def predicted_ild_db(rig: RigSpec, src: SourceSpec, freq: float) -> float:
     return float(head_shadow_ild(rig.shadow, src.azimuth_rad, freq))
 
 
-def shadow_filter_kernel(shadow: ShadowParams, azimuth: float, sample_rate: int,
-                         ntaps: int = _SHADOW_FIR_TAPS) -> np.ndarray:
+def shadow_filter_kernel(shadow: ShadowParams, azimuth: float, sample_rate: int) -> np.ndarray:
     """Zero-phase FIR whose magnitude matches the shadow attenuation curve.
 
     The kernel is symmetric, so applying it centered adds no group delay at
@@ -211,16 +205,14 @@ def shadow_filter_kernel(shadow: ShadowParams, azimuth: float, sample_rate: int,
     low-frequency group delay shifted broadband correlation peaks by more
     than a sample.)
     """
-    if ntaps % 2 == 0:
-        raise ValidationError(f"ntaps must be odd, got {ntaps}")
     freqs = np.fft.rfftfreq(_SHADOW_DESIGN_FFT, 1.0 / sample_rate)
     freqs[0] = freqs[1]  # DC takes the lowest bin's (vanishing) attenuation
     target = 10.0 ** (-head_shadow_ild(shadow, azimuth, freqs) / 20.0)
     impulse = np.roll(np.fft.irfft(target), _SHADOW_DESIGN_FFT // 2)
     center = _SHADOW_DESIGN_FFT // 2
-    half = ntaps // 2
+    half = _SHADOW_FIR_TAPS // 2
     kernel = impulse[center - half : center + half + 1].copy()
-    kernel *= np.hanning(ntaps + 2)[1:-1]
+    kernel *= np.hanning(_SHADOW_FIR_TAPS + 2)[1:-1]
     return kernel
 
 

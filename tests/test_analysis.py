@@ -8,10 +8,11 @@ from scipy import signal as scipy_signal
 
 from bincues import analysis
 from bincues import (AnalysisError, BincuesError, SampleBuffer, ShadowParams, SilentSignalError,
-                     StereoBuffer, TransferFunction, ValidationError, analyze_capture,
-                     apply_fractional_delay, band_itd, calibration_check, cross_correlation,
-                     estimate_itd, gen_pink_noise, gen_sine, head_shadow_ild,
-                     ild_spectrum_summary, transfer_function)
+                     SourceSpec, StereoBuffer, TransferFunction, ValidationError,
+                     analyze_capture, apply_fractional_delay, band_itd, calibration_check,
+                     cross_correlation, estimate_itd, full_dummy, gen_pink_noise, gen_sine,
+                     head_shadow_ild, human_head, ild_spectrum_summary, jecklin, ortf,
+                     semi_dummy, simulate_capture, transfer_function)
 
 SR = 48000
 ONE_SAMPLE = 1.0 / SR
@@ -362,7 +363,7 @@ def test_overflowing_correlation_is_an_error(pink_2s, weighting):
 
 @given(seed=st.integers(0, 2**32 - 1), delay=st.floats(0.0, 5e-3),
        log_gain=st.floats(-3.0, 200.0), lag=st.integers(1, 300),
-       weighting=st.sampled_from(analysis.WEIGHTINGS), log2_fft=st.integers(6, 10))
+       weighting=st.sampled_from(analysis.WEIGHTINGS), log2_fft=st.integers(9, 12))
 @settings(max_examples=40, deadline=None)
 def test_analyze_capture_itds_are_finite_and_inside_the_window(seed, delay, log_gain, lag,
                                                                weighting, log2_fft):
@@ -533,3 +534,58 @@ def test_phat_peak_outside_the_window_is_an_error(pink_2s):
         estimate_itd(stereo, weighting="phat")
     with pytest.raises(AnalysisError, match="outside the lag window"):
         cross_correlation(stereo, weighting="phat")
+
+
+# --- PHAT: GCC-PHAT on the Welch cross-spectrum ------------------------------------
+
+def phat_oracle_itd(stereo, max_lag=0.002):
+    """Full-length GCC-PHAT: the whitened cross-spectrum of both channels zero-padded
+    to 2n points, its inverse transform over the lag window, and a parabola through
+    the peak and its neighbors."""
+    x, y = stereo.left.samples, stereo.right.samples
+    nfft = 2 * x.size
+    spec = np.fft.rfft(y, nfft) * np.conj(np.fft.rfft(x, nfft))
+    mag = np.abs(spec)
+    cc = np.fft.irfft(spec / np.maximum(mag, mag.max() * 1e-12), nfft)
+    m = round(max_lag * stereo.sample_rate)
+    window = np.concatenate([cc[-m:], cc[: m + 1]])
+    k = int(np.argmax(window))
+    a, b, c = window[k - 1 : k + 2]
+    return (k - m + 0.5 * (a - c) / (a - 2.0 * b + c)) / stereo.sample_rate
+
+
+@pytest.mark.parametrize("seconds", [0.1, 1.0, 5.0])  # 0.1 s is shorter than one segment
+@pytest.mark.parametrize("rig", [human_head(), full_dummy(), semi_dummy(), jecklin(), ortf()],
+                         ids=lambda r: r.kind.value)
+def test_phat_itd_matches_the_full_length_whitened_correlation(rig, seconds):
+    pink = gen_pink_noise(seconds, SR, seed=17)
+    for azimuth in (0.0, 10.0, 45.0, 90.0):
+        capture = simulate_capture(rig, SourceSpec(math.radians(azimuth)), pink)
+        for stereo in (capture, capture.swapped()):  # the swap puts the delay at negative lags
+            assert estimate_itd(stereo, weighting="phat") == pytest.approx(
+                phat_oracle_itd(stereo), abs=0.01 * ONE_SAMPLE)
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 44100, 48000])
+def test_phat_itd_of_identical_channels_is_exactly_zero(sample_rate):
+    for seed in range(8):
+        white = np.random.default_rng(seed).standard_normal(sample_rate) * 10.0 ** (seed - 4)
+        for mono in (gen_pink_noise(1.0, sample_rate, seed=seed), SampleBuffer(white, sample_rate),
+                     gen_pink_noise(0.1, sample_rate, seed=seed)):
+            assert estimate_itd(StereoBuffer(mono, mono), weighting="phat") == 0.0
+
+
+def test_phat_lag_window_must_fit_four_times_in_its_segment(pink_2s):
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 0.43e-3))
+    # 8192-sample segments: 2048 lags (42.7 ms at 48 kHz) fit, 2049 do not
+    assert estimate_itd(stereo, 2048 / SR, "phat") == pytest.approx(0.43e-3, abs=ONE_SAMPLE)
+    for call in (estimate_itd, cross_correlation, analyze_capture):
+        with pytest.raises(ValidationError, match="does not fit four times"):
+            call(stereo, max_lag=2049 / SR, weighting="phat")
+    # a capture shorter than a segment is one segment: 4800 samples hold 1200 lags
+    short = StereoBuffer(SampleBuffer(pink_2s.samples[:4800], SR),
+                         SampleBuffer(stereo.right.samples[:4800], SR))
+    assert estimate_itd(short, 1200 / SR, "phat") == pytest.approx(0.43e-3, abs=ONE_SAMPLE)
+    with pytest.raises(ValidationError, match="in its 4800-sample segment"):
+        estimate_itd(short, 1201 / SR, "phat")
+    assert estimate_itd(short, 1201 / SR) == pytest.approx(0.43e-3, abs=ONE_SAMPLE)
