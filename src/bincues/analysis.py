@@ -11,6 +11,7 @@ spectral correlations are Knapp & Carter's GCC on Welch's estimate: the broadban
 delay is the peak of the averaged cross-spectrum's inverse transform, the "phat"
 ITD the peak of the whitened one, and no transform spans the whole capture. The
 "none"-weighted ITD is a direct correlation, as matrix products over short blocks.
+Only band_itd's octave filters need scipy.signal, and import it when they run.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _sig
 
 from .errors import AnalysisError, SilentSignalError, ValidationError
 from .signals import SampleBuffer, StereoBuffer
@@ -219,6 +219,7 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
 
 
 def _octave_sos(center_hz: float, sample_rate: int):
+    from scipy.signal import butter
     lo = center_hz / np.sqrt(2.0)
     hi = center_hz * np.sqrt(2.0)
     nyq = sample_rate / 2.0
@@ -226,7 +227,7 @@ def _octave_sos(center_hz: float, sample_rate: int):
         raise ValidationError(
             f"octave band around {center_hz} Hz does not fit below Nyquist ({nyq} Hz)"
         )
-    return _sig.butter(2, [lo / nyq, hi / nyq], btype="bandpass", output="sos")
+    return butter(2, [lo / nyq, hi / nyq], btype="bandpass", output="sos")
 
 
 def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
@@ -239,12 +240,13 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
     no delay, then the band-limited pair goes through estimate_itd. Raises
     AnalysisError when a band holds no usable energy.
     """
+    from scipy.signal import sosfiltfilt
     sr = stereo.sample_rate
     results = []
     for center in (low_hz, high_hz):
         sos = _octave_sos(center, sr)
-        left = _sig.sosfiltfilt(sos, stereo.left.samples)
-        right = _sig.sosfiltfilt(sos, stereo.right.samples)
+        left = sosfiltfilt(sos, stereo.left.samples)
+        right = sosfiltfilt(sos, stereo.right.samples)
         banded = StereoBuffer(SampleBuffer(left, sr), SampleBuffer(right, sr))
         try:
             results.append(estimate_itd(banded, max_lag))
@@ -292,7 +294,7 @@ def _welch_spectra(stereo: StereoBuffer, fft_size: int,
     STFT per channel, as scipy.signal.welch and csd give them with detrend=False;
     S_yx sums the swapped product, so equal channels give bit-equal S_xy and S_yx."""
     step = fft_size - int(fft_size * overlap)
-    window = _sig.get_window("hann", fft_size)
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1))[:-1]  # periodic Hann
     segs_x, segs_y = (np.lib.stride_tricks.sliding_window_view(c.samples, fft_size)[::step]
                       for c in (stereo.left, stereo.right))
     bins = fft_size // 2 + 1

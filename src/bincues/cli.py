@@ -166,17 +166,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_rig(args: argparse.Namespace) -> rigsim.RigSpec:
-    if getattr(args, "rig_config", None) is not None:
-        return rigsim.load_rig_config(args.rig_config)
-    return rigsim.default_rig(rigsim.RigKind(args.rig))
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     out = _require_out(args)
     if not 0.0 <= args.azimuth <= 90.0:
         raise UsageError(f"--azimuth must lie in 0..90 degrees, got {args.azimuth}")
-    rig = _resolve_rig(args)
+    rig = (rigsim.load_rig_config(args.rig_config) if args.rig_config is not None
+           else rigsim.default_rig(rigsim.RigKind(args.rig)))
     src = rigsim.SourceSpec(azimuth_rad=math.radians(args.azimuth))
 
     if args.signal is not None:

@@ -18,9 +18,9 @@ from .errors import ValidationError
 from .rigsim import RigSpec, rig_fields
 
 SCHEMA_VERSION = 1
+_KINDS = ("cue_report", "simulation_sidecar", "comparison_report")
 
 CSV_SPECTRUM_HEADER = "freq_hz,magnitude_db,phase_deg,coherence"
-
 
 def build_metadata(deterministic: bool = False, **fields: Any) -> dict[str, Any]:
     """Common report metadata; pass deterministic=True to omit the timestamp."""
@@ -75,9 +75,14 @@ def comparison_doc(baseline_name: str, baseline: dict[str, Any],
                    metadata: dict[str, Any] | None = None) -> dict[str, Any]:
     """Deltas of each candidate cue report against the baseline.
 
-    Candidate band grids must match the baseline's; deltas are always
-    candidate minus baseline.
+    Every document needs a numeric itd_s and ild_octave_db, candidate band grids
+    must match the baseline's, and deltas are always candidate minus baseline.
     """
+    for name, doc in [(baseline_name, baseline), *candidates.items()]:
+        bands = doc.get("ild_octave_db")
+        numbers = [doc.get("itd_s"), *bands.values()] if isinstance(bands, dict) else [None]
+        if not all(isinstance(v, (int, float)) for v in numbers):
+            raise ValidationError(f"'{name}' is not a cue report with numeric itd_s and ild_octave_db")
     base_bands = set(baseline["ild_octave_db"])
     deltas: dict[str, Any] = {}
     for name, cand in candidates.items():
@@ -107,19 +112,25 @@ def emit_json(doc: dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def parse_json(text: str) -> dict[str, Any]:
-    doc = json.loads(text)
+def parse_json(text: str | bytes) -> dict[str, Any]:
+    """A JSON object of SCHEMA_VERSION and one of _KINDS, else ValidationError."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+        raise ValidationError(f"report is not readable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("report must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(
             f"unsupported schema_version {doc.get('schema_version')!r}; expected {SCHEMA_VERSION}"
         )
+    if doc.get("kind") not in _KINDS:
+        raise ValidationError(f"report kind {doc.get('kind')!r} is not one of {', '.join(_KINDS)}")
     return doc
 
 
 def load_report(path: str | Path) -> dict[str, Any]:
-    return parse_json(Path(path).read_text(encoding="utf-8"))
+    return parse_json(Path(path).read_bytes())
 
 
 def spectrum_csv_text(tf: TransferFunction) -> str:

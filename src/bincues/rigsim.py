@@ -17,12 +17,11 @@ from functools import reduce
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as _sig
 
 from .cue_models import (HeadGeometry, ShadowParams, check_azimuth, check_temperature,
                          head_shadow_ild, itd_simple, speed_of_sound)
 from .errors import ValidationError
-from .signals import SampleBuffer, StereoBuffer, apply_fractional_delay
+from .signals import SampleBuffer, StereoBuffer, apply_fractional_delay, fft_convolve
 
 
 class RigKind(Enum):
@@ -231,7 +230,7 @@ def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
         return (g_far / g_near) * delayed
     kernel = shadow_filter_kernel(rig.shadow, azimuth, signal.sample_rate)
     half = kernel.size // 2
-    return _sig.fftconvolve(delayed, kernel)[half : half + delayed.size]
+    return fft_convolve(delayed, kernel)[half : half + delayed.size]
 
 
 def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,

@@ -4,7 +4,7 @@ Sample values are dimensionless amplitudes in the nominal range -1.0..+1.0
 at a fixed integer sample rate. Buffers are finite and immutable: a NaN or
 infinite sample is rejected when a buffer is built, so no later stage sees
 one. Generators and transforms always return new buffers, so concurrent use
-on distinct buffers is safe.
+on distinct buffers is safe. gen_pink_noise alone imports scipy.signal, when called.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _sig
 
 from .errors import ValidationError
 
@@ -128,10 +127,12 @@ def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
     given (duration, sample_rate, seed) triple is bit-reproducible. A filter
     warm-up segment is generated and discarded to avoid a startup transient.
     """
+    from scipy.signal import lfilter
     n = _num_samples(duration, sample_rate)
-    rng = np.random.default_rng(seed)
-    white = rng.standard_normal(n + _PINK_WARMUP)
-    pink = _sig.lfilter(_PINK_B, _PINK_A, white)[_PINK_WARMUP:]
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    white = np.random.default_rng(seed).standard_normal(n + _PINK_WARMUP)
+    pink = lfilter(_PINK_B, _PINK_A, white)[_PINK_WARMUP:]
     pink *= _PINK_PEAK / np.max(np.abs(pink))
     return SampleBuffer(pink, sample_rate)
 
@@ -145,6 +146,23 @@ def gen_impulse(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
     samples = np.zeros(n)
     samples[offset] = 1.0
     return SampleBuffer(samples, sample_rate)
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n: the length scipy.fft.next_fast_len(n, True) picks."""
+    top = n.bit_length() + 1  # 3**b * 5**c < 2n needs b + c < top
+    odd = (3**b * 5**c for b in range(top) for c in range(top - b))
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd if p < 2 * n)
+
+
+def fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Full linear convolution of real 1-D arrays, padded as scipy.signal.fftconvolve pads them;
+    bit-equal to it on numpy >= 2.0, whose np.fft is scipy.fft's C++ pocketfft (1.x's is not)."""
+    if min(x.size, kernel.size) == 1:  # fftconvolve multiplies a length-1 input directly
+        return x * kernel
+    n = x.size + kernel.size - 1
+    size = _fast_len(n)
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(kernel, size), size)[:n]
 
 
 def _fd_kernel(mu: float) -> np.ndarray:
@@ -183,7 +201,7 @@ def apply_fractional_delay(buf: SampleBuffer, delay: float) -> SampleBuffer:
     mu = total - d_int
     if mu < _FD_SNAP or mu > 1.0 - _FD_SNAP:
         return SampleBuffer(_shifted(x, int(round(total)), x.size), buf.sample_rate)
-    conv = _sig.fftconvolve(x, _fd_kernel(mu))
+    conv = fft_convolve(x, _fd_kernel(mu))
     # conv lags x by _FD_HALF + mu samples; shift the read point so the total
     # delay is exactly d_int + mu.
     return SampleBuffer(_shifted(conv, d_int - _FD_HALF, x.size), buf.sample_rate)

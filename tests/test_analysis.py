@@ -451,6 +451,24 @@ def test_welch_spectra_match_scipy(log2_size, overlap, extra, seed):
     assert np.all(np.abs(ours[3] - ref[3]) <= 1e-12 * np.sqrt(ref[1] * ref[2]))
 
 
+class _FirstTransform(Exception):
+    """Raised by a stand-in np.fft.rfft to hand its input back to the test."""
+
+
+def test_welch_window_is_scipys_periodic_hann(monkeypatch):
+    # Ones times the window is the window, so the first segment _welch_spectra
+    # transforms is its window, bit for bit.
+    def first_transform(a, *args, **kwargs):
+        raise _FirstTransform(a)
+
+    monkeypatch.setattr(np.fft, "rfft", first_transform)
+    for size in range(2, 16385):
+        ones = SampleBuffer(np.ones(size), SR)
+        with pytest.raises(_FirstTransform) as caught:
+            analysis._welch_spectra(StereoBuffer(ones, ones), size, 0.5)
+        assert np.array_equal(caught.value.args[0][0], scipy_signal.get_window("hann", size)), size
+
+
 # --- analyze_capture is its three stages ------------------------------------------
 
 @pytest.mark.parametrize("max_lag", [0.001, 0.002, 0.005])

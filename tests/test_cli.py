@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bincues
 from bincues import StereoBuffer, estimate_itd, gen_pink_noise, gen_sine, read_wav, write_wav
-from bincues.cli import EXIT_ANALYSIS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from bincues.cli import EXIT_ANALYSIS, EXIT_IO, EXIT_OK, EXIT_USAGE, RIG_NAMES, main
 
 
 def run(*argv):
@@ -72,6 +77,15 @@ def test_generate_non_finite_seconds_is_usage_error(kind, seconds, tmp_path, cap
 def test_generate_overlong_seconds_is_validation_failure(kind, tmp_path, capsys):
     assert run("generate", kind, "--seconds", "1e308", "--out", tmp_path / "x.wav") == EXIT_ANALYSIS
     assert "samples" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
+@pytest.mark.parametrize("argv", [("generate", "pink", "--seed", -1),
+                                  ("simulate", "--rig", "human", "--azimuth", 30, "--seconds", 1,
+                                   "--seed", -5)])
+def test_negative_seed_is_validation_failure(argv, tmp_path, capsys):
+    assert run(*argv, "--out", tmp_path / "x.wav") == EXIT_ANALYSIS
+    assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
     assert not (tmp_path / "x.wav").exists()
 
 
@@ -394,6 +408,38 @@ def test_compare_missing_baseline_is_io_error(tmp_path):
                "--out", tmp_path / "c.json") == EXIT_IO
 
 
+def _not_a_cue_report(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    if kind == "wav":
+        write_wav(path, gen_pink_noise(0.1, seed=1))
+    elif kind == "sidecar":
+        assert run("simulate", "--rig", "ortf", "--azimuth", 30, "--seconds", 0.1,
+                   "--out", tmp_path / "sidecar.wav") == EXIT_OK
+    else:
+        path.write_text({"bad_json": '{"schema_version": 1,', "no_kind": '{"schema_version": 1}',
+                         "text_itd": '{"schema_version": 1, "kind": "cue_report", "itd_s": "0",'
+                                     ' "ild_octave_db": {}}'}[kind], encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind, problem", [
+    ("wav", "report is not readable JSON"),
+    ("bad_json", "report is not readable JSON"),
+    ("no_kind", "report kind None is not one of"),
+    ("sidecar", "'sidecar' is not a cue report"),
+    ("text_itd", "'text_itd' is not a cue report"),
+])
+def test_compare_of_a_file_that_is_not_a_cue_report_is_validation_failure(kind, problem,
+                                                                          tmp_path, capsys):
+    base = _make_report(tmp_path, "base", 0.69, seed=21)
+    bad = _not_a_cue_report(tmp_path, kind)
+    capsys.readouterr()
+    for argv in ((base, bad), (bad, base)):
+        assert run("compare", *argv, "--out", tmp_path / "cmp.json") == EXIT_ANALYSIS
+        assert capsys.readouterr().err.startswith(f"error: {problem}")
+    assert not (tmp_path / "cmp.json").exists()
+
+
 def test_full_workflow_simulate_analyze_compare(tmp_path):
     # end to end: two simulated rigs, analyzed and compared through the CLI
     for rig in ("human", "ortf"):
@@ -407,6 +453,42 @@ def test_full_workflow_simulate_analyze_compare(tmp_path):
     doc = json.loads(out.read_text())
     # spaced-pair ITD sits ~0.17 ms under the head model's broadside value
     assert doc["deltas"]["ortf"]["itd_delta_s"] == pytest.approx(-0.172e-3, abs=0.05e-3)
+
+
+# --- scipy stays off the import path ---------------------------------------------
+
+def _python(code, *args):
+    """stdout of `code` run in a fresh interpreter that imports this bincues."""
+    path = [str(Path(bincues.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, bincues.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _python(code) == "[]"
+
+
+def test_subcommands_without_pink_noise_or_band_filters_load_no_scipy_signal(tmp_path):
+    # Only gen_pink_noise (lfilter) and band_itd (butter, sosfiltfilt) need scipy.signal.
+    for name, itd_ms in (("base", 0.69), ("other", 0.5)):
+        _make_report(tmp_path, name, itd_ms, seed=21)
+    code = """import json, sys
+from bincues.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+print('scipy.signal' in sys.modules)"""
+    d = str(tmp_path)
+    argvs = [["generate", "sine", "--freq", "440", "--amplitude", "0.5", "--out", f"{d}/sine.wav"],
+             ["generate", "impulse", "--seconds", "0.1", "--out", f"{d}/imp.wav"],
+             *(["simulate", "--rig", rig, "--azimuth", "30", "--signal", f"{d}/sine.wav",
+                "--out", f"{d}/{rig}.wav", "--deterministic"] for rig in RIG_NAMES),
+             ["render", f"{d}/sine.wav", "--azimuth", "-45", "--out", f"{d}/bin.wav"],
+             ["compare", f"{d}/base.json", f"{d}/other.json", "--out", f"{d}/cmp.json"]]
+    assert _python(code, json.dumps(argvs)).splitlines()[-1] == "False"
+    assert all((tmp_path / f"{rig}.wav").exists() for rig in RIG_NAMES)
 
 
 # --- global behavior -------------------------------------------------------------

@@ -56,6 +56,23 @@ def test_parse_rejects_bad_schema():
         parse_json("[1, 2, 3]")
 
 
+@pytest.mark.parametrize("text", [b"RIFF\x24\x00\x00\x00WAVE\xff\xfe", "{not json",
+                                  "[" * 100_000 + "]" * 100_000, '{"schema_version": 1}',
+                                  '{"schema_version": 1, "kind": 7}'])
+def test_parse_rejects_what_is_not_a_report(text):
+    with pytest.raises(ValidationError):
+        parse_json(text)
+
+
+def test_comparison_rejects_a_document_that_is_not_a_cue_report(cue_doc):
+    _, doc = cue_doc
+    sidecar = simulation_sidecar_doc(ortf(), 90.0, 18.0, 0.497e-3, {"250": 20.0})
+    with pytest.raises(ValidationError, match="'sidecar' is not a cue report"):
+        comparison_doc("base", doc, {"sidecar": sidecar})
+    with pytest.raises(ValidationError, match="'base' is not a cue report"):
+        comparison_doc("base", {**doc, "ild_octave_db": {"250": None}}, {"probe": doc})
+
+
 def test_spectrum_csv_shape(cue_doc):
     report, _ = cue_doc
     text = spectrum_csv_text(report.ild_spectrum)

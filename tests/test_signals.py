@@ -52,6 +52,12 @@ def test_pink_noise_deterministic():
     assert not np.array_equal(a.samples, c.samples)
 
 
+@pytest.mark.parametrize("seed", (-1, -2**70))
+def test_pink_noise_rejects_a_negative_seed(seed):
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        gen_pink_noise(1.0, SR, seed=seed)
+
+
 def test_pink_noise_peak_bounded():
     buf = gen_pink_noise(1.0, SR, seed=7)
     assert np.max(np.abs(buf.samples)) <= 1.0
@@ -99,6 +105,27 @@ def test_impulse_pair_correlates_at_lag_33():
     full = np.correlate(b.samples, a.samples, mode="full")
     lag = int(np.argmax(full)) - (len(a) - 1)
     assert lag == 33
+
+
+@pytest.mark.parametrize("taps", (65, 511))
+@pytest.mark.parametrize("n", (1, 2, 97, 4801, 1_440_000))
+def test_fft_convolve_is_bit_equal_to_scipy_fftconvolve(taps, n):
+    rng = np.random.default_rng(n + taps)
+    x, kernel = rng.standard_normal(n), rng.standard_normal(taps)
+    assert np.array_equal(signals.fft_convolve(x, kernel), sps.fftconvolve(x, kernel))
+    assert np.array_equal(signals.fft_convolve(kernel, x), sps.fftconvolve(kernel, x))
+
+
+def test_fast_len_is_scipy_next_fast_len_for_every_short_length():
+    from scipy.fft import next_fast_len
+    lengths = range(1, 10_001)
+    assert [signals._fast_len(n) for n in lengths] == [next_fast_len(n, True) for n in lengths]
+
+
+@given(st.integers(1, 2**33))
+def test_fast_len_is_scipy_next_fast_len(n):
+    from scipy.fft import next_fast_len
+    assert signals._fast_len(n) == next_fast_len(n, True)
 
 
 def test_fractional_delay_zero_is_exact_identity(pink_2s):
