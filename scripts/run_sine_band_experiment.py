@@ -2,7 +2,7 @@
 """Two-band sine ITD experiment on synthetic captures.
 
 Builds a capture whose low band (220 Hz burst) and high band (6 kHz burst)
-carry different interaural delays, then shows the band-filtered estimator
+carry different interaural delays, then shows the band-weighted estimator
 recovering each delay and their split. Defaults reproduce the reference
 split of 42 us between the bands; pass --low-ms/--high-ms to explore others
 (for example 0.83/0.75 for a semi-dummy-style 80 us split).

@@ -6,12 +6,12 @@ cross-correlation ITD estimation with sub-sample peak refinement, per-band
 sine ITD, microphone-pair calibration verdicts, and octave-band level
 summaries. All functions are pure and reentrant.
 
-The Welch spectra come from one batched Hann-windowed STFT per channel. Both
-spectral correlations are Knapp & Carter's GCC on Welch's estimate: the broadband
+The Welch spectra come from one batched Hann-windowed STFT per channel. Every
+spectral correlation is Knapp & Carter's GCC on Welch's estimate: the broadband
 delay is the peak of the averaged cross-spectrum's inverse transform, the "phat"
-ITD the peak of the whitened one, and no transform spans the whole capture. The
+ITD that of the whitened one and each band ITD that of one weighted by an octave
+band-pass's |H|^4, so no transform spans the whole capture and no filter runs. The
 "none"-weighted ITD is a direct correlation, as matrix products over short blocks.
-Only band_itd's octave filters need scipy.signal, and import it when they run.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class CueReport:
     """Binaural cues extracted from one stereo capture.
 
     itd_s is broadband and signed (positive: right lags left); itd_low_s and
-    itd_high_s come from octave-band-filtered estimates around the low and
+    itd_high_s come from octave-band-weighted estimates around the low and
     high probe tones; ild_spectrum is the right-vs-left transfer function.
     All three ITDs are finite and strictly inside their lag window.
     """
@@ -88,10 +88,12 @@ class CueReport:
 
 
 def _lag_samples(max_lag: float, sample_rate: int) -> int:
-    """The lag window max_lag in whole samples."""
+    """The lag window max_lag in whole samples, at least one."""
     lag = max_lag * sample_rate
     if not np.isfinite(lag):
         raise ValidationError(f"max_lag must be finite, got {max_lag}")
+    if round(lag) < 1:
+        raise ValidationError(f"max_lag {max_lag} s is under one sample period")
     return int(round(lag))
 
 
@@ -142,13 +144,18 @@ def _lag_window(s_xy: np.ndarray, s_yx: np.ndarray, size: int, max_lag: int) -> 
     return np.concatenate([neg[:0:-1], pos])
 
 
-def _xcorr_phat(stereo: StereoBuffer, max_lag: int) -> np.ndarray:
-    """GCC-PHAT on the Welch cross-spectra, as cross_correlation documents it."""
+def _segment_spectra(stereo: StereoBuffer, max_lag: int, what: str) -> tuple[int, tuple]:
+    """(size, Welch spectra) over min(DEFAULT_FFT_SIZE, len)-sample segments: PHAT's, bands'."""
     size = min(DEFAULT_FFT_SIZE, len(stereo))
     if size < 4 * max_lag:
-        raise ValidationError(f"the PHAT lag window ({max_lag} samples) does not fit four times"
+        raise ValidationError(f"the {what} lag window ({max_lag} samples) does not fit four times"
                               f" in its {size}-sample segment; narrow max_lag (--max-lag-ms)")
-    _, _, _, s_xy, s_yx = _welch_spectra(stereo, size, DEFAULT_OVERLAP)
+    return size, _welch_spectra(stereo, size, DEFAULT_OVERLAP)
+
+
+def _xcorr_phat(stereo: StereoBuffer, max_lag: int) -> np.ndarray:
+    """GCC-PHAT on the Welch cross-spectra, as cross_correlation documents it."""
+    size, (_, _, _, s_xy, s_yx) = _segment_spectra(stereo, max_lag, "PHAT")
     tiny = np.finfo(np.float64).tiny
     s_xy, s_yx = (s / np.maximum(np.abs(s), np.abs(s).max() * 1e-12 + tiny) for s in (s_xy, s_yx))
     # A window that misses the delay holds only sidelobes. An overflow makes every lag NaN,
@@ -173,11 +180,8 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     """
     if weighting not in WEIGHTINGS:
         raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    sr = stereo.sample_rate
-    n = len(stereo)
+    n, sr = len(stereo), stereo.sample_rate
     m = _lag_samples(max_lag, sr)
-    if m < 1:
-        raise ValidationError(f"max_lag {max_lag} s is under one sample period")
     if m >= n:
         raise ValidationError(f"max_lag {max_lag} s exceeds the buffer length {n / sr} s")
     if weighting == "phat":
@@ -185,8 +189,8 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     return np.arange(-m, m + 1), _xcorr_direct(stereo.left.samples, stereo.right.samples, m)
 
 
-def _peak_lag_s(lags: np.ndarray, cc: np.ndarray, sample_rate: int) -> float:
-    """Correlation peak lag in seconds, refined by a parabola through its neighbors."""
+def _peak_lag_s(cc: np.ndarray, sample_rate: int) -> float:
+    """Peak lag in seconds of a correlation over lags -m..m, refined by a parabola."""
     k = int(np.argmax(cc))
     offset = 0.0
     if 0 < k < cc.size - 1:
@@ -194,7 +198,17 @@ def _peak_lag_s(lags: np.ndarray, cc: np.ndarray, sample_rate: int) -> float:
         if denom != 0.0:
             offset = 0.5 * (cc[k - 1] - cc[k + 1]) / denom
             offset = offset if -1.0 < offset < 1.0 else 0.0
-    return float((lags[k] + offset) / sample_rate)
+    return float((k - cc.size // 2 + offset) / sample_rate)
+
+
+def _itd_s(cc: np.ndarray, sample_rate: int) -> float:
+    """The ITD rule: the refined peak of a finite correlation, strictly inside its window."""
+    if not np.isfinite(cc).all():
+        raise AnalysisError("the cross-correlation overflowed; scale the input down")
+    if int(np.argmax(cc)) in (0, cc.size - 1):
+        raise AnalysisError(f"ITD peak on the edge of the {cc.size // 2 / sample_rate * 1e3:g}"
+                            " ms lag window; widen max_lag (--max-lag-ms)")
+    return _peak_lag_s(cc, sample_rate)
 
 
 def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
@@ -209,25 +223,20 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     for what, channel in (("left channel", stereo.left), ("right channel", stereo.right)):
         if np.sqrt(np.mean(np.square(channel.samples))) < SILENCE_RMS:
             raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
-    lags, cc = cross_correlation(stereo, max_lag=max_lag, weighting=weighting)
-    if not np.isfinite(cc).all():
-        raise AnalysisError("the cross-correlation overflowed; scale the input down")
-    if int(np.argmax(cc)) in (0, cc.size - 1):
-        raise AnalysisError(f"ITD peak on the edge of the {lags[-1] / stereo.sample_rate * 1e3:g}"
-                            " ms lag window; widen max_lag (--max-lag-ms)")
-    return _peak_lag_s(lags, cc, stereo.sample_rate)
+    _, cc = cross_correlation(stereo, max_lag=max_lag, weighting=weighting)
+    return _itd_s(cc, stereo.sample_rate)
 
 
-def _octave_sos(center_hz: float, sample_rate: int):
-    from scipy.signal import butter
-    lo = center_hz / np.sqrt(2.0)
-    hi = center_hz * np.sqrt(2.0)
-    nyq = sample_rate / 2.0
+def _octave_response(freqs: np.ndarray, center_hz: float, sample_rate: int) -> np.ndarray:
+    """|H|^2 of butter(2, [c / sqrt(2), c * sqrt(2)], "bandpass"), the fourth-order octave
+    Butterworth: with t = tan(pi f / fs), 1 / (1 + ((t^2 - t_lo t_hi) / (t (t_hi - t_lo)))^4)."""
+    lo, hi, nyq = center_hz / np.sqrt(2.0), center_hz * np.sqrt(2.0), sample_rate / 2.0
     if not 0.0 < lo < hi < nyq:
-        raise ValidationError(
-            f"octave band around {center_hz} Hz does not fit below Nyquist ({nyq} Hz)"
-        )
-    return butter(2, [lo / nyq, hi / nyq], btype="bandpass", output="sos")
+        raise ValidationError(f"octave band around {center_hz} Hz does not fit below Nyquist"
+                              f" ({nyq} Hz)")
+    t, t_lo, t_hi = (np.tan(np.pi * f / sample_rate) for f in (freqs, lo, hi))
+    passed = (t * (t_hi - t_lo)) ** 4  # multiplied through, so DC reads 0 without dividing by 0
+    return passed / (passed + (t * t - t_lo * t_hi) ** 4)
 
 
 def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
@@ -235,23 +244,22 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
              max_lag: float = DEFAULT_MAX_LAG_S) -> tuple[float, float]:
     """Per-band ITD around two probe tones.
 
-    Each channel is band-passed with a fourth-order, octave-wide Butterworth
-    centered on the tone, applied forward-backward so the filter itself adds
-    no delay, then the band-limited pair goes through estimate_itd. Raises
-    AnalysisError when a band holds no usable energy.
+    Band-passing both channels forward and backward with a fourth-order, octave-wide
+    Butterworth centered on the tone weights their cross-spectrum by |H|^4, which is
+    real and so adds no delay. Each band ITD is estimate_itd's rule on the Welch
+    cross-spectra of PHAT's segments times that weight, so the lag window must fit four
+    times in a segment. Raises AnalysisError when a band holds no usable energy.
     """
-    from scipy.signal import sosfiltfilt
     sr = stereo.sample_rate
+    m = _lag_samples(max_lag, sr)
+    size, (freqs, s_xx, s_yy, s_xy, s_yx) = _segment_spectra(stereo, m, "band")
     results = []
     for center in (low_hz, high_hz):
-        sos = _octave_sos(center, sr)
-        left = sosfiltfilt(sos, stereo.left.samples)
-        right = sosfiltfilt(sos, stereo.right.samples)
-        banded = StereoBuffer(SampleBuffer(left, sr), SampleBuffer(right, sr))
-        try:
-            results.append(estimate_itd(banded, max_lag))
-        except SilentSignalError:
-            raise AnalysisError(f"no usable energy in the {center:g} Hz octave band") from None
+        w = _octave_response(freqs, center, sr) ** 2  # one |H|^2 per pass, forward and backward
+        # Parseval: the weighted density times the bin width sums to the band's mean square
+        if any(np.sum(w * s) * sr / size < SILENCE_RMS ** 2 for s in (s_xx, s_yy)):
+            raise AnalysisError(f"no usable energy in the {center:g} Hz octave band")
+        results.append(_itd_s(_lag_window(w * s_xy, w * s_yx, size, m), sr))
     return results[0], results[1]
 
 
@@ -268,7 +276,7 @@ def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
     """
     stereo = StereoBuffer(reference, measurement)
     n, sr = len(stereo), stereo.sample_rate
-    m = max(_lag_samples(DEFAULT_MAX_LAG_S, sr), 1)
+    m = max(int(round(DEFAULT_MAX_LAG_S * sr)), 1)
     if fft_size < 2 or fft_size & (fft_size - 1):
         raise ValidationError(f"fft_size must be a power of two, got {fft_size}")
     if fft_size < 4 * m:
@@ -284,14 +292,14 @@ def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
     phase_deg = np.degrees(np.angle(h))
     phase_deg[phase_deg == -180.0] = 180.0
     coherence = np.clip(np.abs(s_xy) ** 2 / np.maximum(s_xx * s_yy, tiny), 0.0, 1.0)
-    delay = _peak_lag_s(np.arange(-m, m + 1), _lag_window(s_xy, s_yx, fft_size, m), sr)
+    delay = _peak_lag_s(_lag_window(s_xy, s_yx, fft_size, m), sr)
     return TransferFunction(freqs, magnitude_db, phase_deg, coherence, delay)
 
 
 def _welch_spectra(stereo: StereoBuffer, fft_size: int,
                    overlap: float) -> tuple[np.ndarray, ...]:
     """(freqs, S_xx, S_yy, S_xy, S_yx) of left x and right y from one Hann-windowed
-    STFT per channel, as scipy.signal.welch and csd give them with detrend=False;
+    STFT per channel, Welch's averaged periodograms with no detrending;
     S_yx sums the swapped product, so equal channels give bit-equal S_xy and S_yx."""
     step = fft_size - int(fft_size * overlap)
     window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1))[:-1]  # periodic Hann

@@ -113,7 +113,7 @@ def emit_json(doc: dict[str, Any]) -> str:
 
 
 def parse_json(text: str | bytes) -> dict[str, Any]:
-    """A JSON object of SCHEMA_VERSION and one of _KINDS, else ValidationError."""
+    """A JSON object of SCHEMA_VERSION, one of _KINDS and object metadata, else ValidationError."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
@@ -126,6 +126,9 @@ def parse_json(text: str | bytes) -> dict[str, Any]:
         )
     if doc.get("kind") not in _KINDS:
         raise ValidationError(f"report kind {doc.get('kind')!r} is not one of {', '.join(_KINDS)}")
+    meta = doc.get("metadata", {})
+    if not isinstance(meta, dict) or not isinstance(meta.get("name", ""), str):
+        raise ValidationError("report metadata must be an object, and its name a string")
     return doc
 
 

@@ -301,8 +301,12 @@ def save_rig_config(spec: RigSpec, path: str | Path) -> None:
 
 def load_rig_config(path: str | Path) -> RigSpec:
     """Parse a flat key = value rig config; unknown keys are named in the error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: a rig config must be UTF-8 text") from None
     entries: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

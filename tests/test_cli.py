@@ -225,6 +225,16 @@ def test_simulate_bad_config_key_is_validation_failure(tmp_path, capsys):
     assert "not_a_knob" in capsys.readouterr().err
 
 
+def test_simulate_rig_config_that_is_not_text_is_validation_failure(tmp_path, capsys):
+    pink = tmp_path / "pink.wav"
+    write_wav(pink, gen_pink_noise(0.1, seed=1))
+    code = run("simulate", "--rig-config", pink, "--azimuth", 30, "--signal", pink,
+               "--out", tmp_path / "x.wav")
+    assert code == EXIT_ANALYSIS
+    assert capsys.readouterr().err == f"error: {pink}: a rig config must be UTF-8 text\n"
+    assert not (tmp_path / "x.wav").exists()
+
+
 def test_simulate_azimuth_range(tmp_path, capsys):
     code = run("simulate", "--rig", "ortf", "--azimuth", 120, "--out", tmp_path / "x.wav")
     assert code == EXIT_USAGE
@@ -416,9 +426,13 @@ def _not_a_cue_report(tmp_path, kind):
         assert run("simulate", "--rig", "ortf", "--azimuth", 30, "--seconds", 0.1,
                    "--out", tmp_path / "sidecar.wav") == EXIT_OK
     else:
+        report = '{"schema_version": 1, "kind": "cue_report", "itd_s": 0, "ild_octave_db": {}'
         path.write_text({"bad_json": '{"schema_version": 1,', "no_kind": '{"schema_version": 1}',
                          "text_itd": '{"schema_version": 1, "kind": "cue_report", "itd_s": "0",'
-                                     ' "ild_octave_db": {}}'}[kind], encoding="utf-8")
+                                     ' "ild_octave_db": {}}',
+                         "number_metadata": report + ', "metadata": 5}',
+                         "number_name": report + ', "metadata": {"name": 5}}'}[kind],
+                        encoding="utf-8")
     return path
 
 
@@ -428,6 +442,8 @@ def _not_a_cue_report(tmp_path, kind):
     ("no_kind", "report kind None is not one of"),
     ("sidecar", "'sidecar' is not a cue report"),
     ("text_itd", "'text_itd' is not a cue report"),
+    ("number_metadata", "report metadata must be an object"),
+    ("number_name", "report metadata must be an object, and its name a string"),
 ])
 def test_compare_of_a_file_that_is_not_a_cue_report_is_validation_failure(kind, problem,
                                                                           tmp_path, capsys):
@@ -472,7 +488,8 @@ def test_import_loads_no_scipy():
 
 
 def test_subcommands_without_pink_noise_or_band_filters_load_no_scipy_signal(tmp_path):
-    # Only gen_pink_noise (lfilter) and band_itd (butter, sosfiltfilt) need scipy.signal.
+    # Only gen_pink_noise (lfilter) needs scipy.signal; band_itd weights the Welch spectra.
+    # The reports are made in this process, so their pink captures are written already.
     for name, itd_ms in (("base", 0.69), ("other", 0.5)):
         _make_report(tmp_path, name, itd_ms, seed=21)
     code = """import json, sys
@@ -486,6 +503,8 @@ print('scipy.signal' in sys.modules)"""
              *(["simulate", "--rig", rig, "--azimuth", "30", "--signal", f"{d}/sine.wav",
                 "--out", f"{d}/{rig}.wav", "--deterministic"] for rig in RIG_NAMES),
              ["render", f"{d}/sine.wav", "--azimuth", "-45", "--out", f"{d}/bin.wav"],
+             *(["analyze", f"{d}/base.wav", "--weighting", weighting, "--out",
+                f"{d}/{weighting}.json"] for weighting in ("none", "phat")),
              ["compare", f"{d}/base.json", f"{d}/other.json", "--out", f"{d}/cmp.json"]]
     assert _python(code, json.dumps(argvs)).splitlines()[-1] == "False"
     assert all((tmp_path / f"{rig}.wav").exists() for rig in RIG_NAMES)
