@@ -6,12 +6,12 @@ cross-correlation ITD estimation with sub-sample peak refinement, per-band
 sine ITD, microphone-pair calibration verdicts, and octave-band level
 summaries. All functions are pure and reentrant.
 
-The Welch spectra come from one batched Hann-windowed STFT per channel. Every
-spectral correlation is Knapp & Carter's GCC on Welch's estimate: the broadband
-delay is the peak of the averaged cross-spectrum's inverse transform, the "phat"
-ITD that of the whitened one and each band ITD that of one weighted by an octave
-band-pass's |H|^4, so no transform spans the whole capture and no filter runs. The
-"none"-weighted ITD is a direct correlation, as matrix products over short blocks.
+The Welch spectra are one value, from one batched Hann-windowed STFT per channel,
+which analyze_capture builds once. Every spectral correlation is Knapp & Carter's GCC
+on it, and must peak inside its lag window: the broadband delay reads the averaged
+cross-spectrum, the "phat" ITD the whitened one and each band ITD one weighted by an
+octave band-pass's |H|^4, so no transform spans the whole capture and no filter runs.
+The "none"-weighted ITD is a direct correlation, as matrix products over short blocks.
 """
 
 from __future__ import annotations
@@ -137,34 +137,57 @@ def _xcorr_direct(left: np.ndarray, right: np.ndarray, max_lag: int) -> np.ndarr
                            _lag_products(right, left, max_lag)])
 
 
-def _lag_window(s_xy: np.ndarray, s_yx: np.ndarray, size: int, max_lag: int) -> np.ndarray:
-    """Lags -max_lag..max_lag of a `size`-point circular correlation: 0..max_lag from S_xy,
-    the negative lags from S_yx as in _xcorr_direct, so equal channels give a symmetric window."""
-    pos, neg = (np.fft.irfft(s, size)[: max_lag + 1] for s in (s_xy, s_yx))
-    return np.concatenate([neg[:0:-1], pos])
+@dataclass(frozen=True)
+class _Spectra:
+    """Welch's spectral densities of left x and right y; s_yx sums the swapped product."""
+
+    size: int
+    freqs: np.ndarray
+    s_xx: np.ndarray
+    s_yy: np.ndarray
+    s_xy: np.ndarray
+    s_yx: np.ndarray
 
 
-def _segment_spectra(stereo: StereoBuffer, max_lag: int, what: str) -> tuple[int, tuple]:
-    """(size, Welch spectra) over min(DEFAULT_FFT_SIZE, len)-sample segments: PHAT's, bands'."""
-    size = min(DEFAULT_FFT_SIZE, len(stereo))
+def _fit_window(size: int, max_lag: int, what: str) -> None:
     if size < 4 * max_lag:
         raise ValidationError(f"the {what} lag window ({max_lag} samples) does not fit four times"
                               f" in its {size}-sample segment; narrow max_lag (--max-lag-ms)")
-    return size, _welch_spectra(stereo, size, DEFAULT_OVERLAP)
 
 
-def _xcorr_phat(stereo: StereoBuffer, max_lag: int) -> np.ndarray:
+def _lag_window(s_xy: np.ndarray, s_yx: np.ndarray, size: int, max_lag: int,
+                widen: str = "max_lag (--max-lag-ms)") -> np.ndarray:
+    """Lags -max_lag..max_lag of a `size`-point circular correlation: 0..max_lag from S_xy,
+    the negative lags from S_yx as in _xcorr_direct, so equal channels give a symmetric window.
+    A window that misses the delay holds only sidelobes, so the whole correlation must peak
+    inside it; an overflow makes every lag NaN and argmax read lag 0, so _itd_s sees to that."""
+    pos, neg = (np.fft.irfft(s, size) for s in (s_xy, s_yx))
+    if max_lag < int(np.argmax(pos)) < size - max_lag:
+        raise AnalysisError(f"the correlation peaks outside the lag window; widen {widen}")
+    return np.concatenate([neg[max_lag:0:-1], pos[: max_lag + 1]])
+
+
+def _phat_window(spectra: _Spectra, max_lag: int) -> np.ndarray:
     """GCC-PHAT on the Welch cross-spectra, as cross_correlation documents it."""
-    size, (_, _, _, s_xy, s_yx) = _segment_spectra(stereo, max_lag, "PHAT")
+    _fit_window(spectra.size, max_lag, "PHAT")
     tiny = np.finfo(np.float64).tiny
-    s_xy, s_yx = (s / np.maximum(np.abs(s), np.abs(s).max() * 1e-12 + tiny) for s in (s_xy, s_yx))
-    # A window that misses the delay holds only sidelobes. An overflow makes every lag NaN,
-    # and argmax then reads lag 0, so it is left to the caller.
-    k = int(np.argmax(np.fft.irfft(s_xy, size)))
-    if max_lag < k < size - max_lag:
-        raise AnalysisError("the PHAT correlation peaks outside the lag window;"
-                            " widen max_lag (--max-lag-ms)")
-    return _lag_window(s_xy, s_yx, size, max_lag)
+    s_xy, s_yx = (s / np.maximum(np.abs(s), np.abs(s).max() * 1e-12 + tiny)
+                  for s in (spectra.s_xy, spectra.s_yx))
+    return _lag_window(s_xy, s_yx, spectra.size, max_lag)
+
+
+def _correlation(stereo: StereoBuffer, max_lag: float, weighting: str,
+                 spectra: _Spectra | None = None) -> tuple[int, np.ndarray]:
+    """(max_lag in samples, window) of cross_correlation; PHAT reads `spectra` if given."""
+    if weighting not in WEIGHTINGS:
+        raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+    n, sr = len(stereo), stereo.sample_rate
+    m = _lag_samples(max_lag, sr)
+    if m >= n:
+        raise ValidationError(f"max_lag {max_lag} s exceeds the buffer length {n / sr} s")
+    if weighting == "none":
+        return m, _xcorr_direct(stereo.left.samples, stereo.right.samples, m)
+    return m, _phat_window(spectra or _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, n)), m)
 
 
 def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
@@ -178,37 +201,31 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     48 kHz) or ValidationError is raised; AnalysisError is raised when the
     whitened circular correlation peaks outside the window.
     """
-    if weighting not in WEIGHTINGS:
-        raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    n, sr = len(stereo), stereo.sample_rate
-    m = _lag_samples(max_lag, sr)
-    if m >= n:
-        raise ValidationError(f"max_lag {max_lag} s exceeds the buffer length {n / sr} s")
-    if weighting == "phat":
-        return np.arange(-m, m + 1), _xcorr_phat(stereo, m)
-    return np.arange(-m, m + 1), _xcorr_direct(stereo.left.samples, stereo.right.samples, m)
+    m, cc = _correlation(stereo, max_lag, weighting)
+    return np.arange(-m, m + 1), cc
 
 
-def _peak_lag_s(cc: np.ndarray, sample_rate: int) -> float:
-    """Peak lag in seconds of a correlation over lags -m..m, refined by a parabola."""
+def _itd_s(cc: np.ndarray, sample_rate: int, widen: str = "max_lag (--max-lag-ms)") -> float:
+    """The ITD rule: the peak of a finite correlation over lags -m..m, strictly inside the
+    window, refined by a parabola through it and its neighbors."""
+    if not np.isfinite(cc).all():
+        raise AnalysisError("the cross-correlation overflowed; scale the input down")
     k = int(np.argmax(cc))
+    if k in (0, cc.size - 1):
+        raise AnalysisError(f"ITD peak on the edge of the {cc.size // 2 / sample_rate * 1e3:g}"
+                            f" ms lag window; widen {widen}")
     offset = 0.0
-    if 0 < k < cc.size - 1:
-        denom = cc[k - 1] - 2.0 * cc[k] + cc[k + 1]
-        if denom != 0.0:
-            offset = 0.5 * (cc[k - 1] - cc[k + 1]) / denom
-            offset = offset if -1.0 < offset < 1.0 else 0.0
+    denom = cc[k - 1] - 2.0 * cc[k] + cc[k + 1]
+    if denom != 0.0:
+        offset = 0.5 * (cc[k - 1] - cc[k + 1]) / denom
+        offset = offset if -1.0 < offset < 1.0 else 0.0
     return float((k - cc.size // 2 + offset) / sample_rate)
 
 
-def _itd_s(cc: np.ndarray, sample_rate: int) -> float:
-    """The ITD rule: the refined peak of a finite correlation, strictly inside its window."""
-    if not np.isfinite(cc).all():
-        raise AnalysisError("the cross-correlation overflowed; scale the input down")
-    if int(np.argmax(cc)) in (0, cc.size - 1):
-        raise AnalysisError(f"ITD peak on the edge of the {cc.size // 2 / sample_rate * 1e3:g}"
-                            " ms lag window; widen max_lag (--max-lag-ms)")
-    return _peak_lag_s(cc, sample_rate)
+def _require_sound(stereo: StereoBuffer) -> None:
+    for what, channel in (("left channel", stereo.left), ("right channel", stereo.right)):
+        if np.sqrt(np.mean(np.square(channel.samples))) < SILENCE_RMS:
+            raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
 
 
 def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
@@ -220,9 +237,7 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     its neighbors, resolving delays well below one sample period. A silent
     channel raises SilentSignalError; a peak that is not finite or that sits
     on the window's first or last lag raises AnalysisError."""
-    for what, channel in (("left channel", stereo.left), ("right channel", stereo.right)):
-        if np.sqrt(np.mean(np.square(channel.samples))) < SILENCE_RMS:
-            raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
+    _require_sound(stereo)
     _, cc = cross_correlation(stereo, max_lag=max_lag, weighting=weighting)
     return _itd_s(cc, stereo.sample_rate)
 
@@ -239,6 +254,21 @@ def _octave_response(freqs: np.ndarray, center_hz: float, sample_rate: int) -> n
     return passed / (passed + (t * t - t_lo * t_hi) ** 4)
 
 
+def _band_itds(spectra: _Spectra, low_hz: float, high_hz: float, max_lag: int,
+               sample_rate: int) -> tuple[float, float]:
+    _fit_window(spectra.size, max_lag, "band")
+    results = []
+    for center in (low_hz, high_hz):
+        w = _octave_response(spectra.freqs, center, sample_rate) ** 2  # |H|^2 forward, backward
+        # Parseval: the weighted density times the bin width sums to the band's mean square
+        if any(np.sum(w * s) * sample_rate / spectra.size < SILENCE_RMS ** 2
+               for s in (spectra.s_xx, spectra.s_yy)):
+            raise AnalysisError(f"no usable energy in the {center:g} Hz octave band")
+        cc = _lag_window(w * spectra.s_xy, w * spectra.s_yx, spectra.size, max_lag)
+        results.append(_itd_s(cc, sample_rate))
+    return results[0], results[1]
+
+
 def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
              high_hz: float = DEFAULT_HIGH_BAND_HZ,
              max_lag: float = DEFAULT_MAX_LAG_S) -> tuple[float, float]:
@@ -248,19 +278,37 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
     Butterworth centered on the tone weights their cross-spectrum by |H|^4, which is
     real and so adds no delay. Each band ITD is estimate_itd's rule on the Welch
     cross-spectra of PHAT's segments times that weight, so the lag window must fit four
-    times in a segment. Raises AnalysisError when a band holds no usable energy.
+    times in a segment, and the band's whole circular correlation must peak inside it.
+    Raises AnalysisError when a band holds no usable energy.
     """
     sr = stereo.sample_rate
-    m = _lag_samples(max_lag, sr)
-    size, (freqs, s_xx, s_yy, s_xy, s_yx) = _segment_spectra(stereo, m, "band")
-    results = []
-    for center in (low_hz, high_hz):
-        w = _octave_response(freqs, center, sr) ** 2  # one |H|^2 per pass, forward and backward
-        # Parseval: the weighted density times the bin width sums to the band's mean square
-        if any(np.sum(w * s) * sr / size < SILENCE_RMS ** 2 for s in (s_xx, s_yy)):
-            raise AnalysisError(f"no usable energy in the {center:g} Hz octave band")
-        results.append(_itd_s(_lag_window(w * s_xy, w * s_yx, size, m), sr))
-    return results[0], results[1]
+    spectra = _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, len(stereo)))
+    return _band_itds(spectra, low_hz, high_hz, _lag_samples(max_lag, sr), sr)
+
+
+def _check_fft_size(fft_size: int, n: int, sample_rate: int) -> None:
+    m = max(int(round(DEFAULT_MAX_LAG_S * sample_rate)), 1)
+    if fft_size < 2 or fft_size & (fft_size - 1):
+        raise ValidationError(f"fft_size must be a power of two, got {fft_size}")
+    if fft_size < 4 * m:
+        raise ValidationError(f"fft_size {fft_size} is under 4x the {DEFAULT_MAX_LAG_S * 1e3:g} ms"
+                              f" delay window ({4 * m} samples at {sample_rate} Hz)")
+    if n < fft_size:
+        raise ValidationError(f"signals ({n} samples) are shorter than fft_size {fft_size}")
+
+
+def _transfer_function(spectra: _Spectra, sample_rate: int) -> TransferFunction:
+    tiny = np.finfo(np.float64).tiny
+    s_xx, s_yy, s_xy = spectra.s_xx, spectra.s_yy, spectra.s_xy
+    h = s_xy / np.maximum(s_xx, tiny)
+    magnitude_db = 20.0 * np.log10(np.maximum(np.abs(h), tiny))
+    phase_deg = np.degrees(np.angle(h))
+    phase_deg[phase_deg == -180.0] = 180.0
+    coherence = np.clip(np.abs(s_xy) ** 2 / np.maximum(s_xx * s_yy, tiny), 0.0, 1.0)
+    widen = "fft_size (--fft-size)"  # the window is the widest the transform holds
+    cc = _lag_window(s_xy, spectra.s_yx, spectra.size, spectra.size // 4, widen)
+    return TransferFunction(spectra.freqs, magnitude_db, phase_deg, coherence,
+                            _itd_s(cc, sample_rate, widen))
 
 
 def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
@@ -269,38 +317,22 @@ def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
 
     H = S_xy / S_xx with x the reference, estimated with Hann windows of
     fft_size samples at DEFAULT_OVERLAP. The broadband delay (positive:
-    measurement lags; 0 for identical inputs) is the refined peak of the
-    averaged S_xy's inverse transform within DEFAULT_MAX_LAG_S, at least one
-    sample. That transform is circular: fft_size must hold four windows (512
-    at 48 kHz), or ValidationError is raised.
+    measurement lags; 0 for identical inputs) is the averaged S_xy's inverse
+    transform read by estimate_itd's rule over the widest window that circular
+    transform holds, fft_size // 4 lags: AnalysisError is raised when its
+    whole circular correlation peaks outside that window or on its edge.
+    fft_size must hold four DEFAULT_MAX_LAG_S windows (512 at 48 kHz), or
+    ValidationError is raised.
     """
     stereo = StereoBuffer(reference, measurement)
-    n, sr = len(stereo), stereo.sample_rate
-    m = max(int(round(DEFAULT_MAX_LAG_S * sr)), 1)
-    if fft_size < 2 or fft_size & (fft_size - 1):
-        raise ValidationError(f"fft_size must be a power of two, got {fft_size}")
-    if fft_size < 4 * m:
-        raise ValidationError(f"fft_size {fft_size} is under 4x the {DEFAULT_MAX_LAG_S * 1e3:g} ms"
-                              f" delay window ({4 * m} samples at {sr} Hz); the delay would alias")
-    if n < fft_size:
-        raise ValidationError(f"signals ({n} samples) are shorter than fft_size {fft_size}")
-
-    freqs, s_xx, s_yy, s_xy, s_yx = _welch_spectra(stereo, fft_size, DEFAULT_OVERLAP)
-    tiny = np.finfo(np.float64).tiny
-    h = s_xy / np.maximum(s_xx, tiny)
-    magnitude_db = 20.0 * np.log10(np.maximum(np.abs(h), tiny))
-    phase_deg = np.degrees(np.angle(h))
-    phase_deg[phase_deg == -180.0] = 180.0
-    coherence = np.clip(np.abs(s_xy) ** 2 / np.maximum(s_xx * s_yy, tiny), 0.0, 1.0)
-    delay = _peak_lag_s(_lag_window(s_xy, s_yx, fft_size, m), sr)
-    return TransferFunction(freqs, magnitude_db, phase_deg, coherence, delay)
+    _check_fft_size(fft_size, len(stereo), stereo.sample_rate)
+    return _transfer_function(_welch_spectra(stereo, fft_size), stereo.sample_rate)
 
 
 def _welch_spectra(stereo: StereoBuffer, fft_size: int,
-                   overlap: float) -> tuple[np.ndarray, ...]:
-    """(freqs, S_xx, S_yy, S_xy, S_yx) of left x and right y from one Hann-windowed
-    STFT per channel, Welch's averaged periodograms with no detrending;
-    S_yx sums the swapped product, so equal channels give bit-equal S_xy and S_yx."""
+                   overlap: float = DEFAULT_OVERLAP) -> _Spectra:
+    """Welch's averaged periodograms of left x and right y, with no detrending, from one
+    Hann-windowed STFT per channel."""
     step = fft_size - int(fft_size * overlap)
     window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1))[:-1]  # periodic Hann
     segs_x, segs_y = (np.lib.stride_tricks.sliding_window_view(c.samples, fft_size)[::step]
@@ -319,7 +351,8 @@ def _welch_spectra(stereo: StereoBuffer, fft_size: int,
     sr = stereo.sample_rate
     scale = np.full(bins, 2.0 / (sr * np.sum(window ** 2) * len(segs_x)))
     scale[[0, -1]] /= 2.0
-    return np.fft.rfftfreq(fft_size, 1.0 / sr), *(s * scale for s in (s_xx, s_yy, s_xy, s_yx))
+    return _Spectra(fft_size, np.fft.rfftfreq(fft_size, 1.0 / sr),
+                    *(s * scale for s in (s_xx, s_yy, s_xy, s_yx)))
 
 
 def calibration_check(ref: SampleBuffer, meas: SampleBuffer, tolerance_db: float = 3.0,
@@ -368,10 +401,20 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
                     max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
     """Full cue extraction for one stereo capture (left = reference channel).
 
-    Exactly its three stages: transfer_function of right against left,
-    estimate_itd and band_itd, each with the arguments given here.
+    Equals its three stages called alone, sharing one Welch pass: transfer_function of
+    right against left, estimate_itd and band_itd, each with the arguments given here.
+    The PHAT ITD, the band ITDs and the transfer function read one Welch pass over
+    min(DEFAULT_FFT_SIZE, len) samples; at any other fft_size the transfer function takes
+    a second pass. Errors come in the stages' order, except that the fft_size checks come
+    first and the broadband delay's lag rule last.
     """
-    tf = transfer_function(stereo.left, stereo.right, fft_size)
-    itd = estimate_itd(stereo, max_lag, weighting)
-    itd_low, itd_high = band_itd(stereo, low_hz, high_hz, max_lag)
-    return CueReport(itd, itd_low, itd_high, tf)
+    n, sr = len(stereo), stereo.sample_rate
+    _check_fft_size(fft_size, n, sr)
+    _require_sound(stereo)
+    spectra = _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, n))
+    m, cc = _correlation(stereo, max_lag, weighting, spectra)
+    itd = _itd_s(cc, sr)
+    itd_low, itd_high = _band_itds(spectra, low_hz, high_hz, m, sr)
+    if fft_size != spectra.size:
+        spectra = _welch_spectra(stereo, fft_size)
+    return CueReport(itd, itd_low, itd_high, _transfer_function(spectra, sr))

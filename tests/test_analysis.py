@@ -499,10 +499,11 @@ def test_welch_spectra_match_scipy(log2_size, overlap, extra, seed):
     # zero, so its error is bounded per bin by the sum over segments of |X||Y|,
     # which Cauchy-Schwarz bounds by sqrt(S_xx * S_yy), plus FFT rounding, which
     # scales with the segments' norm, not the bin's value: sqrt of the mean S_xx * S_yy.
-    for got, want in zip(ours[:3], ref[:3]):
+    for got, want in zip((ours.freqs, ours.s_xx, ours.s_yy), ref[:3]):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     bound = np.sqrt(ref[1] * ref[2]) + np.sqrt(np.mean(ref[1]) * np.mean(ref[2]))
-    assert np.all(np.abs(ours[3] - ref[3]) <= 1e-12 * bound)
+    assert np.all(np.abs(ours.s_xy - ref[3]) <= 1e-12 * bound)
+    assert ours.size == fft_size
 
 
 class _FirstTransform(Exception):
@@ -529,13 +530,89 @@ def test_welch_window_is_scipys_periodic_hann(monkeypatch):
 @pytest.mark.parametrize("weighting", analysis.WEIGHTINGS)
 def test_analyze_capture_equals_its_stages_called_alone(pink_2s, weighting, max_lag):
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 0.43e-3))
-    report = analyze_capture(stereo, weighting=weighting, max_lag=max_lag)
-    assert report.itd_s == estimate_itd(stereo, max_lag, weighting)
-    assert (report.itd_low_s, report.itd_high_s) == band_itd(stereo, max_lag=max_lag)
-    tf = transfer_function(stereo.left, stereo.right)
-    assert report.ild_spectrum.broadband_delay_s == tf.broadband_delay_s
-    for field in ("freqs", "magnitude_db", "phase_deg", "coherence"):
-        assert np.array_equal(getattr(report.ild_spectrum, field), getattr(tf, field))
+    itd = estimate_itd(stereo, max_lag, weighting)
+    bands = band_itd(stereo, max_lag=max_lag)
+    # below, at and above the segment size PHAT and the bands use
+    for fft_size in (4096, analysis.DEFAULT_FFT_SIZE, 16384):
+        report = analyze_capture(stereo, fft_size, weighting, max_lag=max_lag)
+        assert report.itd_s == itd
+        assert (report.itd_low_s, report.itd_high_s) == bands
+        tf = transfer_function(stereo.left, stereo.right, fft_size)
+        assert report.ild_spectrum.broadband_delay_s == tf.broadband_delay_s
+        for field in ("freqs", "magnitude_db", "phase_deg", "coherence"):
+            assert np.array_equal(getattr(report.ild_spectrum, field), getattr(tf, field))
+
+
+def count_spectral_passes(monkeypatch):
+    calls = []
+    original = analysis._welch_spectra
+
+    def spy(stereo, fft_size, *args):
+        calls.append(fft_size)
+        return original(stereo, fft_size, *args)
+
+    monkeypatch.setattr(analysis, "_welch_spectra", spy)
+    return calls
+
+
+@pytest.mark.parametrize("fft_size, passes", [(8192, [8192]), (4096, [8192, 4096])])
+@pytest.mark.parametrize("weighting", analysis.WEIGHTINGS)
+def test_analyze_capture_spectral_passes(pink_2s, monkeypatch, weighting, fft_size, passes):
+    # one Welch pass feeds PHAT, the bands and the transfer function; another fft_size
+    # gives the transfer function a second pass of its own
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 0.43e-3))
+    calls = count_spectral_passes(monkeypatch)
+    analyze_capture(stereo, fft_size, weighting)
+    assert calls == passes
+
+
+def _loud(stereo):
+    return StereoBuffer(*(SampleBuffer(c.samples * 1e160, SR) for c in (stereo.left, stereo.right)))
+
+
+def _silent_right(stereo):
+    return StereoBuffer(stereo.left, SampleBuffer(np.zeros(len(stereo)), SR))
+
+
+def _short(stereo):
+    return StereoBuffer(*(SampleBuffer(c.samples[:4096], SR) for c in (stereo.left, stereo.right)))
+
+
+def _high_tone(stereo):
+    tone = gen_sine(6000.0, 2.0, SR)  # nothing in the 220 Hz octave
+    return StereoBuffer(tone, delayed_copy(tone, 0.43e-3))
+
+
+# Each case breaks two or more rules; the first in analyze_capture's order wins: the fft_size
+# checks, a silent channel, the weighting and max_lag, the ITD, then the bands. That is the
+# order of its three stages called in turn, so sharing one Welch pass must not reorder them.
+@pytest.mark.parametrize("delay, make, kwargs, error, match", [
+    (0.43e-3, _silent_right, dict(fft_size=3, weighting="x"), ValidationError, "power of two"),
+    (0.43e-3, _silent_right, dict(fft_size=256, weighting="x"), ValidationError, "under 4x"),
+    (0.43e-3, _short, dict(weighting="x"), ValidationError, "shorter than fft_size"),
+    (0.43e-3, _loud, dict(fft_size=256), ValidationError, "under 4x"),
+    (0.43e-3, _silent_right, dict(weighting="x", max_lag=np.nan), SilentSignalError, "silent"),
+    (0.43e-3, _loud, dict(weighting="x"), ValidationError, "weighting must be"),
+    (0.43e-3, _loud, dict(max_lag=np.inf), ValidationError, "finite"),
+    (0.43e-3, _loud, dict(max_lag=1e-6), ValidationError, "under one sample"),
+    (0.43e-3, _loud, dict(max_lag=3.0), ValidationError, "exceeds the buffer length"),
+    (0.43e-3, None, dict(weighting="phat", max_lag=2049 / SR, high_hz=3e4),
+     ValidationError, "PHAT lag window"),
+    (3.3e-3, None, dict(weighting="phat", high_hz=3e4), AnalysisError, "outside the lag window"),
+    (0.43e-3, _loud, dict(weighting="phat", high_hz=3e4), AnalysisError, "overflowed"),
+    (0.43e-3, _loud, dict(high_hz=3e4), AnalysisError, "overflowed"),
+    (3.3e-3, None, dict(low_hz=3e4), AnalysisError, "edge of the 2 ms"),
+    (0.43e-3, None, dict(max_lag=2049 / SR, low_hz=3e4), ValidationError, "band lag window"),
+    (0.43e-3, None, dict(low_hz=3e4, high_hz=2e4), ValidationError, "30000.0 Hz.*Nyquist"),
+    (0.43e-3, _high_tone, dict(high_hz=3e4), AnalysisError, "no usable energy in the 220 Hz"),
+    (0.43e-3, None, dict(weighting="phat", high_hz=3e4), ValidationError, "30000.0 Hz.*Nyquist"),
+    (3.3e-3, None, dict(fft_size=512, max_lag=0.005, high_hz=3e4),
+     ValidationError, "30000.0 Hz.*Nyquist"),
+])
+def test_analyze_capture_error_precedence(pink_2s, delay, make, kwargs, error, match):
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, delay))
+    with np.errstate(all="ignore"), pytest.raises(error, match=match):
+        analyze_capture(make(stereo) if make else stereo, **kwargs)
 
 
 def count_direct_correlations(monkeypatch):
@@ -598,7 +675,7 @@ def test_fft_size_minimum_follows_the_sample_rate():
         transfer_function(pink, pink, fft_size=32)
 
 
-# --- PHAT: the whitened correlation must peak inside the window ---------------------
+# --- one lag rule: every spectral correlation must peak inside its window -------------
 
 def test_phat_peak_outside_the_window_is_an_error(pink_2s):
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 3.3e-3))
@@ -606,6 +683,34 @@ def test_phat_peak_outside_the_window_is_an_error(pink_2s):
         estimate_itd(stereo, weighting="phat")
     with pytest.raises(AnalysisError, match="outside the lag window"):
         cross_correlation(stereo, weighting="phat")
+
+
+@pytest.mark.parametrize("delay", [2.5e-3, 3.3e-3, 5e-3, 30e-3])
+def test_broadband_delay_past_2ms_is_measured(pink_2s, delay):
+    # read over fft_size // 4 lags (42.7 ms at 48 kHz), not the 2 ms ITD window
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, delay))
+    tf = transfer_function(stereo.left, stereo.right)
+    assert tf.broadband_delay_s == pytest.approx(estimate_itd(stereo, max_lag=0.04),
+                                                 abs=0.05 * ONE_SAMPLE)
+
+
+def test_broadband_delay_past_its_transform_is_an_error(pink_2s):
+    # 512 points hold 128 lags (2.67 ms); 3.3 ms sits outside them
+    delayed = delayed_copy(pink_2s, 3.3e-3)
+    assert transfer_function(pink_2s, delayed, fft_size=1024).broadband_delay_s == pytest.approx(
+        3.3e-3, abs=ONE_SAMPLE)
+    with pytest.raises(AnalysisError, match="outside the lag window.*--fft-size"):
+        transfer_function(pink_2s, delayed, fft_size=512)
+
+
+def test_band_itd_of_a_wide_pair_needs_a_wider_lag_window(pink_2s):
+    # a 1 m Jecklin pair at broadside: its 3.303 ms ITD lies past the default 2 ms window
+    rig, source = jecklin(mic_spacing_m=1.0), SourceSpec(math.radians(90.0))
+    capture = simulate_capture(rig, source, pink_2s)
+    with pytest.raises(AnalysisError, match="outside the lag window.*--max-lag-ms"):
+        band_itd(capture)
+    for itd in band_itd(capture, max_lag=0.005):
+        assert itd == pytest.approx(predicted_itd(rig, source), abs=ONE_SAMPLE)
 
 
 # --- PHAT: GCC-PHAT on the Welch cross-spectrum ------------------------------------
