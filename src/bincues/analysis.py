@@ -222,6 +222,19 @@ def _itd_s(cc: np.ndarray, sample_rate: int, widen: str = "max_lag (--max-lag-ms
     return float((k - cc.size // 2 + offset) / sample_rate)
 
 
+def _broadband_itd(stereo: StereoBuffer, max_lag: float, weighting: str,
+                   spectra: _Spectra | None = None) -> tuple[int, float]:
+    """(max_lag in samples, ITD) by the ITD rule. A direct window cannot tell a delay past it
+    from a sidelobe, so under "none" the weight-1 GCC of the Welch cross-spectrum, `spectra`
+    if given, must pass _lag_window's rule as well."""
+    m, cc = _correlation(stereo, max_lag, weighting, spectra)
+    itd = _itd_s(cc, stereo.sample_rate)
+    if weighting == "none":
+        spectra = spectra or _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, len(stereo)))
+        _lag_window(spectra.s_xy, spectra.s_yx, spectra.size, m)
+    return m, itd
+
+
 def _require_sound(stereo: StereoBuffer) -> None:
     for what, channel in (("left channel", stereo.left), ("right channel", stereo.right)):
         if np.sqrt(np.mean(np.square(channel.samples))) < SILENCE_RMS:
@@ -236,10 +249,11 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     cross-spectrum) and refines it with a parabolic fit through the peak and
     its neighbors, resolving delays well below one sample period. A silent
     channel raises SilentSignalError; a peak that is not finite or that sits
-    on the window's first or last lag raises AnalysisError."""
+    on the window's first or last lag raises AnalysisError, and so does a
+    Welch cross-spectrum, unweighted for "none", whose whole circular
+    correlation peaks outside the window."""
     _require_sound(stereo)
-    _, cc = cross_correlation(stereo, max_lag=max_lag, weighting=weighting)
-    return _itd_s(cc, stereo.sample_rate)
+    return _broadband_itd(stereo, max_lag, weighting)[1]
 
 
 def _octave_response(freqs: np.ndarray, center_hz: float, sample_rate: int) -> np.ndarray:
@@ -412,8 +426,7 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
     _check_fft_size(fft_size, n, sr)
     _require_sound(stereo)
     spectra = _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, n))
-    m, cc = _correlation(stereo, max_lag, weighting, spectra)
-    itd = _itd_s(cc, sr)
+    m, itd = _broadband_itd(stereo, max_lag, weighting, spectra)
     itd_low, itd_high = _band_itds(spectra, low_hz, high_hz, m, sr)
     if fft_size != spectra.size:
         spectra = _welch_spectra(stereo, fft_size)

@@ -4,7 +4,7 @@ Sample values are dimensionless amplitudes in the nominal range -1.0..+1.0
 at a fixed integer sample rate. Buffers are finite and immutable: a NaN or
 infinite sample is rejected when a buffer is built, so no later stage sees
 one. Generators and transforms always return new buffers, so concurrent use
-on distinct buffers is safe. gen_pink_noise alone imports scipy.signal, when called.
+on distinct buffers is safe. Every FIR runs on fft_convolve, so numpy is all it needs.
 """
 
 from __future__ import annotations
@@ -123,16 +123,17 @@ def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
                    seed: int = 0) -> SampleBuffer:
     """Seeded pink noise, peak-normalized to 0.9.
 
-    White noise from a PCG64 generator is shaped by a fixed pinking IIR, so a
-    given (duration, sample_rate, seed) triple is bit-reproducible. A filter
-    warm-up segment is generated and discarded to avoid a startup transient.
+    White noise from a PCG64 generator is shaped by a fixed pinking IIR (J. O. Smith,
+    "Spectral Audio Signal Processing") run as a truncated FIR, so a given (duration,
+    sample_rate, seed) triple is bit-reproducible. Its start-up transient is discarded.
     """
-    from scipy.signal import lfilter
     n = _num_samples(duration, sample_rate)
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    # The IIR's impulse response by frequency sampling: under 2.4e-20 past the taps kept
+    taps = np.fft.irfft(np.fft.rfft(_PINK_B, 2**15) / np.fft.rfft(_PINK_A, 2**15))
     white = np.random.default_rng(seed).standard_normal(n + _PINK_WARMUP)
-    pink = lfilter(_PINK_B, _PINK_A, white)[_PINK_WARMUP:]
+    pink = fft_convolve(white, taps[: _PINK_WARMUP + 1])[_PINK_WARMUP : _PINK_WARMUP + n]
     pink *= _PINK_PEAK / np.max(np.abs(pink))
     return SampleBuffer(pink, sample_rate)
 
@@ -148,21 +149,22 @@ def gen_impulse(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
     return SampleBuffer(samples, sample_rate)
 
 
-def _fast_len(n: int) -> int:
-    """The smallest 2**a * 3**b * 5**c >= n: the length scipy.fft.next_fast_len(n, True) picks."""
-    top = n.bit_length() + 1  # 3**b * 5**c < 2n needs b + c < top
-    odd = (3**b * 5**c for b in range(top) for c in range(top - b))
-    return min(p << (-(-n // p) - 1).bit_length() for p in odd if p < 2 * n)
-
-
 def fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Full linear convolution of real 1-D arrays, padded as scipy.signal.fftconvolve pads them;
-    bit-equal to it on numpy >= 2.0, whose np.fft is scipy.fft's C++ pocketfft (1.x's is not)."""
-    if min(x.size, kernel.size) == 1:  # fftconvolve multiplies a length-1 input directly
-        return x * kernel
-    n = x.size + kernel.size - 1
-    size = _fast_len(n)
-    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(kernel, size), size)[:n]
+    """Full linear convolution of real 1-D arrays by overlap-add (Stockham 1966). The longer
+    operand is cut into blocks of size - taps + 1 samples, size being the next power of two at
+    or above max(2 * taps - 1, 4096), and one batched rfft/irfft filters them by the shorter."""
+    x, kernel = sorted((x, kernel), key=len, reverse=True)
+    if kernel.size == 0:
+        return np.zeros(0)
+    taps = kernel.size
+    size = 1 << max(2 * taps - 2, 4095).bit_length()
+    step = size - taps + 1  # >= taps, so a tail reaches one block on
+    spectra = np.fft.rfft(np.pad(x, (0, -x.size % step)).reshape(-1, step), size)
+    spectra *= np.fft.rfft(kernel, size)
+    y = np.fft.irfft(spectra, size)
+    out = np.pad(y[:, :step], ((0, 1), (0, 0)))
+    out[1:, : taps - 1] += y[:, step:]
+    return out.ravel()[: x.size + taps - 1]
 
 
 def _fd_kernel(mu: float) -> np.ndarray:

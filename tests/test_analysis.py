@@ -394,6 +394,35 @@ def test_itd_past_the_lag_window_is_an_error(pink_2s):
             call(stereo)
 
 
+@pytest.mark.parametrize("delay_ms", [2.5, 3.3, 5.0, 8.0])
+@pytest.mark.parametrize("weighting", ["none", "phat"])
+def test_delay_past_the_lag_window_never_reads_as_an_itd(pink_2s, delay_ms, weighting):
+    # 5 and 8 ms put the direct correlation's peak one lag inside the window's edge, so
+    # only the Welch cross-spectrum's whole circular correlation tells them from an ITD
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, delay_ms * 1e-3))
+    for call in (estimate_itd, analyze_capture):
+        with pytest.raises(AnalysisError, match="--max-lag-ms"):
+            call(stereo, weighting=weighting)
+
+
+@pytest.mark.parametrize("delay_ms", [0.5, 1.9])
+def test_delay_inside_the_lag_window_passes_the_direct_rule(pink_2s, delay_ms):
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, delay_ms * 1e-3))
+    _, cc = cross_correlation(stereo)
+    itd = analysis._itd_s(cc, SR)  # the direct window's ITD, before any spectral rule
+    assert itd == pytest.approx(delay_ms * 1e-3, abs=ONE_SAMPLE)
+    assert estimate_itd(stereo) == itd
+    assert analyze_capture(stereo).itd_s == itd
+
+
+def test_cross_correlation_returns_a_window_past_the_delay(pink_2s):
+    # cross_correlation returns its window whatever the delay; only the ITD readers raise
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 5e-3))
+    lags, cc = cross_correlation(stereo)
+    assert lags.size == cc.size == 2 * round(analysis.DEFAULT_MAX_LAG_S * SR) + 1
+    assert np.isfinite(cc).all()
+
+
 def test_itd_past_2ms_is_measured_in_a_wider_window(pink_2s):
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 3.3e-3))
     for weighting in ("none", "phat"):

@@ -471,7 +471,7 @@ def test_full_workflow_simulate_analyze_compare(tmp_path):
     assert doc["deltas"]["ortf"]["itd_delta_s"] == pytest.approx(-0.172e-3, abs=0.05e-3)
 
 
-# --- scipy stays off the import path ---------------------------------------------
+# --- scipy stays out of the runtime ---------------------------------------------
 
 def _python(code, *args):
     """stdout of `code` run in a fresh interpreter that imports this bincues."""
@@ -487,27 +487,29 @@ def test_import_loads_no_scipy():
     assert _python(code) == "[]"
 
 
-def test_subcommands_without_pink_noise_or_band_filters_load_no_scipy_signal(tmp_path):
-    # Only gen_pink_noise (lfilter) needs scipy.signal; band_itd weights the Welch spectra.
-    # The reports are made in this process, so their pink captures are written already.
-    for name, itd_ms in (("base", 0.69), ("other", 0.5)):
-        _make_report(tmp_path, name, itd_ms, seed=21)
+def test_every_subcommand_runs_with_scipy_blocked(tmp_path):
+    # The runtime needs numpy only: with scipy unimportable, each subcommand exits 0,
+    # pink noise and the built-in simulate signal included.
     code = """import json, sys
+sys.modules["scipy"] = None
 from bincues.cli import main
 for argv in json.loads(sys.argv[1]):
-    assert main(argv) == 0, argv
-print('scipy.signal' in sys.modules)"""
+    assert main(argv) == 0, argv"""
     d = str(tmp_path)
-    argvs = [["generate", "sine", "--freq", "440", "--amplitude", "0.5", "--out", f"{d}/sine.wav"],
+    argvs = [["generate", "pink", "--seconds", "1", "--seed", "4", "--out", f"{d}/pink.wav"],
+             ["generate", "sine", "--freq", "440", "--amplitude", "0.5", "--out", f"{d}/sine.wav"],
              ["generate", "impulse", "--seconds", "0.1", "--out", f"{d}/imp.wav"],
-             *(["simulate", "--rig", rig, "--azimuth", "30", "--signal", f"{d}/sine.wav",
+             *(["simulate", "--rig", rig, "--azimuth", "30", "--seconds", "1",
                 "--out", f"{d}/{rig}.wav", "--deterministic"] for rig in RIG_NAMES),
-             ["render", f"{d}/sine.wav", "--azimuth", "-45", "--out", f"{d}/bin.wav"],
-             *(["analyze", f"{d}/base.wav", "--weighting", weighting, "--out",
-                f"{d}/{weighting}.json"] for weighting in ("none", "phat")),
-             ["compare", f"{d}/base.json", f"{d}/other.json", "--out", f"{d}/cmp.json"]]
-    assert _python(code, json.dumps(argvs)).splitlines()[-1] == "False"
-    assert all((tmp_path / f"{rig}.wav").exists() for rig in RIG_NAMES)
+             ["simulate", "--rig", "ortf", "--azimuth", "60", "--signal", f"{d}/pink.wav",
+              "--out", f"{d}/sig.wav"],
+             ["render", f"{d}/pink.wav", "--azimuth", "-45", "--out", f"{d}/bin.wav"],
+             *(["analyze", f"{d}/{rig}.wav", "--weighting", weighting, "--name", rig,
+                "--out", f"{d}/{rig}.{weighting}.json"]
+               for rig in RIG_NAMES for weighting in ("none", "phat")),
+             ["compare", *(f"{d}/{rig}.none.json" for rig in RIG_NAMES), "--out", f"{d}/cmp.json"]]
+    _python(code, json.dumps(argvs))
+    assert all((tmp_path / f"{rig}.phat.json").exists() for rig in RIG_NAMES)
 
 
 # --- global behavior -------------------------------------------------------------

@@ -107,25 +107,30 @@ def test_impulse_pair_correlates_at_lag_33():
     assert lag == 33
 
 
-@pytest.mark.parametrize("taps", (65, 511))
-@pytest.mark.parametrize("n", (1, 2, 97, 4801, 1_440_000))
+@pytest.mark.parametrize("taps", (65, 511, 8193))
+@pytest.mark.parametrize("n", (0, 1, 2, 97, 4801, 1_440_000))
 def test_fft_convolve_is_bit_equal_to_scipy_fftconvolve(taps, n):
+    # Named when fft_convolve padded as fftconvolve does; overlap-add rounds otherwise, so
+    # the two agree to rounding, relative to the output's peak.
     rng = np.random.default_rng(n + taps)
     x, kernel = rng.standard_normal(n), rng.standard_normal(taps)
-    assert np.array_equal(signals.fft_convolve(x, kernel), sps.fftconvolve(x, kernel))
-    assert np.array_equal(signals.fft_convolve(kernel, x), sps.fftconvolve(kernel, x))
+    for a, b in ((x, kernel), (kernel, x)):
+        ours, ref = signals.fft_convolve(a, b), sps.fftconvolve(a, b)
+        assert ours.shape == ref.shape == (n + taps - 1 if n else 0,)
+        np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-14 * np.abs(ref).max(initial=0))
 
 
-def test_fast_len_is_scipy_next_fast_len_for_every_short_length():
-    from scipy.fft import next_fast_len
-    lengths = range(1, 10_001)
-    assert [signals._fast_len(n) for n in lengths] == [next_fast_len(n, True) for n in lengths]
-
-
-@given(st.integers(1, 2**33))
-def test_fast_len_is_scipy_next_fast_len(n):
-    from scipy.fft import next_fast_len
-    assert signals._fast_len(n) == next_fast_len(n, True)
+@pytest.mark.parametrize("sample_rate", (44100, 48000))
+@pytest.mark.parametrize("seed", (0, 3, 42))
+@pytest.mark.parametrize("seconds", (0.05, 1.0))
+def test_pink_noise_matches_the_pinking_iir(seconds, seed, sample_rate):
+    # scipy's lfilter runs the IIR itself; the truncated FIR drops taps under 2.4e-20
+    n = round(seconds * sample_rate)
+    white = np.random.default_rng(seed).standard_normal(n + signals._PINK_WARMUP)
+    ref = sps.lfilter(signals._PINK_B, signals._PINK_A, white)[signals._PINK_WARMUP:]
+    ref *= signals._PINK_PEAK / np.max(np.abs(ref))
+    ours = gen_pink_noise(seconds, sample_rate, seed=seed).samples
+    np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12 * signals._PINK_PEAK)
 
 
 def test_fractional_delay_zero_is_exact_identity(pink_2s):
