@@ -75,14 +75,14 @@ def comparison_doc(baseline_name: str, baseline: dict[str, Any],
                    metadata: dict[str, Any] | None = None) -> dict[str, Any]:
     """Deltas of each candidate cue report against the baseline.
 
-    Every document needs a numeric itd_s and ild_octave_db, candidate band grids
-    must match the baseline's, and deltas are always candidate minus baseline.
+    Each itd_s and ild_octave_db value is a number, not a bool, under 1e300 in magnitude, so
+    every delta is finite. Band grids must match the baseline's; deltas are candidate - baseline.
     """
     for name, doc in [(baseline_name, baseline), *candidates.items()]:
         bands = doc.get("ild_octave_db")
         numbers = [doc.get("itd_s"), *bands.values()] if isinstance(bands, dict) else [None]
-        if not all(isinstance(v, (int, float)) for v in numbers):
-            raise ValidationError(f"'{name}' is not a cue report with numeric itd_s and ild_octave_db")
+        if not all(type(v) in (int, float) and abs(v) < 1e300 for v in numbers):
+            raise ValidationError(f"'{name}' is not a cue report with finite itd_s and ild_octave_db")
     base_bands = set(baseline["ild_octave_db"])
     deltas: dict[str, Any] = {}
     for name, cand in candidates.items():
@@ -112,18 +112,21 @@ def emit_json(doc: dict[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def parse_json(text: str | bytes) -> dict[str, Any]:
     """A JSON object of SCHEMA_VERSION, one of _KINDS and object metadata, else ValidationError."""
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:  # not JSON (NaN too), not UTF-8, or nested too deep
         raise ValidationError(f"report is not readable JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError("report must be a JSON object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported schema_version {doc.get('schema_version')!r}; expected {SCHEMA_VERSION}"
-        )
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:  # true == 1 and 1.0 == 1 in Python
+        raise ValidationError(f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
     if doc.get("kind") not in _KINDS:
         raise ValidationError(f"report kind {doc.get('kind')!r} is not one of {', '.join(_KINDS)}")
     meta = doc.get("metadata", {})

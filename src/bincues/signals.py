@@ -24,6 +24,8 @@ _PINK_B = np.array([0.049922035, -0.095993537, 0.050612699, -0.004408786])
 _PINK_A = np.array([1.0, -2.494956002, 2.017265875, -0.522189400])
 _PINK_WARMUP = 8192
 _PINK_PEAK = 0.9
+# The IIR's impulse response by frequency sampling, cut to 8193 taps: the rest is under 2.4e-20
+_PINK_TAPS = np.fft.irfft(np.fft.rfft(_PINK_B, 2**15) / np.fft.rfft(_PINK_A, 2**15))[: _PINK_WARMUP + 1]
 
 _FD_TAPS = 65        # windowed-sinc interpolator length, odd so it has a center tap
 _FD_HALF = _FD_TAPS // 2
@@ -130,10 +132,8 @@ def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
     n = _num_samples(duration, sample_rate)
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-    # The IIR's impulse response by frequency sampling: under 2.4e-20 past the taps kept
-    taps = np.fft.irfft(np.fft.rfft(_PINK_B, 2**15) / np.fft.rfft(_PINK_A, 2**15))
     white = np.random.default_rng(seed).standard_normal(n + _PINK_WARMUP)
-    pink = fft_convolve(white, taps[: _PINK_WARMUP + 1])[_PINK_WARMUP : _PINK_WARMUP + n]
+    pink = fft_convolve(white, _PINK_TAPS)[_PINK_WARMUP : _PINK_WARMUP + n]
     pink *= _PINK_PEAK / np.max(np.abs(pink))
     return SampleBuffer(pink, sample_rate)
 

@@ -20,52 +20,50 @@ _TAG_PCM = 0x0001
 _TAG_FLOAT = 0x0003
 _TAG_EXTENSIBLE = 0xFFFE
 
-PCM16_SCALE = 32768.0
-PCM24_SCALE = 8388608.0
+# One row per encoding: format tag, bits per sample, code dtype and full scale
+_FORMATS = {
+    "float32": (_TAG_FLOAT, 32, "<f4", 1.0),
+    "pcm16": (_TAG_PCM, 16, "<i2", 2.0**15),
+    "pcm24": (_TAG_PCM, 24, "<i4", 2.0**23),  # the file keeps the low three bytes of the <i4
+}
+ENCODINGS = tuple(_FORMATS)
 
-ENCODINGS = ("float32", "pcm16", "pcm24")
 
-
-def _encode(frames: np.ndarray, encoding: str) -> tuple[bytes, int, int]:
-    """Return (payload, format_tag, bits_per_sample) for interleaved frames."""
-    if encoding == "float32":
-        return frames.astype("<f4").tobytes(), _TAG_FLOAT, 32
-    if encoding == "pcm16":
-        q = np.round(frames * PCM16_SCALE)
-        if q.max(initial=0.0) > 32767 or q.min(initial=0.0) < -32768:
-            raise ClippingError("samples exceed the 16-bit PCM range; reduce level or use float32")
-        return q.astype("<i2").tobytes(), _TAG_PCM, 16
-    if encoding == "pcm24":
-        q = np.round(frames * PCM24_SCALE)
-        if q.max(initial=0.0) > 8388607 or q.min(initial=0.0) < -8388608:
-            raise ClippingError("samples exceed the 24-bit PCM range; reduce level or use float32")
-        as32 = q.astype("<i4")
-        # keep the low three little-endian bytes of each 32-bit code
-        return as32.view(np.uint8).reshape(-1, 4)[:, :3].tobytes(), _TAG_PCM, 24
-    raise ValidationError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
+def _encode(channels: list[np.ndarray], encoding: str) -> tuple[bytes, int, int]:
+    """Return (payload, format_tag, bits_per_sample): the channels' codes, interleaved."""
+    if encoding not in _FORMATS:
+        raise ValidationError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
+    tag, bits, dtype, scale = _FORMATS[encoding]
+    codes = np.empty((channels[0].size, len(channels)), dtype)
+    for c, samples in enumerate(channels):
+        if tag == _TAG_PCM:
+            samples = np.round(samples * scale)
+            if samples.min(initial=0.0) < -scale or samples.max(initial=0.0) > scale - 1:
+                raise ClippingError(f"samples exceed the {bits}-bit PCM range; reduce level or use float32")
+        codes[:, c] = samples
+    if bits == 24:
+        codes = codes.view(np.uint8).reshape(-1, 4)[:, :3]
+    return codes.tobytes(), tag, bits
 
 
 def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
               encoding: str = "float32") -> None:
     """Write a mono or stereo buffer as a RIFF/WAVE file."""
     if isinstance(buffer, StereoBuffer):
-        frames = np.column_stack([buffer.left.samples, buffer.right.samples])
-        rate = buffer.sample_rate
+        channels = [buffer.left.samples, buffer.right.samples]
     elif isinstance(buffer, SampleBuffer):
-        frames = buffer.samples[:, None]
-        rate = buffer.sample_rate
+        channels = [buffer.samples]
     else:
         raise ValidationError(f"expected SampleBuffer or StereoBuffer, got {type(buffer).__name__}")
+    rate = buffer.sample_rate
 
-    channels = frames.shape[1]
-    payload, tag, bits = _encode(frames.reshape(-1), encoding)
-    block_align = channels * bits // 8
-    byte_rate = rate * block_align
+    payload, tag, bits = _encode(channels, encoding)
+    block_align = len(channels) * bits // 8
 
-    header = b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate, byte_rate,
+    header = b"fmt " + struct.pack("<IHHIIHH", 16, tag, len(channels), rate, rate * block_align,
                                    block_align, bits)
     if tag == _TAG_FLOAT:
-        header += b"fact" + struct.pack("<II", 4, frames.shape[0])
+        header += b"fact" + struct.pack("<II", 4, channels[0].size)
     header += b"data" + struct.pack("<I", len(payload))
     pad = b"\x00" * (len(payload) % 2)
     riff_size = 4 + len(header) + len(payload) + len(pad)
@@ -76,17 +74,16 @@ def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
         fh.write(pad)
 
 
-def _decode(payload: bytes, tag: int, bits: int) -> np.ndarray:
-    if tag == _TAG_PCM and bits == 16:
-        return np.frombuffer(payload, dtype="<i2").astype(np.float64) / PCM16_SCALE
-    if tag == _TAG_PCM and bits == 24:
-        raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        codes = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-        codes = np.where(codes >= 1 << 23, codes - (1 << 24), codes)
-        return codes.astype(np.float64) / PCM24_SCALE
-    if tag == _TAG_FLOAT and bits == 32:
-        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    raise WavFormatError(f"unsupported encoding: format tag {tag}, {bits} bits per sample")
+def _decode(payload: memoryview, tag: int, bits: int) -> np.ndarray:
+    """Interleaved samples: float32 data as a view of the payload, PCM codes scaled to float64."""
+    rows = [row for row in _FORMATS.values() if row[:2] == (tag, bits)]
+    if not rows:
+        raise WavFormatError(f"unsupported encoding: format tag {tag}, {bits} bits per sample")
+    _, _, dtype, scale = rows[0]
+    codes = np.frombuffer(payload, np.uint8 if bits == 24 else dtype)
+    if bits == 24:  # the three bytes go high in an <i4; the shift back sign-extends them
+        codes = np.pad(codes.reshape(-1, 3), ((0, 0), (1, 0))).view(dtype)[:, 0] >> 8
+    return codes if tag == _TAG_FLOAT else codes / scale
 
 
 def read_wav(path: str | Path) -> SampleBuffer | StereoBuffer:
@@ -95,17 +92,16 @@ def read_wav(path: str | Path) -> SampleBuffer | StereoBuffer:
     Raises WavFormatError for malformed files, unsupported encodings, more
     than two channels, a zero sample rate, or float samples that are NaN or inf.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    blob = memoryview(Path(path).read_bytes())  # chunk bodies are views: the data is never copied
     if len(blob) < 12 or blob[0:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
-    fmt: bytes | None = None
-    payload: bytes | None = None
+    fmt: memoryview | None = None
+    payload: memoryview | None = None
     pos = 12
     while pos + 8 <= len(blob):
-        chunk_id = blob[pos : pos + 4]
-        (size,) = struct.unpack("<I", blob[pos + 4 : pos + 8])
+        chunk_id = blob[pos : pos + 4].tobytes()
+        (size,) = struct.unpack_from("<I", blob, pos + 4)
         body = blob[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise WavFormatError(f"{path}: truncated {chunk_id!r} chunk")

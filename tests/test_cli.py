@@ -456,6 +456,30 @@ def test_compare_of_a_file_that_is_not_a_cue_report_is_validation_failure(kind, 
     assert not (tmp_path / "cmp.json").exists()
 
 
+@pytest.mark.parametrize("value", ["true", "NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                         ids=["true", "NaN", "Infinity", "-Infinity", "1e999", "int401"])
+@pytest.mark.parametrize("field", ["itd_s", "band", "schema_version"])
+def test_compare_rejects_a_bool_or_non_finite_number(field, value, tmp_path, capsys):
+    # JSON true equals 1 in Python, NaN and Infinity are not JSON, 1e999 reads as inf and a
+    # 401-digit int overflows a float: none is a cue or a schema version
+    good = {"schema_version": 1, "kind": "cue_report", "itd_s": 5e-4,
+            "ild_octave_db": {"500": 1.5, "4000": 9.0}, "metadata": {}}
+    bad = json.loads(json.dumps(good))
+    (bad["ild_octave_db"] if field == "band" else bad)["4000" if field == "band" else field] = "?"
+    (tmp_path / "good.json").write_text(json.dumps(good), encoding="utf-8")
+    (tmp_path / "bad.json").write_text(json.dumps(bad).replace('"?"', value), encoding="utf-8")
+    assert run("compare", *[tmp_path / "good.json"] * 2, "--out", tmp_path / "ok.json") == EXIT_OK
+    problem = ("report is not readable JSON" if value.lstrip("-") in ("NaN", "Infinity")
+               else "unsupported schema_version" if field == "schema_version"
+               else "'bad' is not a cue report")
+    capsys.readouterr()
+    for argv in (("good", "bad"), ("bad", "good")):
+        assert run("compare", *(tmp_path / f"{n}.json" for n in argv),
+                   "--out", tmp_path / "cmp.json") == EXIT_ANALYSIS
+        assert capsys.readouterr().err.startswith(f"error: {problem}")
+    assert not (tmp_path / "cmp.json").exists()
+
+
 def test_full_workflow_simulate_analyze_compare(tmp_path):
     # end to end: two simulated rigs, analyzed and compared through the CLI
     for rig in ("human", "ortf"):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def test_pcm16_full_scale_positive_clips(tmp_path):
         write_wav(tmp_path / "clip.wav", buf, encoding="pcm16")
 
 
+@pytest.mark.parametrize("encoding, scale", [("pcm16", 2.0**15), ("pcm24", 2.0**23)])
+def test_pcm_clip_rule_keeps_every_code_in_range(tmp_path, encoding, scale):
+    path = tmp_path / "edge.wav"
+    edges = np.array([-1.0, (scale - 1) / scale])  # the lowest and the highest code
+    write_wav(path, SampleBuffer(edges, SR), encoding=encoding)
+    assert np.array_equal(read_wav(path).samples, edges)
+    for over in (1.0, -(scale + 1) / scale):
+        with pytest.raises(ClippingError):
+            write_wav(path, SampleBuffer(np.array([0.0, over]), SR), encoding=encoding)
+
+
 def test_pcm24_round_trip_on_grid(tmp_path):
     codes = np.array([-(1 << 23), -77, 0, 1, 123456, (1 << 23) - 1])
     buf = SampleBuffer(codes / float(1 << 23), SR)
@@ -60,6 +72,14 @@ def test_pcm24_round_trip_on_grid(tmp_path):
     write_wav(path, buf, encoding="pcm24")
     back = read_wav(path)
     assert np.array_equal(back.samples, codes / float(1 << 23))
+
+    # random stereo codes over the full range: every sign bit and byte pattern is decoded
+    left, right = np.random.default_rng(24).integers(-(1 << 23), 1 << 23, (2, 5001))
+    write_wav(path, StereoBuffer(SampleBuffer(left / float(1 << 23), SR),
+                                 SampleBuffer(right / float(1 << 23), SR)), encoding="pcm24")
+    back = read_wav(path)
+    assert np.array_equal(back.left.samples * (1 << 23), left)
+    assert np.array_equal(back.right.samples * (1 << 23), right)
 
 
 def test_pcm24_odd_frame_count_pads(tmp_path):
@@ -69,6 +89,23 @@ def test_pcm24_odd_frame_count_pads(tmp_path):
     back = read_wav(path)
     assert len(back) == 3
     np.testing.assert_allclose(back.samples, buf.samples, atol=1.0 / (1 << 23))
+
+
+def test_float32_read_makes_one_float64_copy_per_channel(tmp_path):
+    # The data chunk stays a view of the file bytes and each channel converts it once, so
+    # the peak is the file plus two float64 channels, 3x the file; one more interleaved
+    # float64 copy of the data would take it past 5x.
+    path = tmp_path / "long.wav"
+    mono = SampleBuffer(float32_noise(1 << 19, 3), SR)
+    write_wav(path, StereoBuffer(mono, mono))
+    tracemalloc.start()
+    try:
+        back = read_wav(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.right.samples, mono.samples)
+    assert peak < 3.5 * path.stat().st_size, peak / path.stat().st_size
 
 
 def riff(*chunks):
