@@ -237,7 +237,7 @@ def _broadband_itd(stereo: StereoBuffer, max_lag: float, weighting: str,
 
 def _require_sound(stereo: StereoBuffer) -> None:
     for what, channel in (("left channel", stereo.left), ("right channel", stereo.right)):
-        if np.sqrt(np.mean(np.square(channel.samples))) < SILENCE_RMS:
+        if np.sqrt(np.dot(channel.samples, channel.samples) / len(channel)) < SILENCE_RMS:
             raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
 
 

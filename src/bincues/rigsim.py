@@ -21,7 +21,7 @@ import numpy as np
 from .cue_models import (HeadGeometry, ShadowParams, check_azimuth, check_temperature,
                          head_shadow_ild, itd_simple, speed_of_sound)
 from .errors import ValidationError
-from .signals import SampleBuffer, StereoBuffer, apply_fractional_delay, fft_convolve
+from .signals import SampleBuffer, StereoBuffer, apply_fractional_delay
 
 
 class RigKind(Enum):
@@ -219,18 +219,16 @@ def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
             temperature_c: float = 20.0) -> np.ndarray:
     """The far ear's samples of a source at azimuth in [0, pi/2], near ear at unit gain.
 
-    The signal is delayed by the rig's predicted ITD and then shaped by its
-    ILD model: a zero-phase FIR fit of the shadow curve, or for ORTF the
-    far-to-near capsule gain ratio.
+    The signal is delayed by the rig's predicted ITD and shaped by its ILD model: a
+    zero-phase FIR fit of the shadow curve, run in the delay's one convolution and so exact
+    at the edges, or for ORTF the far-to-near capsule gain ratio.
     """
     itd = predicted_itd(rig, SourceSpec(azimuth_rad=azimuth), temperature_c)
-    delayed = apply_fractional_delay(signal, itd).samples
     if rig.kind is RigKind.ORTF:
         g_near, g_far = _cardioid_gains(rig.capsule_angle_deg, azimuth)
-        return (g_far / g_near) * delayed
+        return (g_far / g_near) * apply_fractional_delay(signal, itd).samples
     kernel = shadow_filter_kernel(rig.shadow, azimuth, signal.sample_rate)
-    half = kernel.size // 2
-    return fft_convolve(delayed, kernel)[half : half + delayed.size]
+    return apply_fractional_delay(signal, itd, kernel).samples
 
 
 def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,

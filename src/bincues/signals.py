@@ -185,25 +185,34 @@ def _shifted(x: np.ndarray, shift: int, n: int) -> np.ndarray:
     return out
 
 
-def apply_fractional_delay(buf: SampleBuffer, delay: float) -> SampleBuffer:
+def apply_fractional_delay(buf: SampleBuffer, delay: float,
+                           fir: np.ndarray | None = None) -> SampleBuffer:
     """Delay a buffer by an arbitrary finite non-negative time, sub-sample accurate.
 
     Integer-sample delays are exact shifts. Fractional residues go through a
     65-tap Kaiser-windowed sinc interpolator, which keeps the phase of any
     steady-state sine below 0.9 Nyquist within well under a degree of the
-    ideal 360*f*delay lag. Output length equals input length; samples shifted
-    past the end are dropped and the head is zero-filled.
+    ideal 360*f*delay lag. An optional odd-length zero-phase `fir` joins the
+    interpolator, or for an integer delay is the whole kernel, in one convolution
+    read centred on the kernel's middle tap: the output is the exact response of the
+    zero-extended input cropped to its length, and all zeros once the delay passes
+    the end plus the kernel's reach.
     """
     if not 0 <= delay < np.inf:
         raise ValidationError(f"delay must be finite and non-negative, got {delay}")
+    if fir is not None and (fir.ndim != 1 or fir.size % 2 == 0 or not np.isfinite(fir).all()):
+        raise ValidationError(f"fir must be finite, 1-D and of odd length, got shape {fir.shape}")
     x = buf.samples
     # Past the buffer and the kernel's reach the output is all zeros: cap there, as int(inf) fails.
-    total = min(delay * buf.sample_rate, x.size + _FD_TAPS)
+    total = min(delay * buf.sample_rate, x.size + _FD_TAPS + (0 if fir is None else fir.size))
     d_int = int(np.floor(total))
     mu = total - d_int
-    if mu < _FD_SNAP or mu > 1.0 - _FD_SNAP:
+    if _FD_SNAP <= mu <= 1.0 - _FD_SNAP:
+        kernel = _fd_kernel(mu) if fir is None else np.convolve(_fd_kernel(mu), fir)
+    elif fir is None:
         return SampleBuffer(_shifted(x, int(round(total)), x.size), buf.sample_rate)
-    conv = fft_convolve(x, _fd_kernel(mu))
-    # conv lags x by _FD_HALF + mu samples; shift the read point so the total
-    # delay is exactly d_int + mu.
-    return SampleBuffer(_shifted(conv, d_int - _FD_HALF, x.size), buf.sample_rate)
+    else:
+        d_int, kernel = int(round(total)), fir
+    # conv lags x by kernel.size // 2 (+ mu) samples, so reading from there delays by d_int (+ mu)
+    conv = fft_convolve(x, kernel)
+    return SampleBuffer(_shifted(conv, d_int - kernel.size // 2, x.size), buf.sample_rate)

@@ -7,11 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-from bincues import (HeadGeometry, RenderSpec, RigKind, RigSpec, ShadowParams, SourceSpec,
-                     StereoBuffer, ValidationError, binauralize, default_rig, estimate_itd,
-                     fit_path_extension, full_dummy, gen_pink_noise, head_shadow_ild,
-                     human_head, ild_spectrum_summary, jecklin, load_rig_config, ortf,
-                     predicted_ild_db, predicted_itd, save_rig_config, shadow_filter_kernel,
+from bincues import (HeadGeometry, RenderSpec, RigKind, RigSpec, SampleBuffer, ShadowParams,
+                     SourceSpec, StereoBuffer, ValidationError, binauralize, default_rig,
+                     estimate_itd, far_ear, fit_path_extension, full_dummy, gen_pink_noise,
+                     head_shadow_ild, human_head, ild_spectrum_summary, jecklin, load_rig_config,
+                     ortf, predicted_ild_db, predicted_itd, save_rig_config, shadow_filter_kernel,
                      semi_dummy, simulate_capture, transfer_function)
 from bincues.reports import rig_to_dict
 
@@ -175,8 +175,20 @@ def test_capture_and_render_share_the_far_ear(rig, degrees, pink_2s):
     assert np.array_equal(capture.right.samples, near_gain * rendered.right.samples)
 
 
+@pytest.mark.parametrize("degrees", (5.0, 30.0, 60.0, 90.0))
+@pytest.mark.parametrize("rig", ALL_RIGS, ids=lambda r: r.kind.value)
+def test_far_ear_is_one_lti_filter_of_the_zero_extended_signal(rig, degrees, pink_2s):
+    # Zero padding on both sides, past the delay and the shadow FIR's reach, then cropping
+    # back changes nothing: the far ear is exact at the edges, not only in the interior.
+    pad = 600
+    azimuth = math.radians(degrees)
+    want = far_ear(rig, azimuth, pink_2s)
+    got = far_ear(rig, azimuth, SampleBuffer(np.pad(pink_2s.samples, pad), SR))
+    np.testing.assert_allclose(got[pad : pad + len(pink_2s)], want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
+
+
 def test_capture_rejects_empty_signal():
-    from bincues import SampleBuffer
     with pytest.raises(ValidationError):
         simulate_capture(ortf(), BROADSIDE, SampleBuffer(np.zeros(0), SR))
 

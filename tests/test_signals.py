@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
@@ -217,6 +217,8 @@ def test_fractional_delay_longer_than_buffer_is_silence(pink_2s):
 @pytest.mark.parametrize("delay", (1e300, 1e306))  # 1e306 s is inf samples at 48 kHz
 def test_fractional_delay_of_overflowing_length_is_silence(delay, pink_2s):
     assert np.all(apply_fractional_delay(pink_2s, delay).samples == 0.0)
+    # the cap covers a fir's reach too, so no tail of the filtered input is left behind
+    assert np.all(apply_fractional_delay(pink_2s, delay, np.ones(601)).samples == 0.0)
 
 
 @pytest.mark.parametrize("delay_samples", (0, 3, 4.5, 40.25, 400.75, 95990, 96010.5, 96070))
@@ -228,6 +230,45 @@ def test_fractional_delay_edges_match_a_padded_delay(delay_samples):
     got = apply_fractional_delay(x, delay_samples / SR).samples
     want = apply_fractional_delay(padded, delay_samples / SR).samples[: len(x)]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@example(n=300, half=0, seed=1, past=0, frac=0.0)     # delay 0, one-tap fir
+@example(n=1000, half=300, seed=2, past=0, frac=0.0)  # delay 0, 601-tap fir
+@example(n=50, half=300, seed=3, past=450, frac=0.5)  # fir longer than the input
+@example(n=100, half=10, seed=4, past=2000, frac=0.25)  # past the end: all zeros
+@given(n=st.integers(1, 1500), half=st.integers(0, 300), seed=st.integers(0, 2**32 - 1),
+       past=st.integers(0, 2000), frac=st.sampled_from((0.0, 0.25, 0.5, 0.731)))
+def test_fractional_delay_with_fir_filters_the_zero_extended_input(n, half, seed, past, frac):
+    # Oracle: delay the input padded with zeros on both sides without a fir, which is exact,
+    # then np.convolve the fir, read centred and cropped back to the input's span.
+    rng = np.random.default_rng(seed)
+    x, fir = rng.standard_normal(n), rng.standard_normal(2 * half + 1)
+    whole = past * (n + half + 80) // 2000  # from delay 0 to past the end plus the reach
+    delay = (whole + frac) / SR
+    pad = half + 40
+    delayed = apply_fractional_delay(SampleBuffer(np.pad(x, pad), SR), delay).samples
+    want = np.convolve(delayed, fir)[pad + half : pad + half + n]
+    got = apply_fractional_delay(SampleBuffer(x, SR), delay, fir).samples
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(np.abs(want).max(), 1.0))
+    if whole >= n + half + signals._FD_TAPS // 2:
+        assert not got.any()
+
+
+@pytest.mark.parametrize("fir", (None, np.array([0.25, 0.5, 0.25])), ids=["no-fir", "fir"])
+def test_fractional_delay_snaps_a_residue_within_1e_9_to_the_nearest_sample(fir, pink_2s):
+    exact = apply_fractional_delay(pink_2s, 7 / SR, fir).samples
+    for samples in (7 - 1e-11, 7 + 1e-11):
+        assert np.array_equal(apply_fractional_delay(pink_2s, samples / SR, fir).samples, exact)
+
+
+@pytest.mark.parametrize("fir", (np.ones(4), np.zeros(0), np.ones((3, 3)), np.ones((1, 5)),
+                                 np.array([1.0, np.nan, 1.0]), np.array([np.inf])),
+                         ids=["even", "empty", "2d", "row", "nan", "inf"])
+def test_fractional_delay_rejects_an_even_2d_or_non_finite_fir(fir, pink_2s):
+    for delay in (0.0, 1e-3, 1.1e-4):
+        with pytest.raises(ValidationError, match="fir"):
+            apply_fractional_delay(pink_2s, delay, fir)
 
 
 @pytest.mark.parametrize("generate", (
