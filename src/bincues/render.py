@@ -61,14 +61,16 @@ def binauralize(signal: SampleBuffer, spec: RenderSpec) -> StereoBuffer:
 
     if spec.azimuth_rad == 0.0:
         mono = gain * signal.samples
+        mono.setflags(write=False)
         return StereoBuffer(SampleBuffer(mono, sr), SampleBuffer(mono, sr))
 
     near = gain * signal.samples
     far = gain * far_ear(spec.rig, abs(spec.azimuth_rad), signal, spec.temperature_c)
     peak = max(np.max(np.abs(near)), np.max(np.abs(far)))
-    if peak > 1.0:
-        near = near / peak
-        far = far / peak
+    for ear in (near, far):  # fresh arrays: normalized in place, then handed to the buffers
+        if peak > 1.0:
+            ear /= peak
+        ear.setflags(write=False)
     if spec.azimuth_rad > 0:
         return StereoBuffer(SampleBuffer(near, sr), SampleBuffer(far, sr))
     return StereoBuffer(SampleBuffer(far, sr), SampleBuffer(near, sr))
@@ -100,6 +102,8 @@ def binauralize_scene(sources: list[tuple[SampleBuffer, RenderSpec]]) -> StereoB
     peak = max(np.max(np.abs(left)), np.max(np.abs(right)), 0.0)
     if peak > 1.0:
         log.warning("scene mix clipped; normalized by %.6f", 1.0 / peak)
-        left = left / peak
-        right = right / peak
+        left /= peak
+        right /= peak
+    left.setflags(write=False)
+    right.setflags(write=False)
     return StereoBuffer(SampleBuffer(left, sr), SampleBuffer(right, sr))

@@ -217,7 +217,8 @@ def shadow_filter_kernel(shadow: ShadowParams, azimuth: float, sample_rate: int)
 
 def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
             temperature_c: float = 20.0) -> np.ndarray:
-    """The far ear's samples of a source at azimuth in [0, pi/2], near ear at unit gain.
+    """The far ear's samples of a source at azimuth in [0, pi/2], near ear at unit gain,
+    as a fresh read-only array.
 
     The signal is delayed by the rig's predicted ITD and shaped by its ILD model: a
     zero-phase FIR fit of the shadow curve, run in the delay's one convolution and so exact
@@ -226,7 +227,9 @@ def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
     itd = predicted_itd(rig, SourceSpec(azimuth_rad=azimuth), temperature_c)
     if rig.kind is RigKind.ORTF:
         g_near, g_far = _cardioid_gains(rig.capsule_angle_deg, azimuth)
-        return (g_far / g_near) * apply_fractional_delay(signal, itd).samples
+        far = (g_far / g_near) * apply_fractional_delay(signal, itd).samples
+        far.setflags(write=False)
+        return far
     kernel = shadow_filter_kernel(rig.shadow, azimuth, signal.sample_rate)
     return apply_fractional_delay(signal, itd, kernel).samples
 
@@ -237,7 +240,8 @@ def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,
 
     The near (left) channel takes the unit path and the far (right) channel
     comes from far_ear; ORTF then scales both by the near capsule's gain.
-    At azimuth 0 both channels are identical by construction.
+    At azimuth 0 both channels are identical by construction. The near channel of
+    any other rig shares the signal's array.
     """
     if len(signal) == 0:
         raise ValidationError("signal is empty")
@@ -246,6 +250,8 @@ def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,
     if rig.kind is RigKind.ORTF:
         g_near = _cardioid_gains(rig.capsule_angle_deg, src.azimuth_rad)[0]
         near, far = g_near * near, g_near * far
+        near.setflags(write=False)
+        far.setflags(write=False)
     sr = signal.sample_rate
     return StereoBuffer(SampleBuffer(near, sr), SampleBuffer(far, sr))
 

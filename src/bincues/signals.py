@@ -3,8 +3,9 @@
 Sample values are dimensionless amplitudes in the nominal range -1.0..+1.0
 at a fixed integer sample rate. Buffers are finite and immutable: a NaN or
 infinite sample is rejected when a buffer is built, so no later stage sees
-one. Generators and transforms always return new buffers, so concurrent use
-on distinct buffers is safe. Every FIR runs on fft_convolve, so numpy is all it needs.
+one. Producers hand their fresh arrays over read-only, which a buffer adopts
+without a copy. Generators and transforms always return new buffers, so concurrent
+use on distinct buffers is safe. Every FIR runs on fft_convolve, so numpy is all it needs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,12 @@ _FD_SNAP = 1e-9      # sub-sample residue below this collapses to an integer shi
 
 @dataclass(frozen=True)
 class SampleBuffer:
-    """Uniformly sampled mono audio: finite float64 samples plus a sample rate in Hz."""
+    """Uniformly sampled mono audio: finite float64 samples plus a sample rate in Hz.
+
+    A float64 ndarray that is read-only and owns its memory (`base is None`) is adopted,
+    and buffers may share it; anything else is copied and the copy made read-only. Only an
+    array's owner can make it writable again, which holds for the buffer's copy too.
+    """
 
     samples: np.ndarray
     sample_rate: int
@@ -46,20 +52,20 @@ class SampleBuffer:
         if not float(rate).is_integer() or int(rate) <= 0:
             raise ValidationError(f"sample_rate must be a positive integer, got {rate!r}")
         object.__setattr__(self, "sample_rate", int(rate))
-        samples = np.array(self.samples, dtype=np.float64, copy=True)
+        samples = self.samples
+        if not (type(samples) is np.ndarray and samples.dtype == np.float64
+                and samples.base is None and not samples.flags.writeable):
+            samples = np.array(samples, dtype=np.float64, copy=True)
         if samples.ndim != 1:
             raise ValidationError(f"samples must be one-dimensional, got shape {samples.shape}")
-        if not np.isfinite(samples).all():
+        # min and max carry any NaN or inf, and need no temporary the size of the samples
+        if not (np.isfinite(samples.min(initial=0.0)) and np.isfinite(samples.max(initial=0.0))):
             raise ValidationError("samples must be finite; the buffer holds NaN or inf")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 @dataclass(frozen=True)
@@ -159,7 +165,11 @@ def fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     taps = kernel.size
     size = 1 << max(2 * taps - 2, 4095).bit_length()
     step = size - taps + 1  # >= taps, so a tail reaches one block on
-    spectra = np.fft.rfft(np.pad(x, (0, -x.size % step)).reshape(-1, step), size)
+    whole = x.size // step  # blocks read as a view of x; a partial last block is its own rfft
+    spectra = np.empty((-(-x.size // step), size // 2 + 1), complex)
+    np.fft.rfft(x[: whole * step].reshape(whole, step), size, out=spectra[:whole])
+    if whole < len(spectra):
+        np.fft.rfft(x[whole * step :], size, out=spectra[whole])
     spectra *= np.fft.rfft(kernel, size)
     y = np.fft.irfft(spectra, size)
     out = np.pad(y[:, :step], ((0, 1), (0, 0)))
@@ -177,11 +187,13 @@ def _fd_kernel(mu: float) -> np.ndarray:
 
 
 def _shifted(x: np.ndarray, shift: int, n: int) -> np.ndarray:
-    """n samples of x delayed by shift (advanced if negative), zero where x has none."""
+    """n samples of x delayed by shift (advanced if negative), zero where x has none: a fresh
+    read-only array, which a SampleBuffer adopts without a copy."""
     out = np.zeros(n)
     lo, hi = max(shift, 0), min(n, x.size + shift)
     if lo < hi:
         out[lo:hi] = x[lo - shift : hi - shift]
+    out.setflags(write=False)
     return out
 
 

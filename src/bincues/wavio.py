@@ -3,11 +3,13 @@
 Supports little-endian PCM (16- and 24-bit integer) and 32-bit float, mono
 or stereo, at any sample rate. Integer samples map to amplitude by 1/32768
 (16-bit) or 1/8388608 (24-bit); writing a value whose quantized code would
-overflow the integer range raises ClippingError rather than saturating.
+overflow the integer range raises ClippingError rather than saturating. A read
+holds the channels and about 1 MiB of file bytes, never the whole file.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -27,9 +29,10 @@ _FORMATS = {
     "pcm24": (_TAG_PCM, 24, "<i4", 2.0**23),  # the file keeps the low three bytes of the <i4
 }
 ENCODINGS = tuple(_FORMATS)
+_CHUNK_BYTES = 1 << 20  # file bytes decoded per read step, rounded down to whole frames
 
 
-def _encode(channels: list[np.ndarray], encoding: str) -> tuple[bytes, int, int]:
+def _encode(channels: list[np.ndarray], encoding: str) -> tuple[np.ndarray, int, int]:
     """Return (payload, format_tag, bits_per_sample): the channels' codes, interleaved."""
     if encoding not in _FORMATS:
         raise ValidationError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
@@ -37,13 +40,14 @@ def _encode(channels: list[np.ndarray], encoding: str) -> tuple[bytes, int, int]
     codes = np.empty((channels[0].size, len(channels)), dtype)
     for c, samples in enumerate(channels):
         if tag == _TAG_PCM:
-            samples = np.round(samples * scale)
+            samples = samples * scale
+            np.round(samples, out=samples)
             if samples.min(initial=0.0) < -scale or samples.max(initial=0.0) > scale - 1:
                 raise ClippingError(f"samples exceed the {bits}-bit PCM range; reduce level or use float32")
         codes[:, c] = samples
     if bits == 24:
-        codes = codes.view(np.uint8).reshape(-1, 4)[:, :3]
-    return codes.tobytes(), tag, bits
+        codes = np.ascontiguousarray(codes.view(np.uint8).reshape(-1, 4)[:, :3])
+    return codes, tag, bits
 
 
 def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
@@ -64,74 +68,87 @@ def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
                                    block_align, bits)
     if tag == _TAG_FLOAT:
         header += b"fact" + struct.pack("<II", 4, channels[0].size)
-    header += b"data" + struct.pack("<I", len(payload))
-    pad = b"\x00" * (len(payload) % 2)
-    riff_size = 4 + len(header) + len(payload) + len(pad)
-    # The payload goes out in its own write, so it is never copied into a bigger bytes object.
+    header += b"data" + struct.pack("<I", payload.nbytes)
+    pad = b"\x00" * (payload.nbytes % 2)
+    riff_size = 4 + len(header) + payload.nbytes + len(pad)
+    # The payload goes out in its own write, so it is never copied into a bytes object.
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + header)
         fh.write(payload)
         fh.write(pad)
 
 
-def _decode(payload: memoryview, tag: int, bits: int) -> np.ndarray:
-    """Interleaved samples: float32 data as a view of the payload, PCM codes scaled to float64."""
-    rows = [row for row in _FORMATS.values() if row[:2] == (tag, bits)]
-    if not rows:
-        raise WavFormatError(f"unsupported encoding: format tag {tag}, {bits} bits per sample")
-    _, _, dtype, scale = rows[0]
-    codes = np.frombuffer(payload, np.uint8 if bits == 24 else dtype)
-    if bits == 24:  # the three bytes go high in an <i4; the shift back sign-extends them
-        codes = np.pad(codes.reshape(-1, 3), ((0, 0), (1, 0))).view(dtype)[:, 0] >> 8
-    return codes if tag == _TAG_FLOAT else codes / scale
-
-
 def read_wav(path: str | Path) -> SampleBuffer | StereoBuffer:
     """Read a WAV file; returns SampleBuffer for mono, StereoBuffer for stereo.
+
+    The chunk walk seeks past chunk bodies, and the data chunk is decoded in whole-frame
+    steps of about 1 MiB into one float64 array per channel, which each buffer adopts.
 
     Raises WavFormatError for malformed files, unsupported encodings, more
     than two channels, a zero sample rate, or float samples that are NaN or inf.
     """
-    blob = memoryview(Path(path).read_bytes())  # chunk bodies are views: the data is never copied
-    if len(blob) < 12 or blob[0:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+    with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
+            raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
-    fmt: memoryview | None = None
-    payload: memoryview | None = None
-    pos = 12
-    while pos + 8 <= len(blob):
-        chunk_id = blob[pos : pos + 4].tobytes()
-        (size,) = struct.unpack_from("<I", blob, pos + 4)
-        body = blob[pos + 8 : pos + 8 + size]
-        if len(body) < size:
-            raise WavFormatError(f"{path}: truncated {chunk_id!r} chunk")
-        if chunk_id == b"fmt ":
-            fmt = body
-        elif chunk_id == b"data":
-            payload = body
-        pos += 8 + size + (size & 1)
-    if fmt is None or payload is None:
-        raise WavFormatError(f"{path}: missing fmt or data chunk")
-    if len(fmt) < 16:
-        raise WavFormatError(f"{path}: fmt chunk too short")
+        fmt, data_at, data_size = None, None, 0
+        pos = 12
+        while pos + 8 <= file_size:
+            fh.seek(pos)
+            chunk_id, size = struct.unpack("<4sI", fh.read(8))
+            if pos + 8 + size > file_size:
+                raise WavFormatError(f"{path}: truncated {chunk_id!r} chunk")
+            if chunk_id == b"fmt ":
+                fmt = fh.read(min(size, 26))  # no field past the extensible tag is read
+            elif chunk_id == b"data":
+                data_at, data_size = pos + 8, size
+            pos += 8 + size + (size & 1)
+        if fmt is None or data_at is None:
+            raise WavFormatError(f"{path}: missing fmt or data chunk")
+        if len(fmt) < 16:
+            raise WavFormatError(f"{path}: fmt chunk too short")
 
-    tag, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
-    if tag == _TAG_EXTENSIBLE:
-        if len(fmt) < 26:
-            raise WavFormatError(f"{path}: extensible fmt chunk too short")
-        (tag,) = struct.unpack("<H", fmt[24:26])
-    if channels == 0 or channels > 2:
-        raise WavFormatError(f"{path}: {channels} channels; only mono and stereo are supported")
-    if rate == 0:
-        raise WavFormatError(f"{path}: sample rate is 0")
+        tag, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
+        if tag == _TAG_EXTENSIBLE:
+            if len(fmt) < 26:
+                raise WavFormatError(f"{path}: extensible fmt chunk too short")
+            (tag,) = struct.unpack("<H", fmt[24:26])
+        if channels == 0 or channels > 2:
+            raise WavFormatError(f"{path}: {channels} channels; only mono and stereo are supported")
+        if rate == 0:
+            raise WavFormatError(f"{path}: sample rate is 0")
 
-    frame_bytes = channels * bits // 8
-    if frame_bytes == 0 or len(payload) % frame_bytes:
-        raise WavFormatError(f"{path}: data size is not a whole number of frames")
+        frame_bytes = channels * bits // 8
+        if frame_bytes == 0 or data_size % frame_bytes:
+            raise WavFormatError(f"{path}: data size is not a whole number of frames")
+        rows = [row for row in _FORMATS.values() if row[:2] == (tag, bits)]
+        if not rows:
+            raise WavFormatError(f"unsupported encoding: format tag {tag}, {bits} bits per sample")
+        _, _, dtype, scale = rows[0]
 
-    samples = _decode(payload, tag, bits).reshape(-1, channels)
+        frames = data_size // frame_bytes
+        samples = [np.empty(frames) for _ in range(channels)]
+        step = _CHUNK_BYTES // frame_bytes
+        lead = int(bits == 24)  # a byte ahead of the data: each pcm24 code is the top of an <i4
+        raw = bytearray(lead + min(step, frames) * frame_bytes)
+        fh.seek(data_at)
+        for start in range(0, frames, step):
+            count = min(step, frames - start)
+            if fh.readinto(memoryview(raw)[lead : lead + count * frame_bytes]) < count * frame_bytes:
+                raise WavFormatError(f"{path}: truncated b'data' chunk")
+            codes = np.ndarray((count, channels), dtype, raw, strides=(frame_bytes, bits // 8))
+            for c, out in enumerate(samples):
+                part = out[start : start + count]
+                np.divide(codes[:, c], 256.0 if bits == 24 else scale, out=part)
+                if bits == 24:  # the floor drops the <i4's low byte, which precedes the code
+                    np.floor(part, out=part)
+                    part /= scale
+    for out in samples:
+        out.setflags(write=False)
     try:
-        channel_buffers = [SampleBuffer(samples[:, c], rate) for c in range(channels)]
+        channel_buffers = [SampleBuffer(out, rate) for out in samples]
     except ValidationError as exc:  # float samples that are NaN or inf
         raise WavFormatError(f"{path}: {exc}") from None
     return channel_buffers[0] if channels == 1 else StereoBuffer(*channel_buffers)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from operator import attrgetter
 
 import numpy as np
@@ -186,6 +187,32 @@ def test_far_ear_is_one_lti_filter_of_the_zero_extended_signal(rig, degrees, pin
     got = far_ear(rig, azimuth, SampleBuffer(np.pad(pink_2s.samples, pad), SR))
     np.testing.assert_allclose(got[pad : pad + len(pink_2s)], want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("rig", [r for r in ALL_RIGS if r.kind is not RigKind.ORTF],
+                         ids=lambda r: r.kind.value)
+def test_capture_near_ear_is_the_source_array(rig, pink_2s):
+    capture = simulate_capture(rig, SourceSpec(azimuth_rad=math.radians(30.0)), pink_2s)
+    assert capture.left.samples is pink_2s.samples
+    assert not capture.right.samples.flags.writeable
+
+
+@pytest.mark.parametrize("rig, held, peak", [(human_head(), 1, 3.6), (ortf(), 2, 3.2)],
+                         ids=["human", "ortf"])
+def test_capture_allocates_each_channel_once(rig, held, peak, pink_5s):
+    # A head rig's capture holds one new channel, the far ear, as its near ear is the
+    # source's array; ORTF's gain makes both channels new. The peak is the far ear's
+    # convolution. A copy of each channel as the buffers wrap it would add 1x to both.
+    channel = pink_5s.samples.nbytes
+    tracemalloc.start()
+    try:
+        capture = simulate_capture(rig, SourceSpec(azimuth_rad=math.radians(30.0)), pink_5s)
+        current, traced_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(capture) == len(pink_5s)
+    assert current <= held * channel + (64 << 10), current / channel
+    assert traced_peak <= peak * channel, traced_peak / channel
 
 
 def test_capture_rejects_empty_signal():

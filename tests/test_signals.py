@@ -110,8 +110,8 @@ def test_impulse_pair_correlates_at_lag_33():
 @pytest.mark.parametrize("taps", (65, 511, 8193))
 @pytest.mark.parametrize("n", (0, 1, 2, 97, 4801, 1_440_000))
 def test_fft_convolve_is_bit_equal_to_scipy_fftconvolve(taps, n):
-    # Named when fft_convolve padded as fftconvolve does; overlap-add rounds otherwise, so
-    # the two agree to rounding, relative to the output's peak.
+    # Overlap-add rounds otherwise than fftconvolve's one transform, so the two agree to
+    # rounding, relative to the output's peak.
     rng = np.random.default_rng(n + taps)
     x, kernel = rng.standard_normal(n), rng.standard_normal(taps)
     for a, b in ((x, kernel), (kernel, x)):
@@ -291,6 +291,44 @@ def test_sample_buffer_immutable():
     buf = gen_sine(220.0, 0.01, SR)
     with pytest.raises(ValueError):
         buf.samples[0] = 5.0
+
+
+def test_sample_buffer_copies_a_writable_array():
+    samples = np.linspace(-0.5, 0.5, 64)
+    buf = SampleBuffer(samples, SR)
+    samples[:] = 0.0
+    assert np.array_equal(buf.samples, np.linspace(-0.5, 0.5, 64))
+    assert not buf.samples.flags.writeable
+
+
+def read_only_owned(n=64):
+    """A fresh float64 array that owns its memory (np.linspace returns a view), made read-only."""
+    owned = np.arange(n) / n - 0.5
+    assert owned.base is None
+    owned.setflags(write=False)
+    return owned
+
+
+def test_sample_buffer_adopts_a_read_only_float64_array_that_owns_its_memory():
+    owned = read_only_owned()
+    buf = SampleBuffer(owned, SR)
+    assert buf.samples is owned
+    assert SampleBuffer(buf.samples, SR).samples is owned  # buffers share what they adopt
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: a[::2], lambda a: a[:32], lambda a: a.astype(np.float32), lambda a: a.tolist(),
+], ids=["strided view", "contiguous view", "float32", "list"])
+def test_sample_buffer_copies_a_view_another_dtype_or_a_list(make):
+    owned = read_only_owned()
+    source = make(owned)
+    if isinstance(source, np.ndarray):
+        source.setflags(write=False)
+    buf = SampleBuffer(source, SR)
+    assert not np.shares_memory(buf.samples, owned)
+    assert not (isinstance(source, np.ndarray) and np.shares_memory(buf.samples, source))
+    assert buf.samples.dtype == np.float64 and not buf.samples.flags.writeable
+    assert np.array_equal(buf.samples, np.asarray(source, dtype=np.float64))
 
 
 def test_sample_buffer_rejects_bad_rate():

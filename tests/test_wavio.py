@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bincues import (ClippingError, SampleBuffer, StereoBuffer, ValidationError,
-                     WavFormatError, read_wav, write_wav)
+                     WavFormatError, read_wav, wavio, write_wav)
 
 SR = 48000
 
@@ -91,21 +91,90 @@ def test_pcm24_odd_frame_count_pads(tmp_path):
     np.testing.assert_allclose(back.samples, buf.samples, atol=1.0 / (1 << 23))
 
 
-def test_float32_read_makes_one_float64_copy_per_channel(tmp_path):
-    # The data chunk stays a view of the file bytes and each channel converts it once, so
-    # the peak is the file plus two float64 channels, 3x the file; one more interleaved
-    # float64 copy of the data would take it past 5x.
-    path = tmp_path / "long.wav"
-    mono = SampleBuffer(float32_noise(1 << 19, 3), SR)
-    write_wav(path, StereoBuffer(mono, mono))
+def read_peak(path):
+    """(buffer, peak bytes traced while read_wav reads path)."""
     tracemalloc.start()
     try:
         back = read_wav(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        return back, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_float32_read_makes_one_float64_copy_per_channel(tmp_path):
+    # Each step of file bytes is converted straight into the two float64 channels, which
+    # the buffers adopt, so the peak is the channels, 2x the file, plus one step; a quarter
+    # step covers the small objects and numpy's cast buffer. A copy of the file bytes or of
+    # a channel would add 1x the file.
+    path = tmp_path / "long.wav"
+    mono = SampleBuffer(float32_noise(1 << 19, 3), SR)
+    write_wav(path, StereoBuffer(mono, mono))
+    back, peak = read_peak(path)
     assert np.array_equal(back.right.samples, mono.samples)
-    assert peak < 3.5 * path.stat().st_size, peak / path.stat().st_size
+    assert peak < 2 * path.stat().st_size + 1.25 * wavio._CHUNK_BYTES, peak / path.stat().st_size
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16", "pcm24"])
+def test_read_peaks_at_the_channels_plus_two_chunks(tmp_path, encoding):
+    # The reader never holds the whole file, and no encoding passes through an interleaved
+    # float64 array: a pcm16 read that did peaked at 9.3x the file.
+    path = tmp_path / f"long_{encoding}.wav"
+    left, right = (SampleBuffer(0.5 * float32_noise(1 << 19, seed), SR) for seed in (4, 5))
+    write_wav(path, StereoBuffer(left, right), encoding=encoding)
+    back, peak = read_peak(path)
+    assert np.allclose(back.left.samples, left.samples, rtol=0, atol=2.0**-15)
+    channels = 2 * (1 << 19) * 8
+    assert peak <= channels + 2 * wavio._CHUNK_BYTES, (peak - channels) / wavio._CHUNK_BYTES
+
+
+# Code dtype, full scale and format tag of each encoding, as the reader's oracle sees them.
+ORACLE = {"float32": ("<f4", 1.0, 3), "pcm16": ("<i2", 2.0**15, 1), "pcm24": ("<i4", 2.0**23, 1)}
+
+
+def whole_payload_decode(payload, encoding, channels):
+    """Samples by frame and channel, from one np.frombuffer over the whole data chunk."""
+    dtype, scale, _ = ORACLE[encoding]
+    if encoding == "pcm24":  # three little-endian bytes, sign-extended from bit 23
+        b = np.frombuffer(payload, np.uint8).reshape(-1, 3).astype(np.int64)
+        codes = b[:, 0] | b[:, 1] << 8 | b[:, 2] << 16
+        codes -= (codes >> 23) << 24
+    else:
+        codes = np.frombuffer(payload, dtype)
+    return (codes / scale).reshape(-1, channels)
+
+
+@given(encoding=st.sampled_from(sorted(ORACLE)), channels=st.sampled_from([1, 2]),
+       step_frames=st.integers(1, 5), spare=st.integers(0, 7), data=st.data(),
+       list_after_data=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_reader_steps_across_chunk_boundaries(tmp_path_factory, encoding, channels, step_frames,
+                                              spare, data, list_after_data, seed):
+    # The read step is cut to a few frames (plus spare bytes short of a frame, which round
+    # down), so files of 0-3 steps decode across every kind of boundary: a step that ends
+    # the data, a partial last step, pcm24's odd pad byte and a chunk after the data.
+    dtype, _, tag = ORACLE[encoding]
+    width = 3 if encoding == "pcm24" else np.dtype(dtype).itemsize
+    frame_bytes = channels * width
+    frames = data.draw(st.integers(0, 3 * step_frames), label="frames")
+    rng = np.random.default_rng(seed)
+    if encoding == "float32":
+        payload = rng.uniform(-2.0, 2.0, frames * channels).astype("<f4").tobytes()
+    else:
+        payload = rng.bytes(frames * frame_bytes)
+    fmt = struct.pack("<HHIIHH", tag, channels, SR, SR * frame_bytes, frame_bytes, 8 * width)
+    chunks = [(b"fmt ", fmt), (b"data", payload)]
+    if list_after_data:
+        chunks.append((b"LIST", b"INFOISFT\x05\x00\x00\x00test\x00"))
+    path = tmp_path_factory.getbasetemp() / "steps.wav"
+    path.write_bytes(riff(*chunks))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavio, "_CHUNK_BYTES", step_frames * frame_bytes + spare % frame_bytes)
+        back = read_wav(path)
+    got = [back.samples] if channels == 1 else [back.left.samples, back.right.samples]
+    want = whole_payload_decode(payload, encoding, channels)
+    for c, samples in enumerate(got):
+        assert samples.dtype == np.float64 and not samples.flags.writeable
+        assert np.array_equal(samples, want[:, c])
 
 
 def riff(*chunks):
