@@ -7,11 +7,10 @@ sine ITD, microphone-pair calibration verdicts, and octave-band level
 summaries. All functions are pure and reentrant.
 
 The Welch spectra are one value, from one batched Hann-windowed STFT per channel,
-which analyze_capture builds once. Every spectral correlation is Knapp & Carter's GCC
-on it, and must peak inside its lag window: the broadband delay reads the averaged
-cross-spectrum, the "phat" ITD the whitened one and each band ITD one weighted by an
-octave band-pass's |H|^4, so no transform spans the whole capture and no filter runs.
-The "none"-weighted ITD is a direct correlation, as matrix products over short blocks.
+which analyze_capture builds once. Every correlation is Knapp & Carter's GCC on it,
+and must peak inside its lag window: the broadband delay and the "none" ITD read the
+averaged cross-spectrum, the "phat" ITD the whitened one and each band ITD one weighted
+by an octave band-pass's |H|^4, so no transform spans the whole capture and no filter runs.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ SILENCE_RMS = 1e-6
 
 WEIGHTINGS = ("none", "phat")
 
-# Kernel batch sizes: each caps its kernel's working memory at a few MiB.
-_XCORR_BLOCK = 128
+# Welch segments per batched FFT: caps the spectral pass's working memory at a few MiB.
 _SEGMENT_BATCH = 32
 
 
@@ -97,46 +95,6 @@ def _lag_samples(max_lag: float, sample_rate: int) -> int:
     return int(round(lag))
 
 
-def _block_lags(a: np.ndarray, b: np.ndarray, chunks: int) -> np.ndarray:
-    """sum(a[j + m] * b[j]) for m < chunks * block, where b is whole blocks
-    long and a is `chunks` blocks longer."""
-    size = _XCORR_BLOCK
-    a_blocks, b_blocks = a.reshape(-1, size), b.reshape(-1, size)
-    k = b_blocks.shape[0]
-    col = np.arange(size)
-    row = col[:, None] + col
-    out = np.empty(chunks * size)
-    # Product d sums a[(r + d) * size + j] * b[r * size + i] over block rows r,
-    # which is lag d * size + j - i: each lag is a diagonal of two stacked products.
-    prev = a_blocks[:k].T @ b_blocks
-    for d in range(chunks):
-        nxt = a_blocks[d + 1 : d + 1 + k].T @ b_blocks
-        out[d * size : (d + 1) * size] = np.vstack([prev, nxt])[row, col].sum(axis=1)
-        prev = nxt
-    return out
-
-
-def _lag_products(a: np.ndarray, b: np.ndarray, max_lag: int) -> np.ndarray:
-    """sum(a[j + m] * b[j]) over j for m = 0..max_lag, as blocked matrix products.
-    Full blocks are views of the inputs; only the tail is copied and zero-padded."""
-    size = _XCORR_BLOCK
-    chunks = max_lag // size + 1
-    cut = max(a.size // size - chunks, 0) * size
-    pad = -(b.size - cut) % size
-    out = _block_lags(np.pad(a[cut:], (0, pad + chunks * size)), np.pad(b[cut:], (0, pad)), chunks)
-    if cut:
-        out += _block_lags(a[: cut + chunks * size], b[:cut], chunks)
-    return out[: max_lag + 1]
-
-
-def _xcorr_direct(left: np.ndarray, right: np.ndarray, max_lag: int) -> np.ndarray:
-    """Truncated cross-correlation sum(right[n] * left[n - m]) for |m| <= max_lag.
-    Negative lags swap the channels, so identical channels give an exactly
-    symmetric correlation."""
-    return np.concatenate([_lag_products(left, right, max_lag)[:0:-1],
-                           _lag_products(right, left, max_lag)])
-
-
 @dataclass(frozen=True)
 class _Spectra:
     """Welch's spectral densities of left x and right y; s_yx sums the swapped product."""
@@ -158,7 +116,7 @@ def _fit_window(size: int, max_lag: int, what: str) -> None:
 def _lag_window(s_xy: np.ndarray, s_yx: np.ndarray, size: int, max_lag: int,
                 widen: str = "max_lag (--max-lag-ms)") -> np.ndarray:
     """Lags -max_lag..max_lag of a `size`-point circular correlation: 0..max_lag from S_xy,
-    the negative lags from S_yx as in _xcorr_direct, so equal channels give a symmetric window.
+    the negative lags from S_yx, so equal channels give an exactly symmetric window.
     A window that misses the delay holds only sidelobes, so the whole correlation must peak
     inside it; an overflow makes every lag NaN and argmax read lag 0, so _itd_s sees to that."""
     pos, neg = (np.fft.irfft(s, size) for s in (s_xy, s_yx))
@@ -167,27 +125,23 @@ def _lag_window(s_xy: np.ndarray, s_yx: np.ndarray, size: int, max_lag: int,
     return np.concatenate([neg[max_lag:0:-1], pos[: max_lag + 1]])
 
 
-def _phat_window(spectra: _Spectra, max_lag: int) -> np.ndarray:
-    """GCC-PHAT on the Welch cross-spectra, as cross_correlation documents it."""
-    _fit_window(spectra.size, max_lag, "PHAT")
-    tiny = np.finfo(np.float64).tiny
-    s_xy, s_yx = (s / np.maximum(np.abs(s), np.abs(s).max() * 1e-12 + tiny)
-                  for s in (spectra.s_xy, spectra.s_yx))
-    return _lag_window(s_xy, s_yx, spectra.size, max_lag)
-
-
 def _correlation(stereo: StereoBuffer, max_lag: float, weighting: str,
                  spectra: _Spectra | None = None) -> tuple[int, np.ndarray]:
-    """(max_lag in samples, window) of cross_correlation; PHAT reads `spectra` if given."""
+    """(max_lag in samples, window) of cross_correlation, read off `spectra` if given."""
     if weighting not in WEIGHTINGS:
         raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     n, sr = len(stereo), stereo.sample_rate
     m = _lag_samples(max_lag, sr)
     if m >= n:
         raise ValidationError(f"max_lag {max_lag} s exceeds the buffer length {n / sr} s")
-    if weighting == "none":
-        return m, _xcorr_direct(stereo.left.samples, stereo.right.samples, m)
-    return m, _phat_window(spectra or _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, n)), m)
+    spectra = spectra or _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, n))
+    _fit_window(spectra.size, m, "PHAT" if weighting == "phat" else "unweighted")
+    s_xy, s_yx = spectra.s_xy, spectra.s_yx
+    if weighting == "phat":
+        tiny = np.finfo(np.float64).tiny
+        s_xy, s_yx = (s / np.maximum(np.abs(s), np.abs(s).max() * 1e-12 + tiny)
+                      for s in (s_xy, s_yx))
+    return m, _lag_window(s_xy, s_yx, spectra.size, m)
 
 
 def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
@@ -195,11 +149,12 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     """Generalized cross-correlation of right against left.
 
     Returns (lags_samples, correlation); a peak at a positive lag means the
-    right channel lags the left. weighting="phat" whitens the Welch-averaged
-    cross-spectrum over DEFAULT_FFT_SIZE segments (one segment when the buffer
-    is shorter). Its window must fit four times in a segment (42.7 ms at
-    48 kHz) or ValidationError is raised; AnalysisError is raised when the
-    whitened circular correlation peaks outside the window.
+    right channel lags the left. It is the inverse transform of the
+    Welch-averaged cross-spectrum over DEFAULT_FFT_SIZE segments (one segment
+    when the buffer is shorter), weighted by 1 for "none" and whitened for
+    "phat". The window must fit four times in a segment (42.7 ms at 48 kHz)
+    or ValidationError is raised; AnalysisError is raised when the whole
+    circular correlation peaks outside the window.
     """
     m, cc = _correlation(stereo, max_lag, weighting)
     return np.arange(-m, m + 1), cc
@@ -222,19 +177,6 @@ def _itd_s(cc: np.ndarray, sample_rate: int, widen: str = "max_lag (--max-lag-ms
     return float((k - cc.size // 2 + offset) / sample_rate)
 
 
-def _broadband_itd(stereo: StereoBuffer, max_lag: float, weighting: str,
-                   spectra: _Spectra | None = None) -> tuple[int, float]:
-    """(max_lag in samples, ITD) by the ITD rule. A direct window cannot tell a delay past it
-    from a sidelobe, so under "none" the weight-1 GCC of the Welch cross-spectrum, `spectra`
-    if given, must pass _lag_window's rule as well."""
-    m, cc = _correlation(stereo, max_lag, weighting, spectra)
-    itd = _itd_s(cc, stereo.sample_rate)
-    if weighting == "none":
-        spectra = spectra or _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, len(stereo)))
-        _lag_window(spectra.s_xy, spectra.s_yx, spectra.size, m)
-    return m, itd
-
-
 def _require_sound(stereo: StereoBuffer) -> None:
     for what, channel in (("left channel", stereo.left), ("right channel", stereo.right)):
         if np.sqrt(np.dot(channel.samples, channel.samples) / len(channel)) < SILENCE_RMS:
@@ -245,15 +187,15 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
                  weighting: str = "none") -> float:
     """Interaural time difference in seconds, positive when right lags left.
 
-    Takes the peak of cross_correlation (direct, or GCC-PHAT on the Welch
-    cross-spectrum) and refines it with a parabolic fit through the peak and
-    its neighbors, resolving delays well below one sample period. A silent
-    channel raises SilentSignalError; a peak that is not finite or that sits
-    on the window's first or last lag raises AnalysisError, and so does a
-    Welch cross-spectrum, unweighted for "none", whose whole circular
-    correlation peaks outside the window."""
+    Takes the peak of cross_correlation (the GCC of the Welch cross-spectrum,
+    unweighted or PHAT) and refines it with a parabolic fit through the peak
+    and its neighbors, resolving delays well below one sample period. The
+    window must fit four times in a segment, as cross_correlation says. A
+    silent channel raises SilentSignalError; a correlation that peaks outside
+    the window, or whose peak is not finite or sits on the window's first or
+    last lag, raises AnalysisError."""
     _require_sound(stereo)
-    return _broadband_itd(stereo, max_lag, weighting)[1]
+    return _itd_s(_correlation(stereo, max_lag, weighting)[1], stereo.sample_rate)
 
 
 def _octave_response(freqs: np.ndarray, center_hz: float, sample_rate: int) -> np.ndarray:
@@ -291,7 +233,7 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
     Band-passing both channels forward and backward with a fourth-order, octave-wide
     Butterworth centered on the tone weights their cross-spectrum by |H|^4, which is
     real and so adds no delay. Each band ITD is estimate_itd's rule on the Welch
-    cross-spectra of PHAT's segments times that weight, so the lag window must fit four
+    cross-spectra of estimate_itd's segments times that weight, so the window must fit four
     times in a segment, and the band's whole circular correlation must peak inside it.
     Raises AnalysisError when a band holds no usable energy.
     """
@@ -417,7 +359,7 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
 
     Equals its three stages called alone, sharing one Welch pass: transfer_function of
     right against left, estimate_itd and band_itd, each with the arguments given here.
-    The PHAT ITD, the band ITDs and the transfer function read one Welch pass over
+    The broadband and band ITDs and the transfer function read one Welch pass over
     min(DEFAULT_FFT_SIZE, len) samples; at any other fft_size the transfer function takes
     a second pass. Errors come in the stages' order, except that the fft_size checks come
     first and the broadband delay's lag rule last.
@@ -426,7 +368,8 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
     _check_fft_size(fft_size, n, sr)
     _require_sound(stereo)
     spectra = _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, n))
-    m, itd = _broadband_itd(stereo, max_lag, weighting, spectra)
+    m, cc = _correlation(stereo, max_lag, weighting, spectra)
+    itd = _itd_s(cc, sr)
     itd_low, itd_high = _band_itds(spectra, low_hz, high_hz, m, sr)
     if fft_size != spectra.size:
         spectra = _welch_spectra(stereo, fft_size)

@@ -193,6 +193,21 @@ def test_cross_correlation_matches_brute_force():
         assert round(estimate_itd(stereo, max_lag=max_lag / SR) * SR) == d
 
 
+@pytest.mark.parametrize("weighting", analysis.WEIGHTINGS)
+@given(n=st.integers(8, 12000), lag=st.integers(1, 2048), seed=st.integers(0, 2**32 - 1),
+       log_gain=st.floats(-3.0, 3.0))
+@settings(max_examples=30, deadline=None)
+def test_identical_channels_correlate_exactly_symmetrically(weighting, n, lag, seed, log_gain):
+    # the negative lags come from the swapped cross-spectrum, which equals the unswapped one
+    # for identical channels, so no rounding breaks the symmetry or moves the peak
+    mono = SampleBuffer(np.random.default_rng(seed).standard_normal(n) * 10.0 ** log_gain, SR)
+    stereo = StereoBuffer(mono, mono)
+    max_lag = min(lag, min(n, analysis.DEFAULT_FFT_SIZE) // 4) / SR  # fits four times
+    lags, cc = cross_correlation(stereo, max_lag, weighting)
+    assert np.array_equal(cc, cc[::-1]) and np.array_equal(lags, -lags[::-1])
+    assert estimate_itd(stereo, max_lag, weighting) == 0.0
+
+
 # --- band_itd ---------------------------------------------------------------
 
 def two_tone_capture(delay_low_s, delay_high_s, low_hz=220.0, high_hz=6000.0):
@@ -388,7 +403,8 @@ def test_analyze_capture_constructed_delay(pink_5s):
 # --- the ITD rule: a finite peak strictly inside the lag window -------------------
 
 def test_itd_past_the_lag_window_is_an_error(pink_2s):
-    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 3.3e-3))
+    # exactly the window's 96 samples: the peak sits on its last lag
+    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 2e-3))
     for call in (estimate_itd, analyze_capture):
         with pytest.raises(AnalysisError, match=r"edge of the 2 ms lag window.*max_lag"):
             call(stereo)
@@ -397,10 +413,10 @@ def test_itd_past_the_lag_window_is_an_error(pink_2s):
 @pytest.mark.parametrize("delay_ms", [2.5, 3.3, 5.0, 8.0])
 @pytest.mark.parametrize("weighting", ["none", "phat"])
 def test_delay_past_the_lag_window_never_reads_as_an_itd(pink_2s, delay_ms, weighting):
-    # 5 and 8 ms put the direct correlation's peak one lag inside the window's edge, so
-    # only the Welch cross-spectrum's whole circular correlation tells them from an ITD
+    # a window that misses the delay holds only sidelobes, which can peak one lag inside its
+    # edge (5 and 8 ms do), so only the whole circular correlation's peak tells them apart
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, delay_ms * 1e-3))
-    for call in (estimate_itd, analyze_capture):
+    for call in (cross_correlation, estimate_itd, analyze_capture):
         with pytest.raises(AnalysisError, match="--max-lag-ms"):
             call(stereo, weighting=weighting)
 
@@ -409,18 +425,10 @@ def test_delay_past_the_lag_window_never_reads_as_an_itd(pink_2s, delay_ms, weig
 def test_delay_inside_the_lag_window_passes_the_direct_rule(pink_2s, delay_ms):
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, delay_ms * 1e-3))
     _, cc = cross_correlation(stereo)
-    itd = analysis._itd_s(cc, SR)  # the direct window's ITD, before any spectral rule
+    itd = analysis._itd_s(cc, SR)  # the ITD rule on the unweighted window alone
     assert itd == pytest.approx(delay_ms * 1e-3, abs=ONE_SAMPLE)
     assert estimate_itd(stereo) == itd
     assert analyze_capture(stereo).itd_s == itd
-
-
-def test_cross_correlation_returns_a_window_past_the_delay(pink_2s):
-    # cross_correlation returns its window whatever the delay; only the ITD readers raise
-    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 5e-3))
-    lags, cc = cross_correlation(stereo)
-    assert lags.size == cc.size == 2 * round(analysis.DEFAULT_MAX_LAG_S * SR) + 1
-    assert np.isfinite(cc).all()
 
 
 def test_itd_past_2ms_is_measured_in_a_wider_window(pink_2s):
@@ -480,33 +488,7 @@ def test_non_finite_lag_window_is_rejected(pink_2s, call, max_lag):
         call(StereoBuffer(pink_2s, pink_2s), max_lag=max_lag)
 
 
-# --- direct correlation kernel and spectral pass ---------------------------------
-
-@st.composite
-def lag_cases(draw):
-    n = draw(st.one_of(st.integers(2, 127), st.integers(128, 1500)))
-    return n, draw(st.integers(1, n - 1)), draw(st.integers(0, 2**32 - 1))
-
-
-@given(lag_cases())
-@settings(max_examples=60, deadline=None)
-def test_xcorr_direct_matches_full_correlation(case):
-    n, max_lag, seed = case
-    rng = np.random.default_rng(seed)
-    left, right = rng.standard_normal(n), rng.standard_normal(n)
-    cc = analysis._xcorr_direct(left, right, max_lag)
-    window = np.correlate(right, left, "full")[n - 1 - max_lag : n + max_lag]
-    np.testing.assert_allclose(cc, window, rtol=0, atol=1e-12 * np.sqrt(n))
-
-
-@given(lag_cases())
-@settings(max_examples=30, deadline=None)
-def test_xcorr_direct_is_exactly_symmetric_for_identical_channels(case):
-    n, max_lag, seed = case
-    x = np.random.default_rng(seed).standard_normal(n)
-    cc = analysis._xcorr_direct(x, x, max_lag)
-    assert np.array_equal(cc, cc[::-1])
-
+# --- the spectral pass --------------------------------------------------------------
 
 @given(st.integers(1, 10), st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 4000),
        st.integers(0, 2**32 - 1))
@@ -630,8 +612,8 @@ def _high_tone(stereo):
     (3.3e-3, None, dict(weighting="phat", high_hz=3e4), AnalysisError, "outside the lag window"),
     (0.43e-3, _loud, dict(weighting="phat", high_hz=3e4), AnalysisError, "overflowed"),
     (0.43e-3, _loud, dict(high_hz=3e4), AnalysisError, "overflowed"),
-    (3.3e-3, None, dict(low_hz=3e4), AnalysisError, "edge of the 2 ms"),
-    (0.43e-3, None, dict(max_lag=2049 / SR, low_hz=3e4), ValidationError, "band lag window"),
+    (3.3e-3, None, dict(low_hz=3e4), AnalysisError, "outside the lag window"),
+    (0.43e-3, None, dict(max_lag=2049 / SR, low_hz=3e4), ValidationError, "unweighted lag window"),
     (0.43e-3, None, dict(low_hz=3e4, high_hz=2e4), ValidationError, "30000.0 Hz.*Nyquist"),
     (0.43e-3, _high_tone, dict(high_hz=3e4), AnalysisError, "no usable energy in the 220 Hz"),
     (0.43e-3, None, dict(weighting="phat", high_hz=3e4), ValidationError, "30000.0 Hz.*Nyquist"),
@@ -644,38 +626,17 @@ def test_analyze_capture_error_precedence(pink_2s, delay, make, kwargs, error, m
         analyze_capture(make(stereo) if make else stereo, **kwargs)
 
 
-def count_direct_correlations(monkeypatch):
-    calls = []
-    original = analysis._xcorr_direct
-
-    def spy(left, right, max_lag):
-        calls.append(max_lag)
-        return original(left, right, max_lag)
-
-    monkeypatch.setattr(analysis, "_xcorr_direct", spy)
-    return calls
-
-
-@pytest.mark.parametrize("weighting, direct_lags", [("none", [96]), ("phat", [])])
-def test_analyze_capture_direct_correlations(pink_2s, monkeypatch, weighting, direct_lags):
-    # the broadband ITD under "none"; the transfer function and the bands run none
-    stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 0.43e-3))
-    calls = count_direct_correlations(monkeypatch)
-    analyze_capture(stereo, weighting=weighting)
-    assert calls == direct_lags
-
-
 # --- the broadband delay from the averaged cross-spectrum ---------------------------
 
 @given(seed=st.integers(0, 2**32 - 1), delay=st.floats(0.0, 1.95e-3))
 @settings(max_examples=20, deadline=None)
-def test_broadband_delay_matches_the_direct_correlation_peak(seed, delay):
+def test_broadband_delay_matches_the_unweighted_itd(seed, delay):
     pink = gen_pink_noise(1.0, SR, seed=seed)
     stereo = StereoBuffer(pink, delayed_copy(pink, delay))
-    direct = estimate_itd(stereo)  # the refined peak of the direct 2 ms correlation
+    itd = estimate_itd(stereo)  # the refined peak of the unweighted 2 ms window
     for fft_size in (512, 1024, 2048, 4096, 8192):  # every accepted size up to the default
         tf = transfer_function(stereo.left, stereo.right, fft_size=fft_size)
-        assert tf.broadband_delay_s == pytest.approx(direct, abs=0.05 * ONE_SAMPLE)
+        assert tf.broadband_delay_s == pytest.approx(itd, abs=0.05 * ONE_SAMPLE)
 
 
 @pytest.mark.parametrize("sample_rate", [8000, 44100, 48000])
@@ -794,4 +755,5 @@ def test_phat_lag_window_must_fit_four_times_in_its_segment(pink_2s):
     assert estimate_itd(short, 1200 / SR, "phat") == pytest.approx(0.43e-3, abs=ONE_SAMPLE)
     with pytest.raises(ValidationError, match="in its 4800-sample segment"):
         estimate_itd(short, 1201 / SR, "phat")
-    assert estimate_itd(short, 1201 / SR) == pytest.approx(0.43e-3, abs=ONE_SAMPLE)
+    with pytest.raises(ValidationError, match="unweighted lag window.*4800-sample segment"):
+        estimate_itd(short, 1201 / SR)
