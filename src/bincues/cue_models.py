@@ -8,7 +8,7 @@ far (shadowed) ear. ITD values are positive when the far ear lags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -65,22 +65,22 @@ def ild_min_frequency(geom: HeadGeometry) -> float:
 
 @dataclass(frozen=True)
 class DuplexThresholds:
-    """Band edges splitting the spectrum by which cue dominates localization."""
+    """The three band edges duplex_classify splits the spectrum at, by dominant cue.
+
+    ITD dominates up to itd_limit_hz, a transition band runs up to ild_start_hz, the
+    ILD is present but inefficient from there to ild_effective_hz, and effective above.
+    """
 
     itd_limit_hz: float = 1500.0
     ild_start_hz: float = 2000.0
-    ild_min_hz: float = field(default_factory=lambda: ild_min_frequency(HeadGeometry()))
-    ild_inefficient_band: tuple[float, float] = (2000.0, 4000.0)
+    ild_effective_hz: float = 4000.0
 
     def __post_init__(self) -> None:
-        if not self.itd_limit_hz < self.ild_start_hz:
+        if not self.itd_limit_hz < self.ild_start_hz <= self.ild_effective_hz:
             raise ValidationError(
-                f"itd_limit_hz ({self.itd_limit_hz}) must be below ild_start_hz ({self.ild_start_hz})"
+                f"band edges must satisfy itd_limit_hz < ild_start_hz <= ild_effective_hz, "
+                f"got {self.itd_limit_hz}, {self.ild_start_hz}, {self.ild_effective_hz}"
             )
-
-    @classmethod
-    def for_head(cls, geom: HeadGeometry) -> "DuplexThresholds":
-        return cls(ild_min_hz=ild_min_frequency(geom))
 
 
 class CueBand(Enum):
@@ -103,7 +103,7 @@ def duplex_classify(freq: float, thresholds: DuplexThresholds | None = None) -> 
         return CueBand.ITD_EFFECTIVE
     if freq < t.ild_start_hz:
         return CueBand.TRANSITION
-    if freq <= t.ild_inefficient_band[1]:
+    if freq <= t.ild_effective_hz:
         return CueBand.ILD_INEFFICIENT
     return CueBand.ILD_EFFECTIVE
 

@@ -50,24 +50,22 @@ def binauralize(signal: SampleBuffer, spec: RenderSpec) -> StereoBuffer:
     """Render a mono source at the spec's azimuth.
 
     The near ear gets the dry signal, the far ear the delayed and shadowed
-    one from rigsim.far_ear; a negative azimuth mirrors the channels
-    sample-exactly. If the result would peak above 1.0 after gain, both
-    channels are scaled down together so the interaural cues survive intact.
+    one from rigsim.far_ear, or at azimuth 0 the near ear's own array; a
+    negative azimuth mirrors the channels sample-exactly. If the result would
+    peak above 1.0 after gain, both channels are scaled down together so the
+    interaural cues survive intact.
     """
     if len(signal) == 0:
         raise ValidationError("signal is empty")
     gain = 10.0 ** (spec.gain_db / 20.0)
     sr = signal.sample_rate
 
-    if spec.azimuth_rad == 0.0:
-        mono = gain * signal.samples
-        mono.setflags(write=False)
-        return StereoBuffer(SampleBuffer(mono, sr), SampleBuffer(mono, sr))
-
     near = gain * signal.samples
-    far = gain * far_ear(spec.rig, abs(spec.azimuth_rad), signal, spec.temperature_c)
-    peak = max(np.max(np.abs(near)), np.max(np.abs(far)))
-    for ear in (near, far):  # fresh arrays: normalized in place, then handed to the buffers
+    far = (near if spec.azimuth_rad == 0.0
+           else gain * far_ear(spec.rig, abs(spec.azimuth_rad), signal, spec.temperature_c))
+    ears = (near,) if far is near else (near, far)
+    peak = max(np.max(np.abs(ear)) for ear in ears)
+    for ear in ears:  # fresh arrays: normalized in place, then handed to the buffers
         if peak > 1.0:
             ear /= peak
         ear.setflags(write=False)

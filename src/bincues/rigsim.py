@@ -11,7 +11,7 @@ diffraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import reduce
 from pathlib import Path
@@ -34,7 +34,6 @@ class RigKind(Enum):
 
 SEMI_DUMMY_SPACING_M = 0.19
 JECKLIN_SPACING_M = 0.175
-JECKLIN_DISC_DIAMETER_M = 0.33
 ORTF_SPACING_M = 0.17
 ORTF_CAPSULE_ANGLE_DEG = 110.0
 
@@ -52,25 +51,21 @@ SEMI_DUMMY_SHADOW = ShadowParams(max_attenuation_db=15.0, corner_hz=4500.0)
 #: Disc baffle: under 3 dB until ~6 kHz, about 8 dB across the top octaves.
 JECKLIN_SHADOW = ShadowParams(max_attenuation_db=8.0, corner_hz=7500.0)
 
-#: Per-kind defaults: the one place a rig kind's default geometry lives.
-#: RigSpec(kind) fills every field left at None from its kind's row.
+#: Per-kind defaults: the one place a rig kind's default geometry lives. A kind's row
+#: lists every field a RigSpec of that kind holds, each one read by its models;
+#: RigSpec(kind) fills the row's fields left at None and rejects any other field.
 _DEFAULTS = {
-    RigKind.HUMAN_HEAD: {"head": HeadGeometry(), "shadow": ShadowParams()},
-    RigKind.FULL_DUMMY: {"head": HeadGeometry(), "shadow": FULL_DUMMY_SHADOW},
+    RigKind.HUMAN_HEAD: {"radius_m": HeadGeometry.radius_m, "shadow": ShadowParams()},
+    RigKind.FULL_DUMMY: {"radius_m": HeadGeometry.radius_m, "shadow": FULL_DUMMY_SHADOW},
     RigKind.SEMI_DUMMY: {"mic_spacing_m": SEMI_DUMMY_SPACING_M,
                          "path_extension": SEMI_DUMMY_PATH_EXTENSION,
                          "shadow": SEMI_DUMMY_SHADOW},
     RigKind.JECKLIN: {"mic_spacing_m": JECKLIN_SPACING_M,
-                      "disc_diameter_m": JECKLIN_DISC_DIAMETER_M,
                       "path_extension": JECKLIN_PATH_EXTENSION,
                       "shadow": JECKLIN_SHADOW},
     RigKind.ORTF: {"mic_spacing_m": ORTF_SPACING_M,
                    "capsule_angle_deg": ORTF_CAPSULE_ANGLE_DEG},
 }
-
-_SPACED_KINDS = (RigKind.SEMI_DUMMY, RigKind.JECKLIN, RigKind.ORTF)
-_HEAD_KINDS = (RigKind.HUMAN_HEAD, RigKind.FULL_DUMMY)
-_BAFFLED_KINDS = (RigKind.SEMI_DUMMY, RigKind.JECKLIN)
 
 _SHADOW_FIR_TAPS = 511
 _SHADOW_DESIGN_FFT = 8192
@@ -88,40 +83,41 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class RigSpec:
-    """One capture rig: its kind plus the geometry that kind needs.
+    """One capture rig: its kind plus exactly the geometry that kind's models read.
 
-    Head kinds carry a HeadGeometry and a ShadowParams; baffled kinds carry
-    mic spacing, a baffle ShadowParams, and a path_extension >= 1; ORTF
-    carries mic spacing and the capsule angle of its cardioid pair. Fields
-    left at None take the kind's defaults; path_extension is 1 for kinds
-    without a fitted one.
+    Head kinds hold a head radius_m and a ShadowParams; baffled kinds hold
+    mic spacing, a path_extension >= 1 and a baffle ShadowParams; ORTF holds
+    mic spacing and the capsule angle of its cardioid pair. Fields of the
+    kind left at None take its defaults; a field of another kind must stay
+    None, or the spec raises ValidationError naming it.
     """
 
     kind: RigKind
-    head: HeadGeometry | None = None
+    radius_m: float | None = None
     mic_spacing_m: float | None = None
-    disc_diameter_m: float | None = None
     capsule_angle_deg: float | None = None
     path_extension: float | None = None
     shadow: ShadowParams | None = None
 
     def __post_init__(self) -> None:
-        for name, value in {"path_extension": 1.0, **_DEFAULTS[self.kind]}.items():
+        row = _DEFAULTS[self.kind]
+        for f in fields(self)[1:]:  # the geometry fields, after kind
+            if f.name not in row and getattr(self, f.name) is not None:
+                raise ValidationError(f"rig kind '{self.kind.value}' has no field {f.name}")
+        for name, value in row.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
-        if self.kind in _SPACED_KINDS and not 0 < self.mic_spacing_m < math.inf:
+        if self.radius_m is not None:
+            HeadGeometry(self.radius_m)
+        if self.mic_spacing_m is not None and not 0 < self.mic_spacing_m < math.inf:
             raise ValidationError(
                 f"mic_spacing_m must be positive and finite, got {self.mic_spacing_m}"
             )
-        if self.kind in _BAFFLED_KINDS and not 1.0 <= self.path_extension < math.inf:
+        if self.path_extension is not None and not 1.0 <= self.path_extension < math.inf:
             raise ValidationError(
                 f"path_extension must be >= 1 and finite, got {self.path_extension}"
             )
-        if self.kind is RigKind.JECKLIN and not 0 < self.disc_diameter_m < math.inf:
-            raise ValidationError(
-                f"disc_diameter_m must be positive and finite, got {self.disc_diameter_m}"
-            )
-        if self.kind is RigKind.ORTF and not 0.0 < self.capsule_angle_deg <= 180.0:
+        if self.capsule_angle_deg is not None and not 0.0 < self.capsule_angle_deg <= 180.0:
             raise ValidationError(
                 f"capsule_angle_deg must lie in (0, 180], got {self.capsule_angle_deg}"
             )
@@ -129,12 +125,12 @@ class RigSpec:
 
 def human_head(radius_m: float = HeadGeometry.radius_m,
                shadow: ShadowParams | None = None) -> RigSpec:
-    return RigSpec(RigKind.HUMAN_HEAD, head=HeadGeometry(radius_m=radius_m), shadow=shadow)
+    return RigSpec(RigKind.HUMAN_HEAD, radius_m=radius_m, shadow=shadow)
 
 
 def full_dummy(radius_m: float = HeadGeometry.radius_m,
                shadow: ShadowParams | None = None) -> RigSpec:
-    return RigSpec(RigKind.FULL_DUMMY, head=HeadGeometry(radius_m=radius_m), shadow=shadow)
+    return RigSpec(RigKind.FULL_DUMMY, radius_m=radius_m, shadow=shadow)
 
 
 def semi_dummy(mic_spacing_m: float | None = None, path_extension: float | None = None,
@@ -143,12 +139,10 @@ def semi_dummy(mic_spacing_m: float | None = None, path_extension: float | None 
                    path_extension=path_extension, shadow=shadow)
 
 
-def jecklin(mic_spacing_m: float | None = None, disc_diameter_m: float | None = None,
-            path_extension: float | None = None,
+def jecklin(mic_spacing_m: float | None = None, path_extension: float | None = None,
             shadow: ShadowParams | None = None) -> RigSpec:
     return RigSpec(RigKind.JECKLIN, mic_spacing_m=mic_spacing_m,
-                   disc_diameter_m=disc_diameter_m, path_extension=path_extension,
-                   shadow=shadow)
+                   path_extension=path_extension, shadow=shadow)
 
 
 def ortf(mic_spacing_m: float | None = None,
@@ -168,10 +162,10 @@ def _free_field_itd(mic_spacing_m: float, azimuth: float, temperature_c: float) 
 
 def predicted_itd(rig: RigSpec, src: SourceSpec, temperature_c: float = 20.0) -> float:
     """Model ITD in seconds for the rig at the source azimuth."""
-    if rig.kind in _HEAD_KINDS:
-        return itd_simple(replace(rig.head, temperature_c=temperature_c), src.azimuth_rad)
+    if rig.radius_m is not None:
+        return itd_simple(HeadGeometry(rig.radius_m, temperature_c), src.azimuth_rad)
     free_field = _free_field_itd(rig.mic_spacing_m, src.azimuth_rad, temperature_c)
-    if rig.kind is RigKind.ORTF:
+    if rig.path_extension is None:
         return free_field
     return rig.path_extension * free_field
 
@@ -264,12 +258,12 @@ def fit_path_extension(rig_kind: RigKind, measured_itd_s: float, azimuth: float,
     that the geometry alone cannot explain. Only defined for rigs with a mic
     spacing and away from azimuth 0, where the free-field path vanishes.
     """
-    if rig_kind not in _SPACED_KINDS:
+    spacing = _DEFAULTS[rig_kind].get("mic_spacing_m")
+    if spacing is None:
         raise ValidationError(f"{rig_kind.value} has no spaced-pair path to fit")
     check_azimuth(azimuth)
     if azimuth == 0.0:
         raise ValidationError("cannot fit at azimuth 0: the free-field path difference is zero")
-    spacing = _DEFAULTS[rig_kind]["mic_spacing_m"]
     return measured_itd_s / _free_field_itd(spacing, azimuth, temperature_c)
 
 
@@ -279,9 +273,8 @@ def fit_path_extension(rig_kind: RigKind, measured_itd_s: float, azimuth: float,
 #: by rig_fields for files and reports and by load_rig_config. A kind's keys
 #: are those whose attribute its _DEFAULTS row has, in this (file) order.
 _FIELDS = {
-    "radius_m": ("head", "radius_m"),
+    "radius_m": ("radius_m",),
     "mic_spacing_m": ("mic_spacing_m",),
-    "disc_diameter_m": ("disc_diameter_m",),
     "capsule_angle_deg": ("capsule_angle_deg",),
     "path_extension": ("path_extension",),
     "shadow.max_db": ("shadow", "max_attenuation_db"),

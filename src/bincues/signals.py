@@ -172,6 +172,7 @@ def fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         np.fft.rfft(x[whole * step :], size, out=spectra[whole])
     spectra *= np.fft.rfft(kernel, size)
     y = np.fft.irfft(spectra, size)
+    del spectra  # freed before the overlap-add copy, so at most two block arrays are alive
     out = np.pad(y[:, :step], ((0, 1), (0, 0)))
     out[1:, : taps - 1] += y[:, step:]
     return out.ravel()[: x.size + taps - 1]

@@ -123,9 +123,12 @@ def test_duplex_thresholds_validation():
         DuplexThresholds(itd_limit_hz=2500.0, ild_start_hz=2000.0)
 
 
-def test_duplex_thresholds_for_head():
-    thresholds = DuplexThresholds.for_head(HeadGeometry(radius_m=0.089, temperature_c=20.0))
-    assert thresholds.ild_min_hz == pytest.approx(642.3, abs=0.1)
+def test_duplex_thresholds_order_the_ild_edges():
+    with pytest.raises(ValidationError, match="ild_start_hz <= ild_effective_hz"):
+        DuplexThresholds(ild_start_hz=3000.0, ild_effective_hz=2500.0)
+    edges = DuplexThresholds(ild_start_hz=3000.0, ild_effective_hz=3000.0)
+    assert duplex_classify(3000.0, edges) is CueBand.ILD_INEFFICIENT
+    assert duplex_classify(3000.5, edges) is CueBand.ILD_EFFECTIVE
 
 
 def test_ild_min_frequency_values():

@@ -17,6 +17,16 @@ def test_median_plane_gives_identical_channels(pink_2s):
     assert np.array_equal(out.left.samples, out.right.samples)
 
 
+@pytest.mark.parametrize("azimuth", (0.0, 1e-6, math.pi / 6))
+def test_a_hot_source_renders_at_peak_one_at_every_azimuth(azimuth, pink_2s):
+    # The peak rule holds on the median plane too, where both ears share one array.
+    hot = SampleBuffer(pink_2s.samples * (1.5 / np.max(np.abs(pink_2s.samples))), SR)
+    out = binauralize(hot, RenderSpec(azimuth_rad=azimuth))
+    assert max(np.max(np.abs(out.left.samples)), np.max(np.abs(out.right.samples))) <= 1.0
+    if azimuth == 0.0:
+        assert out.left.samples is out.right.samples
+
+
 def test_broadside_itd_recovery(pink_5s):
     spec = RenderSpec(azimuth_rad=HALF_PI, temperature_c=18.0)
     out = binauralize(pink_5s, spec)

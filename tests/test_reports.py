@@ -147,7 +147,7 @@ def test_rig_to_dict_covers_kind_fields():
 
     disc = rig_to_dict(jecklin())
     assert disc["path_extension"] == pytest.approx(1.133)
-    assert disc["disc_diameter_m"] == 0.33
+    assert set(disc) == {"kind", "mic_spacing_m", "path_extension", "shadow"}
 
     pair = rig_to_dict(ortf())
     assert pair["capsule_angle_deg"] == 110.0

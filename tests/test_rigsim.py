@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields
 from operator import attrgetter
 
 import numpy as np
@@ -197,12 +198,13 @@ def test_capture_near_ear_is_the_source_array(rig, pink_2s):
     assert not capture.right.samples.flags.writeable
 
 
-@pytest.mark.parametrize("rig, held, peak", [(human_head(), 1, 3.6), (ortf(), 2, 3.2)],
+@pytest.mark.parametrize("rig, held, peak", [(human_head(), 1, 2.5), (ortf(), 2, 3.1)],
                          ids=["human", "ortf"])
 def test_capture_allocates_each_channel_once(rig, held, peak, pink_5s):
     # A head rig's capture holds one new channel, the far ear, as its near ear is the
     # source's array; ORTF's gain makes both channels new. The peak is the far ear's
-    # convolution. A copy of each channel as the buffers wrap it would add 1x to both.
+    # convolution, which frees its block spectra before the overlap-add copy (2.37 and
+    # 3.00 channels). A copy of each channel as the buffers wrap it would add 1x to both.
     channel = pink_5s.samples.nbytes
     tracemalloc.start()
     try:
@@ -248,12 +250,48 @@ def test_fit_path_extension_rejects_zero_azimuth_and_head_rigs():
 def test_rig_spec_fills_kind_defaults():
     spec = RigSpec(RigKind.JECKLIN)
     assert spec.mic_spacing_m == 0.175
-    assert spec.disc_diameter_m == 0.33
+    assert spec.path_extension == 1.133
     assert spec.shadow is not None
+    assert spec.radius_m is spec.capsule_angle_deg is None
 
     spec = RigSpec(RigKind.ORTF)
     assert spec.mic_spacing_m == 0.17
     assert spec.capsule_angle_deg == 110.0
+    assert spec.path_extension is spec.shadow is spec.radius_m is None
+
+    spec = RigSpec(RigKind.HUMAN_HEAD)
+    assert spec.radius_m == 0.089
+    assert spec.mic_spacing_m is spec.path_extension is spec.capsule_angle_deg is None
+
+
+#: Each kind's fields: the complete list of what a RigSpec of that kind holds.
+KIND_FIELDS = {
+    RigKind.HUMAN_HEAD: ("radius_m", "shadow"),
+    RigKind.FULL_DUMMY: ("radius_m", "shadow"),
+    RigKind.SEMI_DUMMY: ("mic_spacing_m", "path_extension", "shadow"),
+    RigKind.JECKLIN: ("mic_spacing_m", "path_extension", "shadow"),
+    RigKind.ORTF: ("mic_spacing_m", "capsule_angle_deg"),
+}
+#: One valid value per field, so only the kind can make a setting stray.
+FIELD_VALUES = {"radius_m": 0.09, "mic_spacing_m": 0.2, "capsule_angle_deg": 90.0,
+                "path_extension": 1.2, "shadow": ShadowParams()}
+STRAY = [(kind, name) for kind in RigKind for name in FIELD_VALUES
+         if name not in KIND_FIELDS[kind]]
+
+
+def test_rig_spec_settings_are_the_kind_fields():
+    # FIELD_VALUES names every field, so the 12 kind fields and the 13 strays are all pairs
+    assert [f.name for f in fields(RigSpec)] == ["kind", *FIELD_VALUES]
+    assert (sum(map(len, KIND_FIELDS.values())), len(STRAY)) == (12, 13)
+    for kind, names in KIND_FIELDS.items():
+        for name in names:
+            assert getattr(RigSpec(kind, **{name: FIELD_VALUES[name]}), name) == FIELD_VALUES[name]
+
+
+@pytest.mark.parametrize("kind, name", STRAY, ids=lambda v: getattr(v, "value", v))
+def test_rig_spec_rejects_a_field_of_another_kind(kind, name):
+    with pytest.raises(ValidationError, match=f"'{kind.value}' has no field {name}$"):
+        RigSpec(kind, **{name: FIELD_VALUES[name]})
 
 
 FACTORIES = {RigKind.HUMAN_HEAD: human_head, RigKind.FULL_DUMMY: full_dummy,
@@ -279,7 +317,7 @@ def test_rig_spec_invariants():
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 def test_rig_spec_rejects_non_finite_geometry(bad):
     builds = (lambda: semi_dummy(mic_spacing_m=bad), lambda: semi_dummy(path_extension=bad),
-              lambda: jecklin(disc_diameter_m=bad), lambda: ortf(mic_spacing_m=bad),
+              lambda: jecklin(path_extension=bad), lambda: ortf(mic_spacing_m=bad),
               lambda: ortf(capsule_angle_deg=bad), lambda: human_head(radius_m=bad),
               lambda: full_dummy(shadow=ShadowParams(corner_hz=bad)),
               lambda: jecklin(shadow=ShadowParams(azimuth_exponent=bad)))
@@ -301,14 +339,13 @@ CONFIG_KEYS = {
     RigKind.HUMAN_HEAD: ("radius_m", *SHADOW_KEYS),
     RigKind.FULL_DUMMY: ("radius_m", *SHADOW_KEYS),
     RigKind.SEMI_DUMMY: ("mic_spacing_m", "path_extension", *SHADOW_KEYS),
-    RigKind.JECKLIN: ("mic_spacing_m", "disc_diameter_m", "path_extension", *SHADOW_KEYS),
+    RigKind.JECKLIN: ("mic_spacing_m", "path_extension", *SHADOW_KEYS),
     RigKind.ORTF: ("mic_spacing_m", "capsule_angle_deg"),
 }
 #: Config key -> (RigSpec attribute path, valid values).
 CONFIG_FIELDS = {
-    "radius_m": ("head.radius_m", st.floats(0.05, 0.15)),
+    "radius_m": ("radius_m", st.floats(0.05, 0.15)),
     "mic_spacing_m": ("mic_spacing_m", st.floats(0.01, 2.0)),
-    "disc_diameter_m": ("disc_diameter_m", st.floats(0.05, 1.0)),
     "capsule_angle_deg": ("capsule_angle_deg", st.floats(1.0, 180.0)),
     "path_extension": ("path_extension", st.floats(1.0, 3.0)),
     "shadow.max_db": ("shadow.max_attenuation_db", st.floats(0.0, 30.0)),
@@ -365,7 +402,7 @@ def test_rig_config_overrides_and_comments(tmp_path):
     assert spec.kind is RigKind.JECKLIN
     assert spec.mic_spacing_m == 0.2
     assert spec.path_extension == 1.2
-    assert spec.disc_diameter_m == 0.33  # untouched default
+    assert spec.shadow == RigSpec(RigKind.JECKLIN).shadow  # untouched default
 
 
 def test_rig_config_unknown_key_is_named(tmp_path):
@@ -379,6 +416,15 @@ def test_rig_config_wrong_kind_key(tmp_path):
     path = tmp_path / "rig.cfg"
     path.write_text("kind = ortf\nradius_m = 0.09\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="radius_m"):
+        load_rig_config(path)
+
+
+def test_rig_config_rejects_the_disc_diameter(tmp_path):
+    # No model reads a disc diameter, so it is no setting of the disc rig.
+    path = tmp_path / "rig.cfg"
+    path.write_text("kind = jecklin\ndisc_diameter_m = 0.33\n", encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match=r"invalid config key\(s\) for kind 'jecklin': disc_diameter_m$"):
         load_rig_config(path)
 
 

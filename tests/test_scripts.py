@@ -23,7 +23,8 @@ def test_rig_comparison_script(tmp_path, capsys):
         assert kind in out
         assert (tmp_path / f"{kind}.wav").exists()
     disc = json.loads((tmp_path / "jecklin.json").read_text(encoding="utf-8"))
-    assert disc["metadata"]["rig"]["disc_diameter_m"] == 0.33
+    assert disc["metadata"]["rig"]["mic_spacing_m"] == 0.175
+    assert "disc_diameter_m" not in disc["metadata"]["rig"]
     assert disc["metadata"]["rig"]["shadow"]["max_db"] == 8.0
     comparison = json.loads((tmp_path / "comparison.json").read_text(encoding="utf-8"))
     assert set(comparison["deltas"]) == candidates
