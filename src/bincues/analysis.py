@@ -6,11 +6,11 @@ cross-correlation ITD estimation with sub-sample peak refinement, per-band
 sine ITD, microphone-pair calibration verdicts, and octave-band level
 summaries. All functions are pure and reentrant.
 
-The Welch spectra are one value, from one batched Hann-windowed STFT per channel,
-which analyze_capture builds once. Every correlation is Knapp & Carter's GCC on it,
-and must peak inside its lag window: the broadband delay and the "none" ITD read the
-averaged cross-spectrum, the "phat" ITD the whitened one and each band ITD one weighted
-by an octave band-pass's |H|^4, so no transform spans the whole capture and no filter runs.
+The Welch spectra are one value, from one batched Hann-windowed STFT per channel, which
+analyze_capture builds once. Every correlation is Knapp & Carter's GCC on its one averaged
+cross-spectrum, negative lags from the conjugate, and must peak inside its lag window: the
+broadband delay and the "none" ITD read it as it is, the "phat" ITD whitened and each band
+ITD weighted by an octave band-pass's |H|^4, so no transform spans the capture and no filter runs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ SILENCE_RMS = 1e-6
 
 WEIGHTINGS = ("none", "phat")
 
-# Welch segments per batched FFT: caps the spectral pass's working memory at a few MiB.
+# Welch segments per batched FFT: caps the spectral pass's buffers (8 MiB at 8192 points).
 _SEGMENT_BATCH = 32
 
 
@@ -97,14 +97,13 @@ def _lag_samples(max_lag: float, sample_rate: int) -> int:
 
 @dataclass(frozen=True)
 class _Spectra:
-    """Welch's spectral densities of left x and right y; s_yx sums the swapped product."""
+    """Welch's spectral densities of left x and right y."""
 
     size: int
     freqs: np.ndarray
     s_xx: np.ndarray
     s_yy: np.ndarray
     s_xy: np.ndarray
-    s_yx: np.ndarray
 
 
 def _fit_window(size: int, max_lag: int, what: str) -> None:
@@ -113,13 +112,14 @@ def _fit_window(size: int, max_lag: int, what: str) -> None:
                               f" in its {size}-sample segment; narrow max_lag (--max-lag-ms)")
 
 
-def _lag_window(s_xy: np.ndarray, s_yx: np.ndarray, size: int, max_lag: int,
+def _lag_window(s: np.ndarray, size: int, max_lag: int,
                 widen: str = "max_lag (--max-lag-ms)") -> np.ndarray:
-    """Lags -max_lag..max_lag of a `size`-point circular correlation: 0..max_lag from S_xy,
-    the negative lags from S_yx, so equal channels give an exactly symmetric window.
+    """Lags -max_lag..max_lag of the `size`-point circular correlation of cross-spectrum s:
+    0..max_lag from s, the negative lags from conj(s), so equal channels (s real) give an
+    exactly symmetric window.
     A window that misses the delay holds only sidelobes, so the whole correlation must peak
     inside it; an overflow makes every lag NaN and argmax read lag 0, so _itd_s sees to that."""
-    pos, neg = (np.fft.irfft(s, size) for s in (s_xy, s_yx))
+    pos, neg = (np.fft.irfft(c, size) for c in (s, s.conj()))
     if max_lag < int(np.argmax(pos)) < size - max_lag:
         raise AnalysisError(f"the correlation peaks outside the lag window; widen {widen}")
     return np.concatenate([neg[max_lag:0:-1], pos[: max_lag + 1]])
@@ -136,12 +136,10 @@ def _correlation(stereo: StereoBuffer, max_lag: float, weighting: str,
         raise ValidationError(f"max_lag {max_lag} s exceeds the buffer length {n / sr} s")
     spectra = spectra or _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, n))
     _fit_window(spectra.size, m, "PHAT" if weighting == "phat" else "unweighted")
-    s_xy, s_yx = spectra.s_xy, spectra.s_yx
+    s = spectra.s_xy
     if weighting == "phat":
-        tiny = np.finfo(np.float64).tiny
-        s_xy, s_yx = (s / np.maximum(np.abs(s), np.abs(s).max() * 1e-12 + tiny)
-                      for s in (s_xy, s_yx))
-    return m, _lag_window(s_xy, s_yx, spectra.size, m)
+        s = s / np.maximum(np.abs(s), np.abs(s).max() * 1e-12 + np.finfo(np.float64).tiny)
+    return m, _lag_window(s, spectra.size, m)
 
 
 def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
@@ -220,7 +218,7 @@ def _band_itds(spectra: _Spectra, low_hz: float, high_hz: float, max_lag: int,
         if any(np.sum(w * s) * sample_rate / spectra.size < SILENCE_RMS ** 2
                for s in (spectra.s_xx, spectra.s_yy)):
             raise AnalysisError(f"no usable energy in the {center:g} Hz octave band")
-        cc = _lag_window(w * spectra.s_xy, w * spectra.s_yx, spectra.size, max_lag)
+        cc = _lag_window(w * spectra.s_xy, spectra.size, max_lag)
         results.append(_itd_s(cc, sample_rate))
     return results[0], results[1]
 
@@ -233,7 +231,7 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
     Band-passing both channels forward and backward with a fourth-order, octave-wide
     Butterworth centered on the tone weights their cross-spectrum by |H|^4, which is
     real and so adds no delay. Each band ITD is estimate_itd's rule on the Welch
-    cross-spectra of estimate_itd's segments times that weight, so the window must fit four
+    cross-spectrum of estimate_itd's segments times that weight, so the window must fit four
     times in a segment, and the band's whole circular correlation must peak inside it.
     Raises AnalysisError when a band holds no usable energy.
     """
@@ -262,7 +260,7 @@ def _transfer_function(spectra: _Spectra, sample_rate: int) -> TransferFunction:
     phase_deg[phase_deg == -180.0] = 180.0
     coherence = np.clip(np.abs(s_xy) ** 2 / np.maximum(s_xx * s_yy, tiny), 0.0, 1.0)
     widen = "fft_size (--fft-size)"  # the window is the widest the transform holds
-    cc = _lag_window(s_xy, spectra.s_yx, spectra.size, spectra.size // 4, widen)
+    cc = _lag_window(s_xy, spectra.size, spectra.size // 4, widen)
     return TransferFunction(spectra.freqs, magnitude_db, phase_deg, coherence,
                             _itd_s(cc, sample_rate, widen))
 
@@ -288,27 +286,32 @@ def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
 def _welch_spectra(stereo: StereoBuffer, fft_size: int,
                    overlap: float = DEFAULT_OVERLAP) -> _Spectra:
     """Welch's averaged periodograms of left x and right y, with no detrending, from one
-    Hann-windowed STFT per channel."""
+    Hann-windowed STFT per channel into preallocated batch buffers. A batch adds one einsum
+    per real sum over the spectra's (re, im) float64 views: |X|^2, |Y|^2, Re conj(X) Y = X.Y
+    and Im conj(X) Y = X.(-iY), whose products cancel pairwise in order for equal channels."""
     step = fft_size - int(fft_size * overlap)
     window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1))[:-1]  # periodic Hann
     segs_x, segs_y = (np.lib.stride_tricks.sliding_window_view(c.samples, fft_size)[::step]
                       for c in (stereo.left, stereo.right))
-    bins = fft_size // 2 + 1
-    s_xx, s_yy = np.zeros((2, bins))
-    s_xy, s_yx = np.zeros((2, bins), dtype=complex)
-    for i in range(0, len(segs_x), _SEGMENT_BATCH):
-        fx = np.fft.rfft(segs_x[i : i + _SEGMENT_BATCH] * window)
-        fy = np.fft.rfft(segs_y[i : i + _SEGMENT_BATCH] * window)
-        s_xx += np.sum(fx.real ** 2 + fx.imag ** 2, axis=0)
-        s_yy += np.sum(fy.real ** 2 + fy.imag ** 2, axis=0)
-        s_xy += np.sum(fx.conj() * fy, axis=0)
-        s_yx += np.sum(fy.conj() * fx, axis=0)
+    bins, batch = fft_size // 2 + 1, min(_SEGMENT_BATCH, len(segs_x))
+    frames = np.empty((batch, fft_size))
+    fx, fy, fy_rot = np.empty((3, batch, bins), dtype=complex)
+    sums = np.zeros((4, 2 * bins))  # per bin (re, im) halves of |X|^2, |Y|^2, X.Y, X.(-iY)
+    for i in range(0, len(segs_x), batch):
+        k = min(batch, len(segs_x) - i)
+        for segs, spectra in ((segs_x, fx), (segs_y, fy)):
+            np.multiply(segs[i : i + k], window, out=frames[:k])
+            np.fft.rfft(frames[:k], out=spectra[:k])
+        np.multiply(fy[:k], -1j, out=fy_rot[:k])
+        vx, vy, vy_rot = (f[:k].view(np.float64) for f in (fx, fy, fy_rot))
+        for total, a, b in zip(sums, (vx, vy, vx, vx), (vx, vy, vy, vy_rot)):
+            total += np.einsum("ij,ij->j", a, b)
+    s_xx, s_yy, re, im = sums[:, 0::2] + sums[:, 1::2]
     # onesided density: every bin but DC and Nyquist counts twice
-    sr = stereo.sample_rate
-    scale = np.full(bins, 2.0 / (sr * np.sum(window ** 2) * len(segs_x)))
+    scale = np.full(bins, 2.0 / (stereo.sample_rate * np.sum(window ** 2) * len(segs_x)))
     scale[[0, -1]] /= 2.0
-    return _Spectra(fft_size, np.fft.rfftfreq(fft_size, 1.0 / sr),
-                    *(s * scale for s in (s_xx, s_yy, s_xy, s_yx)))
+    return _Spectra(fft_size, np.fft.rfftfreq(fft_size, 1.0 / stereo.sample_rate),
+                    *(s * scale for s in (s_xx, s_yy, re + 1j * im)))
 
 
 def calibration_check(ref: SampleBuffer, meas: SampleBuffer, tolerance_db: float = 3.0,
@@ -338,12 +341,9 @@ def ild_spectrum_summary(tf: TransferFunction,
     """Energy-averaged magnitude per octave band, keyed by band center in Hz."""
     out: dict[float, float] = {}
     for center in bands:
-        lo = center / np.sqrt(2.0)
-        hi = center * np.sqrt(2.0)
+        lo, hi = center / np.sqrt(2.0), center * np.sqrt(2.0)
         if lo < tf.freqs[0] or hi > tf.freqs[-1]:
-            raise ValidationError(
-                f"octave band around {center:g} Hz falls outside the analyzed range"
-            )
+            raise ValidationError(f"octave band around {center:g} Hz is outside the analyzed range")
         mask = (tf.freqs >= lo) & (tf.freqs < hi)
         power = np.mean(10.0 ** (tf.magnitude_db[mask] / 10.0))
         out[center] = float(10.0 * np.log10(power))

@@ -181,14 +181,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         sig = signals.gen_pink_noise(args.seconds, args.sample_rate, args.seed)
 
-    itd = rigsim.predicted_itd(rig, src, temperature_c=args.temp)  # validates before writing
-    capture = rigsim.simulate_capture(rig, src, sig, temperature_c=args.temp)
-    wavio.write_wav(out, capture)
-
-    anchors = {
-        str(int(center)): rigsim.predicted_ild_db(rig, src, center)
-        for center in analysis.DEFAULT_OCTAVE_CENTERS
-    }
+    itd = rigsim.predicted_itd(rig, src, temperature_c=args.temp)  # both validate before writing
+    anchors = {str(int(center)): rigsim.predicted_ild_db(rig, src, center)
+               for center in analysis.DEFAULT_OCTAVE_CENTERS}
+    wavio.write_wav(out, rigsim.simulate_capture(rig, src, sig, temperature_c=args.temp))
     meta = reports.build_metadata(
         deterministic=args.deterministic, sample_rate=sig.sample_rate,
         seed=None if args.signal else args.seed,

@@ -165,26 +165,24 @@ def predicted_itd(rig: RigSpec, src: SourceSpec, temperature_c: float = 20.0) ->
     if rig.radius_m is not None:
         return itd_simple(HeadGeometry(rig.radius_m, temperature_c), src.azimuth_rad)
     free_field = _free_field_itd(rig.mic_spacing_m, src.azimuth_rad, temperature_c)
-    if rig.path_extension is None:
-        return free_field
-    return rig.path_extension * free_field
+    return free_field if rig.path_extension is None else rig.path_extension * free_field
 
 
 def _cardioid_gains(capsule_angle_deg: float, azimuth: float) -> tuple[float, float]:
     half = math.radians(capsule_angle_deg / 2.0)
-    g_left = 0.5 * (1.0 + math.cos(azimuth - half))
-    g_right = 0.5 * (1.0 + math.cos(azimuth + half))
-    return g_left, g_right
+    return 0.5 * (1.0 + math.cos(azimuth - half)), 0.5 * (1.0 + math.cos(azimuth + half))
 
 
 def predicted_ild_db(rig: RigSpec, src: SourceSpec, freq: float) -> float:
     """Model far-ear attenuation in dB (>= 0) at one frequency.
 
-    Head and baffled kinds evaluate their shadow curve; ORTF returns the
-    level ratio of its two cardioid capsules, which is frequency-independent.
+    Head and baffled kinds evaluate their shadow curve; ORTF returns the frequency-independent
+    level ratio of its cardioids, or raises ValidationError with the far null on the source.
     """
     if rig.kind is RigKind.ORTF:
         g_left, g_right = _cardioid_gains(rig.capsule_angle_deg, src.azimuth_rad)
+        if g_right == 0.0:
+            raise ValidationError("the far capsule's null faces the source: its ILD is infinite")
         return 20.0 * math.log10(g_left / g_right)
     return float(head_shadow_ild(rig.shadow, src.azimuth_rad, freq))
 
@@ -303,6 +301,7 @@ def load_rig_config(path: str | Path) -> RigSpec:
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: a rig config must be UTF-8 text") from None
     entries: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -310,7 +309,9 @@ def load_rig_config(path: str | Path) -> RigSpec:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        entries[key] = value
+        if key in first_line:
+            raise ValidationError(f"{path}:{lineno}: key '{key}' repeats line {first_line[key]}")
+        first_line[key], entries[key] = lineno, value
 
     if "kind" not in entries:
         raise ValidationError(f"{path}: missing required key 'kind'")

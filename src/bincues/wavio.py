@@ -141,7 +141,10 @@ def read_wav(path: str | Path) -> SampleBuffer | StereoBuffer:
             codes = np.ndarray((count, channels), dtype, raw, strides=(frame_bytes, bits // 8))
             for c, out in enumerate(samples):
                 part = out[start : start + count]
-                np.divide(codes[:, c], 256.0 if bits == 24 else scale, out=part)
+                if bits == 32:  # float32 codes widen to float64 exactly
+                    part[...] = codes[:, c]
+                else:
+                    np.divide(codes[:, c], 256.0 if bits == 24 else scale, out=part)
                 if bits == 24:  # the floor drops the <i4's low byte, which precedes the code
                     np.floor(part, out=part)
                     part /= scale

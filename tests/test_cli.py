@@ -235,6 +235,28 @@ def test_simulate_rig_config_that_is_not_text_is_validation_failure(tmp_path, ca
     assert not (tmp_path / "x.wav").exists()
 
 
+def test_simulate_ortf_with_the_far_null_on_the_source_writes_nothing(tmp_path, capsys):
+    # its ILD anchors would be infinite; they are computed before the WAV is written
+    cfg = tmp_path / "rig.cfg"
+    cfg.write_text("kind = ortf\ncapsule_angle_deg = 180\n", encoding="utf-8")
+    code = run("simulate", "--rig-config", cfg, "--azimuth", 90, "--seconds", 0.1,
+               "--out", tmp_path / "wo.wav")
+    assert code == EXIT_ANALYSIS
+    assert "far capsule's null" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rig.cfg"]
+
+
+def test_simulate_repeated_config_key_is_validation_failure(tmp_path, capsys):
+    cfg = tmp_path / "rig.cfg"
+    cfg.write_text("kind = jecklin\nmic_spacing_m = 0.2\nmic_spacing_m = 0.3\n",
+                   encoding="utf-8")
+    code = run("simulate", "--rig-config", cfg, "--azimuth", 45, "--seconds", 0.1,
+               "--out", tmp_path / "x.wav")
+    assert code == EXIT_ANALYSIS
+    assert capsys.readouterr().err == f"error: {cfg}:3: key 'mic_spacing_m' repeats line 2\n"
+    assert not (tmp_path / "x.wav").exists()
+
+
 def test_simulate_azimuth_range(tmp_path, capsys):
     code = run("simulate", "--rig", "ortf", "--azimuth", 120, "--out", tmp_path / "x.wav")
     assert code == EXIT_USAGE

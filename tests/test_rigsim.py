@@ -102,6 +102,16 @@ def test_ortf_ild_is_frequency_independent():
     assert low > 0.0
 
 
+def test_ortf_ild_with_the_far_null_on_the_source_is_an_error():
+    # back-to-back capsules at broadside: the far cardioid's null faces the source, so its
+    # level ratio is infinite; one degree less and the ratio is finite
+    with pytest.raises(ValidationError, match="far capsule's null"):
+        predicted_ild_db(ortf(capsule_angle_deg=180.0), BROADSIDE, 1000.0)
+    assert 0.0 < predicted_ild_db(ortf(capsule_angle_deg=179.0), BROADSIDE, 1000.0) < math.inf
+    assert predicted_ild_db(ortf(capsule_angle_deg=180.0), SourceSpec(math.radians(89.0)),
+                            1000.0) < math.inf
+
+
 def test_semi_dummy_ild_noticeable_from_2k():
     assert predicted_ild_db(semi_dummy(), BROADSIDE, 1000.0) < 3.0
     assert predicted_ild_db(semi_dummy(), BROADSIDE, 4000.0) > 4.0
@@ -435,6 +445,21 @@ def test_rig_config_rejects_non_finite_values(line, tmp_path):
     path.write_text(f"kind = semi_dummy\n{line}\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="finite"):
         load_rig_config(path)
+
+
+@pytest.mark.parametrize("text, key, lines", [
+    ("kind = jecklin\nmic_spacing_m = 0.2\nmic_spacing_m = 0.3\n", "mic_spacing_m", (2, 3)),
+    ("kind = ortf\n# a comment\n\nkind = jecklin\n", "kind", (1, 4)),
+    ("kind = human\nshadow.max_db = 9  # dB\nradius_m = 0.09\n shadow.max_db=9\n",
+     "shadow.max_db", (2, 4)),
+])
+def test_rig_config_rejects_a_repeated_key(text, key, lines, tmp_path):
+    # a repeat would silently drop one of the two settings, even when they agree
+    path = tmp_path / "rig.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError) as caught:
+        load_rig_config(path)
+    assert str(caught.value) == f"{path}:{lines[1]}: key '{key}' repeats line {lines[0]}"
 
 
 def test_rig_config_requires_kind(tmp_path):

@@ -29,6 +29,20 @@ def test_float32_stereo_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.right.samples, right.samples)
 
 
+def test_float32_read_widens_every_code_bit_exactly(tmp_path):
+    # every finite float32 class: normals, subnormals, both zeros, the extremes
+    rng = np.random.default_rng(3)
+    bits = rng.integers(0, 2**32, 20000, dtype=np.uint64).astype(np.uint32)
+    bits = bits[(bits & 0x7F800000) != 0x7F800000]  # drop NaN and inf
+    extremes = [0x00000000, 0x80000000, 0x00000001, 0x807FFFFF, 0x7F7FFFFF, 0xFF7FFFFF]
+    codes = np.concatenate([bits, np.array(extremes, np.uint32)]).view("<f4")
+    path = tmp_path / "codes.wav"
+    path.write_bytes(riff((b"fmt ", struct.pack("<HHIIHH", 3, 1, SR, 4 * SR, 4, 32)),
+                          (b"data", codes.tobytes())))
+    back = read_wav(path).samples
+    assert np.array_equal(back.view(np.uint64), codes.astype(np.float64).view(np.uint64))
+
+
 def test_float32_mono_round_trip(tmp_path):
     buf = SampleBuffer(float32_noise(1000, 2), 44100)
     path = tmp_path / "mono.wav"
