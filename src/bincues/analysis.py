@@ -288,24 +288,26 @@ def _welch_spectra(stereo: StereoBuffer, fft_size: int,
     """Welch's averaged periodograms of left x and right y, with no detrending, from one
     Hann-windowed STFT per channel into preallocated batch buffers. A batch adds one einsum
     per real sum over the spectra's (re, im) float64 views: |X|^2, |Y|^2, Re conj(X) Y = X.Y
-    and Im conj(X) Y = X.(-iY), whose products cancel pairwise in order for equal channels."""
+    and, once Y is rotated in place, Im conj(X) Y = X.(-iY), whose products cancel pairwise in
+    order for equal channels."""
     step = fft_size - int(fft_size * overlap)
     window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1))[:-1]  # periodic Hann
     segs_x, segs_y = (np.lib.stride_tricks.sliding_window_view(c.samples, fft_size)[::step]
                       for c in (stereo.left, stereo.right))
     bins, batch = fft_size // 2 + 1, min(_SEGMENT_BATCH, len(segs_x))
     frames = np.empty((batch, fft_size))
-    fx, fy, fy_rot = np.empty((3, batch, bins), dtype=complex)
+    fx, fy = np.empty((2, batch, bins), dtype=complex)
     sums = np.zeros((4, 2 * bins))  # per bin (re, im) halves of |X|^2, |Y|^2, X.Y, X.(-iY)
     for i in range(0, len(segs_x), batch):
         k = min(batch, len(segs_x) - i)
         for segs, spectra in ((segs_x, fx), (segs_y, fy)):
             np.multiply(segs[i : i + k], window, out=frames[:k])
             np.fft.rfft(frames[:k], out=spectra[:k])
-        np.multiply(fy[:k], -1j, out=fy_rot[:k])
-        vx, vy, vy_rot = (f[:k].view(np.float64) for f in (fx, fy, fy_rot))
-        for total, a, b in zip(sums, (vx, vy, vx, vx), (vx, vy, vy, vy_rot)):
+        vx, vy = fx[:k].view(np.float64), fy[:k].view(np.float64)
+        for total, a, b in zip(sums, (vx, vy, vx), (vx, vy, vy)):
             total += np.einsum("ij,ij->j", a, b)
+        fy[:k] *= -1j  # vy now views -iY
+        sums[3] += np.einsum("ij,ij->j", vx, vy)
     s_xx, s_yy, re, im = sums[:, 0::2] + sums[:, 1::2]
     # onesided density: every bin but DC and Nyquist counts twice
     scale = np.full(bins, 2.0 / (stereo.sample_rate * np.sum(window ** 2) * len(segs_x)))

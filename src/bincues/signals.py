@@ -3,9 +3,10 @@
 Sample values are dimensionless amplitudes in the nominal range -1.0..+1.0
 at a fixed integer sample rate. Buffers are finite and immutable: a NaN or
 infinite sample is rejected when a buffer is built, so no later stage sees
-one. Producers hand their fresh arrays over read-only, which a buffer adopts
-without a copy. Generators and transforms always return new buffers, so concurrent
-use on distinct buffers is safe. Every FIR runs on fft_convolve, so numpy is all it needs.
+one. Producers hand their fresh arrays over read-only, which a buffer adopts without a
+copy. Generators and transforms always return new buffers, so concurrent use on distinct
+buffers is safe. Every FIR runs on fft_convolve, so numpy is all it needs; it computes only
+the window its caller keeps, so no temporary but that window grows with the signal.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ _FD_HALF = _FD_TAPS // 2
 _FD_BETA = 8.6       # Kaiser shape: ripple < 0.001 dB and phase error < 0.01
 #                      degree below 0.9 Nyquist at this length
 _FD_SNAP = 1e-9      # sub-sample residue below this collapses to an integer shift
+_CONV_BYTES = 1 << 18  # block bytes per overlap-add step; 1 MiB puts a 5 s far ear at 2.59 channels
 
 
 @dataclass(frozen=True)
@@ -133,14 +135,16 @@ def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
 
     White noise from a PCG64 generator is shaped by a fixed pinking IIR (J. O. Smith,
     "Spectral Audio Signal Processing") run as a truncated FIR, so a given (duration,
-    sample_rate, seed) triple is bit-reproducible. Its start-up transient is discarded.
+    sample_rate, seed) triple is bit-reproducible. Its start-up transient is discarded: the
+    convolution returns only the window kept, which the buffer adopts without a copy.
     """
     n = _num_samples(duration, sample_rate)
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     white = np.random.default_rng(seed).standard_normal(n + _PINK_WARMUP)
-    pink = fft_convolve(white, _PINK_TAPS)[_PINK_WARMUP : _PINK_WARMUP + n]
-    pink *= _PINK_PEAK / np.max(np.abs(pink))
+    pink = fft_convolve(white, _PINK_TAPS, _PINK_WARMUP, n)
+    pink *= _PINK_PEAK / max(pink.max(), -pink.min())  # the peak of |pink|, with no |pink| array
+    pink.setflags(write=False)
     return SampleBuffer(pink, sample_rate)
 
 
@@ -155,27 +159,46 @@ def gen_impulse(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
     return SampleBuffer(samples, sample_rate)
 
 
-def fft_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Full linear convolution of real 1-D arrays by overlap-add (Stockham 1966). The longer
-    operand is cut into blocks of size - taps + 1 samples, size being the next power of two at
-    or above max(2 * taps - 1, 4096), and one batched rfft/irfft filters them by the shorter."""
+def fft_convolve(x: np.ndarray, kernel: np.ndarray, start: int = 0,
+                 count: int | None = None) -> np.ndarray:
+    """Samples start..start+count of the full linear convolution of real 1-D arrays, zeros where
+    it has none, as a fresh array; by default the whole convolution. Overlap-add (Stockham 1966)
+    cuts the longer operand into blocks of size - taps + 1 samples, size being the next power of
+    two at or above max(2 * taps - 1, 4096), and filters about _CONV_BYTES of blocks per step by
+    the shorter in preallocated rfft and irfft buffers, so the window is the one array that grows
+    with the signal. Each sample is a block's output plus at most the previous block's tail."""
     x, kernel = sorted((x, kernel), key=len, reverse=True)
-    if kernel.size == 0:
-        return np.zeros(0)
     taps = kernel.size
+    full = x.size + taps - 1 if taps else 0
+    out = np.zeros(full - start if count is None else count)
+    lo, hi = max(start, 0), min(start + out.size, full)  # the window's part of the convolution
+    if lo >= hi:
+        return out
     size = 1 << max(2 * taps - 2, 4095).bit_length()
     step = size - taps + 1  # >= taps, so a tail reaches one block on
-    whole = x.size // step  # blocks read as a view of x; a partial last block is its own rfft
-    spectra = np.empty((-(-x.size // step), size // 2 + 1), complex)
-    np.fft.rfft(x[: whole * step].reshape(whole, step), size, out=spectra[:whole])
-    if whole < len(spectra):
-        np.fft.rfft(x[whole * step :], size, out=spectra[whole])
-    spectra *= np.fft.rfft(kernel, size)
-    y = np.fft.irfft(spectra, size)
-    del spectra  # freed before the overlap-add copy, so at most two block arrays are alive
-    out = np.pad(y[:, :step], ((0, 1), (0, 0)))
-    out[1:, : taps - 1] += y[:, step:]
-    return out.ravel()[: x.size + taps - 1]
+    h = np.fft.rfft(kernel, size)
+    batch = max(_CONV_BYTES // (8 * size), 1)
+    spectra, y = np.empty((batch, size // 2 + 1), complex), np.empty((batch, size))
+    first, stop = max(lo // step - 1, 0), min((hi - 1) // step + 1, -(-x.size // step))
+    tail = np.full(taps - 1, -0.0)  # v + -0.0 is v, signed zeros too: block `first` has no tail
+    for j in range(first, stop, batch):
+        k = min(batch, stop - j)
+        seg = x[j * step : (j + k) * step]  # a partial last block is its own rfft
+        whole = seg.size // step
+        np.fft.rfft(seg[: whole * step].reshape(whole, step), size, out=spectra[:whole])
+        if whole < k:
+            np.fft.rfft(seg[whole * step :], size, out=spectra[whole])
+        spectra[:k] *= h
+        np.fft.irfft(spectra[:k], size, out=y[:k])
+        y[0, : taps - 1] += tail
+        y[1:k, : taps - 1] += y[: k - 1, step:]
+        tail = y[k - 1, step:].copy()
+        a, b = max(lo, j * step), max(lo, min(hi, (j + k) * step))
+        out[a - start : b - start] = y[:k, :step].reshape(-1)[a - j * step : b - j * step]
+    if hi > stop * step:  # past the last block only its tail reaches: zero plus the tail
+        a = max(lo, stop * step)
+        out[a - start : hi - start] += tail[a - stop * step : hi - stop * step]
+    return out
 
 
 def _fd_kernel(mu: float) -> np.ndarray:
@@ -187,13 +210,11 @@ def _fd_kernel(mu: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
-def _shifted(x: np.ndarray, shift: int, n: int) -> np.ndarray:
-    """n samples of x delayed by shift (advanced if negative), zero where x has none: a fresh
+def _shifted(x: np.ndarray, shift: int) -> np.ndarray:
+    """x delayed by shift >= 0 whole samples, cut to its length, zeros in front: a fresh
     read-only array, which a SampleBuffer adopts without a copy."""
-    out = np.zeros(n)
-    lo, hi = max(shift, 0), min(n, x.size + shift)
-    if lo < hi:
-        out[lo:hi] = x[lo - shift : hi - shift]
+    out = np.zeros(x.size)
+    out[shift:] = x[: max(x.size - shift, 0)]
     out.setflags(write=False)
     return out
 
@@ -207,9 +228,9 @@ def apply_fractional_delay(buf: SampleBuffer, delay: float,
     steady-state sine below 0.9 Nyquist within well under a degree of the
     ideal 360*f*delay lag. An optional odd-length zero-phase `fir` joins the
     interpolator, or for an integer delay is the whole kernel, in one convolution
-    read centred on the kernel's middle tap: the output is the exact response of the
-    zero-extended input cropped to its length, and all zeros once the delay passes
-    the end plus the kernel's reach.
+    whose window, centred on the kernel's middle tap, is the output: the exact response
+    of the zero-extended input cropped to its length, and all zeros once the delay
+    passes the end plus the kernel's reach.
     """
     if not 0 <= delay < np.inf:
         raise ValidationError(f"delay must be finite and non-negative, got {delay}")
@@ -223,9 +244,10 @@ def apply_fractional_delay(buf: SampleBuffer, delay: float,
     if _FD_SNAP <= mu <= 1.0 - _FD_SNAP:
         kernel = _fd_kernel(mu) if fir is None else np.convolve(_fd_kernel(mu), fir)
     elif fir is None:
-        return SampleBuffer(_shifted(x, int(round(total)), x.size), buf.sample_rate)
+        return SampleBuffer(_shifted(x, int(round(total))), buf.sample_rate)
     else:
         d_int, kernel = int(round(total)), fir
-    # conv lags x by kernel.size // 2 (+ mu) samples, so reading from there delays by d_int (+ mu)
-    conv = fft_convolve(x, kernel)
-    return SampleBuffer(_shifted(conv, d_int - kernel.size // 2, x.size), buf.sample_rate)
+    # conv lags x by kernel.size // 2 (+ mu), so its window from there delays by d_int (+ mu)
+    out = fft_convolve(x, kernel, kernel.size // 2 - d_int, x.size)
+    out.setflags(write=False)
+    return SampleBuffer(out, buf.sample_rate)

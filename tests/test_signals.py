@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -120,9 +122,132 @@ def test_fft_convolve_matches_scipy_fftconvolve(taps, n):
         np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-14 * np.abs(ref).max(initial=0))
 
 
+def one_pass_overlap_add(x, kernel):
+    """The whole convolution as fft_convolve made it before it took a window: every block's
+    rfft and irfft in one batch, then the heads padded by a row and the tails added a row on."""
+    x, kernel = sorted((x, kernel), key=len, reverse=True)
+    if kernel.size == 0:
+        return np.zeros(0)
+    taps = kernel.size
+    size = 1 << max(2 * taps - 2, 4095).bit_length()
+    step = size - taps + 1
+    whole = x.size // step
+    spectra = np.empty((-(-x.size // step), size // 2 + 1), complex)
+    np.fft.rfft(x[: whole * step].reshape(whole, step), size, out=spectra[:whole])
+    if whole < len(spectra):
+        np.fft.rfft(x[whole * step :], size, out=spectra[whole])
+    spectra *= np.fft.rfft(kernel, size)
+    y = np.fft.irfft(spectra, size)
+    out = np.pad(y[:, :step], ((0, 1), (0, 0)))
+    out[1:, : taps - 1] += y[:, step:]
+    return out.ravel()[: x.size + taps - 1]
+
+
+def crop_of_the_full_convolution(x, kernel, start, count):
+    """Samples start..start+count of the zero-extended one-pass convolution."""
+    full = one_pass_overlap_add(x, kernel)
+    out = np.zeros(count)
+    lo, hi = max(start, 0), min(start + count, full.size)
+    if lo < hi:
+        out[lo - start : hi - start] = full[lo:hi]
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+STEPS = {1: 4096, 65: 4032, 575: 3522, 8193: 24576}  # block length per kernel length
+
+
+@settings(max_examples=150, deadline=None)
+@given(taps=st.sampled_from(sorted(STEPS)), blocks=st.integers(0, 3), offset=st.integers(-2, 2),
+       swap=st.booleans(), zeros=st.sampled_from((0.0, -0.0, None)), data=st.data())
+def test_fft_convolve_window_is_the_slice_of_the_full_convolution(taps, blocks, offset, swap,
+                                                                  zeros, data):
+    # Bit for bit, signed zeros included: the window runs the one-pass convolution's FFTs and
+    # adds the same two overlap-add terms per sample. Lengths and window edges straddle block
+    # boundaries and the tails that reach over them, and a run of +-0.0 in the input gives
+    # the output signed zeros.
+    step = STEPS[taps]
+    n = max(blocks * step + offset, 0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x, kernel = rng.standard_normal(n), rng.standard_normal(taps)
+    if zeros is not None:
+        x[data.draw(st.integers(0, n), label="zeros_from") :] = zeros
+    if swap:
+        x, kernel = kernel, x
+    full = n + taps - 1 if n else 0
+    near_a_block_edge = st.builds(lambda m, d: m * step + d, st.integers(-1, 4),
+                                  st.integers(-taps - 1, taps + 1))
+    start = data.draw(st.integers(-full - 5, full + 5) | near_a_block_edge, label="start")
+    count = data.draw(st.integers(0, full + 10), label="count")
+    got = signals.fft_convolve(x, kernel, start, count)
+    assert_same_bits(got, crop_of_the_full_convolution(x, kernel, start, count))
+    assert got.base is None and got.flags.writeable
+    assert_same_bits(signals.fft_convolve(x, kernel), one_pass_overlap_add(x, kernel))
+
+
+@pytest.mark.parametrize("taps, seed, n", [(575, 7, 3519), (8193, 120, 24573)])
+def test_fft_convolve_keeps_a_negative_zero_where_no_tail_is_added(taps, seed, n):
+    # With numpy 2.4's pocketfft on x86-64, these all -0.0 inputs give a -0.0 among the first
+    # block's taps - 1 samples, which no earlier tail reaches; adding a zero there would turn
+    # it to +0.0.
+    x, kernel = np.full(n, -0.0), np.random.default_rng(seed).standard_normal(taps)
+    assert_same_bits(signals.fft_convolve(x, kernel), one_pass_overlap_add(x, kernel))
+    for start in (-3, 0, 5):
+        assert_same_bits(signals.fft_convolve(x, kernel, start, taps),
+                         crop_of_the_full_convolution(x, kernel, start, taps))
+
+
+@pytest.mark.parametrize("seconds", (0.05, 0.6, 5.0, 31.3))
+def test_pink_noise_is_the_crop_of_the_full_convolution(seconds):
+    n = round(seconds * SR)
+    white = np.random.default_rng(2).standard_normal(n + signals._PINK_WARMUP)
+    want = crop_of_the_full_convolution(white, signals._PINK_TAPS, signals._PINK_WARMUP, n)
+    want *= signals._PINK_PEAK / np.max(np.abs(want))
+    assert_same_bits(gen_pink_noise(seconds, SR, seed=2).samples, want)
+
+
+@pytest.mark.parametrize("fir", (None, np.array([0.25, 0.5, 0.25]), "random"),
+                         ids=["no-fir", "3-tap", "255-tap"])
+@pytest.mark.parametrize("delay_samples", (0.37, 3.0, 40.5, 95990.25, 96010.75, 96050.5))
+def test_fractional_delay_is_the_crop_of_the_full_convolution(delay_samples, fir, pink_2s):
+    # The last delays run past the end of the buffer, into the convolution's tail and beyond.
+    if isinstance(fir, str):
+        fir = np.random.default_rng(1).standard_normal(255)
+    total = delay_samples / SR * SR
+    d_int = int(np.floor(total))
+    x = pink_2s.samples
+    kernel = fir
+    if total != d_int:
+        kernel = signals._fd_kernel(total - d_int)
+        kernel = kernel if fir is None else np.convolve(kernel, fir)
+    if kernel is None:  # an integer delay without a fir is an exact shift
+        want = np.concatenate((np.zeros(d_int), x))[: x.size]
+    else:
+        want = crop_of_the_full_convolution(x, kernel, kernel.size // 2 - d_int, x.size)
+    assert_same_bits(apply_fractional_delay(pink_2s, delay_samples / SR, fir).samples, want)
+
+
+def test_pink_noise_holds_the_white_noise_and_its_window():
+    # The white noise (1.03 channels) and the window the convolution writes (1 channel) are
+    # the only arrays that grow with the signal, and the buffer adopts the window; the block
+    # buffers add about half a channel at 5 s. A crop of the whole convolution peaked at 4.04.
+    gen_pink_noise(0.1, SR)  # numpy's FFT state is built before the trace starts
+    tracemalloc.start()
+    try:
+        pink = gen_pink_noise(5.0, SR, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8 * pink.samples.nbytes, peak / pink.samples.nbytes
+
+
 @pytest.mark.parametrize("sample_rate", (44100, 48000))
 @pytest.mark.parametrize("seed", (0, 3, 42))
-@pytest.mark.parametrize("seconds", (0.05, 1.0))
+@pytest.mark.parametrize("seconds", (0.05, 1.0, 30.0))
 def test_pink_noise_matches_the_pinking_iir(seconds, seed, sample_rate):
     # scipy's lfilter runs the IIR itself; the truncated FIR drops taps under 2.4e-20
     n = round(seconds * sample_rate)
