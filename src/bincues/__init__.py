@@ -2,9 +2,9 @@
 
 __version__ = "0.1.0"  # the one version string; pyproject.toml and reports read it
 
-from .analysis import (CalibrationVerdict, CueReport, TransferFunction, analyze_capture,
-                       band_itd, calibration_check, cross_correlation, estimate_itd,
-                       ild_spectrum_summary, transfer_function)
+from .analysis import (CalibrationVerdict, CueReport, TransferFunction, analyze_blocks,
+                       analyze_capture, band_itd, calibration_check, cross_correlation,
+                       estimate_itd, ild_spectrum_summary, transfer_function)
 from .cue_models import (CueBand, DuplexThresholds, HeadGeometry, ShadowParams,
                          duplex_classify, head_shadow_ild, ild_min_frequency, ipd_from_itd,
                          itd_modified, itd_simple, speed_of_sound, wrap_phase_deg)
@@ -17,4 +17,4 @@ from .rigsim import (RigKind, RigSpec, SourceSpec, default_rig, far_ear, fit_pat
                      shadow_filter_kernel, semi_dummy, simulate_capture)
 from .signals import (DEFAULT_SAMPLE_RATE, SampleBuffer, StereoBuffer,
                       apply_fractional_delay, gen_impulse, gen_pink_noise, gen_sine)
-from .wavio import read_wav, write_wav
+from .wavio import WavReader, read_wav, write_wav

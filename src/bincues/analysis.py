@@ -6,15 +6,17 @@ cross-correlation ITD estimation with sub-sample peak refinement, per-band
 sine ITD, microphone-pair calibration verdicts, and octave-band level
 summaries. All functions are pure and reentrant.
 
-The Welch spectra are one value, from one batched Hann-windowed STFT per channel, which
-analyze_capture builds once. Every correlation is Knapp & Carter's GCC on its one averaged
-cross-spectrum, negative lags from the conjugate, and must peak inside its lag window: the
-broadband delay and the "none" ITD read it as it is, the "phat" ITD whitened and each band
-ITD weighted by an octave band-pass's |H|^4, so no transform spans the capture and no filter runs.
+The Welch spectra are one value, summed block by block by one streaming accumulator from a
+Hann-windowed STFT per channel, which analyze_capture feeds once. Every correlation is Knapp &
+Carter's GCC on its one averaged cross-spectrum, negative lags from the conjugate, and must
+peak inside its lag window: the broadband delay and the "none" ITD read it as it is, the "phat"
+ITD whitened and each band ITD weighted by an octave band-pass's |H|^4, so no transform spans
+the capture and no filter runs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +35,10 @@ SILENCE_RMS = 1e-6
 
 WEIGHTINGS = ("none", "phat")
 
-# Welch segments per batched FFT: caps the spectral pass's buffers (8 MiB at 8192 points).
-_SEGMENT_BATCH = 32
+# Welch segments per batched FFT: caps the pass's batch buffers (1 MiB at 8192 points).
+_SEGMENT_BATCH = 4
+# Segments per partial sum: each group's sums are added to the total in segment order.
+_SEGMENT_GROUP = 32
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,119 @@ class _Spectra:
     s_xy: np.ndarray
 
 
+class _Welch:
+    """Welch's averaged periodograms of left x and right y, with no detrending, summed as the
+    capture streams in, plus each channel's sum of squares.
+
+    update() takes the next block of both channels and carries the samples of segments that
+    straddle blocks. Hann-windowed segments are transformed _SEGMENT_BATCH at a time in fixed
+    buffers. Per bin, the (re, im) float64 halves of |X|^2, |Y|^2, X.Y and X.(-iY) are summed
+    one segment after the next over each group of _SEGMENT_GROUP segments, and each group is
+    then added to the total. So the bits do not depend on how the capture is cut into blocks,
+    and equal channels cancel pairwise in the imaginary sum.
+    """
+
+    def __init__(self, fft_size: int, sample_rate: int, overlap: float = DEFAULT_OVERLAP) -> None:
+        self.size, self.sample_rate = fft_size, sample_rate
+        self.step = fft_size - int(fft_size * overlap)
+        # periodic Hann
+        self.window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1))[:-1]
+        self._window_power = np.sum(self.window ** 2)
+        self.length, self.energy = 0, np.zeros(2)  # samples per channel, and their sums of squares
+        # Per sum, one batch's products: X and Y, the spectra, squared in place; X.Y and X.(-iY),
+        # whose rows hold the batch's windowed frames until the transform.
+        self._rows = np.empty((4, _SEGMENT_BATCH, 2 * (fft_size // 2 + 1)))
+        self._frames = self._rows[2:, :, :fft_size]
+        self._full = self._views(_SEGMENT_BATCH)
+        self._group, self._total = np.zeros((2, 4, self._rows.shape[2]))  # open group, total
+        self._batched = self._segments = 0
+        self._held = np.empty((2, fft_size))  # the samples from the next segment's start on
+        self._h = 0
+
+    def update(self, x: np.ndarray, y: np.ndarray) -> None:
+        """Adds the next block of each channel: equal-length 1-D float64 arrays, which it only
+        reads, so they may be views of a caller's buffer that is reused after the call."""
+        if x.ndim != 1 or x.shape != y.shape:
+            raise ValidationError(f"blocks must be 1-D and of equal length, got {x.shape}"
+                                  f" and {y.shape}")
+        self.length += x.size
+        self.energy += np.dot(x, x), np.dot(y, y)
+        h, start = self._h, 0
+        if h:  # segments that start in the held samples end in this block
+            need = min(x.size, (h - 1) // self.step * self.step + self.size - h)
+            joint = np.empty((2, h + need))
+            joint[:, :h] = self._held[:, :h]
+            joint[0, h:], joint[1, h:] = x[:need], y[:need]
+            start = self._feed(joint[0], joint[1], 0) - h
+            if start < 0:  # the block ends inside them, so all of it is in joint
+                x, y, start = joint[0], joint[1], start + h
+        start = self._feed(x, y, start)
+        self._h = x.size - start
+        self._held[0, : self._h], self._held[1, : self._h] = x[start:], y[start:]
+
+    def _feed(self, x: np.ndarray, y: np.ndarray, start: int) -> int:
+        """Windows the segments of x and y at start, start + step, ... that fit in them into
+        the batch, summing each full batch; returns where the next segment starts."""
+        step, window, (fx, fy) = self.step, self.window, self._frames
+        count = max((x.size - start - self.size) // step + 1, 0)
+        if not count:
+            return start
+        sx, sy = (np.lib.stride_tricks.sliding_window_view(c[start:], self.size)[::step]
+                  for c in (x, y))
+        i = 0
+        while i < count:
+            b = self._batched
+            k = min(_SEGMENT_BATCH - b, count - i)
+            np.multiply(sx[i : i + k], window, out=fx[b : b + k])
+            np.multiply(sy[i : i + k], window, out=fy[b : b + k])
+            self._batched, i = b + k, i + k
+            if b + k == _SEGMENT_BATCH:
+                self._sum()
+        return start + count * step
+
+    def _views(self, b: int) -> tuple:
+        """The views of the batch's first b segments that _sum reads and writes."""
+        rows = self._rows[:, :b]
+        return (rows[2:, :, : self.size], rows[:2].view(complex), rows[0], rows[1],
+                rows[1].view(complex), rows[2], rows[3], rows[:2], [rows[:, r] for r in range(b)])
+
+    def _sum(self) -> None:
+        """Transforms the batch and adds its segments to the open group's sums in order,
+        closing each full group."""
+        b, n, group = self._batched, self._segments, self._group
+        self._batched, self._segments = 0, n + b
+        frames, spectra, x, y, y_spectra, xy, x_iy, squares, by_row = (
+            self._full if b == _SEGMENT_BATCH else self._views(b))
+        np.fft.rfft(frames, out=spectra)
+        np.multiply(x, y, out=xy)
+        y_spectra *= -1j  # y now holds -iY
+        np.multiply(x, y, out=x_iy)
+        np.square(squares, out=squares)  # |-iY|^2 is |Y|^2 with its halves swapped
+        for n, row in enumerate(by_row, n + 1):
+            np.add(group, row, out=group)
+            if n % _SEGMENT_GROUP == 0:
+                self._total += group
+                group[...] = 0.0
+
+    def spectra(self) -> _Spectra:
+        """The densities of every whole segment added so far."""
+        if self._batched:
+            self._sum()
+        # The batch rows are free once summed: the total and its (re, im) halves' sums go there.
+        scratch = self._rows.reshape(-1)
+        total = np.add(self._total, self._group, out=scratch[: self._total.size].reshape(4, -1))
+        halves = scratch[total.size : total.size + total.size // 2].reshape(4, -1)
+        s_xx, s_yy, re, im = np.add(total[:, 0::2], total[:, 1::2], out=halves)
+        # onesided density: every bin but DC and Nyquist counts twice
+        scale = np.full(halves.shape[1],
+                        2.0 / (self.sample_rate * self._window_power * self._segments))
+        scale[[0, -1]] /= 2.0
+        s_xy = re + 1j * im
+        s_xy *= scale
+        return _Spectra(self.size, np.fft.rfftfreq(self.size, 1.0 / self.sample_rate),
+                        s_xx * scale, s_yy * scale, s_xy)
+
+
 def _fit_window(size: int, max_lag: int, what: str) -> None:
     if size < 4 * max_lag:
         raise ValidationError(f"the {what} lag window ({max_lag} samples) does not fit four times"
@@ -125,16 +242,24 @@ def _lag_window(s: np.ndarray, size: int, max_lag: int,
     return np.concatenate([neg[max_lag:0:-1], pos[: max_lag + 1]])
 
 
-def _correlation(stereo: StereoBuffer, max_lag: float, weighting: str,
-                 spectra: _Spectra | None = None) -> tuple[int, np.ndarray]:
-    """(max_lag in samples, window) of cross_correlation, read off `spectra` if given."""
+def _welch(stereo: StereoBuffer, fft_size: int = 0) -> _Welch:
+    """One accumulator fed both channels whole, as views; by default over the segments the
+    ITDs read, DEFAULT_FFT_SIZE samples or all of a shorter capture."""
+    if not len(stereo):
+        raise ValidationError("the capture is empty")
+    welch = _Welch(fft_size or min(DEFAULT_FFT_SIZE, len(stereo)), stereo.sample_rate)
+    welch.update(stereo.left.samples, stereo.right.samples)
+    return welch
+
+
+def _correlation(spectra: _Spectra, n: int, sr: int, max_lag: float,
+                 weighting: str) -> tuple[int, np.ndarray]:
+    """(max_lag in samples, window) of cross_correlation of n samples, read off `spectra`."""
     if weighting not in WEIGHTINGS:
         raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    n, sr = len(stereo), stereo.sample_rate
     m = _lag_samples(max_lag, sr)
     if m >= n:
         raise ValidationError(f"max_lag {max_lag} s exceeds the buffer length {n / sr} s")
-    spectra = spectra or _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, n))
     _fit_window(spectra.size, m, "PHAT" if weighting == "phat" else "unweighted")
     s = spectra.s_xy
     if weighting == "phat":
@@ -154,7 +279,8 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     or ValidationError is raised; AnalysisError is raised when the whole
     circular correlation peaks outside the window.
     """
-    m, cc = _correlation(stereo, max_lag, weighting)
+    m, cc = _correlation(_welch(stereo).spectra(), len(stereo), stereo.sample_rate, max_lag,
+                         weighting)
     return np.arange(-m, m + 1), cc
 
 
@@ -175,9 +301,9 @@ def _itd_s(cc: np.ndarray, sample_rate: int, widen: str = "max_lag (--max-lag-ms
     return float((k - cc.size // 2 + offset) / sample_rate)
 
 
-def _require_sound(stereo: StereoBuffer) -> None:
-    for what, channel in (("left channel", stereo.left), ("right channel", stereo.right)):
-        if np.sqrt(np.dot(channel.samples, channel.samples) / len(channel)) < SILENCE_RMS:
+def _require_sound(welch: _Welch) -> None:
+    for what, energy in zip(("left channel", "right channel"), welch.energy):
+        if np.sqrt(energy / welch.length) < SILENCE_RMS:
             raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
 
 
@@ -192,8 +318,9 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     silent channel raises SilentSignalError; a correlation that peaks outside
     the window, or whose peak is not finite or sits on the window's first or
     last lag, raises AnalysisError."""
-    _require_sound(stereo)
-    return _itd_s(_correlation(stereo, max_lag, weighting)[1], stereo.sample_rate)
+    welch, n, sr = _welch(stereo), len(stereo), stereo.sample_rate
+    _require_sound(welch)
+    return _itd_s(_correlation(welch.spectra(), n, sr, max_lag, weighting)[1], sr)
 
 
 def _octave_response(freqs: np.ndarray, center_hz: float, sample_rate: int) -> np.ndarray:
@@ -236,8 +363,7 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
     Raises AnalysisError when a band holds no usable energy.
     """
     sr = stereo.sample_rate
-    spectra = _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, len(stereo)))
-    return _band_itds(spectra, low_hz, high_hz, _lag_samples(max_lag, sr), sr)
+    return _band_itds(_welch(stereo).spectra(), low_hz, high_hz, _lag_samples(max_lag, sr), sr)
 
 
 def _check_fft_size(fft_size: int, n: int, sample_rate: int) -> None:
@@ -280,40 +406,7 @@ def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
     """
     stereo = StereoBuffer(reference, measurement)
     _check_fft_size(fft_size, len(stereo), stereo.sample_rate)
-    return _transfer_function(_welch_spectra(stereo, fft_size), stereo.sample_rate)
-
-
-def _welch_spectra(stereo: StereoBuffer, fft_size: int,
-                   overlap: float = DEFAULT_OVERLAP) -> _Spectra:
-    """Welch's averaged periodograms of left x and right y, with no detrending, from one
-    Hann-windowed STFT per channel into preallocated batch buffers. A batch adds one einsum
-    per real sum over the spectra's (re, im) float64 views: |X|^2, |Y|^2, Re conj(X) Y = X.Y
-    and, once Y is rotated in place, Im conj(X) Y = X.(-iY), whose products cancel pairwise in
-    order for equal channels."""
-    step = fft_size - int(fft_size * overlap)
-    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1))[:-1]  # periodic Hann
-    segs_x, segs_y = (np.lib.stride_tricks.sliding_window_view(c.samples, fft_size)[::step]
-                      for c in (stereo.left, stereo.right))
-    bins, batch = fft_size // 2 + 1, min(_SEGMENT_BATCH, len(segs_x))
-    frames = np.empty((batch, fft_size))
-    fx, fy = np.empty((2, batch, bins), dtype=complex)
-    sums = np.zeros((4, 2 * bins))  # per bin (re, im) halves of |X|^2, |Y|^2, X.Y, X.(-iY)
-    for i in range(0, len(segs_x), batch):
-        k = min(batch, len(segs_x) - i)
-        for segs, spectra in ((segs_x, fx), (segs_y, fy)):
-            np.multiply(segs[i : i + k], window, out=frames[:k])
-            np.fft.rfft(frames[:k], out=spectra[:k])
-        vx, vy = fx[:k].view(np.float64), fy[:k].view(np.float64)
-        for total, a, b in zip(sums, (vx, vy, vx), (vx, vy, vy)):
-            total += np.einsum("ij,ij->j", a, b)
-        fy[:k] *= -1j  # vy now views -iY
-        sums[3] += np.einsum("ij,ij->j", vx, vy)
-    s_xx, s_yy, re, im = sums[:, 0::2] + sums[:, 1::2]
-    # onesided density: every bin but DC and Nyquist counts twice
-    scale = np.full(bins, 2.0 / (stereo.sample_rate * np.sum(window ** 2) * len(segs_x)))
-    scale[[0, -1]] /= 2.0
-    return _Spectra(fft_size, np.fft.rfftfreq(fft_size, 1.0 / stereo.sample_rate),
-                    *(s * scale for s in (s_xx, s_yy, re + 1j * im)))
+    return _transfer_function(_welch(stereo, fft_size).spectra(), stereo.sample_rate)
 
 
 def calibration_check(ref: SampleBuffer, meas: SampleBuffer, tolerance_db: float = 3.0,
@@ -364,15 +457,39 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
     The broadband and band ITDs and the transfer function read one Welch pass over
     min(DEFAULT_FFT_SIZE, len) samples; at any other fft_size the transfer function takes
     a second pass. Errors come in the stages' order, except that the fft_size checks come
-    first and the broadband delay's lag rule last.
+    first and the broadband delay's lag rule last. It is analyze_blocks of the whole capture
+    as one block.
     """
-    n, sr = len(stereo), stereo.sample_rate
-    _check_fft_size(fft_size, n, sr)
-    _require_sound(stereo)
-    spectra = _welch_spectra(stereo, min(DEFAULT_FFT_SIZE, n))
-    m, cc = _correlation(stereo, max_lag, weighting, spectra)
-    itd = _itd_s(cc, sr)
-    itd_low, itd_high = _band_itds(spectra, low_hz, high_hz, m, sr)
-    if fft_size != spectra.size:
-        spectra = _welch_spectra(stereo, fft_size)
-    return CueReport(itd, itd_low, itd_high, _transfer_function(spectra, sr))
+    return analyze_blocks([(stereo.left.samples, stereo.right.samples)], len(stereo),
+                          stereo.sample_rate, fft_size, weighting, low_hz, high_hz, max_lag)
+
+
+def analyze_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]], length: int,
+                   sample_rate: int, fft_size: int = DEFAULT_FFT_SIZE,
+                   weighting: str = "none",
+                   low_hz: float = DEFAULT_LOW_BAND_HZ,
+                   high_hz: float = DEFAULT_HIGH_BAND_HZ,
+                   max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
+    """analyze_capture of a capture that arrives as consecutive (left, right) blocks of
+    finite float64 samples, `length` in each channel and `sample_rate` Hz, with the same
+    result, bit for bit, however the capture is cut. Each Welch pass holds about 1 MiB at
+    the default fft_size, whatever the length; ValidationError is raised, after the
+    fft_size checks, when the blocks do not add up to `length`.
+    """
+    _check_fft_size(fft_size, length, sample_rate)
+    # the ITDs' segment size first, then the transfer function's when it differs
+    sizes = dict.fromkeys((min(DEFAULT_FFT_SIZE, length), fft_size))
+    passes = [_Welch(size, sample_rate) for size in sizes]
+    for left, right in blocks:
+        for welch in passes:
+            welch.update(left, right)
+    welch = passes[0]
+    if welch.length != length:
+        raise ValidationError(f"the blocks hold {welch.length} samples per channel, not {length}")
+    _require_sound(welch)
+    spectra = [welch.spectra() for welch in passes]
+    del passes, welch  # the accumulators' buffers go before the lag windows are read
+    m, cc = _correlation(spectra[0], length, sample_rate, max_lag, weighting)
+    itd = _itd_s(cc, sample_rate)
+    itd_low, itd_high = _band_itds(spectra[0], low_hz, high_hz, m, sample_rate)
+    return CueReport(itd, itd_low, itd_high, _transfer_function(spectra[-1], sample_rate))

@@ -141,17 +141,19 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    capture = wavio.read_wav(args.wav)
-    if not isinstance(capture, signals.StereoBuffer):
-        raise AnalysisError(f"{args.wav}: cue analysis needs a stereo capture, got mono")
-    report = analysis.analyze_capture(
-        capture, fft_size=args.fft_size, weighting=args.weighting,
-        low_hz=args.low_freq, high_hz=args.high_freq, max_lag=args.max_lag_ms / 1000.0,
-    )
+    # The capture streams from the file into the Welch sums; it is never held whole.
+    with wavio.WavReader(args.wav) as wav:
+        if wav.channels != 2:
+            raise AnalysisError(f"{args.wav}: cue analysis needs a stereo capture, got mono")
+        report = analysis.analyze_blocks(
+            wav.blocks(), wav.frames, wav.sample_rate, fft_size=args.fft_size,
+            weighting=args.weighting, low_hz=args.low_freq, high_hz=args.high_freq,
+            max_lag=args.max_lag_ms / 1000.0,
+        )
     name = args.name or args.wav.stem
     meta = reports.build_metadata(
         deterministic=args.deterministic, name=name, source=str(args.wav),
-        sample_rate=capture.sample_rate, fft_size=args.fft_size,
+        sample_rate=wav.sample_rate, fft_size=args.fft_size,
         weighting=args.weighting,
     )
     doc = reports.cue_report_doc(report, metadata=meta)

@@ -12,6 +12,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import __version__
 from .analysis import DEFAULT_OCTAVE_CENTERS, CueReport, TransferFunction, ild_spectrum_summary
 from .errors import ValidationError
@@ -21,6 +23,7 @@ SCHEMA_VERSION = 1
 _KINDS = ("cue_report", "simulation_sidecar", "comparison_report")
 
 CSV_SPECTRUM_HEADER = "freq_hz,magnitude_db,phase_deg,coherence"
+_CSV_ROWS = 512  # spectrum bins formatted per step
 
 def build_metadata(deterministic: bool = False, **fields: Any) -> dict[str, Any]:
     """Common report metadata; pass deterministic=True to omit the timestamp."""
@@ -140,10 +143,14 @@ def load_report(path: str | Path) -> dict[str, Any]:
 
 
 def spectrum_csv_text(tf: TransferFunction) -> str:
-    """One row per analysis bin: freq_hz, magnitude_db, phase_deg, coherence."""
+    """One row per analysis bin: freq_hz, magnitude_db, phase_deg, coherence, each the repr
+    of a Python float. Each column is formatted _CSV_ROWS bins at a time, so few float
+    objects are alive at once, and the rows are joined."""
+    columns = [np.asarray(a, dtype=float) for a in (tf.freqs, tf.magnitude_db, tf.phase_deg,
+                                                    tf.coherence)]
     lines = [CSV_SPECTRUM_HEADER]
-    for f, mag, ph, coh in zip(tf.freqs, tf.magnitude_db, tf.phase_deg, tf.coherence):
-        lines.append(f"{float(f)!r},{float(mag)!r},{float(ph)!r},{float(coh)!r}")
+    for i in range(0, columns[0].size, _CSV_ROWS):
+        lines += map(",".join, zip(*(map(repr, c[i : i + _CSV_ROWS].tolist()) for c in columns)))
     return "\n".join(lines) + "\n"
 
 

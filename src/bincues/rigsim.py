@@ -219,7 +219,9 @@ def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
     itd = predicted_itd(rig, SourceSpec(azimuth_rad=azimuth), temperature_c)
     if rig.kind is RigKind.ORTF:
         g_near, g_far = _cardioid_gains(rig.capsule_angle_deg, azimuth)
-        far = (g_far / g_near) * apply_fractional_delay(signal, itd).samples
+        far = apply_fractional_delay(signal, itd).samples  # a fresh array, scaled by its owner
+        far.setflags(write=True)
+        far *= g_far / g_near
         far.setflags(write=False)
         return far
     kernel = shadow_filter_kernel(rig.shadow, azimuth, signal.sample_rate)
@@ -241,7 +243,12 @@ def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,
     far = near if src.azimuth_rad == 0.0 else far_ear(rig, src.azimuth_rad, signal, temperature_c)
     if rig.kind is RigKind.ORTF:
         g_near = _cardioid_gains(rig.capsule_angle_deg, src.azimuth_rad)[0]
-        near, far = g_near * near, g_near * far
+        near = g_near * near  # the signal's array stays as it is
+        if far is signal.samples:
+            far = near
+        else:  # far_ear's fresh array, scaled by its owner
+            far.setflags(write=True)
+            far *= g_near
         near.setflags(write=False)
         far.setflags(write=False)
     sr = signal.sample_rate

@@ -193,8 +193,18 @@ def fft_convolve(x: np.ndarray, kernel: np.ndarray, start: int = 0,
         y[0, : taps - 1] += tail
         y[1:k, : taps - 1] += y[: k - 1, step:]
         tail = y[k - 1, step:].copy()
-        a, b = max(lo, j * step), max(lo, min(hi, (j + k) * step))
-        out[a - start : b - start] = y[:k, :step].reshape(-1)[a - j * step : b - j * step]
+        # the step's heads, y[:k, :step] read row after row, cover a..b of the window: whole
+        # rows go through a 2-D view of it, the partial first and last rows apart
+        base = j * step - start
+        a, b = max(lo, j * step) - j * step, max(lo, min(hi, (j + k) * step)) - j * step
+        r0, r1 = a // step, (b - 1) // step  # the first and last rows in a..b
+        if a < b and r0 == r1:
+            out[base + a : base + b] = y[r0, a - r0 * step : b - r0 * step]
+        elif a < b:
+            out[base + a : base + (r0 + 1) * step] = y[r0, a - r0 * step : step]
+            whole = out[base + (r0 + 1) * step : base + r1 * step].reshape(-1, step)
+            whole[...] = y[r0 + 1 : r1, :step]
+            out[base + r1 * step : base + b] = y[r1, : b - r1 * step]
     if hi > stop * step:  # past the last block only its tail reaches: zero plus the tail
         a = max(lo, stop * step)
         out[a - start : hi - start] += tail[a - stop * step : hi - stop * step]

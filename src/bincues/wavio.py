@@ -4,13 +4,15 @@ Supports little-endian PCM (16- and 24-bit integer) and 32-bit float, mono
 or stereo, at any sample rate. Integer samples map to amplitude by 1/32768
 (16-bit) or 1/8388608 (24-bit); writing a value whose quantized code would
 overflow the integer range raises ClippingError rather than saturating. A read
-holds the channels and about 1 MiB of file bytes, never the whole file.
+holds the channels and about 1 MiB of file bytes, never the whole file, and
+WavReader.blocks streams the samples with no channel arrays at all.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +47,11 @@ def _encode(channels: list[np.ndarray], encoding: str) -> tuple[np.ndarray, int,
             if samples.min(initial=0.0) < -scale or samples.max(initial=0.0) > scale - 1:
                 raise ClippingError(f"samples exceed the {bits}-bit PCM range; reduce level or use float32")
         codes[:, c] = samples
-    if bits == 24:
-        codes = np.ascontiguousarray(codes.view(np.uint8).reshape(-1, 4)[:, :3])
+    if bits == 24:  # each code's low three bytes, little-endian, one byte plane at a time
+        flat, codes = codes.reshape(-1), np.empty((codes.size, 3), np.uint8)
+        for plane in codes.T:
+            plane[...] = flat  # the cast keeps the low byte
+            flat >>= 8
     return codes, tag, bits
 
 
@@ -78,16 +83,32 @@ def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
         fh.write(pad)
 
 
-def read_wav(path: str | Path) -> SampleBuffer | StereoBuffer:
-    """Read a WAV file; returns SampleBuffer for mono, StereoBuffer for stereo.
+class WavReader:
+    """An open RIFF/WAVE file whose samples are read in whole-frame steps of about 1 MiB.
 
-    The chunk walk seeks past chunk bodies, and the data chunk is decoded in whole-frame
-    steps of about 1 MiB into one float64 array per channel, which each buffer adopts.
-
-    Raises WavFormatError for malformed files, unsupported encodings, more
-    than two channels, a zero sample rate, or float samples that are NaN or inf.
+    Opening walks the chunk headers with seeks and checks the format, so `channels`,
+    `sample_rate` and `frames` (samples per channel) are known before any sample is read.
+    It is a context manager that closes the file. Raises WavFormatError for malformed
+    files, unsupported encodings, more than two channels or a zero sample rate.
     """
-    with open(path, "rb") as fh:
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self._read_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "WavReader":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._fh.close()
+
+    def _read_header(self) -> None:
+        path, fh = self.path, self._fh
         file_size = os.fstat(fh.fileno()).st_size
         head = fh.read(12)
         if len(head) < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
@@ -126,32 +147,67 @@ def read_wav(path: str | Path) -> SampleBuffer | StereoBuffer:
         rows = [row for row in _FORMATS.values() if row[:2] == (tag, bits)]
         if not rows:
             raise WavFormatError(f"unsupported encoding: format tag {tag}, {bits} bits per sample")
-        _, _, dtype, scale = rows[0]
+        self.channels, self.sample_rate, self.frames = channels, rate, data_size // frame_bytes
+        self._data_at, self._bits, self._dtype, self._scale = data_at, bits, rows[0][2], rows[0][3]
 
-        frames = data_size // frame_bytes
-        samples = [np.empty(frames) for _ in range(channels)]
+    def blocks(self, out: list[np.ndarray] | None = None) -> Iterator[list[np.ndarray]]:
+        """Decodes the data chunk in whole-frame steps of about 1 MiB, yielding each step as
+        one float64 array per channel.
+
+        Into `out`, one array of `frames` samples per channel, each step is decoded in place
+        and yielded as views of it, which the caller checks (read_wav's buffers do). Without
+        `out` the steps are views of one step buffer, valid until the next step, and a float
+        sample that is NaN or inf raises WavFormatError.
+        """
+        channels, bits, frames = self.channels, self._bits, self.frames
+        frame_bytes = channels * bits // 8
         step = _CHUNK_BYTES // frame_bytes
         lead = int(bits == 24)  # a byte ahead of the data: each pcm24 code is the top of an <i4
         raw = bytearray(lead + min(step, frames) * frame_bytes)
-        fh.seek(data_at)
+        own = out is None
+        if own:
+            out = list(np.empty((channels, min(step, frames))))
+        self._fh.seek(self._data_at)
         for start in range(0, frames, step):
             count = min(step, frames - start)
-            if fh.readinto(memoryview(raw)[lead : lead + count * frame_bytes]) < count * frame_bytes:
-                raise WavFormatError(f"{path}: truncated b'data' chunk")
-            codes = np.ndarray((count, channels), dtype, raw, strides=(frame_bytes, bits // 8))
-            for c, out in enumerate(samples):
-                part = out[start : start + count]
+            view = memoryview(raw)[lead : lead + count * frame_bytes]
+            if self._fh.readinto(view) < count * frame_bytes:
+                raise WavFormatError(f"{self.path}: truncated b'data' chunk")
+            codes = np.ndarray((count, channels), self._dtype, raw,
+                               strides=(frame_bytes, bits // 8))
+            parts = [o[:count] if own else o[start : start + count] for o in out]
+            for c, part in enumerate(parts):
                 if bits == 32:  # float32 codes widen to float64 exactly
                     part[...] = codes[:, c]
+                    # min and max carry any NaN or inf, as SampleBuffer's check does
+                    if own and not (np.isfinite(part.min()) and np.isfinite(part.max())):
+                        raise WavFormatError(f"{self.path}: samples must be finite; the data"
+                                             " chunk holds NaN or inf")
                 else:
-                    np.divide(codes[:, c], 256.0 if bits == 24 else scale, out=part)
+                    np.divide(codes[:, c], 256.0 if bits == 24 else self._scale, out=part)
                 if bits == 24:  # the floor drops the <i4's low byte, which precedes the code
                     np.floor(part, out=part)
-                    part /= scale
+                    part /= self._scale
+            yield parts
+
+
+def read_wav(path: str | Path) -> SampleBuffer | StereoBuffer:
+    """Read a WAV file; returns SampleBuffer for mono, StereoBuffer for stereo.
+
+    A WavReader decodes the data chunk in whole-frame steps of about 1 MiB straight into
+    one float64 array per channel, which each buffer adopts.
+
+    Raises WavFormatError for malformed files, unsupported encodings, more
+    than two channels, a zero sample rate, or float samples that are NaN or inf.
+    """
+    with WavReader(path) as wav:
+        samples = [np.empty(wav.frames) for _ in range(wav.channels)]
+        for _ in wav.blocks(samples):
+            pass
     for out in samples:
         out.setflags(write=False)
     try:
-        channel_buffers = [SampleBuffer(out, rate) for out in samples]
+        channel_buffers = [SampleBuffer(out, wav.sample_rate) for out in samples]
     except ValidationError as exc:  # float samples that are NaN or inf
         raise WavFormatError(f"{path}: {exc}") from None
-    return channel_buffers[0] if channels == 1 else StereoBuffer(*channel_buffers)
+    return channel_buffers[0] if wav.channels == 1 else StereoBuffer(*channel_buffers)

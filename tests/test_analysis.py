@@ -32,6 +32,13 @@ def delayed_copy(buf, delay_s):
     return apply_fractional_delay(buf, delay_s)
 
 
+def welch_spectra(stereo, fft_size, overlap=analysis.DEFAULT_OVERLAP):
+    """The Welch pass over a whole capture: one accumulator fed both channels in one block."""
+    welch = analysis._Welch(fft_size, stereo.sample_rate, overlap)
+    welch.update(stereo.left.samples, stereo.right.samples)
+    return welch.spectra()
+
+
 # --- transfer_function ------------------------------------------------------
 
 def test_tf_identity(pink_5s):
@@ -504,7 +511,7 @@ def test_welch_spectra_match_scipy(log2_size, overlap, extra, seed):
     kwargs = dict(fs=SR, window="hann", nperseg=fft_size,
                   noverlap=int(fft_size * overlap), detrend=False)
     stereo = StereoBuffer(SampleBuffer(x, SR), SampleBuffer(y, SR))
-    ours = analysis._welch_spectra(stereo, fft_size, overlap)
+    ours = welch_spectra(stereo, fft_size, overlap)
     ref = (*scipy_signal.welch(x, **kwargs), scipy_signal.welch(y, **kwargs)[1],
            scipy_signal.csd(x, y, **kwargs)[1])
     # Auto-spectra relative to their peak. A cross-spectrum bin can cancel to near
@@ -523,7 +530,7 @@ class _FirstTransform(Exception):
 
 
 def test_welch_window_is_scipys_periodic_hann(monkeypatch):
-    # Ones times the window is the window, so the first segment _welch_spectra
+    # Ones times the window is the window, so the first segment the Welch pass
     # transforms is its window, bit for bit.
     def first_transform(a, *args, **kwargs):
         raise _FirstTransform(a)
@@ -532,8 +539,9 @@ def test_welch_window_is_scipys_periodic_hann(monkeypatch):
     for size in range(2, 16385):
         ones = SampleBuffer(np.ones(size), SR)
         with pytest.raises(_FirstTransform) as caught:
-            analysis._welch_spectra(StereoBuffer(ones, ones), size, 0.5)
-        assert np.array_equal(caught.value.args[0][0], scipy_signal.get_window("hann", size)), size
+            welch_spectra(StereoBuffer(ones, ones), size, 0.5)
+        first = caught.value.args[0][0, 0]  # the left channel's first frame
+        assert np.array_equal(first, scipy_signal.get_window("hann", size)), size
 
 
 def _noise_buffer(rng, n, scale=1.0):
@@ -550,7 +558,7 @@ def test_welch_cross_spectrum_of_equal_channels_is_exactly_real(log2_size):
     rng = np.random.default_rng(log2_size)
     for n in (size, size + 1, 3 * size + 7, 40 * size + 123):
         x = _noise_buffer(rng, n, 10.0 ** rng.uniform(-3, 3))
-        spectra = analysis._welch_spectra(StereoBuffer(x, x), size)
+        spectra = welch_spectra(StereoBuffer(x, x), size)
         assert np.all(spectra.s_xy.imag == 0.0), (size, n)
         assert np.array_equal(spectra.s_xy.real, spectra.s_xx)
 
@@ -561,26 +569,52 @@ def test_welch_cross_spectrum_of_equal_channels_is_exactly_real(log2_size):
 def test_welch_cross_spectrum_of_equal_channels_is_real_at_any_size(fft_size, overlap, extra,
                                                                     seed):
     x = _noise_buffer(np.random.default_rng(seed), fft_size + extra)
-    assert np.all(analysis._welch_spectra(StereoBuffer(x, x), fft_size, overlap).s_xy.imag == 0.0)
+    assert np.all(welch_spectra(StereoBuffer(x, x), fft_size, overlap).s_xy.imag == 0.0)
 
 
 def test_welch_pass_working_set_does_not_grow_with_the_capture():
-    # The pass holds one batch of windowed segments and the two channels' spectra, which it
-    # rotates in place (6.76 MiB at the default fft size), never a copy of the capture: 30 s
-    # and 120 s peak alike, under 7 MiB.
+    # The pass holds one batch of four segments' products, the group and total sums and the
+    # held samples (1.7 MiB at the default fft size, 1.9 MiB with the spectra it returns),
+    # never a copy of the capture: 30 s and 120 s peak alike, under 2 MiB.
     rng = np.random.default_rng(5)
     peaks = []
     for seconds in (30, 120):
         stereo = StereoBuffer(*(_noise_buffer(rng, seconds * SR) for _ in range(2)))
         tracemalloc.start()
         try:
-            analysis._welch_spectra(stereo, analysis.DEFAULT_FFT_SIZE)
+            welch_spectra(stereo, analysis.DEFAULT_FFT_SIZE)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         del stereo
     assert abs(peaks[1] - peaks[0]) <= 2**20, peaks
-    assert max(peaks) < 7 * 2**20, peaks
+    assert max(peaks) < 2 * 2**20, peaks
+
+
+@given(st.integers(2, 2048), st.floats(0.0, 0.9), st.integers(0, 40 * 2048),
+       st.lists(st.integers(0, 2**31), max_size=12), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_welch_spectra_do_not_depend_on_how_the_capture_is_cut(fft_size, overlap, extra, cuts,
+                                                               seed):
+    # Segments that straddle blocks are carried over, and each group of 32 segments is summed
+    # in segment order whatever the batches, so any cut gives the bits of one whole block,
+    # even with the spectra read part way through.
+    rng = np.random.default_rng(seed)
+    n = fft_size + extra
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    whole = welch_spectra(StereoBuffer(SampleBuffer(x, SR), SampleBuffer(y, SR)), fft_size, overlap)
+    welch = analysis._Welch(fft_size, SR, overlap)
+    bounds = sorted({cut % (n + 1) for cut in cuts})
+    middle = bounds[len(bounds) // 2] if bounds else None
+    for a, b in zip([0, *bounds], [*bounds, n]):
+        welch.update(x[a:b], y[a:b])
+        if b == middle and b >= fft_size:  # once a segment is in
+            welch.spectra()
+    got = welch.spectra()
+    assert got.size == whole.size and welch.length == n
+    for field in ("freqs", "s_xx", "s_yy", "s_xy"):
+        assert np.array_equal(getattr(got, field), getattr(whole, field), equal_nan=True), field
+    np.testing.assert_allclose(welch.energy, (np.dot(x, x), np.dot(y, y)), rtol=1e-12)
 
 
 # --- analyze_capture is its three stages ------------------------------------------
@@ -604,21 +638,21 @@ def test_analyze_capture_equals_its_stages_called_alone(pink_2s, weighting, max_
 
 def count_spectral_passes(monkeypatch):
     calls = []
-    original = analysis._welch_spectra
 
-    def spy(stereo, fft_size, *args):
-        calls.append(fft_size)
-        return original(stereo, fft_size, *args)
+    class Spy(analysis._Welch):
+        def __init__(self, fft_size, *args):
+            calls.append(fft_size)
+            super().__init__(fft_size, *args)
 
-    monkeypatch.setattr(analysis, "_welch_spectra", spy)
+    monkeypatch.setattr(analysis, "_Welch", Spy)
     return calls
 
 
 @pytest.mark.parametrize("fft_size, passes", [(8192, [8192]), (4096, [8192, 4096])])
 @pytest.mark.parametrize("weighting", analysis.WEIGHTINGS)
 def test_analyze_capture_spectral_passes(pink_2s, monkeypatch, weighting, fft_size, passes):
-    # one Welch pass feeds PHAT, the bands and the transfer function; another fft_size
-    # gives the transfer function a second pass of its own
+    # one Welch accumulator feeds PHAT, the bands and the transfer function; another fft_size
+    # gives the transfer function a second accumulator of its own
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, 0.43e-3))
     calls = count_spectral_passes(monkeypatch)
     analyze_capture(stereo, fft_size, weighting)

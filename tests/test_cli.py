@@ -1,14 +1,17 @@
 import json
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bincues
-from bincues import StereoBuffer, estimate_itd, gen_pink_noise, gen_sine, read_wav, write_wav
+from bincues import (StereoBuffer, estimate_itd, gen_pink_noise, gen_sine, read_wav, wavio,
+                     write_wav)
 from bincues.cli import EXIT_ANALYSIS, EXIT_IO, EXIT_OK, EXIT_USAGE, RIG_NAMES, main
 
 
@@ -168,6 +171,60 @@ def test_analyze_nan_float_sample_is_io_failure(capture_wav, tmp_path):
     blob[data : data + 4] = np.array([np.nan], dtype="<f4").tobytes()
     capture_wav.write_bytes(bytes(blob))
     assert run("analyze", capture_wav, "--out", tmp_path / "r.json") == EXIT_IO
+
+
+def write_delayed_noise(path, seconds, delay=10, seed=0):
+    """A float32 stereo WAV of seeded noise whose right channel lags by `delay` samples,
+    written a second at a time so the test never holds the capture."""
+    frames = round(seconds * 48000)
+    rng = np.random.default_rng(seed)
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 36 + 8 * frames) + b"WAVEfmt "
+                 + struct.pack("<IHHIIHH", 16, 3, 2, 48000, 8 * 48000, 8, 32)
+                 + b"data" + struct.pack("<I", 8 * frames))
+        tail = np.zeros(delay, np.float32)
+        for start in range(0, frames, 48000):
+            left = (0.1 * rng.standard_normal(min(48000, frames - start))).astype(np.float32)
+            joined = np.concatenate([tail, left])
+            fh.write(np.column_stack([left, joined[: left.size]]).astype("<f4").tobytes())
+            tail = joined[left.size :]
+
+
+def test_analyze_streams_the_capture(tmp_path):
+    # The file goes through one reader step and the Welch sums, so a 120 s capture peaks
+    # where a 30 s one does, under 6 MiB, far below its 92 MiB of float64 channels.
+    peaks = []
+    for seconds in (30, 120):
+        path = tmp_path / f"noise{seconds}.wav"
+        write_delayed_noise(path, seconds)
+        tracemalloc.start()
+        try:
+            assert run("analyze", path, "--out", tmp_path / "r.json", "--deterministic") == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert json.loads((tmp_path / "r.json").read_text())["itd_s"] == pytest.approx(10 / 48000)
+        path.unlink()
+    assert abs(peaks[1] - peaks[0]) <= 2**20, peaks
+    assert max(peaks) < 6 * 2**20, peaks
+
+
+@pytest.mark.parametrize("fft_size", [8192, 4096])
+def test_analyze_stream_writes_the_reports_of_the_whole_capture(tmp_path, fft_size):
+    # 7.3 s of float32 stereo is 2.67 reader steps, so the stream crosses step boundaries
+    # mid-segment and ends on a partial step; the reports are those of the capture read whole.
+    from bincues import analyze_capture, reports
+    path = tmp_path / "cap.wav"
+    write_delayed_noise(path, 7.3, delay=7, seed=3)
+    assert (7.3 * 48000) % (wavio._CHUNK_BYTES // 8) and 7.3 * 48000 > 2 * wavio._CHUNK_BYTES // 8
+    out = tmp_path / "stream.json"
+    assert run("analyze", path, "--fft-size", fft_size, "--name", "cap", "--out", out,
+               "--deterministic") == EXIT_OK
+    report = analyze_capture(read_wav(path), fft_size=fft_size)
+    meta = reports.build_metadata(deterministic=True, name="cap", source=str(path),
+                                  sample_rate=48000, fft_size=fft_size, weighting="none")
+    assert out.read_text() == reports.emit_json(reports.cue_report_doc(report, metadata=meta))
+    assert out.with_suffix(".csv").read_text() == reports.spectrum_csv_text(report.ild_spectrum)
 
 
 @pytest.mark.parametrize("max_lag_ms", ["nan", "inf"])

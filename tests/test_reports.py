@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bincues import StereoBuffer, ValidationError, analyze_capture, apply_fractional_delay
+from bincues import (StereoBuffer, TransferFunction, ValidationError, analyze_capture,
+                     apply_fractional_delay)
 from bincues.reports import (CSV_SPECTRUM_HEADER, SCHEMA_VERSION, build_metadata,
                              comparison_csv_text, comparison_doc, comparison_summary_text,
                              cue_report_doc, emit_json, parse_json, rig_to_dict,
@@ -83,6 +84,20 @@ def test_spectrum_csv_shape(cue_doc):
     assert len(first) == 4
     assert float(first[0]) == report.ild_spectrum.freqs[0]
     assert "," not in f"{1.5:n}" or True  # no locale decimal separators in use
+
+
+def test_spectrum_csv_is_the_row_by_row_repr_text(cue_doc):
+    # Formatting whole columns gives the text of formatting each row's floats in turn, for a
+    # measured spectrum and for values that stress repr: both zeros, subnormals, extremes.
+    rng = np.random.default_rng(9)
+    odd = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e-300, 0.1, 1 / 3, 180.0])
+    values = np.concatenate([odd, rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)])
+    stress = TransferFunction(np.arange(values.size) + 0.5, values, -values,
+                              np.linspace(0.0, 1.0, values.size), 0.0)
+    for tf in (cue_doc[0].ild_spectrum, stress):
+        rows = [f"{float(f)!r},{float(m)!r},{float(p)!r},{float(c)!r}"
+                for f, m, p, c in zip(tf.freqs, tf.magnitude_db, tf.phase_deg, tf.coherence)]
+        assert spectrum_csv_text(tf) == "\n".join([CSV_SPECTRUM_HEADER, *rows]) + "\n"
 
 
 def _doc(itd_s, bands):

@@ -208,14 +208,14 @@ def test_capture_near_ear_is_the_source_array(rig, pink_2s):
     assert not capture.right.samples.flags.writeable
 
 
-@pytest.mark.parametrize("rig, held, peak", [(human_head(), 1, 1.6), (ortf(), 2, 3.1)],
+@pytest.mark.parametrize("rig, held, peak", [(human_head(), 1, 1.6), (ortf(), 2, 2.1)],
                          ids=["human", "ortf"])
 def test_capture_allocates_each_channel_once(rig, held, peak, pink_5s):
     # A head rig's capture holds one new channel, the far ear, as its near ear is the
     # source's array; ORTF's gain makes both channels new. The far ear's convolution writes
     # only that channel, through block buffers of about a quarter MiB: 1.42 channels for the
-    # head. ORTF's capsule gains scale whole channels, so it peaks at 3.00. A copy of each
-    # channel as the buffers wrap it would add 1x to both.
+    # head. ORTF scales its fresh far channel in place and builds one scaled near channel,
+    # so it peaks at 2.00. A copy of each channel as the buffers wrap it would add 1x to both.
     channel = pink_5s.samples.nbytes
     tracemalloc.start()
     try:

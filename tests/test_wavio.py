@@ -96,6 +96,17 @@ def test_pcm24_round_trip_on_grid(tmp_path):
     assert np.array_equal(back.right.samples * (1 << 23), right)
 
 
+def test_pcm24_payload_is_each_codes_low_three_bytes():
+    # the byte planes hold what the little-endian <i4 codes' first three bytes hold, for
+    # random codes of both signs and both full-scale edges, in either channel
+    codes = np.random.default_rng(3).integers(-(1 << 23), 1 << 23, (2, 4001))
+    codes[:, :4] = [[-(1 << 23), (1 << 23) - 1, -1, 0], [(1 << 23) - 1, -(1 << 23), 0, -1]]
+    payload, tag, bits = wavio._encode([c / float(1 << 23) for c in codes], "pcm24")
+    want = np.ascontiguousarray(codes.T, "<i4").view(np.uint8).reshape(-1, 4)[:, :3]
+    assert (tag, bits) == (wavio._TAG_PCM, 24)
+    assert payload.dtype == np.uint8 and payload.tobytes() == want.tobytes()
+
+
 def test_pcm24_odd_frame_count_pads(tmp_path):
     buf = SampleBuffer(np.array([0.5, -0.25, 0.125]), SR)  # 9 payload bytes, needs a pad
     path = tmp_path / "odd24.wav"
@@ -184,11 +195,16 @@ def test_reader_steps_across_chunk_boundaries(tmp_path_factory, encoding, channe
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wavio, "_CHUNK_BYTES", step_frames * frame_bytes + spare % frame_bytes)
         back = read_wav(path)
+        with wavio.WavReader(path) as wav:  # the same steps, streamed through one step buffer
+            assert (wav.channels, wav.sample_rate, wav.frames) == (channels, SR, frames)
+            steps = [[part.copy() for part in step] for step in wav.blocks()]
     got = [back.samples] if channels == 1 else [back.left.samples, back.right.samples]
     want = whole_payload_decode(payload, encoding, channels)
     for c, samples in enumerate(got):
         assert samples.dtype == np.float64 and not samples.flags.writeable
         assert np.array_equal(samples, want[:, c])
+        assert np.array_equal(np.concatenate([step[c] for step in steps] or [[]]), want[:, c])
+    assert all(step[0].size <= step_frames for step in steps)
 
 
 def riff(*chunks):
@@ -254,6 +270,8 @@ def test_read_rejects_non_finite_float_samples(tmp_path, bad):
     _raw_wav(path, 3, 2, 32, np.array([0.5, -0.5, bad, 0.0], dtype="<f4").tobytes())
     with pytest.raises(WavFormatError, match="NaN or inf"):
         read_wav(path)
+    with wavio.WavReader(path) as wav, pytest.raises(WavFormatError, match="NaN or inf"):
+        list(wav.blocks())
 
 
 def test_read_rejects_zero_sample_rate(tmp_path):
