@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import analysis, render, reports, rigsim, signals, wavio
@@ -32,14 +33,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# A flag that a run may not read defaults to None, so that giving it there is an error; the
+# handler that reads it fills in its default.
 _FLAGS = {
-    "--sample-rate": dict(type=int, default=signals.DEFAULT_SAMPLE_RATE,
-                          help="sample rate in Hz for generated signals (default 48000)"),
+    "--sample-rate": dict(type=int, help="sample rate in Hz for generated signals (default 48000)"),
     "--temp": dict(type=float, default=20.0, help="air temperature in Celsius (default 20)"),
-    "--seed": dict(type=int, default=0, help="noise generator seed"),
+    "--seed": dict(type=int, help="noise generator seed (default 0)"),
     "--deterministic": dict(action="store_true", help="omit timestamps from reports"),
     "--out": dict(type=Path, help="output path"),
 }
+# The generate flags that only one kind of signal reads.
+_SIGNAL_FLAGS = {"sine": ("freq", "amplitude"), "pink": ("seed",), "impulse": ("offset",)}
 
 
 def _common_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
@@ -57,8 +61,8 @@ def build_parser() -> _Parser:
     p_gen.add_argument("signal_kind", choices=("pink", "sine", "impulse"))
     p_gen.add_argument("--seconds", type=float, default=1.0, help="signal duration (default 1)")
     p_gen.add_argument("--freq", type=float, help="sine frequency in Hz")
-    p_gen.add_argument("--amplitude", type=float, default=1.0, help="sine peak amplitude (0..1)")
-    p_gen.add_argument("--offset", type=int, default=0, help="impulse position in samples")
+    p_gen.add_argument("--amplitude", type=float, help="sine peak amplitude, 0..1 (default 1)")
+    p_gen.add_argument("--offset", type=int, help="impulse position in samples (default 0)")
     p_gen.add_argument("--encoding", choices=wavio.ENCODINGS, default="float32")
     _common_flags(p_gen, "--sample-rate", "--seed")
 
@@ -82,8 +86,7 @@ def build_parser() -> _Parser:
     grp.add_argument("--rig-config", type=Path, help="flat key=value rig config file")
     p_sim.add_argument("--azimuth", type=float, required=True, help="degrees, 0..90")
     p_sim.add_argument("--signal", type=Path, help="mono WAV test signal (default: built-in pink)")
-    p_sim.add_argument("--seconds", type=float, default=5.0,
-                       help="built-in pink signal duration (default 5)")
+    p_sim.add_argument("--seconds", type=float, help="built-in pink signal duration (default 5)")
     _common_flags(p_sim, "--sample-rate", "--temp", "--seed")
 
     p_ren = sub.add_parser("render", help="binauralize a mono WAV")
@@ -109,32 +112,49 @@ def _require_out(args: argparse.Namespace) -> Path:
     return args.out
 
 
+def _default(value, default):
+    """A flag's value, or its default when it was not given."""
+    return default if value is None else value
+
+
+def _reject_unread(args: argparse.Namespace, names: Iterable[str], where: str) -> None:
+    """Raises UsageError when any of the named flags was given, as the run would not read it."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise UsageError(f"{' and '.join(given)} {'is' if len(given) == 1 else 'are'} not read"
+                         f" {where}")
+
+
 def _report_name(doc_path: Path, doc: dict) -> str:
     return doc.get("metadata", {}).get("name") or doc_path.stem
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     out = _require_out(args)
+    kind, sample_rate = args.signal_kind, _default(args.sample_rate, signals.DEFAULT_SAMPLE_RATE)
+    _reject_unread(args, (name for other, names in _SIGNAL_FLAGS.items() if other != kind
+                          for name in names), f"by a {kind} signal")
     if not 0 < args.seconds < math.inf:
         raise UsageError(f"--seconds must be positive and finite, got {args.seconds}")
-    if args.signal_kind == "sine":
+    if kind == "sine":
+        amplitude = _default(args.amplitude, 1.0)
         if args.freq is None:
             raise UsageError("--freq is required for sine")
-        if not 0 < args.freq < args.sample_rate / 2:
+        if not 0 < args.freq < sample_rate / 2:
             raise UsageError(
                 f"--freq must lie strictly between 0 and the Nyquist frequency "
-                f"({args.sample_rate / 2:g} Hz), got {args.freq}"
+                f"({sample_rate / 2:g} Hz), got {args.freq}"
             )
-        if not 0 <= args.amplitude <= 1:
-            raise UsageError(f"--amplitude must lie in 0..1, got {args.amplitude}")
-        buf = signals.gen_sine(args.freq, args.seconds, args.sample_rate, args.amplitude)
-    elif args.signal_kind == "pink":
-        buf = signals.gen_pink_noise(args.seconds, args.sample_rate, args.seed)
+        if not 0 <= amplitude <= 1:
+            raise UsageError(f"--amplitude must lie in 0..1, got {amplitude}")
+        buf = signals.gen_sine(args.freq, args.seconds, sample_rate, amplitude)
+    elif kind == "pink":
+        buf = signals.gen_pink_noise(args.seconds, sample_rate, _default(args.seed, 0))
     else:
-        n = args.seconds * args.sample_rate  # gen_impulse rejects an overflowing count
-        if math.isfinite(n) and not 0 <= args.offset < round(n):
-            raise UsageError(f"--offset must lie in [0, {round(n)}), got {args.offset}")
-        buf = signals.gen_impulse(args.seconds, args.sample_rate, args.offset)
+        offset, n = _default(args.offset, 0), args.seconds * sample_rate
+        if math.isfinite(n) and not 0 <= offset < round(n):  # gen_impulse rejects an overflow
+            raise UsageError(f"--offset must lie in [0, {round(n)}), got {offset}")
+        buf = signals.gen_impulse(args.seconds, sample_rate, offset)
     wavio.write_wav(out, buf, encoding=args.encoding)
     print(f"wrote {out}")
     return EXIT_OK
@@ -170,26 +190,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     out = _require_out(args)
+    if args.signal is not None:
+        _reject_unread(args, ("seconds", "seed", "sample_rate"), "with --signal")
     if not 0.0 <= args.azimuth <= 90.0:
         raise UsageError(f"--azimuth must lie in 0..90 degrees, got {args.azimuth}")
     rig = (rigsim.load_rig_config(args.rig_config) if args.rig_config is not None
            else rigsim.default_rig(rigsim.RigKind(args.rig)))
     src = rigsim.SourceSpec(azimuth_rad=math.radians(args.azimuth))
 
+    seed = None  # the sidecar's: none for a signal file
     if args.signal is not None:
         sig = wavio.read_wav(args.signal)
         if not isinstance(sig, signals.SampleBuffer):
             raise AnalysisError(f"{args.signal}: simulation needs a mono test signal")
     else:
-        sig = signals.gen_pink_noise(args.seconds, args.sample_rate, args.seed)
+        seed = _default(args.seed, 0)
+        sig = signals.gen_pink_noise(_default(args.seconds, 5.0),
+                                     _default(args.sample_rate, signals.DEFAULT_SAMPLE_RATE), seed)
 
     itd = rigsim.predicted_itd(rig, src, temperature_c=args.temp)  # both validate before writing
     anchors = {str(int(center)): rigsim.predicted_ild_db(rig, src, center)
                for center in analysis.DEFAULT_OCTAVE_CENTERS}
     wavio.write_wav(out, rigsim.simulate_capture(rig, src, sig, temperature_c=args.temp))
     meta = reports.build_metadata(
-        deterministic=args.deterministic, sample_rate=sig.sample_rate,
-        seed=None if args.signal else args.seed,
+        deterministic=args.deterministic, sample_rate=sig.sample_rate, seed=seed,
         source=str(args.signal) if args.signal else "pink",
     )
     sidecar = reports.simulation_sidecar_doc(rig, args.azimuth, args.temp, itd, anchors, meta)

@@ -61,10 +61,14 @@ def binauralize(signal: SampleBuffer, spec: RenderSpec) -> StereoBuffer:
     sr = signal.sample_rate
 
     near = gain * signal.samples
-    far = (near if spec.azimuth_rad == 0.0
-           else gain * far_ear(spec.rig, abs(spec.azimuth_rad), signal, spec.temperature_c))
+    if spec.azimuth_rad == 0.0:
+        far = near
+    else:  # far_ear's fresh array, scaled by its owner
+        far = far_ear(spec.rig, abs(spec.azimuth_rad), signal, spec.temperature_c)
+        far.setflags(write=True)
+        far *= gain
     ears = (near,) if far is near else (near, far)
-    peak = max(np.max(np.abs(ear)) for ear in ears)
+    peak = max(max(ear.max(), -ear.min()) for ear in ears)
     for ear in ears:  # fresh arrays: normalized in place, then handed to the buffers
         if peak > 1.0:
             ear /= peak
@@ -96,8 +100,9 @@ def binauralize_scene(sources: list[tuple[SampleBuffer, RenderSpec]]) -> StereoB
         rendered = binauralize(signal, spec)
         left[: len(rendered)] += rendered.left.samples
         right[: len(rendered)] += rendered.right.samples
+        del rendered  # before the next source renders
 
-    peak = max(np.max(np.abs(left)), np.max(np.abs(right)), 0.0)
+    peak = max(left.max(), -left.min(), right.max(), -right.min())
     if peak > 1.0:
         log.warning("scene mix clipped; normalized by %.6f", 1.0 / peak)
         left /= peak

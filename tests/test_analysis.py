@@ -504,7 +504,17 @@ def test_non_finite_lag_window_is_rejected(pink_2s, call, max_lag):
 @example(log2_size=1, overlap=0.0, extra=2201, seed=2201)  # S_xy bins cancel to 1.6e-11
 @example(log2_size=9, overlap=0.0, extra=116, seed=404)  # S_yy cancels to 2.1e-12 at DC
 def test_welch_spectra_match_scipy(log2_size, overlap, extra, seed):
-    fft_size = 2 ** log2_size
+    assert_welch_matches_scipy(2 ** log2_size, overlap, extra, seed)
+
+
+@pytest.mark.parametrize("fft_size, extra", [(3, 0), (7, 33), (5001, 0), (1025, 7000)])
+def test_welch_spectra_of_odd_sized_segments_match_scipy(fft_size, extra):
+    # An odd size has no Nyquist bin, so every bin but DC counts twice, the last one too. A
+    # capture shorter than DEFAULT_FFT_SIZE is one segment of its own length, odd or even.
+    assert_welch_matches_scipy(fft_size, 0.5, extra, fft_size)
+
+
+def assert_welch_matches_scipy(fft_size, overlap, extra, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(fft_size + extra)
     y = 0.5 * np.roll(x, 3) + rng.standard_normal(x.size)
@@ -573,9 +583,9 @@ def test_welch_cross_spectrum_of_equal_channels_is_real_at_any_size(fft_size, ov
 
 
 def test_welch_pass_working_set_does_not_grow_with_the_capture():
-    # The pass holds one batch of four segments' products, the group and total sums and the
-    # held samples (1.7 MiB at the default fft size, 1.9 MiB with the spectra it returns),
-    # never a copy of the capture: 30 s and 120 s peak alike, under 2 MiB.
+    # The pass holds one batch of four segments and their spectra, the four sums and the held
+    # samples (1.4 MiB at the default fft size, 1.8 MiB while it reads the spectra out), never
+    # a copy of the capture: 30 s and 120 s peak alike, under 2 MiB.
     rng = np.random.default_rng(5)
     peaks = []
     for seconds in (30, 120):
@@ -594,17 +604,19 @@ def test_welch_pass_working_set_does_not_grow_with_the_capture():
 @given(st.integers(2, 2048), st.floats(0.0, 0.9), st.integers(0, 40 * 2048),
        st.lists(st.integers(0, 2**31), max_size=12), st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
+@example(fft_size=2048, overlap=0.5, extra=20000, cuts=[9000, 5000, 9000, 5000, 5000], seed=3)
+@example(fft_size=16, overlap=0.5, extra=150, cuts=list(range(1, 166)), seed=1)  # 1-sample blocks
 def test_welch_spectra_do_not_depend_on_how_the_capture_is_cut(fft_size, overlap, extra, cuts,
                                                                seed):
-    # Segments that straddle blocks are carried over, and each group of 32 segments is summed
-    # in segment order whatever the batches, so any cut gives the bits of one whole block,
-    # even with the spectra read part way through.
+    # Segments that straddle blocks are carried over, and batches close at fixed segment
+    # indices, so any cut gives the bits of one whole block, empty blocks included, even with
+    # the spectra read part way through.
     rng = np.random.default_rng(seed)
     n = fft_size + extra
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     whole = welch_spectra(StereoBuffer(SampleBuffer(x, SR), SampleBuffer(y, SR)), fft_size, overlap)
     welch = analysis._Welch(fft_size, SR, overlap)
-    bounds = sorted({cut % (n + 1) for cut in cuts})
+    bounds = sorted(cut % (n + 1) for cut in cuts)  # repeats give empty blocks
     middle = bounds[len(bounds) // 2] if bounds else None
     for a, b in zip([0, *bounds], [*bounds, n]):
         welch.update(x[a:b], y[a:b])

@@ -639,6 +639,36 @@ def test_flag_its_handler_does_not_read_is_usage_error(argv, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--rig", "human", "--azimuth", 30, "--signal", "{mono}", "--seconds", 30),
+    ("simulate", "--rig", "human", "--azimuth", 30, "--signal", "{mono}", "--seed", 9),
+    ("simulate", "--rig", "human", "--azimuth", 30, "--signal", "{mono}", "--sample-rate", 44100),
+    ("generate", "sine", "--freq", 220, "--seed", 3),
+    ("generate", "sine", "--freq", 220, "--offset", 7),
+    ("generate", "pink", "--freq", 440),
+    ("generate", "pink", "--amplitude", 0.2),
+    ("generate", "pink", "--offset", 7),
+    ("generate", "impulse", "--seed", 0),
+    ("generate", "impulse", "--amplitude", 1.0),
+], ids=lambda argv: f"{argv[0]}-{argv[1].lstrip('-')}{argv[-2]}")
+def test_flag_the_run_does_not_read_is_usage_error(argv, voice_wav, tmp_path, capsys):
+    # Each of these exits 0 and writes a file when the flag is left out; given, a value the
+    # run would ignore is refused, even one equal to the default.
+    argv = [voice_wav if a == "{mono}" else a for a in argv]
+    assert run(*argv, "--out", tmp_path / "x.wav") == EXIT_USAGE
+    assert f"error: {argv[-2]} is not read" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists() and not (tmp_path / "x.json").exists()
+    assert run(*argv[:-2], "--out", tmp_path / "x.wav") == EXIT_OK
+
+
+def test_every_unread_flag_is_named(voice_wav, tmp_path, capsys):
+    code = run("simulate", "--rig", "human", "--azimuth", 30, "--signal", voice_wav, "--seconds",
+               30, "--seed", 9, "--sample-rate", 44100, "--out", tmp_path / "x.wav")
+    assert code == EXIT_USAGE
+    assert "--seconds and --seed and --sample-rate are not read with --signal" in (
+        capsys.readouterr().err)
+
+
 def test_kept_flags_reach_their_handlers(voice_wav, tmp_path):
     tone = tmp_path / "tone.wav"
     assert run("generate", "sine", "--freq", 220, "--sample-rate", 44100, "--out", tone) == EXIT_OK

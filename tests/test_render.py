@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bincues import (RenderSpec, SampleBuffer, SourceSpec, ValidationError, binauralize,
-                     binauralize_scene, estimate_itd, gen_pink_noise, human_head,
+                     binauralize_scene, estimate_itd, full_dummy, gen_pink_noise, human_head,
                      ild_spectrum_summary, jecklin, ortf, predicted_ild_db, predicted_itd,
                      transfer_function)
 
@@ -144,3 +145,26 @@ def test_scene_pads_shorter_sources(pink_2s):
     scene = binauralize_scene([(pink_2s, RenderSpec(gain_db=-6.0)),
                                (short, RenderSpec(gain_db=-6.0))])
     assert len(scene) == len(pink_2s)
+
+
+def _traced_channels(render, channel_bytes):
+    """The traced peak of render() in channels, after one untraced call."""
+    render()
+    tracemalloc.start()
+    try:
+        render()
+        return tracemalloc.get_traced_memory()[1] / channel_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_render_peaks_stay_near_their_outputs(pink_5s):
+    # binauralize holds its two ears, and the far ear peaks at 1.35 channels inside far_ear's
+    # convolution: 2.35 in all, as far_ear's array is scaled in place and the peak taken with
+    # no |x| copy. A scene holds its two-channel mix and one source's render at a time: 4.35.
+    specs = [RenderSpec(rig=full_dummy(), azimuth_rad=math.radians(azimuth), gain_db=-12.0)
+             for azimuth in (-60.0, -20.0, 30.0, 75.0)]
+    channel = pink_5s.samples.nbytes
+    assert _traced_channels(lambda: binauralize(pink_5s, specs[2]), channel) <= 2.5
+    scene = [(pink_5s, spec) for spec in specs]
+    assert _traced_channels(lambda: binauralize_scene(scene), channel) <= 4.5
