@@ -139,7 +139,7 @@ class _Welch:
             raise ValidationError(f"blocks must be 1-D and of equal length, got {x.shape}"
                                   f" and {y.shape}")
         self.length += x.size
-        self.energy += np.dot(x, x), np.dot(y, y)
+        self.energy += np.einsum("i,i->", x, x), np.einsum("i,i->", y, y)  # no BLAS threads
         h, start = self._held.shape[1], 0
         if h:  # segments that start in the held samples end in this block
             need = min(x.size, (h - 1) // self.step * self.step + self.size - h)

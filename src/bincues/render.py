@@ -46,6 +46,21 @@ class RenderSpec:
         check_temperature(self.temperature_c)
 
 
+def _placed(signal: SampleBuffer, spec: RenderSpec) -> tuple[np.ndarray, np.ndarray]:
+    """binauralize's (left, right) after gain, before any normalization: fresh writable
+    arrays, one array for both at azimuth 0."""
+    if len(signal) == 0:
+        raise ValidationError("signal is empty")
+    gain = 10.0 ** (spec.gain_db / 20.0)
+    near = gain * signal.samples
+    if spec.azimuth_rad == 0.0:
+        return near, near
+    far = far_ear(spec.rig, abs(spec.azimuth_rad), signal, spec.temperature_c)
+    far.setflags(write=True)  # far_ear's fresh array, scaled by its owner
+    far *= gain
+    return (near, far) if spec.azimuth_rad > 0 else (far, near)
+
+
 def binauralize(signal: SampleBuffer, spec: RenderSpec) -> StereoBuffer:
     """Render a mono source at the spec's azimuth.
 
@@ -55,35 +70,23 @@ def binauralize(signal: SampleBuffer, spec: RenderSpec) -> StereoBuffer:
     peak above 1.0 after gain, both channels are scaled down together so the
     interaural cues survive intact.
     """
-    if len(signal) == 0:
-        raise ValidationError("signal is empty")
-    gain = 10.0 ** (spec.gain_db / 20.0)
-    sr = signal.sample_rate
-
-    near = gain * signal.samples
-    if spec.azimuth_rad == 0.0:
-        far = near
-    else:  # far_ear's fresh array, scaled by its owner
-        far = far_ear(spec.rig, abs(spec.azimuth_rad), signal, spec.temperature_c)
-        far.setflags(write=True)
-        far *= gain
-    ears = (near,) if far is near else (near, far)
+    left, right = _placed(signal, spec)
+    ears = (left,) if left is right else (left, right)
     peak = max(max(ear.max(), -ear.min()) for ear in ears)
     for ear in ears:  # fresh arrays: normalized in place, then handed to the buffers
         if peak > 1.0:
             ear /= peak
         ear.setflags(write=False)
-    if spec.azimuth_rad > 0:
-        return StereoBuffer(SampleBuffer(near, sr), SampleBuffer(far, sr))
-    return StereoBuffer(SampleBuffer(far, sr), SampleBuffer(near, sr))
+    sr = signal.sample_rate
+    return StereoBuffer(SampleBuffer(left, sr), SampleBuffer(right, sr))
 
 
 def binauralize_scene(sources: list[tuple[SampleBuffer, RenderSpec]]) -> StereoBuffer:
     """Mix independently binauralized sources.
 
-    Sources of different lengths are zero-padded to the longest. The mix is
-    peak-normalized only if the sum clips; the scale factor is logged so
-    level relationships between sources stay on record.
+    Sources of different lengths are zero-padded to the longest. No source is
+    normalized on its own, so their levels keep their ratios; the mix is
+    peak-normalized only if the sum clips, and the scale factor is logged.
     """
     if not sources:
         empty = SampleBuffer(np.zeros(0), DEFAULT_SAMPLE_RATE)
@@ -97,10 +100,10 @@ def binauralize_scene(sources: list[tuple[SampleBuffer, RenderSpec]]) -> StereoB
     left = np.zeros(n)
     right = np.zeros(n)
     for signal, spec in sources:
-        rendered = binauralize(signal, spec)
-        left[: len(rendered)] += rendered.left.samples
-        right[: len(rendered)] += rendered.right.samples
-        del rendered  # before the next source renders
+        ears = _placed(signal, spec)
+        left[: len(signal)] += ears[0]
+        right[: len(signal)] += ears[1]
+        del ears  # before the next source renders
 
     peak = max(left.max(), -left.min(), right.max(), -right.min())
     if peak > 1.0:

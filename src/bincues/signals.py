@@ -6,11 +6,15 @@ infinite sample is rejected when a buffer is built, so no later stage sees
 one. Producers hand their fresh arrays over read-only, which a buffer adopts without a
 copy. Generators and transforms always return new buffers, so concurrent use on distinct
 buffers is safe. Every FIR runs on fft_convolve, so numpy is all it needs; it computes only
-the window its caller keeps, so no temporary but that window grows with the signal.
+the window its caller keeps, so no temporary but that window grows with the signal. Its loop
+reads the long operand a step at a time, so pink noise draws its white noise block by block
+and holds only the pink window.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,17 +139,31 @@ def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
 
     White noise from a PCG64 generator is shaped by a fixed pinking IIR (J. O. Smith,
     "Spectral Audio Signal Processing") run as a truncated FIR, so a given (duration,
-    sample_rate, seed) triple is bit-reproducible. Its start-up transient is discarded: the
-    convolution returns only the window kept, which the buffer adopts without a copy.
+    sample_rate, seed) triple is bit-reproducible. The convolution draws the white noise one
+    block at a time, the same stream as one draw, and returns only the window after the
+    start-up transient, which the buffer adopts without a copy: no white array is held.
     """
     n = _num_samples(duration, sample_rate)
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-    white = np.random.default_rng(seed).standard_normal(n + _PINK_WARMUP)
-    pink = fft_convolve(white, _PINK_TAPS, _PINK_WARMUP, n)
+    rng, white = np.random.default_rng(seed), np.empty(0)
+
+    def draw(a: int, b: int) -> np.ndarray:  # read in order from 0: the next b - a normals
+        nonlocal white
+        if white.size < b - a:
+            white = np.empty(b - a)
+        return rng.standard_normal(out=white[: b - a])
+
+    pink = _overlap_add(draw, n + _PINK_WARMUP, _PINK_TAPS, _PINK_WARMUP, n, _pink_spectrum())
     pink *= _PINK_PEAK / max(pink.max(), -pink.min())  # the peak of |pink|, with no |pink| array
     pink.setflags(write=False)
     return SampleBuffer(pink, sample_rate)
+
+
+@functools.cache
+def _pink_spectrum() -> np.ndarray:
+    """_PINK_TAPS' rfft at their overlap-add block size, 2**15: made on the first pink call."""
+    return np.fft.rfft(_PINK_TAPS, 2**15)
 
 
 def gen_impulse(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
@@ -168,22 +186,30 @@ def fft_convolve(x: np.ndarray, kernel: np.ndarray, start: int = 0,
     the shorter in preallocated rfft and irfft buffers, so the window is the one array that grows
     with the signal. Each sample is a block's output plus at most the previous block's tail."""
     x, kernel = sorted((x, kernel), key=len, reverse=True)
+    return _overlap_add(lambda a, b: x[a:b], x.size, kernel, start, count)
+
+
+def _overlap_add(read: Callable[[int, int], np.ndarray], n: int, kernel: np.ndarray,
+                 start: int, count: int | None, h: np.ndarray | None = None) -> np.ndarray:
+    """fft_convolve's loop over a long operand of n >= kernel.size samples that it reads a step
+    at a time, as read(a, b) -> samples a..b, calls that run in order and join end to end. h is
+    the kernel's rfft at the block size, if the caller keeps one."""
     taps = kernel.size
-    full = x.size + taps - 1 if taps else 0
+    full = n + taps - 1 if taps else 0
     out = np.zeros(full - start if count is None else count)
     lo, hi = max(start, 0), min(start + out.size, full)  # the window's part of the convolution
     if lo >= hi:
         return out
     size = 1 << max(2 * taps - 2, 4095).bit_length()
     step = size - taps + 1  # >= taps, so a tail reaches one block on
-    h = np.fft.rfft(kernel, size)
+    h = np.fft.rfft(kernel, size) if h is None else h
     batch = max(_CONV_BYTES // (8 * size), 1)
     spectra, y = np.empty((batch, size // 2 + 1), complex), np.empty((batch, size))
-    first, stop = max(lo // step - 1, 0), min((hi - 1) // step + 1, -(-x.size // step))
+    first, stop = max(lo // step - 1, 0), min((hi - 1) // step + 1, -(-n // step))
     tail = np.full(taps - 1, -0.0)  # v + -0.0 is v, signed zeros too: block `first` has no tail
     for j in range(first, stop, batch):
         k = min(batch, stop - j)
-        seg = x[j * step : (j + k) * step]  # a partial last block is its own rfft
+        seg = read(j * step, min((j + k) * step, n))  # a partial last block is its own rfft
         whole = seg.size // step
         np.fft.rfft(seg[: whole * step].reshape(whole, step), size, out=spectra[:whole])
         if whole < k:

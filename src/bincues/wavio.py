@@ -3,9 +3,11 @@
 Supports little-endian PCM (16- and 24-bit integer) and 32-bit float, mono
 or stereo, at any sample rate. Integer samples map to amplitude by 1/32768
 (16-bit) or 1/8388608 (24-bit); writing a value whose quantized code would
-overflow the integer range raises ClippingError rather than saturating. A read
-holds the channels and about 1 MiB of file bytes, never the whole file, and
-WavReader.blocks streams the samples with no channel arrays at all.
+overflow the integer range raises ClippingError, before the file is opened,
+rather than saturating. A read holds the channels and about 1 MiB of file
+bytes, never the whole file, and WavReader.blocks streams the samples with no
+channel arrays at all. A write likewise holds about 1 MiB of codes: it encodes
+and writes the data chunk in the reader's whole-frame steps.
 """
 
 from __future__ import annotations
@@ -31,22 +33,20 @@ _FORMATS = {
     "pcm24": (_TAG_PCM, 24, "<i4", 2.0**23),  # the file keeps the low three bytes of the <i4
 }
 ENCODINGS = tuple(_FORMATS)
-_CHUNK_BYTES = 1 << 20  # file bytes decoded per read step, rounded down to whole frames
+_CHUNK_BYTES = 1 << 20  # file bytes per read or write step, rounded down to whole frames
 
 
 def _encode(channels: list[np.ndarray], encoding: str) -> tuple[np.ndarray, int, int]:
-    """Return (payload, format_tag, bits_per_sample): the channels' codes, interleaved."""
-    if encoding not in _FORMATS:
-        raise ValidationError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
+    """Return (payload, format_tag, bits_per_sample): the channels' codes, interleaved. PCM
+    samples are scaled and rounded in one float64 scratch array, with no range check."""
     tag, bits, dtype, scale = _FORMATS[encoding]
     codes = np.empty((channels[0].size, len(channels)), dtype)
+    scratch = np.empty(channels[0].size if tag == _TAG_PCM else 0)
     for c, samples in enumerate(channels):
         if tag == _TAG_PCM:
-            samples = samples * scale
-            np.round(samples, out=samples)
-            if samples.min(initial=0.0) < -scale or samples.max(initial=0.0) > scale - 1:
-                raise ClippingError(f"samples exceed the {bits}-bit PCM range; reduce level or use float32")
+            samples = np.round(np.multiply(samples, scale, out=scratch), out=scratch)
         codes[:, c] = samples
+    del scratch, samples  # before the byte planes
     if bits == 24:  # each code's low three bytes, little-endian, one byte plane at a time
         flat, codes = codes.reshape(-1), np.empty((codes.size, 3), np.uint8)
         for plane in codes.T:
@@ -57,29 +57,45 @@ def _encode(channels: list[np.ndarray], encoding: str) -> tuple[np.ndarray, int,
 
 def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
               encoding: str = "float32") -> None:
-    """Write a mono or stereo buffer as a RIFF/WAVE file."""
+    """Write a mono or stereo buffer as a RIFF/WAVE file.
+
+    The data chunk is encoded and written in whole-frame steps of about 1 MiB, the steps a
+    WavReader reads in. A PCM sample whose code would overflow raises ClippingError before
+    the file is opened.
+    """
     if isinstance(buffer, StereoBuffer):
         channels = [buffer.left.samples, buffer.right.samples]
     elif isinstance(buffer, SampleBuffer):
         channels = [buffer.samples]
     else:
         raise ValidationError(f"expected SampleBuffer or StereoBuffer, got {type(buffer).__name__}")
-    rate = buffer.sample_rate
-
-    payload, tag, bits = _encode(channels, encoding)
+    if encoding not in _FORMATS:
+        raise ValidationError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
+    tag, bits, _, scale = _FORMATS[encoding]
+    if tag == _TAG_PCM:  # scaling and rounding are monotone: a channel's extremes bound its codes
+        for samples in channels:
+            extremes = np.array([samples.min(initial=0.0), samples.max(initial=0.0)])
+            low, high = np.round(extremes * scale)
+            if low < -scale or high > scale - 1:
+                raise ClippingError(f"samples exceed the {bits}-bit PCM range; reduce level or use float32")
+    rate, frames = buffer.sample_rate, channels[0].size
     block_align = len(channels) * bits // 8
+    data_bytes = frames * block_align
 
     header = b"fmt " + struct.pack("<IHHIIHH", 16, tag, len(channels), rate, rate * block_align,
                                    block_align, bits)
     if tag == _TAG_FLOAT:
-        header += b"fact" + struct.pack("<II", 4, channels[0].size)
-    header += b"data" + struct.pack("<I", payload.nbytes)
-    pad = b"\x00" * (payload.nbytes % 2)
-    riff_size = 4 + len(header) + payload.nbytes + len(pad)
-    # The payload goes out in its own write, so it is never copied into a bytes object.
+        header += b"fact" + struct.pack("<II", 4, frames)
+    header += b"data" + struct.pack("<I", data_bytes)
+    pad = b"\x00" * (data_bytes % 2)
+    riff_size = 4 + len(header) + data_bytes + len(pad)
+    step = _CHUNK_BYTES // block_align
+    # Each step's codes go out in their own write, so they are never copied into a bytes
+    # object, and are dropped before the next step is encoded.
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + header)
-        fh.write(payload)
+        for start in range(0, frames, step):
+            fh.write(_encode([c[start : start + step] for c in channels], encoding)[0])
         fh.write(pad)
 
 

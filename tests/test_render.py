@@ -140,6 +140,25 @@ def test_scene_normalizes_only_on_clip(pink_2s):
     assert np.max(np.abs(quiet_scene.left.samples)) == pytest.approx(expected_peak, rel=1e-9)
 
 
+def test_scene_normalizes_the_mix_not_each_source(pink_2s, caplog):
+    # A source peaking at 1.5 beside a quiet one. Normalized on its own, the hot source would
+    # lose 3.5 dB against the quiet one while the mix peaked at 0.94 and nothing was logged.
+    # Normalizing only the mix scales both sources alike: the mix is the same scene at half
+    # level, where nothing clips, scaled up to a peak of 1.
+    hot = SampleBuffer(pink_2s.samples * (1.5 / np.max(np.abs(pink_2s.samples))), SR)
+    quiet = SampleBuffer(0.2 * gen_pink_noise(2.0, SR, seed=5).samples, SR)
+    specs = RenderSpec(azimuth_rad=math.radians(30)), RenderSpec(azimuth_rad=math.radians(-40))
+    with caplog.at_level("WARNING", logger="bincues.render"):
+        mix = binauralize_scene(list(zip((hot, quiet), specs)))
+    assert [r.getMessage().split(";")[0] for r in caplog.records] == ["scene mix clipped"]
+    halves = [SampleBuffer(source.samples / 2, SR) for source in (hot, quiet)]
+    half = binauralize_scene(list(zip(halves, specs)))
+    half_peak = max(np.max(np.abs(half.left.samples)), np.max(np.abs(half.right.samples)))
+    assert half_peak < 1.0
+    for got, want in ((mix.left, half.left), (mix.right, half.right)):
+        np.testing.assert_allclose(got.samples, want.samples / half_peak, rtol=0, atol=1e-12)
+
+
 def test_scene_pads_shorter_sources(pink_2s):
     short = gen_pink_noise(0.5, SR, seed=4)
     scene = binauralize_scene([(pink_2s, RenderSpec(gain_db=-6.0)),

@@ -207,6 +207,86 @@ def test_reader_steps_across_chunk_boundaries(tmp_path_factory, encoding, channe
     assert all(step[0].size <= step_frames for step in steps)
 
 
+def whole_buffer_file(channels, encoding):
+    """The WAV file of the channels from one pass over the whole buffer: every sample scaled,
+    rounded and cast at once, interleaved, each pcm24 code's low three bytes kept."""
+    dtype, scale, tag = ORACLE[encoding]
+    codes = np.stack(channels, axis=1) * scale
+    codes = (np.round(codes) if scale != 1.0 else codes).astype(dtype)
+    width = 3 if encoding == "pcm24" else codes.itemsize
+    payload = codes.view(np.uint8).reshape(-1, codes.itemsize)[:, :width].tobytes()
+    frames, frame_bytes = codes.shape[0], len(channels) * width
+    fmt = struct.pack("<HHIIHH", tag, len(channels), SR, SR * frame_bytes, frame_bytes, 8 * width)
+    fact = [(b"fact", struct.pack("<I", frames))] if encoding == "float32" else []
+    return riff((b"fmt ", fmt), *fact, (b"data", payload))
+
+
+def as_buffer(channels):
+    buffers = [SampleBuffer(c, SR) for c in channels]
+    return buffers[0] if len(buffers) == 1 else StereoBuffer(*buffers)
+
+
+@given(encoding=st.sampled_from(sorted(ORACLE)), channels=st.sampled_from([1, 2]),
+       step_frames=st.integers(1, 5), spare=st.integers(0, 7), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_write_steps_give_the_whole_buffer_bytes(tmp_path_factory, encoding, channels,
+                                                 step_frames, spare, data, seed):
+    # The write step is cut to a few frames (plus spare bytes short of a frame, which round
+    # down), so files a frame short of a step, of one step, a frame over and of 2.5 steps are
+    # encoded across every kind of step boundary. PCM samples sit on, between and halfway
+    # between codes, so rounding ties are written too.
+    _, scale, _ = ORACLE[encoding]
+    width = 3 if encoding == "pcm24" else 2 if encoding == "pcm16" else 4
+    frames = data.draw(st.sampled_from([step_frames - 1, step_frames, step_frames + 1,
+                                        5 * step_frames // 2]) | st.integers(0, 3 * step_frames),
+                       label="frames")
+    rng = np.random.default_rng(seed)
+    if encoding == "float32":
+        samples = rng.uniform(-2.0, 2.0, (channels, frames))
+    else:
+        samples = rng.integers(1 - scale, scale - 1, (channels, frames))
+        samples = (samples + rng.choice([0.0, 0.5, -0.5, 0.3], samples.shape)) / scale
+    path = tmp_path_factory.getbasetemp() / "steps_out.wav"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wavio, "_CHUNK_BYTES", step_frames * channels * width + spare % (channels * width))
+        write_wav(path, as_buffer(list(samples)), encoding=encoding)
+    assert path.read_bytes() == whole_buffer_file(list(samples), encoding)
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16", "pcm24"])
+def test_write_holds_one_step_of_codes(tmp_path, encoding):
+    # 30 s of stereo is 11 MiB a channel. Encoding it whole held every code and a float64 copy
+    # of each channel: 11.0, 16.5 and 30.2 MiB. A step holds about 1 MiB of codes, and a PCM
+    # step also one channel's scaled samples.
+    channels = [0.5 * float32_noise(30 * SR, seed) for seed in (6, 7)]
+    buffer, path = as_buffer(channels), tmp_path / f"long_{encoding}.wav"
+    write_wav(path, as_buffer([c[:10] for c in channels]), encoding=encoding)
+    tracemalloc.start()
+    try:
+        write_wav(path, buffer, encoding=encoding)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak / 2**20
+    assert path.read_bytes() == whole_buffer_file(channels, encoding)
+
+
+@pytest.mark.parametrize("encoding", ["pcm16", "pcm24"])
+def test_a_clip_in_the_last_write_step_leaves_no_file(tmp_path, encoding):
+    # The clip check reads each channel's extremes before the file is opened, so a code that
+    # overflows only in the last step raises before any step is written.
+    _, scale, _ = ORACLE[encoding]
+    step = wavio._CHUNK_BYTES // (2 * (3 if encoding == "pcm24" else 2))
+    path = tmp_path / "clip.wav"
+    for c, over in ((0, -(scale + 1) / scale), (1, 1.0)):
+        channels = [np.zeros(2 * step + 10), np.zeros(2 * step + 10)]
+        channels[c][-1] = over
+        with pytest.raises(ClippingError):
+            write_wav(path, as_buffer(channels), encoding=encoding)
+        assert not path.exists()
+
+
 def riff(*chunks):
     """A RIFF/WAVE file from (tag, body) chunks, each padded to an even length."""
     body = b"WAVE" + b"".join(tag + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) % 2)
