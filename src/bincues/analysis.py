@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError, SilentSignalError, ValidationError
-from .signals import SampleBuffer, StereoBuffer
+from .signals import DEFAULT_OCTAVE_CENTERS, SampleBuffer, StereoBuffer
 
 DEFAULT_FFT_SIZE = 8192
 DEFAULT_OVERLAP = 0.5
 DEFAULT_MAX_LAG_S = 0.002
 DEFAULT_LOW_BAND_HZ = 220.0
 DEFAULT_HIGH_BAND_HZ = 6000.0
-DEFAULT_OCTAVE_CENTERS = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0)
 
 SILENCE_RMS = 1e-6
 

@@ -2,7 +2,9 @@
 
 Angles are degrees at this boundary and radians inside the library. Exit
 codes are a stable contract: 0 success, 1 usage error, 2 I/O error,
-3 analysis or validation failure.
+3 analysis or validation failure. Importing this module loads no numpy and no
+bincues module but errors: a subcommand imports the modules it runs when it
+runs, so a cold process pays only for its own.
 """
 
 from __future__ import annotations
@@ -10,10 +12,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from . import analysis, render, reports, rigsim, signals, wavio
 from .errors import AnalysisError, BincuesError, WavFormatError
 
 EXIT_OK = 0
@@ -21,7 +22,12 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_ANALYSIS = 3
 
-RIG_NAMES = tuple(kind.value for kind in rigsim.RigKind)
+
+def __getattr__(name: str):
+    if name == "RIG_NAMES":  # rigsim's, read on use, so that importing cli loads no numpy
+        from .rigsim import RIG_NAMES
+        return RIG_NAMES
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UsageError(Exception):
@@ -29,8 +35,20 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises UsageError. A subcommand's parser adds its arguments,
+    and imports the modules their choices and defaults come from, only when it parses, so a
+    run builds and imports only its own subcommand's."""
+
+    add_arguments: Callable[[argparse.ArgumentParser], None] | None = None
+
     def error(self, message: str) -> None:  # argparse default exits with code 2
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        add, self.add_arguments = self.add_arguments, None
+        if add is not None:
+            add(self)
+        return super().parse_known_args(args, namespace)
 
 
 # A flag that a run may not read defaults to None, so that giving it there is an error; the
@@ -52,57 +70,67 @@ def _common_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
         parser.add_argument(flag, **_FLAGS[flag])
 
 
+def _generate_args(p: argparse.ArgumentParser) -> None:
+    from .wavio import ENCODINGS
+    p.add_argument("signal_kind", choices=("pink", "sine", "impulse"))
+    p.add_argument("--seconds", type=float, default=1.0, help="signal duration (default 1)")
+    p.add_argument("--freq", type=float, help="sine frequency in Hz")
+    p.add_argument("--amplitude", type=float, help="sine peak amplitude, 0..1 (default 1)")
+    p.add_argument("--offset", type=int, help="impulse position in samples (default 0)")
+    p.add_argument("--encoding", choices=ENCODINGS, default="float32")
+    _common_flags(p, "--sample-rate", "--seed")
+
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
+    from . import analysis
+    p.add_argument("wav", type=Path)
+    p.add_argument("--fft-size", type=int, default=analysis.DEFAULT_FFT_SIZE)
+    p.add_argument("--weighting", choices=analysis.WEIGHTINGS, default="none")
+    p.add_argument("--low-freq", type=float, default=analysis.DEFAULT_LOW_BAND_HZ,
+                   help="low probe-tone band center in Hz (default %(default)g)")
+    p.add_argument("--high-freq", type=float, default=analysis.DEFAULT_HIGH_BAND_HZ,
+                   help="high probe-tone band center in Hz (default %(default)g)")
+    p.add_argument("--max-lag-ms", type=float, default=analysis.DEFAULT_MAX_LAG_S * 1e3,
+                   help="ITD lag window in ms either side of zero (default %(default)g)")
+    p.add_argument("--name", help="report name (default: input file stem)")
+    p.add_argument("--csv", type=Path, help="spectrum CSV path (default: out with .csv)")
+    _common_flags(p)
+
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
+    from .rigsim import RIG_NAMES
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--rig", choices=RIG_NAMES)
+    grp.add_argument("--rig-config", type=Path, help="flat key=value rig config file")
+    p.add_argument("--azimuth", type=float, required=True, help="degrees, 0..90")
+    p.add_argument("--signal", type=Path, help="mono WAV test signal (default: built-in pink)")
+    p.add_argument("--seconds", type=float, help="built-in pink signal duration (default 5)")
+    _common_flags(p, "--sample-rate", "--temp", "--seed")
+
+
+def _render_args(p: argparse.ArgumentParser) -> None:
+    from .rigsim import RIG_NAMES
+    p.add_argument("wav", type=Path)
+    p.add_argument("--azimuth", type=float, required=True,
+                   help="degrees, -90..90, negative to the right")
+    p.add_argument("--rig", choices=RIG_NAMES, default="human")
+    p.add_argument("--gain-db", type=float, default=0.0, help="output gain, <= 0 dB")
+    _common_flags(p, "--temp")
+
+
+def _compare_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("baseline", type=Path)
+    p.add_argument("candidates", type=Path, nargs="+")
+    p.add_argument("--csv", type=Path, help="delta table CSV path (default: out with .csv)")
+    _common_flags(p)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="bincues",
                      description="Binaural cue models, measurement, and rig simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="write a test-signal WAV")
-    p_gen.add_argument("signal_kind", choices=("pink", "sine", "impulse"))
-    p_gen.add_argument("--seconds", type=float, default=1.0, help="signal duration (default 1)")
-    p_gen.add_argument("--freq", type=float, help="sine frequency in Hz")
-    p_gen.add_argument("--amplitude", type=float, help="sine peak amplitude, 0..1 (default 1)")
-    p_gen.add_argument("--offset", type=int, help="impulse position in samples (default 0)")
-    p_gen.add_argument("--encoding", choices=wavio.ENCODINGS, default="float32")
-    _common_flags(p_gen, "--sample-rate", "--seed")
-
-    p_an = sub.add_parser("analyze", help="extract ITD/ILD/IPD cues from a stereo WAV")
-    p_an.add_argument("wav", type=Path)
-    p_an.add_argument("--fft-size", type=int, default=analysis.DEFAULT_FFT_SIZE)
-    p_an.add_argument("--weighting", choices=analysis.WEIGHTINGS, default="none")
-    p_an.add_argument("--low-freq", type=float, default=analysis.DEFAULT_LOW_BAND_HZ,
-                      help="low probe-tone band center in Hz (default 220)")
-    p_an.add_argument("--high-freq", type=float, default=analysis.DEFAULT_HIGH_BAND_HZ,
-                      help="high probe-tone band center in Hz (default 6000)")
-    p_an.add_argument("--max-lag-ms", type=float, default=analysis.DEFAULT_MAX_LAG_S * 1e3,
-                      help="ITD lag window in ms either side of zero (default %(default)g)")
-    p_an.add_argument("--name", help="report name (default: input file stem)")
-    p_an.add_argument("--csv", type=Path, help="spectrum CSV path (default: out with .csv)")
-    _common_flags(p_an)
-
-    p_sim = sub.add_parser("simulate", help="synthesize a rig's two-channel capture")
-    grp = p_sim.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--rig", choices=RIG_NAMES)
-    grp.add_argument("--rig-config", type=Path, help="flat key=value rig config file")
-    p_sim.add_argument("--azimuth", type=float, required=True, help="degrees, 0..90")
-    p_sim.add_argument("--signal", type=Path, help="mono WAV test signal (default: built-in pink)")
-    p_sim.add_argument("--seconds", type=float, help="built-in pink signal duration (default 5)")
-    _common_flags(p_sim, "--sample-rate", "--temp", "--seed")
-
-    p_ren = sub.add_parser("render", help="binauralize a mono WAV")
-    p_ren.add_argument("wav", type=Path)
-    p_ren.add_argument("--azimuth", type=float, required=True,
-                       help="degrees, -90..90, negative to the right")
-    p_ren.add_argument("--rig", choices=RIG_NAMES, default="human")
-    p_ren.add_argument("--gain-db", type=float, default=0.0, help="output gain, <= 0 dB")
-    _common_flags(p_ren, "--temp")
-
-    p_cmp = sub.add_parser("compare", help="delta one or more cue reports against a baseline")
-    p_cmp.add_argument("baseline", type=Path)
-    p_cmp.add_argument("candidates", type=Path, nargs="+")
-    p_cmp.add_argument("--csv", type=Path, help="delta table CSV path (default: out with .csv)")
-    _common_flags(p_cmp)
-
+    for name, (help_text, add_arguments, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_text).add_arguments = add_arguments
     return parser
 
 
@@ -130,6 +158,7 @@ def _report_name(doc_path: Path, doc: dict) -> str:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from . import signals, wavio
     out = _require_out(args)
     kind, sample_rate = args.signal_kind, _default(args.sample_rate, signals.DEFAULT_SAMPLE_RATE)
     _reject_unread(args, (name for other, names in _SIGNAL_FLAGS.items() if other != kind
@@ -161,6 +190,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from . import analysis, reports, wavio
     # The capture streams from the file into the Welch sums; it is never held whole.
     with wavio.WavReader(args.wav) as wav:
         if wav.channels != 2:
@@ -189,6 +219,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import reports, rigsim, signals, wavio
     out = _require_out(args)
     if args.signal is not None:
         _reject_unread(args, ("seconds", "seed", "sample_rate"), "with --signal")
@@ -210,7 +241,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     itd = rigsim.predicted_itd(rig, src, temperature_c=args.temp)  # both validate before writing
     anchors = {str(int(center)): rigsim.predicted_ild_db(rig, src, center)
-               for center in analysis.DEFAULT_OCTAVE_CENTERS}
+               for center in signals.DEFAULT_OCTAVE_CENTERS}
     wavio.write_wav(out, rigsim.simulate_capture(rig, src, sig, temperature_c=args.temp))
     meta = reports.build_metadata(
         deterministic=args.deterministic, sample_rate=sig.sample_rate, seed=seed,
@@ -225,6 +256,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from . import render, rigsim, signals, wavio
     out = _require_out(args)
     if not -90.0 <= args.azimuth <= 90.0:
         raise UsageError(
@@ -245,6 +277,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from . import reports
     out = _require_out(args)
     baseline = reports.load_report(args.baseline)
     candidates: dict[str, dict] = {}
@@ -261,12 +294,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "analyze": _cmd_analyze,
-    "simulate": _cmd_simulate,
-    "render": _cmd_render,
-    "compare": _cmd_compare,
+# Each subcommand's help line, argument builder and handler, in the order --help lists them.
+_SUBCOMMANDS = {
+    "generate": ("write a test-signal WAV", _generate_args, _cmd_generate),
+    "analyze": ("extract ITD/ILD/IPD cues from a stereo WAV", _analyze_args, _cmd_analyze),
+    "simulate": ("synthesize a rig's two-channel capture", _simulate_args, _cmd_simulate),
+    "render": ("binauralize a mono WAV", _render_args, _cmd_render),
+    "compare": ("delta one or more cue reports against a baseline", _compare_args, _cmd_compare),
 }
 
 
@@ -274,7 +308,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
+        _, _, handler = _SUBCOMMANDS[args.command]
+        return handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,22 +2,23 @@
 
 Documents are plain dicts with a schema_version, emitted with sorted keys so
 identical inputs produce byte-identical files. Timestamps are optional
-metadata and omitted in deterministic mode.
+metadata and omitted in deterministic mode. Importing the module loads no numpy
+and no bincues module but errors: a function that reads a cue report or a rig
+imports analysis or rigsim when called, so `bincues compare` loads no numpy.
 """
 
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
-from .analysis import DEFAULT_OCTAVE_CENTERS, CueReport, TransferFunction, ild_spectrum_summary
 from .errors import ValidationError
-from .rigsim import RigSpec, rig_fields
+
+if TYPE_CHECKING:
+    from .analysis import CueReport, TransferFunction
+    from .rigsim import RigSpec
 
 SCHEMA_VERSION = 1
 _KINDS = ("cue_report", "simulation_sidecar", "comparison_report")
@@ -30,12 +31,14 @@ def build_metadata(deterministic: bool = False, **fields: Any) -> dict[str, Any]
     meta: dict[str, Any] = {"tool_version": __version__}
     meta.update({k: v for k, v in fields.items() if v is not None})
     if not deterministic:
+        from datetime import datetime, timezone
         meta["created_utc"] = datetime.now(timezone.utc).isoformat()
     return meta
 
 
 def rig_to_dict(spec: RigSpec) -> dict[str, Any]:
     """The rig's config keys and values; a dotted key nests: shadow.max_db -> shadow/max_db."""
+    from .rigsim import rig_fields
     out: dict[str, Any] = {"kind": spec.kind.value}
     for key, value in rig_fields(spec).items():
         group, _, name = key.rpartition(".")
@@ -44,9 +47,13 @@ def rig_to_dict(spec: RigSpec) -> dict[str, Any]:
 
 
 def cue_report_doc(report: CueReport, metadata: dict[str, Any] | None = None,
-                   bands: tuple[float, ...] = DEFAULT_OCTAVE_CENTERS) -> dict[str, Any]:
-    """Serializable summary of a CueReport: scalar cues plus the octave table."""
-    octave = ild_spectrum_summary(report.ild_spectrum, bands)
+                   bands: tuple[float, ...] | None = None) -> dict[str, Any]:
+    """Serializable summary of a CueReport: scalar cues plus the octave table, at bands or by
+    default at signals.DEFAULT_OCTAVE_CENTERS."""
+    from .analysis import ild_spectrum_summary
+    from .signals import DEFAULT_OCTAVE_CENTERS
+    octave = ild_spectrum_summary(report.ild_spectrum,
+                                  DEFAULT_OCTAVE_CENTERS if bands is None else bands)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "cue_report",
@@ -146,8 +153,8 @@ def spectrum_csv_text(tf: TransferFunction) -> str:
     """One row per analysis bin: freq_hz, magnitude_db, phase_deg, coherence, each the repr
     of a Python float. Each column is formatted _CSV_ROWS bins at a time, so few float
     objects are alive at once, and the rows are joined."""
-    columns = [np.asarray(a, dtype=float) for a in (tf.freqs, tf.magnitude_db, tf.phase_deg,
-                                                    tf.coherence)]
+    columns = [a.astype(float, copy=False) for a in (tf.freqs, tf.magnitude_db, tf.phase_deg,
+                                                     tf.coherence)]
     lines = [CSV_SPECTRUM_HEADER]
     for i in range(0, columns[0].size, _CSV_ROWS):
         lines += map(",".join, zip(*(map(repr, c[i : i + _CSV_ROWS].tolist()) for c in columns)))

@@ -32,6 +32,8 @@ class RigKind(Enum):
     ORTF = "ortf"
 
 
+RIG_NAMES = tuple(kind.value for kind in RigKind)  # the names --rig and config files take
+
 SEMI_DUMMY_SPACING_M = 0.19
 JECKLIN_SPACING_M = 0.175
 ORTF_SPACING_M = 0.17
@@ -325,7 +327,7 @@ def load_rig_config(path: str | Path) -> RigSpec:
     try:
         kind = RigKind(entries.pop("kind"))
     except ValueError:
-        valid = ", ".join(k.value for k in RigKind)
+        valid = ", ".join(RIG_NAMES)
         raise ValidationError(f"{path}: unknown rig kind; expected one of: {valid}") from None
 
     base = default_rig(kind)

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ValidationError
 
 DEFAULT_SAMPLE_RATE = 48000
+# The octave band centers in Hz of a cue report's ILD table and of a simulation's model ILDs
+DEFAULT_OCTAVE_CENTERS = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0)
 _MAX_SAMPLES = (2**32 - 1) // 4  # the most float32 samples one WAV data chunk can hold
 
 # Third-order pinking IIR: -3 dB/octave power slope across the audio band
@@ -30,8 +32,6 @@ _PINK_B = np.array([0.049922035, -0.095993537, 0.050612699, -0.004408786])
 _PINK_A = np.array([1.0, -2.494956002, 2.017265875, -0.522189400])
 _PINK_WARMUP = 8192
 _PINK_PEAK = 0.9
-# The IIR's impulse response by frequency sampling, cut to 8193 taps: the rest is under 2.4e-20
-_PINK_TAPS = np.fft.irfft(np.fft.rfft(_PINK_B, 2**15) / np.fft.rfft(_PINK_A, 2**15))[: _PINK_WARMUP + 1]
 
 _FD_TAPS = 65        # windowed-sinc interpolator length, odd so it has a center tap
 _FD_HALF = _FD_TAPS // 2
@@ -128,9 +128,14 @@ def gen_sine(freq: float, duration: float, sample_rate: int = DEFAULT_SAMPLE_RAT
         )
     if not 0.0 <= amplitude <= 1.0:
         raise ValidationError(f"amplitude must be within 0..1, got {amplitude}")
-    n = _num_samples(duration, sample_rate)
-    t = np.arange(n) / sample_rate
-    return SampleBuffer(amplitude * np.sin(2.0 * np.pi * freq * t), sample_rate)
+    # in place, in the order amplitude * sin(2 pi freq t) evaluates: one array, its bits
+    t = np.arange(_num_samples(duration, sample_rate), dtype=np.float64)
+    t /= sample_rate
+    np.multiply(t, 2.0 * np.pi * freq, out=t)
+    np.sin(t, out=t)
+    t *= amplitude
+    t.setflags(write=False)
+    return SampleBuffer(t, sample_rate)
 
 
 def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
@@ -154,16 +159,21 @@ def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
             white = np.empty(b - a)
         return rng.standard_normal(out=white[: b - a])
 
-    pink = _overlap_add(draw, n + _PINK_WARMUP, _PINK_TAPS, _PINK_WARMUP, n, _pink_spectrum())
+    taps, spectrum = _pink_filter()
+    pink = _overlap_add(draw, n + _PINK_WARMUP, taps, _PINK_WARMUP, n, spectrum)
     pink *= _PINK_PEAK / max(pink.max(), -pink.min())  # the peak of |pink|, with no |pink| array
     pink.setflags(write=False)
     return SampleBuffer(pink, sample_rate)
 
 
 @functools.cache
-def _pink_spectrum() -> np.ndarray:
-    """_PINK_TAPS' rfft at their overlap-add block size, 2**15: made on the first pink call."""
-    return np.fft.rfft(_PINK_TAPS, 2**15)
+def _pink_filter() -> tuple[np.ndarray, np.ndarray]:
+    """The pinking IIR's impulse response by frequency sampling, cut to 8193 taps (the rest is
+    under 2.4e-20), and the taps' rfft at their overlap-add block size, 2**15: both made on the
+    first pink call, not at import."""
+    taps = np.fft.irfft(np.fft.rfft(_PINK_B, 2**15) / np.fft.rfft(_PINK_A, 2**15))
+    taps = taps[: _PINK_WARMUP + 1].copy()  # a view would keep the whole transform alive
+    return taps, np.fft.rfft(taps, 2**15)
 
 
 def gen_impulse(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,

@@ -6,8 +6,9 @@ or stereo, at any sample rate. Integer samples map to amplitude by 1/32768
 overflow the integer range raises ClippingError, before the file is opened,
 rather than saturating. A read holds the channels and about 1 MiB of file
 bytes, never the whole file, and WavReader.blocks streams the samples with no
-channel arrays at all. A write likewise holds about 1 MiB of codes: it encodes
-and writes the data chunk in the reader's whole-frame steps.
+channel arrays at all. A write likewise holds about 1 MiB: it encodes and writes
+the data chunk in whole-frame steps whose codes, and for PCM one channel's float64
+scaled samples, fit in 1 MiB.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
               encoding: str = "float32") -> None:
     """Write a mono or stereo buffer as a RIFF/WAVE file.
 
-    The data chunk is encoded and written in whole-frame steps of about 1 MiB, the steps a
-    WavReader reads in. A PCM sample whose code would overflow raises ClippingError before
-    the file is opened.
+    The data chunk is encoded and written in whole-frame steps that hold about 1 MiB: their
+    codes and, for PCM, one channel's float64 scaled samples. A PCM sample whose code would
+    overflow raises ClippingError before the file is opened.
     """
     if isinstance(buffer, StereoBuffer):
         channels = [buffer.left.samples, buffer.right.samples]
@@ -71,7 +72,7 @@ def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
         raise ValidationError(f"expected SampleBuffer or StereoBuffer, got {type(buffer).__name__}")
     if encoding not in _FORMATS:
         raise ValidationError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
-    tag, bits, _, scale = _FORMATS[encoding]
+    tag, bits, dtype, scale = _FORMATS[encoding]
     if tag == _TAG_PCM:  # scaling and rounding are monotone: a channel's extremes bound its codes
         for samples in channels:
             extremes = np.array([samples.min(initial=0.0), samples.max(initial=0.0)])
@@ -89,7 +90,9 @@ def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
     header += b"data" + struct.pack("<I", data_bytes)
     pad = b"\x00" * (data_bytes % 2)
     riff_size = 4 + len(header) + data_bytes + len(pad)
-    step = _CHUNK_BYTES // block_align
+    # A step's codes and a PCM step's float64 scratch fit in _CHUNK_BYTES; pcm24's byte planes
+    # replace the scratch and are smaller.
+    step = _CHUNK_BYTES // (len(channels) * np.dtype(dtype).itemsize + 8 * (tag == _TAG_PCM))
     # Each step's codes go out in their own write, so they are never copied into a bytes
     # object, and are dropped before the next step is encoded.
     with open(path, "wb") as fh:

@@ -615,6 +615,71 @@ for argv in json.loads(sys.argv[1]):
     assert all((tmp_path / f"{rig}.phat.json").exists() for rig in RIG_NAMES)
 
 
+# --- a cold process imports only what its subcommand runs -------------------------
+
+def _loaded(code, *args):
+    """The bincues modules, short names, and whether numpy is loaded after `code` runs in a
+    fresh interpreter."""
+    return _python(code + """
+import sys
+print(*sorted(m[8:] for m in sys.modules if m.startswith("bincues.")), "numpy" in sys.modules)""",
+                   *args).splitlines()[-1]
+
+
+def test_import_loads_no_numpy_and_no_module_but_cli_and_errors():
+    assert _loaded("import bincues") == "False"
+    assert _loaded("import bincues.cli") == "cli errors False"
+
+
+@pytest.fixture(scope="module")
+def cold_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cold")
+    for argv in (["generate", "pink", "--seconds", "1", "--out", d / "pink.wav"],
+                 ["simulate", "--rig", "jecklin", "--azimuth", "30", "--signal", d / "pink.wav",
+                  "--out", d / "cap.wav"],
+                 ["analyze", d / "cap.wav", "--out", d / "a.json"],
+                 ["analyze", d / "cap.wav", "--weighting", "phat", "--out", d / "b.json"]):
+        assert run(*argv) == EXIT_OK
+    return d
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["--help"], "cli errors False"),
+    (["compare", "--help"], "cli errors False"),
+    (["compare", "{d}/a.json", "{d}/b.json", "--out", "{d}/cmp.json"], "cli errors reports False"),
+    (["generate", "pink", "--out", "{d}/g.wav"], "cli errors signals wavio True"),
+    (["generate", "sine", "--freq", "440", "--out", "{d}/g.wav"], "cli errors signals wavio True"),
+    (["analyze", "{d}/cap.wav", "--out", "{d}/r.json"],
+     "analysis cli errors reports signals wavio True"),
+    (["simulate", "--rig", "human", "--azimuth", "20", "--seconds", "1", "--out", "{d}/s.wav"],
+     "cli cue_models errors reports rigsim signals wavio True"),
+    (["render", "{d}/pink.wav", "--azimuth", "20", "--out", "{d}/b.wav"],
+     "cli cue_models errors render rigsim signals wavio True"),
+], ids=["help", "compare-help", "compare", "generate-pink", "generate-sine", "analyze",
+        "simulate", "render"])
+def test_a_subcommand_loads_only_the_modules_it_runs(cold_inputs, argv, loaded):
+    # Each run is a cold process: compare and --help load no numpy, generate only signals and
+    # wavio, analyze no rig model, render no analysis or reports, simulate no analysis.
+    code = "import json, sys\nfrom bincues.cli import main\nassert main(json.loads(sys.argv[1])) == 0"
+    assert _loaded(code, json.dumps([arg.format(d=cold_inputs) for arg in argv])) == loaded
+
+
+def test_every_exported_name_resolves_and_dir_lists_it():
+    code = """import importlib, bincues
+for name in bincues.__all__:
+    module = importlib.import_module(f"bincues.{bincues._MODULE_OF[name]}")
+    assert getattr(bincues, name) is getattr(module, name), name
+    exec(f"from bincues import {name}")
+assert set(bincues.__all__) <= set(dir(bincues)) and len(bincues.__all__) == 59
+from bincues import rigsim
+assert bincues.rigsim is rigsim
+try:
+    bincues.no_such_name
+except AttributeError as exc:
+    print(exc)"""
+    assert _python(code) == "module 'bincues' has no attribute 'no_such_name'"
+
+
 # --- global behavior -------------------------------------------------------------
 
 def test_help_exits_zero(capsys):

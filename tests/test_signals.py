@@ -31,6 +31,25 @@ def test_sine_quarter_period_identity():
     assert buf.samples[12] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("freq, amplitude, sample_rate, seconds",
+                         [(997.0, 0.5, 48000, 5.0), (440.0, 1.0, 44100, 1.3),
+                          (12345.6, 0.3, 96000, 2.0), (20.0, 0.0, 8000, 0.5)])
+def test_sine_is_built_in_one_array_with_the_bits_of_the_formula(freq, amplitude, sample_rate,
+                                                                 seconds):
+    # Each step writes over the one before, so the buffer adopts the one array the tone was
+    # built in; the time, phase and sine arrays of the formula held 3 channels at once.
+    gen_sine(freq, 0.01, sample_rate, amplitude)
+    tracemalloc.start()
+    try:
+        buf = gen_sine(freq, seconds, sample_rate, amplitude)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * buf.samples.nbytes, peak / buf.samples.nbytes
+    t = np.arange(round(seconds * sample_rate)) / sample_rate
+    assert_same_bits(buf.samples, amplitude * np.sin(2.0 * np.pi * freq * t))
+
+
 @pytest.mark.parametrize("freq", [0.0, -5.0, 24000.0, 30000.0])
 def test_sine_rejects_out_of_range_freq(freq):
     with pytest.raises(ValidationError):
@@ -205,7 +224,7 @@ def test_fft_convolve_keeps_a_negative_zero_where_no_tail_is_added(taps, seed, n
 def test_pink_noise_is_the_crop_of_the_full_convolution(seconds):
     n = round(seconds * SR)
     white = np.random.default_rng(2).standard_normal(n + signals._PINK_WARMUP)
-    want = crop_of_the_full_convolution(white, signals._PINK_TAPS, signals._PINK_WARMUP, n)
+    want = crop_of_the_full_convolution(white, signals._pink_filter()[0], signals._PINK_WARMUP, n)
     want *= signals._PINK_PEAK / np.max(np.abs(want))
     assert_same_bits(gen_pink_noise(seconds, SR, seed=2).samples, want)
 

@@ -236,8 +236,9 @@ def test_write_steps_give_the_whole_buffer_bytes(tmp_path_factory, encoding, cha
     # down), so files a frame short of a step, of one step, a frame over and of 2.5 steps are
     # encoded across every kind of step boundary. PCM samples sit on, between and halfway
     # between codes, so rounding ties are written too.
-    _, scale, _ = ORACLE[encoding]
-    width = 3 if encoding == "pcm24" else 2 if encoding == "pcm16" else 4
+    dtype, scale, _ = ORACLE[encoding]
+    # a write step holds each frame's codes and, for PCM, one channel's float64 scaled sample
+    frame = channels * np.dtype(dtype).itemsize + (0 if encoding == "float32" else 8)
     frames = data.draw(st.sampled_from([step_frames - 1, step_frames, step_frames + 1,
                                         5 * step_frames // 2]) | st.integers(0, 3 * step_frames),
                        label="frames")
@@ -249,17 +250,19 @@ def test_write_steps_give_the_whole_buffer_bytes(tmp_path_factory, encoding, cha
         samples = (samples + rng.choice([0.0, 0.5, -0.5, 0.3], samples.shape)) / scale
     path = tmp_path_factory.getbasetemp() / "steps_out.wav"
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(wavio, "_CHUNK_BYTES", step_frames * channels * width + spare % (channels * width))
+        mp.setattr(wavio, "_CHUNK_BYTES", step_frames * frame + spare % frame)
         write_wav(path, as_buffer(list(samples)), encoding=encoding)
     assert path.read_bytes() == whole_buffer_file(list(samples), encoding)
 
 
-@pytest.mark.parametrize("encoding", ["float32", "pcm16", "pcm24"])
-def test_write_holds_one_step_of_codes(tmp_path, encoding):
-    # 30 s of stereo is 11 MiB a channel. Encoding it whole held every code and a float64 copy
-    # of each channel: 11.0, 16.5 and 30.2 MiB. A step holds about 1 MiB of codes, and a PCM
-    # step also one channel's scaled samples.
-    channels = [0.5 * float32_noise(30 * SR, seed) for seed in (6, 7)]
+@pytest.mark.parametrize("encoding, layout", [(e, n) for n in (2, 1) for e in ORACLE],
+                         ids=[f"{'mono-' * (n == 1)}{e}" for n in (2, 1) for e in ORACLE])
+def test_write_holds_one_step_of_codes(tmp_path, encoding, layout):
+    # 30 s is 11 MiB a channel. Encoding it whole held every code and a float64 copy of each
+    # channel: 11.0, 16.5 and 30.2 MiB in stereo. A step holds about 1 MiB: its codes and, for
+    # PCM, one channel's scaled samples. Steps of 1 MiB of codes beside a scratch of the whole
+    # step held up to 5 MiB (mono pcm16).
+    channels = [0.5 * float32_noise(30 * SR, seed) for seed in (6, 7)][:layout]
     buffer, path = as_buffer(channels), tmp_path / f"long_{encoding}.wav"
     write_wav(path, as_buffer([c[:10] for c in channels]), encoding=encoding)
     tracemalloc.start()
@@ -268,7 +271,7 @@ def test_write_holds_one_step_of_codes(tmp_path, encoding):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20, peak / 2**20
+    assert peak <= 1.1 * 2**20, peak / 2**20
     assert path.read_bytes() == whole_buffer_file(channels, encoding)
 
 
