@@ -15,8 +15,8 @@ _EXPORTS = {
                  "analyze_capture", "band_itd", "calibration_check", "cross_correlation",
                  "estimate_itd", "ild_spectrum_summary", "transfer_function"),
     "cue_models": ("CueBand", "DuplexThresholds", "HeadGeometry", "ShadowParams",
-                   "duplex_classify", "head_shadow_ild", "ild_min_frequency", "ipd_from_itd",
-                   "itd_modified", "itd_simple", "speed_of_sound", "wrap_phase_deg"),
+                   "duplex_classify", "head_shadow_ild", "ipd_from_itd", "itd_modified",
+                   "itd_simple", "speed_of_sound", "wrap_phase_deg"),
     "errors": ("AnalysisError", "BincuesError", "ClippingError", "SilentSignalError",
                "ValidationError", "WavFormatError"),
     "render": ("RenderSpec", "binauralize", "binauralize_scene"),

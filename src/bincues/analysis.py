@@ -132,13 +132,15 @@ class _Welch:
         self._held = np.empty((2, 0))  # the samples from the next segment's start on
 
     def update(self, x: np.ndarray, y: np.ndarray) -> None:
-        """Adds the next block of each channel: equal-length 1-D float64 arrays, which it only
-        reads, so they may be views of a caller's buffer that is reused after the call."""
+        """Adds the next block of each channel: equal-length 1-D float64 or float32 arrays,
+        which it only reads, so they may be views of a caller's buffer that is reused after the
+        call. float32 samples widen exactly, in the sums of squares and the windowed frames."""
         if x.ndim != 1 or x.shape != y.shape:
             raise ValidationError(f"blocks must be 1-D and of equal length, got {x.shape}"
                                   f" and {y.shape}")
         self.length += x.size
-        self.energy += np.einsum("i,i->", x, x), np.einsum("i,i->", y, y)  # no BLAS threads
+        self.energy += (np.einsum("i,i->", x, x, dtype=np.float64),  # no BLAS threads
+                        np.einsum("i,i->", y, y, dtype=np.float64))
         h, start = self._held.shape[1], 0
         if h:  # segments that start in the held samples end in this block
             need = min(x.size, (h - 1) // self.step * self.step + self.size - h)
@@ -440,10 +442,10 @@ def analyze_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]], length: int,
                    high_hz: float = DEFAULT_HIGH_BAND_HZ,
                    max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
     """analyze_capture of a capture that arrives as consecutive (left, right) blocks of
-    finite float64 samples, `length` in each channel and `sample_rate` Hz, with the same
-    result, bit for bit, however the capture is cut. Each Welch pass holds 1.4 MiB at the
-    default fft_size and peaks at 1.76 MiB, whatever the length; ValidationError is raised,
-    after the fft_size checks, when the blocks do not add up to `length`.
+    finite float64 or float32 samples, `length` in each channel and `sample_rate` Hz, with
+    the same result, bit for bit, however the capture is cut. Each Welch pass holds 1.4 MiB
+    at the default fft_size and peaks at 1.76 MiB, whatever the length; ValidationError is
+    raised, after the fft_size checks, when the blocks do not add up to `length`.
     """
     _check_fft_size(fft_size, length, sample_rate)
     # the ITDs' segment size first, then the transfer function's when it differs

@@ -23,13 +23,6 @@ EXIT_IO = 2
 EXIT_ANALYSIS = 3
 
 
-def __getattr__(name: str):
-    if name == "RIG_NAMES":  # rigsim's, read on use, so that importing cli loads no numpy
-        from .rigsim import RIG_NAMES
-        return RIG_NAMES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class UsageError(Exception):
     pass
 

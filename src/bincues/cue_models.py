@@ -54,15 +54,6 @@ class HeadGeometry:
         return speed_of_sound(self.temperature_c)
 
 
-def ild_min_frequency(geom: HeadGeometry) -> float:
-    """Frequency below which level differences stop being usable.
-
-    This is the frequency whose wavelength equals three head diameters:
-    c / (3 * 2r).
-    """
-    return geom.speed_of_sound / (3.0 * 2.0 * geom.radius_m)
-
-
 @dataclass(frozen=True)
 class DuplexThresholds:
     """The three band edges duplex_classify splits the spectrum at, by dominant cue.

@@ -52,7 +52,7 @@ def _placed(signal: SampleBuffer, spec: RenderSpec) -> tuple[np.ndarray, np.ndar
     if len(signal) == 0:
         raise ValidationError("signal is empty")
     gain = 10.0 ** (spec.gain_db / 20.0)
-    near = gain * signal.samples
+    near = np.multiply(gain, signal.samples, dtype=np.float64)  # float32 samples widen first
     if spec.azimuth_rad == 0.0:
         return near, near
     far = far_ear(spec.rig, abs(spec.azimuth_rad), signal, spec.temperature_c)

@@ -245,7 +245,7 @@ def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,
     far = near if src.azimuth_rad == 0.0 else far_ear(rig, src.azimuth_rad, signal, temperature_c)
     if rig.kind is RigKind.ORTF:
         g_near = _cardioid_gains(rig.capsule_angle_deg, src.azimuth_rad)[0]
-        near = g_near * near  # the signal's array stays as it is
+        near = np.multiply(g_near, near, dtype=np.float64)  # the signal's array stays as it is
         if far is signal.samples:
             far = near
         else:  # far_ear's fresh array, scaled by its owner

@@ -43,11 +43,14 @@ _CONV_BYTES = 1 << 18  # block bytes per overlap-add step; 1 MiB puts a 5 s far 
 
 @dataclass(frozen=True)
 class SampleBuffer:
-    """Uniformly sampled mono audio: finite float64 samples plus a sample rate in Hz.
+    """Uniformly sampled mono audio: finite float64 samples, or float32 samples that widen
+    exactly, plus a sample rate in Hz.
 
-    A float64 ndarray that is read-only and owns its memory (`base is None`) is adopted,
-    and buffers may share it; anything else is copied and the copy made read-only. Only an
-    array's owner can make it writable again, which holds for the buffer's copy too.
+    A float64 or float32 ndarray that is read-only and owns its memory (`base is None`) is
+    adopted, and buffers may share it; anything else is copied to float64 and the copy made
+    read-only. Only an array's owner can make it writable again, which holds for the buffer's
+    copy too. Whoever does arithmetic on float32 samples widens them to float64 first, so a
+    result does not depend on which of the two a buffer holds.
     """
 
     samples: np.ndarray
@@ -59,7 +62,7 @@ class SampleBuffer:
             raise ValidationError(f"sample_rate must be a positive integer, got {rate!r}")
         object.__setattr__(self, "sample_rate", int(rate))
         samples = self.samples
-        if not (type(samples) is np.ndarray and samples.dtype == np.float64
+        if not (type(samples) is np.ndarray and samples.dtype in (np.float64, np.float32)
                 and samples.base is None and not samples.flags.writeable):
             samples = np.array(samples, dtype=np.float64, copy=True)
         if samples.ndim != 1:
@@ -194,9 +197,11 @@ def fft_convolve(x: np.ndarray, kernel: np.ndarray, start: int = 0,
     cuts the longer operand into blocks of size - taps + 1 samples, size being the next power of
     two at or above max(2 * taps - 1, 4096), and filters about _CONV_BYTES of blocks per step by
     the shorter in preallocated rfft and irfft buffers, so the window is the one array that grows
-    with the signal. Each sample is a block's output plus at most the previous block's tail."""
+    with the signal. Each sample is a block's output plus at most the previous block's tail.
+    float32 operands widen to float64 exactly, the longer one a step at a time."""
     x, kernel = sorted((x, kernel), key=len, reverse=True)
-    return _overlap_add(lambda a, b: x[a:b], x.size, kernel, start, count)
+    return _overlap_add(lambda a, b: x[a:b].astype(np.float64, copy=False), x.size,
+                        kernel.astype(np.float64, copy=False), start, count)
 
 
 def _overlap_add(read: Callable[[int, int], np.ndarray], n: int, kernel: np.ndarray,

@@ -4,11 +4,12 @@ Supports little-endian PCM (16- and 24-bit integer) and 32-bit float, mono
 or stereo, at any sample rate. Integer samples map to amplitude by 1/32768
 (16-bit) or 1/8388608 (24-bit); writing a value whose quantized code would
 overflow the integer range raises ClippingError, before the file is opened,
-rather than saturating. A read holds the channels and about 1 MiB of file
-bytes, never the whole file, and WavReader.blocks streams the samples with no
-channel arrays at all. A write likewise holds about 1 MiB: it encodes and writes
-the data chunk in whole-frame steps whose codes, and for PCM one channel's float64
-scaled samples, fit in 1 MiB.
+rather than saturating. Every encoding's samples are exact in float32, so a read
+holds float32 channels, which its buffers adopt: about 1x a float32 file plus one
+step of about 1 MiB of file bytes, never the whole file. WavReader.blocks also
+streams float64 samples with no channel arrays at all. A write likewise holds
+about 1 MiB: it encodes and writes the data chunk in whole-frame steps whose
+codes, and for PCM one channel's float64 scaled samples, fit in 1 MiB.
 """
 
 from __future__ import annotations
@@ -171,12 +172,13 @@ class WavReader:
 
     def blocks(self, out: list[np.ndarray] | None = None) -> Iterator[list[np.ndarray]]:
         """Decodes the data chunk in whole-frame steps of about 1 MiB, yielding each step as
-        one float64 array per channel.
+        one array per channel.
 
-        Into `out`, one array of `frames` samples per channel, each step is decoded in place
-        and yielded as views of it, which the caller checks (read_wav's buffers do). Without
-        `out` the steps are views of one step buffer, valid until the next step, and a float
-        sample that is NaN or inf raises WavFormatError.
+        Into `out`, one float32 array of `frames` samples per channel, which holds every
+        encoding's samples exactly, each step is decoded in place and yielded as views of it,
+        which the caller checks (read_wav's buffers do). Without `out` the steps are float64
+        views of one step buffer, valid until the next step, and a float sample that is NaN or
+        inf raises WavFormatError.
         """
         channels, bits, frames = self.channels, self._bits, self.frames
         frame_bytes = channels * bits // 8
@@ -196,17 +198,15 @@ class WavReader:
                                strides=(frame_bytes, bits // 8))
             parts = [o[:count] if own else o[start : start + count] for o in out]
             for c, part in enumerate(parts):
-                if bits == 32:  # float32 codes widen to float64 exactly
+                if bits == 32:  # float32 codes, copied or widened exactly
                     part[...] = codes[:, c]
                     # min and max carry any NaN or inf, as SampleBuffer's check does
                     if own and not (np.isfinite(part.min()) and np.isfinite(part.max())):
                         raise WavFormatError(f"{self.path}: samples must be finite; the data"
                                              " chunk holds NaN or inf")
-                else:
-                    np.divide(codes[:, c], 256.0 if bits == 24 else self._scale, out=part)
-                if bits == 24:  # the floor drops the <i4's low byte, which precedes the code
-                    np.floor(part, out=part)
-                    part /= self._scale
+                else:  # pcm24's arithmetic shift drops the <i4's low byte, which precedes the code
+                    np.divide(codes[:, c] >> 8 if bits == 24 else codes[:, c], self._scale,
+                              out=part)
             yield parts
 
 
@@ -214,13 +214,14 @@ def read_wav(path: str | Path) -> SampleBuffer | StereoBuffer:
     """Read a WAV file; returns SampleBuffer for mono, StereoBuffer for stereo.
 
     A WavReader decodes the data chunk in whole-frame steps of about 1 MiB straight into
-    one float64 array per channel, which each buffer adopts.
+    one float32 array per channel, exact for every encoding, which each buffer adopts: a read
+    holds 4 bytes a sample, 1x a float32 file, plus one step.
 
     Raises WavFormatError for malformed files, unsupported encodings, more
     than two channels, a zero sample rate, or float samples that are NaN or inf.
     """
     with WavReader(path) as wav:
-        samples = [np.empty(wav.frames) for _ in range(wav.channels)]
+        samples = [np.empty(wav.frames, np.float32) for _ in range(wav.channels)]
         for _ in wav.blocks(samples):
             pass
     for out in samples:

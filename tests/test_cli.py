@@ -12,7 +12,8 @@ import pytest
 import bincues
 from bincues import (StereoBuffer, estimate_itd, gen_pink_noise, gen_sine, read_wav, wavio,
                      write_wav)
-from bincues.cli import EXIT_ANALYSIS, EXIT_IO, EXIT_OK, EXIT_USAGE, RIG_NAMES, main
+from bincues.cli import EXIT_ANALYSIS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from bincues.rigsim import RIG_NAMES
 
 
 def run(*argv):
@@ -670,7 +671,7 @@ for name in bincues.__all__:
     module = importlib.import_module(f"bincues.{bincues._MODULE_OF[name]}")
     assert getattr(bincues, name) is getattr(module, name), name
     exec(f"from bincues import {name}")
-assert set(bincues.__all__) <= set(dir(bincues)) and len(bincues.__all__) == 59
+assert set(bincues.__all__) <= set(dir(bincues)) and len(bincues.__all__) == 58
 from bincues import rigsim
 assert bincues.rigsim is rigsim
 try:

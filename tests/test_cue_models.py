@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bincues import (CueBand, DuplexThresholds, HeadGeometry, ShadowParams, ValidationError,
-                     duplex_classify, head_shadow_ild, ild_min_frequency, ipd_from_itd,
-                     itd_modified, itd_simple, speed_of_sound)
+                     duplex_classify, head_shadow_ild, ipd_from_itd, itd_modified, itd_simple,
+                     speed_of_sound)
 
 HALF_PI = math.pi / 2
 
@@ -129,18 +129,6 @@ def test_duplex_thresholds_order_the_ild_edges():
     edges = DuplexThresholds(ild_start_hz=3000.0, ild_effective_hz=3000.0)
     assert duplex_classify(3000.0, edges) is CueBand.ILD_INEFFICIENT
     assert duplex_classify(3000.5, edges) is CueBand.ILD_EFFECTIVE
-
-
-def test_ild_min_frequency_values():
-    assert ild_min_frequency(HeadGeometry(0.089, 20.0)) == pytest.approx(343.0 / 0.534, rel=1e-12)
-    assert ild_min_frequency(HeadGeometry(0.089, 0.0)) == pytest.approx(331.0 / 0.534, rel=1e-12)
-    assert ild_min_frequency(HeadGeometry(0.089, 0.0)) == pytest.approx(620.0, abs=0.5)
-
-
-def test_ild_min_frequency_halves_when_radius_doubles():
-    one = ild_min_frequency(HeadGeometry(radius_m=0.06))
-    two = ild_min_frequency(HeadGeometry(radius_m=0.12))
-    assert two == pytest.approx(one / 2, rel=1e-12)
 
 
 def test_ipd_reference_points():

@@ -461,11 +461,17 @@ def test_sample_buffer_adopts_a_read_only_float64_array_that_owns_its_memory():
     buf = SampleBuffer(owned, SR)
     assert buf.samples is owned
     assert SampleBuffer(buf.samples, SR).samples is owned  # buffers share what they adopt
+    # a float32 array, as read_wav fills, is adopted too: its samples widen exactly
+    narrow = owned.astype(np.float32)
+    narrow.setflags(write=False)
+    assert SampleBuffer(narrow, SR).samples is narrow
 
 
 @pytest.mark.parametrize("make", [
-    lambda a: a[::2], lambda a: a[:32], lambda a: a.astype(np.float32), lambda a: a.tolist(),
-], ids=["strided view", "contiguous view", "float32", "list"])
+    lambda a: a[::2], lambda a: a[:32],
+    lambda a: a.astype(np.float32)[:32],  # float32 is adopted only where it owns its memory
+    lambda a: a.astype(np.float16), lambda a: a.tolist(),
+], ids=["strided view", "contiguous view", "float32", "float16", "list"])
 def test_sample_buffer_copies_a_view_another_dtype_or_a_list(make):
     owned = read_only_owned()
     source = make(owned)

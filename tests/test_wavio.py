@@ -40,7 +40,10 @@ def test_float32_read_widens_every_code_bit_exactly(tmp_path):
     path.write_bytes(riff((b"fmt ", struct.pack("<HHIIHH", 3, 1, SR, 4 * SR, 4, 32)),
                           (b"data", codes.tobytes())))
     back = read_wav(path).samples
-    assert np.array_equal(back.view(np.uint64), codes.astype(np.float64).view(np.uint64))
+    assert back.dtype == np.float32 and np.array_equal(back.view(np.uint32), codes.view(np.uint32))
+    # so each sample widens to the very float64 bits of its code
+    widened = back.astype(np.float64).view(np.uint64)
+    assert np.array_equal(widened, codes.astype(np.float64).view(np.uint64))
 
 
 def test_float32_mono_round_trip(tmp_path):
@@ -126,29 +129,31 @@ def read_peak(path):
         tracemalloc.stop()
 
 
-def test_float32_read_makes_one_float64_copy_per_channel(tmp_path):
-    # Each step of file bytes is converted straight into the two float64 channels, which
-    # the buffers adopt, so the peak is the channels, 2x the file, plus one step; a quarter
-    # step covers the small objects and numpy's cast buffer. A copy of the file bytes or of
-    # a channel would add 1x the file.
+def test_float32_read_holds_the_file_plus_one_step(tmp_path):
+    # Each step of file bytes is copied straight into the two float32 channels, which the
+    # buffers adopt, so the peak is the channels, 1x the file, plus one step; a quarter step
+    # covers the small objects. A copy of the file bytes or of a channel would add 1x the
+    # file, and float64 channels another 1x.
     path = tmp_path / "long.wav"
     mono = SampleBuffer(float32_noise(1 << 19, 3), SR)
     write_wav(path, StereoBuffer(mono, mono))
     back, peak = read_peak(path)
     assert np.array_equal(back.right.samples, mono.samples)
-    assert peak < 2 * path.stat().st_size + 1.25 * wavio._CHUNK_BYTES, peak / path.stat().st_size
+    assert back.right.samples.dtype == np.float32
+    assert peak < path.stat().st_size + 1.25 * wavio._CHUNK_BYTES, peak / path.stat().st_size
 
 
 @pytest.mark.parametrize("encoding", ["float32", "pcm16", "pcm24"])
 def test_read_peaks_at_the_channels_plus_two_chunks(tmp_path, encoding):
     # The reader never holds the whole file, and no encoding passes through an interleaved
-    # float64 array: a pcm16 read that did peaked at 9.3x the file.
+    # float64 array: a pcm16 read that did peaked at 9.3x the file. The channels are float32,
+    # 4 bytes a sample.
     path = tmp_path / f"long_{encoding}.wav"
     left, right = (SampleBuffer(0.5 * float32_noise(1 << 19, seed), SR) for seed in (4, 5))
     write_wav(path, StereoBuffer(left, right), encoding=encoding)
     back, peak = read_peak(path)
     assert np.allclose(back.left.samples, left.samples, rtol=0, atol=2.0**-15)
-    channels = 2 * (1 << 19) * 8
+    channels = 2 * (1 << 19) * 4
     assert peak <= channels + 2 * wavio._CHUNK_BYTES, (peak - channels) / wavio._CHUNK_BYTES
 
 
@@ -201,9 +206,15 @@ def test_reader_steps_across_chunk_boundaries(tmp_path_factory, encoding, channe
     got = [back.samples] if channels == 1 else [back.left.samples, back.right.samples]
     want = whole_payload_decode(payload, encoding, channels)
     for c, samples in enumerate(got):
-        assert samples.dtype == np.float64 and not samples.flags.writeable
-        assert np.array_equal(samples, want[:, c])
-        assert np.array_equal(np.concatenate([step[c] for step in steps] or [[]]), want[:, c])
+        # float32 holds every code exactly: the samples are the oracle's values, and a float32
+        # file's samples are its codes, bit for bit (signed zeros too)
+        assert samples.dtype == np.float32 and not samples.flags.writeable
+        assert np.array_equal(samples.astype(np.float64), want[:, c])
+        if encoding == "float32":
+            codes = np.frombuffer(payload, "<u4").reshape(-1, channels)[:, c]
+            assert np.array_equal(samples.view(np.uint32), codes)
+        streamed = np.concatenate([step[c] for step in steps] or [np.empty(0)])
+        assert streamed.dtype == np.float64 and np.array_equal(streamed, want[:, c])
     assert all(step[0].size <= step_frames for step in steps)
 
 
