@@ -47,7 +47,7 @@ class RenderSpec:
 
 
 def _placed(signal: SampleBuffer, spec: RenderSpec) -> tuple[np.ndarray, np.ndarray]:
-    """binauralize's (left, right) after gain, before any normalization: fresh writable
+    """One source's (left, right) after gain, before any normalization: fresh writable
     arrays, one array for both at azimuth 0."""
     if len(signal) == 0:
         raise ValidationError("signal is empty")
@@ -62,31 +62,23 @@ def _placed(signal: SampleBuffer, spec: RenderSpec) -> tuple[np.ndarray, np.ndar
 
 
 def binauralize(signal: SampleBuffer, spec: RenderSpec) -> StereoBuffer:
-    """Render a mono source at the spec's azimuth.
+    """Render a mono source at the spec's azimuth: the scene of that one source.
 
     The near ear gets the dry signal, the far ear the delayed and shadowed
     one from rigsim.far_ear, or at azimuth 0 the near ear's own array; a
     negative azimuth mirrors the channels sample-exactly. If the result would
-    peak above 1.0 after gain, both channels are scaled down together so the
-    interaural cues survive intact.
+    peak above 1.0 after gain, both channels are scaled down together, and the
+    factor logged, so the interaural cues survive intact.
     """
-    left, right = _placed(signal, spec)
-    ears = (left,) if left is right else (left, right)
-    peak = max(max(ear.max(), -ear.min()) for ear in ears)
-    for ear in ears:  # fresh arrays: normalized in place, then handed to the buffers
-        if peak > 1.0:
-            ear /= peak
-        ear.setflags(write=False)
-    sr = signal.sample_rate
-    return StereoBuffer(SampleBuffer(left, sr), SampleBuffer(right, sr))
+    return binauralize_scene([(signal, spec)])
 
 
 def binauralize_scene(sources: list[tuple[SampleBuffer, RenderSpec]]) -> StereoBuffer:
-    """Mix independently binauralized sources.
+    """Mix independently binauralized sources; binauralize is the one-source scene.
 
     Sources of different lengths are zero-padded to the longest. No source is
     normalized on its own, so their levels keep their ratios; the mix is
-    peak-normalized only if the sum clips, and the scale factor is logged.
+    peak-normalized only if it clips, and the scale factor is logged.
     """
     if not sources:
         empty = SampleBuffer(np.zeros(0), DEFAULT_SAMPLE_RATE)
@@ -96,20 +88,22 @@ def binauralize_scene(sources: list[tuple[SampleBuffer, RenderSpec]]) -> StereoB
         raise ValidationError(f"sources mix sample rates: {sorted(rates)}")
     sr = rates.pop()
 
-    n = max(len(signal) for signal, _ in sources)
-    left = np.zeros(n)
-    right = np.zeros(n)
-    for signal, spec in sources:
-        ears = _placed(signal, spec)
-        left[: len(signal)] += ears[0]
-        right[: len(signal)] += ears[1]
-        del ears  # before the next source renders
+    left, right = _placed(*sources[0])  # a lone source's fresh ears are the mix
+    if len(sources) > 1:  # padded copies, one per ear, that the other sources add into
+        n = max(len(signal) for signal, _ in sources)
+        left, right = (np.pad(ear, (0, n - ear.size)) for ear in (left, right))
+        for signal, spec in sources[1:]:
+            ears = _placed(signal, spec)
+            left[: len(signal)] += ears[0]
+            right[: len(signal)] += ears[1]
+            del ears  # before the next source renders
 
-    peak = max(left.max(), -left.min(), right.max(), -right.min())
+    ears = (left,) if left is right else (left, right)
+    peak = max(max(ear.max(), -ear.min()) for ear in ears)
     if peak > 1.0:
         log.warning("scene mix clipped; normalized by %.6f", 1.0 / peak)
-        left /= peak
-        right /= peak
-    left.setflags(write=False)
-    right.setflags(write=False)
+    for ear in ears:  # fresh arrays: normalized in place, then handed to the buffers
+        if peak > 1.0:
+            ear /= peak
+        ear.setflags(write=False)
     return StereoBuffer(SampleBuffer(left, sr), SampleBuffer(right, sr))

@@ -46,14 +46,12 @@ def rig_to_dict(spec: RigSpec) -> dict[str, Any]:
     return out
 
 
-def cue_report_doc(report: CueReport, metadata: dict[str, Any] | None = None,
-                   bands: tuple[float, ...] | None = None) -> dict[str, Any]:
-    """Serializable summary of a CueReport: scalar cues plus the octave table, at bands or by
-    default at signals.DEFAULT_OCTAVE_CENTERS."""
+def cue_report_doc(report: CueReport, metadata: dict[str, Any] | None = None) -> dict[str, Any]:
+    """Serializable summary of a CueReport: scalar cues plus the octave table at
+    signals.DEFAULT_OCTAVE_CENTERS."""
     from .analysis import ild_spectrum_summary
     from .signals import DEFAULT_OCTAVE_CENTERS
-    octave = ild_spectrum_summary(report.ild_spectrum,
-                                  DEFAULT_OCTAVE_CENTERS if bands is None else bands)
+    octave = ild_spectrum_summary(report.ild_spectrum, DEFAULT_OCTAVE_CENTERS)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "cue_report",

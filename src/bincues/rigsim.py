@@ -277,8 +277,8 @@ def fit_path_extension(rig_kind: RigKind, measured_itd_s: float, azimuth: float,
 # --- rig config files: flat "key = value" text -----------------------------
 
 #: Config key -> RigSpec attribute path of its value: the one key schema, read
-#: by rig_fields for files and reports and by load_rig_config. A kind's keys
-#: are those whose attribute its _DEFAULTS row has, in this (file) order.
+#: by rig_fields for reports and by load_rig_config. A kind's keys are those
+#: whose attribute its _DEFAULTS row has, in this (file) order.
 _FIELDS = {
     "radius_m": ("radius_m",),
     "mic_spacing_m": ("mic_spacing_m",),
@@ -294,13 +294,6 @@ def rig_fields(spec: RigSpec) -> dict[str, float]:
     """The spec's config keys (all but 'kind') and their values, in file order."""
     row = _DEFAULTS[spec.kind]
     return {key: reduce(getattr, path, spec) for key, path in _FIELDS.items() if path[0] in row}
-
-
-def save_rig_config(spec: RigSpec, path: str | Path) -> None:
-    """Write a rig spec as flat key = value text."""
-    lines = [f"kind = {spec.kind.value}"]
-    lines += [f"{key} = {value!r}" for key, value in rig_fields(spec).items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_rig_config(path: str | Path) -> RigSpec:

@@ -671,7 +671,7 @@ for name in bincues.__all__:
     module = importlib.import_module(f"bincues.{bincues._MODULE_OF[name]}")
     assert getattr(bincues, name) is getattr(module, name), name
     exec(f"from bincues import {name}")
-assert set(bincues.__all__) <= set(dir(bincues)) and len(bincues.__all__) == 58
+assert set(bincues.__all__) <= set(dir(bincues)) and len(bincues.__all__) == 57
 from bincues import rigsim
 assert bincues.rigsim is rigsim
 try:

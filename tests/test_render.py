@@ -159,6 +159,29 @@ def test_scene_normalizes_the_mix_not_each_source(pink_2s, caplog):
         np.testing.assert_allclose(got.samples, want.samples / half_peak, rtol=0, atol=1e-12)
 
 
+def test_a_scene_that_does_not_clip_is_the_sum_of_its_solo_renders(pink_2s):
+    # The first source sits on the median plane, where its two ears are one array, and is the
+    # shorter: the mix pads it into one copy per ear, and the second source adds into each.
+    short = gen_pink_noise(0.5, SR, seed=4)
+    sources = [(short, RenderSpec(azimuth_rad=0.0, gain_db=-6.0)),
+               (pink_2s, RenderSpec(azimuth_rad=math.radians(40), gain_db=-6.0))]
+    scene = binauralize_scene(sources)
+    first, second = (binauralize(signal, spec) for signal, spec in sources)
+    pad = len(pink_2s) - len(short)
+    for got, ears in ((scene.left, (first.left, second.left)),
+                      (scene.right, (first.right, second.right))):
+        assert np.array_equal(got.samples, np.pad(ears[0].samples, (0, pad)) + ears[1].samples)
+    assert not np.array_equal(scene.left.samples, scene.right.samples)
+
+
+def test_a_hot_solo_render_logs_its_normalization(pink_2s, caplog):
+    hot = SampleBuffer(pink_2s.samples * (1.5 / np.max(np.abs(pink_2s.samples))), SR)
+    with caplog.at_level("WARNING", logger="bincues.render"):
+        out = binauralize(hot, RenderSpec(azimuth_rad=math.radians(30)))
+    assert [r.getMessage().split(";")[0] for r in caplog.records] == ["scene mix clipped"]
+    assert max(np.max(np.abs(out.left.samples)), np.max(np.abs(out.right.samples))) == 1.0
+
+
 def test_scene_pads_shorter_sources(pink_2s):
     short = gen_pink_noise(0.5, SR, seed=4)
     scene = binauralize_scene([(pink_2s, RenderSpec(gain_db=-6.0)),
