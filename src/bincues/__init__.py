@@ -20,9 +20,9 @@ _EXPORTS = {
     "errors": ("AnalysisError", "BincuesError", "ClippingError", "SilentSignalError",
                "ValidationError", "WavFormatError"),
     "render": ("RenderSpec", "binauralize", "binauralize_scene"),
-    "rigsim": ("RigKind", "RigSpec", "SourceSpec", "default_rig", "far_ear", "fit_path_extension",
-               "full_dummy", "human_head", "jecklin", "load_rig_config", "ortf",
-               "predicted_ild_db", "predicted_itd", "shadow_filter_kernel", "semi_dummy",
+    "rigsim": ("RigKind", "RigSpec", "SourceSpec", "default_rig", "ear_gains", "far_ear",
+               "fit_path_extension", "full_dummy", "human_head", "jecklin", "load_rig_config",
+               "ortf", "predicted_ild_db", "predicted_itd", "shadow_filter_kernel", "semi_dummy",
                "simulate_capture"),
     "signals": ("DEFAULT_SAMPLE_RATE", "SampleBuffer", "StereoBuffer", "apply_fractional_delay",
                 "gen_impulse", "gen_pink_noise", "gen_sine"),

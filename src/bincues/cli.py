@@ -249,6 +249,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    import logging
     from . import render, rigsim, signals, wavio
     out = _require_out(args)
     if not -90.0 <= args.azimuth <= 90.0:
@@ -264,7 +265,13 @@ def _cmd_render(args: argparse.Namespace) -> int:
     spec = render.RenderSpec(rig=rigsim.default_rig(rigsim.RigKind(args.rig)),
                              azimuth_rad=math.radians(args.azimuth),
                              temperature_c=args.temp, gain_db=args.gain_db)
-    wavio.write_wav(out, render.binauralize(sig, spec))
+    handler = logging.StreamHandler()  # on this call's sys.stderr, beside the error lines
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))  # the render's clip notice
+    render.log.addHandler(handler)
+    try:
+        wavio.write_wav(out, render.binauralize(sig, spec))
+    finally:  # a later call in this process gets its own handler, so prints each record once
+        render.log.removeHandler(handler)
     print(f"wrote {out}")
     return EXIT_OK
 

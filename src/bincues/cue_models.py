@@ -87,8 +87,7 @@ def duplex_classify(freq: float, thresholds: DuplexThresholds | None = None) -> 
     Boundaries are inclusive on the low side: f == itd_limit_hz is still
     ITD_EFFECTIVE and the inefficient band includes both of its edges.
     """
-    if freq <= 0:
-        raise ValidationError(f"freq must be positive, got {freq}")
+    check_frequency(freq)
     t = thresholds or DuplexThresholds()
     if freq <= t.itd_limit_hz:
         return CueBand.ITD_EFFECTIVE
@@ -103,6 +102,13 @@ def check_azimuth(azimuth: float) -> None:
     """Raise ValidationError unless azimuth lies in [0, pi/2], the models' domain."""
     if not 0.0 <= azimuth <= math.pi / 2:
         raise ValidationError(f"azimuth must lie in [0, pi/2], got {azimuth}")
+
+
+def check_frequency(freq) -> None:
+    """Raise ValidationError unless freq, a scalar or an array, is all positive and finite."""
+    f = np.asarray(freq, dtype=np.float64)
+    if not np.all((f > 0.0) & (f < math.inf)):
+        raise ValidationError(f"freq must be positive and finite, got {freq}")
 
 
 def itd_simple(geom: HeadGeometry, azimuth: float) -> float:
@@ -125,8 +131,7 @@ def itd_modified(geom: HeadGeometry, azimuth: float, freq: float) -> float:
     kept; ITD carries little localization weight up there anyway.
     """
     check_azimuth(azimuth)
-    if freq <= 0:
-        raise ValidationError(f"freq must be positive, got {freq}")
+    check_frequency(freq)
     a = 3.0 if freq < 500.0 else 2.0
     return a * geom.radius_m * math.sin(azimuth) / speed_of_sound(geom.temperature_c)
 
@@ -138,8 +143,7 @@ def wrap_phase_deg(deg):
 
 def ipd_from_itd(freq: float, itd: float) -> float:
     """Interaural phase difference implied by a time difference at one frequency."""
-    if freq <= 0:
-        raise ValidationError(f"freq must be positive, got {freq}")
+    check_frequency(freq)
     return float(wrap_phase_deg(360.0 * freq * itd))
 
 
@@ -175,12 +179,11 @@ def head_shadow_ild(params: ShadowParams, azimuth: float, freq) -> float | np.nd
     """Far-ear attenuation in dB (>= 0) at the given azimuth and frequency.
 
     Smooth and non-decreasing in both frequency and azimuth; exactly 0 on the
-    median plane. `freq` may be a scalar or an array of positive frequencies.
+    median plane. `freq` may be a scalar or an array of positive, finite frequencies.
     """
     check_azimuth(azimuth)
+    check_frequency(freq)
     f = np.asarray(freq, dtype=np.float64)
-    if np.any(f <= 0):
-        raise ValidationError("freq must be positive")
     shape = 1.0 / (1.0 + (params.corner_hz / f) ** SHADOW_LOG_SLOPE)
     out = params.max_attenuation_db * math.sin(azimuth) ** params.azimuth_exponent * shape
     return float(out) if np.isscalar(freq) else out

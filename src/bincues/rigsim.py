@@ -1,11 +1,12 @@
 """Parametric models of five stereo/binaural capture rigs.
 
-Each rig predicts an ITD and an ILD curve for a far-field source at a given
-azimuth, and can synthesize a two-channel capture of a test signal so the
-analysis pipeline can be exercised end to end. Head-based rigs use the
-spherical-head arc model; spaced rigs use the free-field path difference,
-optionally stretched by a fitted path_extension that stands in for baffle
-diffraction.
+Each rig predicts an ITD and, in ear_gains, the two ears' gains for a far-field
+source at a given azimuth: the one level model that the ILD prediction, the
+shadow FIR, the far ear and the capture all read. A rig can synthesize a
+two-channel capture of a test signal so the analysis pipeline can be exercised
+end to end. Head-based rigs use the spherical-head arc model; spaced rigs use
+the free-field path difference, optionally stretched by a fitted path_extension
+that stands in for baffle diffraction.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cue_models import (HeadGeometry, ShadowParams, check_azimuth, check_temperature,
-                         head_shadow_ild, itd_simple, speed_of_sound)
+from .cue_models import (HeadGeometry, ShadowParams, check_azimuth, check_frequency,
+                         check_temperature, head_shadow_ild, itd_simple, speed_of_sound)
 from .errors import ValidationError
 from .signals import SampleBuffer, StereoBuffer, apply_fractional_delay
 
@@ -170,43 +171,53 @@ def predicted_itd(rig: RigSpec, src: SourceSpec, temperature_c: float = 20.0) ->
     return free_field if rig.path_extension is None else rig.path_extension * free_field
 
 
-def _cardioid_gains(capsule_angle_deg: float, azimuth: float) -> tuple[float, float]:
-    half = math.radians(capsule_angle_deg / 2.0)
+def ear_gains(rig: RigSpec, azimuth: float, freq) -> tuple[float, float | np.ndarray]:
+    """The rig's real (near, far) ear gains at azimuth in [0, pi/2] and freq, a scalar or an
+    array of positive, finite frequencies: the one level model of a rig. Head and baffled
+    kinds hold the near ear at 1 and shadow the far ear; ORTF's are its two cardioid gains,
+    flat in frequency and so scalars whatever freq is."""
+    if rig.kind is not RigKind.ORTF:
+        return 1.0, 10.0 ** (-head_shadow_ild(rig.shadow, azimuth, freq) / 20.0)
+    check_azimuth(azimuth)
+    check_frequency(freq)
+    half = math.radians(rig.capsule_angle_deg / 2.0)
     return 0.5 * (1.0 + math.cos(azimuth - half)), 0.5 * (1.0 + math.cos(azimuth + half))
 
 
 def predicted_ild_db(rig: RigSpec, src: SourceSpec, freq: float) -> float:
-    """Model far-ear attenuation in dB (>= 0) at one frequency.
-
-    Head and baffled kinds evaluate their shadow curve; ORTF returns the frequency-independent
-    level ratio of its cardioids, or raises ValidationError with the far null on the source.
-    """
-    if rig.kind is RigKind.ORTF:
-        g_left, g_right = _cardioid_gains(rig.capsule_angle_deg, src.azimuth_rad)
-        if g_right == 0.0:
-            raise ValidationError("the far capsule's null faces the source: its ILD is infinite")
-        return 20.0 * math.log10(g_left / g_right)
-    return float(head_shadow_ild(rig.shadow, src.azimuth_rad, freq))
+    """Model far-ear attenuation in dB (>= 0) at one frequency: the level ratio of ear_gains.
+    Raises ValidationError when ORTF's far capsule has its null on the source."""
+    near, far = ear_gains(rig, src.azimuth_rad, freq)
+    if far == 0.0:
+        raise ValidationError("the far capsule's null faces the source: its ILD is infinite")
+    return 20.0 * math.log10(near / far)
 
 
-def shadow_filter_kernel(shadow: ShadowParams, azimuth: float, sample_rate: int) -> np.ndarray:
-    """Zero-phase FIR whose magnitude matches the shadow attenuation curve.
+def shadow_filter_kernel(rig: RigSpec, azimuth: float, sample_rate: int) -> np.ndarray | float:
+    """Zero-phase FIR whose magnitude matches the far-to-near gain ratio of ear_gains.
 
     The kernel is symmetric, so applying it centered adds no group delay at
     any frequency: the capture's time cue comes only from the explicit ITD
     delay. (A minimum-phase realization was tried first and rejected: its
     low-frequency group delay shifted broadband correlation peaks by more
-    than a sample.)
+    than a sample.) A ratio flat in frequency, as ORTF's, is returned as that gain.
     """
     freqs = np.fft.rfftfreq(_SHADOW_DESIGN_FFT, 1.0 / sample_rate)
     freqs[0] = freqs[1]  # DC takes the lowest bin's (vanishing) attenuation
-    target = 10.0 ** (-head_shadow_ild(shadow, azimuth, freqs) / 20.0)
-    impulse = np.roll(np.fft.irfft(target), _SHADOW_DESIGN_FFT // 2)
-    center = _SHADOW_DESIGN_FFT // 2
-    half = _SHADOW_FIR_TAPS // 2
-    kernel = impulse[center - half : center + half + 1].copy()
-    kernel *= np.hanning(_SHADOW_FIR_TAPS + 2)[1:-1]
-    return kernel
+    near, far = ear_gains(rig, azimuth, freqs)
+    target = far / near
+    if np.ndim(target) == 0:
+        return target
+    impulse = np.roll(np.fft.irfft(target), _SHADOW_FIR_TAPS // 2)  # tap 0 moves to the middle
+    return impulse[:_SHADOW_FIR_TAPS] * np.hanning(_SHADOW_FIR_TAPS + 2)[1:-1]
+
+
+def _scaled(owned: np.ndarray, gain: float) -> np.ndarray:
+    """A fresh array of this module's, scaled in place by gain and handed on read-only."""
+    owned.setflags(write=True)
+    owned *= gain
+    owned.setflags(write=False)
+    return owned
 
 
 def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
@@ -214,20 +225,15 @@ def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
     """The far ear's samples of a source at azimuth in [0, pi/2], near ear at unit gain,
     as a fresh read-only array.
 
-    The signal is delayed by the rig's predicted ITD and shaped by its ILD model: a
-    zero-phase FIR fit of the shadow curve, run in the delay's one convolution and so exact
-    at the edges, or for ORTF the far-to-near capsule gain ratio.
+    The signal is delayed by the rig's predicted ITD and scaled by the far-to-near ratio of
+    ear_gains: its zero-phase FIR fit, run in the delay's one convolution and so exact at
+    the edges, or a ratio flat in frequency (ORTF's) multiplied in after the delay.
     """
     itd = predicted_itd(rig, SourceSpec(azimuth_rad=azimuth), temperature_c)
-    if rig.kind is RigKind.ORTF:
-        g_near, g_far = _cardioid_gains(rig.capsule_angle_deg, azimuth)
-        far = apply_fractional_delay(signal, itd).samples  # a fresh array, scaled by its owner
-        far.setflags(write=True)
-        far *= g_far / g_near
-        far.setflags(write=False)
-        return far
-    kernel = shadow_filter_kernel(rig.shadow, azimuth, signal.sample_rate)
-    return apply_fractional_delay(signal, itd, kernel).samples
+    kernel = shadow_filter_kernel(rig, azimuth, signal.sample_rate)
+    if np.ndim(kernel):
+        return apply_fractional_delay(signal, itd, kernel).samples
+    return _scaled(apply_fractional_delay(signal, itd).samples, kernel)
 
 
 def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,
@@ -235,25 +241,19 @@ def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,
     """Synthesize the rig's two-channel capture of a test signal.
 
     The near (left) channel takes the unit path and the far (right) channel
-    comes from far_ear; ORTF then scales both by the near capsule's gain.
-    At azimuth 0 both channels are identical by construction. The near channel of
-    any other rig shares the signal's array.
+    comes from far_ear; a near gain other than 1 (ORTF's) then scales both.
+    At azimuth 0 both channels are identical by construction. A near channel at
+    unit gain shares the signal's array.
     """
     if len(signal) == 0:
         raise ValidationError("signal is empty")
+    sr = signal.sample_rate
     near = signal.samples
     far = near if src.azimuth_rad == 0.0 else far_ear(rig, src.azimuth_rad, signal, temperature_c)
-    if rig.kind is RigKind.ORTF:
-        g_near = _cardioid_gains(rig.capsule_angle_deg, src.azimuth_rad)[0]
-        near = np.multiply(g_near, near, dtype=np.float64)  # the signal's array stays as it is
-        if far is signal.samples:
-            far = near
-        else:  # far_ear's fresh array, scaled by its owner
-            far.setflags(write=True)
-            far *= g_near
-        near.setflags(write=False)
-        far.setflags(write=False)
-    sr = signal.sample_rate
+    gain = ear_gains(rig, src.azimuth_rad, sr / 2.0)[0]  # every kind's near gain is flat
+    if gain != 1.0:  # both ears; the signal's array stays as it is
+        near = _scaled(near.astype(np.float64), gain)
+        far = near if far is signal.samples else _scaled(far, gain)
     return StereoBuffer(SampleBuffer(near, sr), SampleBuffer(far, sr))
 
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import bincues
-from bincues import (StereoBuffer, estimate_itd, gen_pink_noise, gen_sine, read_wav, wavio,
-                     write_wav)
+from bincues import (SampleBuffer, StereoBuffer, estimate_itd, gen_pink_noise, gen_sine,
+                     read_wav, wavio, write_wav)
 from bincues.cli import EXIT_ANALYSIS, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from bincues.rigsim import RIG_NAMES
 
@@ -447,6 +447,19 @@ def test_render_nan_gain_is_usage_error(voice_wav, tmp_path, capsys):
     assert not (tmp_path / "x.wav").exists()
 
 
+def test_a_clipping_render_prints_one_warning_each_call(tmp_path, capsys):
+    # The render's clip notice reaches stderr through the handler that render attaches for its
+    # call, and only for that call: a second in-process run prints its own line, not two.
+    pink = gen_pink_noise(1.0, seed=1).samples
+    hot = tmp_path / "hot.wav"
+    write_wav(hot, SampleBuffer(pink * (1.5 / np.max(np.abs(pink))), 48000))
+    for _ in range(2):
+        assert run("render", hot, "--azimuth", 30, "--out", tmp_path / "b.wav") == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: scene mix clipped; normalized by 0.")
+
+
 def test_render_rejects_stereo_input(tmp_path, capsys):
     pink = gen_pink_noise(0.5, seed=1)
     path = tmp_path / "st.wav"
@@ -671,7 +684,7 @@ for name in bincues.__all__:
     module = importlib.import_module(f"bincues.{bincues._MODULE_OF[name]}")
     assert getattr(bincues, name) is getattr(module, name), name
     exec(f"from bincues import {name}")
-assert set(bincues.__all__) <= set(dir(bincues)) and len(bincues.__all__) == 57
+assert set(bincues.__all__) <= set(dir(bincues)) and len(bincues.__all__) == 58
 from bincues import rigsim
 assert bincues.rigsim is rigsim
 try:

@@ -7,7 +7,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
-from bincues import (RenderSpec, RigKind, SampleBuffer, ShadowParams, SourceSpec, StereoBuffer,
+from bincues import (RenderSpec, RigKind, SampleBuffer, SourceSpec, StereoBuffer,
                      analyze_blocks, analyze_capture, apply_fractional_delay, band_itd,
                      binauralize, binauralize_scene, calibration_check, cross_correlation,
                      default_rig, estimate_itd, gen_pink_noise, human_head, ortf, read_wav,
@@ -102,7 +102,7 @@ def test_binauralize_scene(pink):
     (17.0, False), (17.37, False), (17.0, True), (17.37, True)],
     ids=["integer", "fractional", "integer-fir", "fractional-fir"])
 def test_apply_fractional_delay(pink, delay_samples, fir):
-    kernel = shadow_filter_kernel(ShadowParams(), math.radians(60.0), SR) if fir else None
+    kernel = shadow_filter_kernel(human_head(), math.radians(60.0), SR) if fir else None
     delayed = [apply_fractional_delay(sig, delay_samples / SR, kernel) for sig in pink]
     assert_same_bits(*delayed)
 

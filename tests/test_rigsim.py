@@ -11,7 +11,8 @@ from scipy import signal as sps
 
 from bincues import (HeadGeometry, RenderSpec, RigKind, RigSpec, SampleBuffer, ShadowParams,
                      SourceSpec, StereoBuffer, ValidationError, binauralize, default_rig,
-                     estimate_itd, far_ear, fit_path_extension, full_dummy, gen_pink_noise,
+                     ear_gains, estimate_itd, far_ear, fit_path_extension, full_dummy,
+                     gen_pink_noise,
                      head_shadow_ild, human_head, ild_spectrum_summary, jecklin, load_rig_config,
                      ortf, predicted_ild_db, predicted_itd, shadow_filter_kernel, semi_dummy,
                      simulate_capture, transfer_function)
@@ -113,6 +114,32 @@ def test_ortf_ild_with_the_far_null_on_the_source_is_an_error():
                             1000.0) < math.inf
 
 
+@pytest.mark.parametrize("freq", (-1.0, 0.0, math.nan, math.inf))
+@pytest.mark.parametrize("rig", ALL_RIGS, ids=lambda r: r.kind.value)
+def test_a_frequency_that_is_not_positive_and_finite_is_an_error(rig, freq):
+    # ORTF's gains are flat in frequency, yet a NaN or infinite frequency is no more valid
+    # there than for a shadow curve, where NaN would pass through and inf read the ceiling
+    for bad in (freq, np.array([1000.0, freq])):
+        with pytest.raises(ValidationError, match="freq must be positive and finite"):
+            ear_gains(rig, HALF_PI / 2, bad)
+    with pytest.raises(ValidationError, match="freq must be positive and finite"):
+        predicted_ild_db(rig, SourceSpec(azimuth_rad=HALF_PI / 2), freq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rig=st.sampled_from(ALL_RIGS), a=st.floats(0.0, HALF_PI), b=st.floats(0.0, HALF_PI),
+       freq=st.floats(20.0, 20000.0))
+def test_ild_is_zero_ahead_non_negative_and_non_decreasing_in_azimuth(rig, a, b, freq):
+    # ORTF included: d/dtheta ln(g_near / g_far) = tan((theta + h) / 2) - tan((theta - h) / 2)
+    # > 0 for a half capsule angle h. A shadowed kind's ILD takes a round trip through the
+    # far gain 10 ** (-A / 20), which may reorder two nearly equal values at rounding level.
+    lo, hi = sorted((a, b))
+    assert predicted_ild_db(rig, SourceSpec(azimuth_rad=0.0), freq) == 0.0
+    lo_db, hi_db = (predicted_ild_db(rig, SourceSpec(azimuth_rad=az), freq) for az in (lo, hi))
+    assert lo_db >= 0.0
+    assert hi_db >= lo_db - 1e-12
+
+
 def test_semi_dummy_ild_noticeable_from_2k():
     assert predicted_ild_db(semi_dummy(), BROADSIDE, 1000.0) < 3.0
     assert predicted_ild_db(semi_dummy(), BROADSIDE, 4000.0) > 4.0
@@ -121,12 +148,14 @@ def test_semi_dummy_ild_noticeable_from_2k():
 
 # --- shadow filter realization ----------------------------------------------
 
-def test_shadow_kernel_is_symmetric_and_fits_target():
-    kernel = shadow_filter_kernel(ShadowParams(), HALF_PI, SR)
+@pytest.mark.parametrize("rig", [r for r in ALL_RIGS if r.shadow is not None],
+                         ids=lambda r: r.kind.value)
+def test_shadow_kernel_is_symmetric_and_fits_target(rig):
+    kernel = shadow_filter_kernel(rig, HALF_PI, SR)
     np.testing.assert_allclose(kernel, kernel[::-1], atol=1e-16)
 
     freqs, response = sps.freqz(kernel, worN=4096, fs=SR)
-    target_db = -head_shadow_ild(ShadowParams(), HALF_PI, np.maximum(freqs, 1.0))
+    target_db = -head_shadow_ild(rig.shadow, HALF_PI, np.maximum(freqs, 1.0))
     got_db = 20.0 * np.log10(np.abs(response))
     band = (freqs >= 250.0) & (freqs <= 12000.0)
     assert np.max(np.abs(got_db[band] - target_db[band])) < 1.0
