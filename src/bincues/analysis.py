@@ -112,7 +112,7 @@ class _Spectra:
 
 class _Welch:
     """Welch's averaged periodograms of left x and right y, with no detrending, summed as the
-    capture streams in through update(), plus each channel's sum of squares.
+    capture streams in through update(); `length` counts every sample, past the last segment too.
 
     Periodic-Hann-windowed segments are transformed in batches that close at every
     _SEGMENT_BATCH-th segment, however the blocks are cut. Per product, one einsum sums the
@@ -124,8 +124,7 @@ class _Welch:
         self.size, self.sample_rate = fft_size, sample_rate
         self.step = fft_size - int(fft_size * overlap)
         self.window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, fft_size + 1))[:-1]
-        self.length, self.energy = 0, np.zeros(2)  # samples per channel, and their sums of squares
-        self._segments = 0  # windowed so far; the open batch holds the last few
+        self.length, self._segments = 0, 0  # samples per channel; segments windowed so far
         self._frames = np.empty((2, _SEGMENT_BATCH, fft_size))
         self._spectra = np.empty((2, _SEGMENT_BATCH, fft_size // 2 + 1), complex)
         self._total = np.zeros((4, 2 * (fft_size // 2 + 1)))  # the closed batches' sums
@@ -134,13 +133,11 @@ class _Welch:
     def update(self, x: np.ndarray, y: np.ndarray) -> None:
         """Adds the next block of each channel: equal-length 1-D float64 or float32 arrays,
         which it only reads, so they may be views of a caller's buffer that is reused after the
-        call. float32 samples widen exactly, in the sums of squares and the windowed frames."""
+        call. float32 samples widen exactly in the windowed frames."""
         if x.ndim != 1 or x.shape != y.shape:
             raise ValidationError(f"blocks must be 1-D and of equal length, got {x.shape}"
                                   f" and {y.shape}")
         self.length += x.size
-        self.energy += (np.einsum("i,i->", x, x, dtype=np.float64),  # no BLAS threads
-                        np.einsum("i,i->", y, y, dtype=np.float64))
         h, start = self._held.shape[1], 0
         if h:  # segments that start in the held samples end in this block
             need = min(x.size, (h - 1) // self.step * self.step + self.size - h)
@@ -223,14 +220,12 @@ def _welch(stereo: StereoBuffer, fft_size: int = 0) -> _Welch:
     return welch
 
 
-def _correlation(spectra: _Spectra, n: int, sr: int, max_lag: float,
+def _correlation(spectra: _Spectra, sr: int, max_lag: float,
                  weighting: str) -> tuple[int, np.ndarray]:
-    """(max_lag in samples, window) of cross_correlation of n samples, read off `spectra`."""
+    """(max_lag in samples, window) of cross_correlation, read off `spectra`."""
     if weighting not in WEIGHTINGS:
         raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
     m = _lag_samples(max_lag, sr)
-    if m >= n:
-        raise ValidationError(f"max_lag {max_lag} s exceeds the buffer length {n / sr} s")
     _fit_window(spectra.size, m, "PHAT" if weighting == "phat" else "unweighted")
     s = spectra.s_xy
     if weighting == "phat":
@@ -250,8 +245,7 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     or ValidationError is raised; AnalysisError is raised when the whole
     circular correlation peaks outside the window.
     """
-    m, cc = _correlation(_welch(stereo).spectra(), len(stereo), stereo.sample_rate, max_lag,
-                         weighting)
+    m, cc = _correlation(_welch(stereo).spectra(), stereo.sample_rate, max_lag, weighting)
     return np.arange(-m, m + 1), cc
 
 
@@ -272,9 +266,16 @@ def _itd_s(cc: np.ndarray, sample_rate: int, widen: str = "max_lag (--max-lag-ms
     return float((k - cc.size // 2 + offset) / sample_rate)
 
 
-def _require_sound(welch: _Welch) -> None:
-    for what, energy in zip(("left channel", "right channel"), welch.energy):
-        if np.sqrt(energy / welch.length) < SILENCE_RMS:
+def _silent(spectra: _Spectra, sample_rate: int, w: float | np.ndarray = 1.0) -> list[bool]:
+    """Whether left and right are silent, weighted by w: by Parseval a density times the bin
+    width sums to the mean square of the windowed segments."""
+    return [np.sum(w * s) * sample_rate / spectra.size < SILENCE_RMS ** 2
+            for s in (spectra.s_xx, spectra.s_yy)]
+
+
+def _require_sound(spectra: _Spectra, sample_rate: int) -> None:
+    for what, silent in zip(("left channel", "right channel"), _silent(spectra, sample_rate)):
+        if silent:
             raise SilentSignalError(f"{what} is silent (RMS below {SILENCE_RMS:g})")
 
 
@@ -286,12 +287,13 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     unweighted or PHAT) and refines it with a parabolic fit through the peak
     and its neighbors, resolving delays well below one sample period. The
     window must fit four times in a segment, as cross_correlation says. A
-    silent channel raises SilentSignalError; a correlation that peaks outside
-    the window, or whose peak is not finite or sits on the window's first or
-    last lag, raises AnalysisError."""
-    welch, n, sr = _welch(stereo), len(stereo), stereo.sample_rate
-    _require_sound(welch)
-    return _itd_s(_correlation(welch.spectra(), n, sr, max_lag, weighting)[1], sr)
+    channel whose Hann-windowed segments' mean square, its auto-spectrum times
+    the bin width, is under SILENCE_RMS ** 2 raises SilentSignalError; a
+    correlation that peaks outside the window, or whose peak is not finite or
+    sits on the window's first or last lag, raises AnalysisError."""
+    spectra, sr = _welch(stereo).spectra(), stereo.sample_rate
+    _require_sound(spectra, sr)
+    return _itd_s(_correlation(spectra, sr, max_lag, weighting)[1], sr)
 
 
 def _octave_response(freqs: np.ndarray, center_hz: float, sample_rate: int) -> np.ndarray:
@@ -312,9 +314,7 @@ def _band_itds(spectra: _Spectra, low_hz: float, high_hz: float, max_lag: int,
     results = []
     for center in (low_hz, high_hz):
         w = _octave_response(spectra.freqs, center, sample_rate) ** 2  # |H|^2 forward, backward
-        # Parseval: the weighted density times the bin width sums to the band's mean square
-        if any(np.sum(w * s) * sample_rate / spectra.size < SILENCE_RMS ** 2
-               for s in (spectra.s_xx, spectra.s_yy)):
+        if any(_silent(spectra, sample_rate, w)):
             raise AnalysisError(f"no usable energy in the {center:g} Hz octave band")
         cc = _lag_window(w * spectra.s_xy, spectra.size, max_lag)
         results.append(_itd_s(cc, sample_rate))
@@ -457,10 +457,10 @@ def analyze_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]], length: int,
     welch = passes[0]
     if welch.length != length:
         raise ValidationError(f"the blocks hold {welch.length} samples per channel, not {length}")
-    _require_sound(welch)
     spectra = [welch.spectra() for welch in passes]
     del passes, welch  # the accumulators' buffers go before the lag windows are read
-    m, cc = _correlation(spectra[0], length, sample_rate, max_lag, weighting)
+    _require_sound(spectra[0], sample_rate)
+    m, cc = _correlation(spectra[0], sample_rate, max_lag, weighting)
     itd = _itd_s(cc, sample_rate)
     itd_low, itd_high = _band_itds(spectra[0], low_hz, high_hz, m, sample_rate)
     return CueReport(itd, itd_low, itd_high, _transfer_function(spectra[-1], sample_rate))

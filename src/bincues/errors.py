@@ -18,7 +18,7 @@ class ClippingError(ValidationError):
 
 
 class SilentSignalError(BincuesError):
-    """Input signal carries no usable energy (RMS below the silence floor)."""
+    """A channel carries no usable energy: its Hann-windowed segments' RMS is under the floor."""
 
 
 class AnalysisError(BincuesError):

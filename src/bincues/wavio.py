@@ -38,9 +38,9 @@ ENCODINGS = tuple(_FORMATS)
 _CHUNK_BYTES = 1 << 20  # file bytes per read or write step, rounded down to whole frames
 
 
-def _encode(channels: list[np.ndarray], encoding: str) -> tuple[np.ndarray, int, int]:
-    """Return (payload, format_tag, bits_per_sample): the channels' codes, interleaved. PCM
-    samples are scaled and rounded in one float64 scratch array, with no range check."""
+def _encode(channels: list[np.ndarray], encoding: str) -> np.ndarray:
+    """Return the payload: the channels' codes, interleaved. PCM samples are scaled and
+    rounded in one float64 scratch array, with no range check."""
     tag, bits, dtype, scale = _FORMATS[encoding]
     codes = np.empty((channels[0].size, len(channels)), dtype)
     scratch = np.empty(channels[0].size if tag == _TAG_PCM else 0)
@@ -54,7 +54,7 @@ def _encode(channels: list[np.ndarray], encoding: str) -> tuple[np.ndarray, int,
         for plane in codes.T:
             plane[...] = flat  # the cast keeps the low byte
             flat >>= 8
-    return codes, tag, bits
+    return codes
 
 
 def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
@@ -99,7 +99,7 @@ def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + header)
         for start in range(0, frames, step):
-            fh.write(_encode([c[start : start + step] for c in channels], encoding)[0])
+            fh.write(_encode([c[start : start + step] for c in channels], encoding))
         fh.write(pad)
 
 

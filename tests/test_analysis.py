@@ -169,6 +169,35 @@ def test_analyze_capture_rejects_a_silent_channel(pink_2s, side, weighting):
         analyze_capture(stereo, weighting=weighting)
 
 
+def _right_after_the_last_segment(pink):
+    # 1 s holds nine whole 8192-sample segments at a 4096-sample hop; the last ends at 45056
+    right = pink.samples[:SR].copy()
+    right[:45056] = 0.0
+    return StereoBuffer(SampleBuffer(pink.samples[:SR], SR), SampleBuffer(right, SR))
+
+
+def _right_click_on_sample_0(pink):
+    click = np.zeros(len(pink))
+    click[0] = 1.0  # where the first segment's Hann window is 0, and no other segment reads
+    return StereoBuffer(pink, SampleBuffer(click, SR))
+
+
+@pytest.mark.parametrize("make", [_right_after_the_last_segment, _right_click_on_sample_0])
+@pytest.mark.parametrize("call", [estimate_itd, analyze_capture])
+def test_sound_that_no_segment_reads_is_silence(pink_2s, call, make):
+    # The silence rule reads the Welch auto-spectra that the cues are read from, so sound that
+    # no windowed segment holds is silence, not an ITD on the edge of the lag window.
+    with pytest.raises(SilentSignalError, match="right channel is silent"):
+        call(make(pink_2s))
+
+
+@pytest.mark.parametrize("call", [cross_correlation, estimate_itd, band_itd])
+def test_empty_capture_is_rejected(call):
+    empty = SampleBuffer(np.zeros(0), SR)
+    with pytest.raises(ValidationError, match="the capture is empty"):
+        call(StereoBuffer(empty, empty))
+
+
 def test_itd_rejects_oversized_lag_window():
     pink = gen_pink_noise(0.01, SR, seed=1)
     with pytest.raises(ValidationError):
@@ -272,19 +301,27 @@ def test_band_itd_rejects_band_above_nyquist(pink_2s):
 def test_band_energy_rule_is_the_filtered_mean_square(pink_2s):
     # By Parseval the weighted Welch density times the bin width is the mean square of the
     # channel band-passed forward and backward; under SILENCE_RMS**2 in either channel, a
-    # band holds no usable energy.
+    # band holds no usable energy. Weighted by 1 it is the mean square of the Hann-windowed
+    # segments, and under SILENCE_RMS**2 the channel is silent.
     quiet = delayed_copy(pink_2s, 0.43e-3).samples
     edges = [np.array([c / np.sqrt(2.0), c * np.sqrt(2.0)]) / (SR / 2) for c in (220.0, 6000.0)]
     weakest = min(np.mean(scipy_signal.sosfiltfilt(
         scipy_signal.butter(2, e, btype="bandpass", output="sos"), quiet) ** 2) for e in edges)
-    for factor in (4.0, 0.25):  # the bin width alone is a factor of 5.9
-        right = SampleBuffer(quiet * np.sqrt(factor * analysis.SILENCE_RMS ** 2 / weakest), SR)
-        for stereo in (StereoBuffer(pink_2s, right), StereoBuffer(right, pink_2s)):
-            if factor > 1:
-                assert abs(band_itd(stereo)[1]) == pytest.approx(0.43e-3, abs=ONE_SAMPLE)
-            else:
-                with pytest.raises(AnalysisError, match="no usable energy"):
-                    band_itd(stereo)
+    hann = scipy_signal.get_window("hann", 8192)
+    segments = np.lib.stride_tricks.sliding_window_view(quiet, 8192)[::4096] * hann
+    windowed = np.mean(np.sum(segments ** 2, axis=1)) / np.sum(hann ** 2)
+    rules = [(weakest, lambda s: band_itd(s)[1], AnalysisError, "no usable energy"),
+             (windowed, estimate_itd, SilentSignalError, "channel is silent")]
+    for mean_square, itd, error, match in rules:
+        for factor in (4.0, 0.25):  # the bin width alone is a factor of 5.9
+            gain = np.sqrt(factor * analysis.SILENCE_RMS ** 2 / mean_square)
+            right = SampleBuffer(quiet * gain, SR)
+            for stereo in (StereoBuffer(pink_2s, right), StereoBuffer(right, pink_2s)):
+                if factor > 1:
+                    assert abs(itd(stereo)) == pytest.approx(0.43e-3, abs=ONE_SAMPLE)
+                else:
+                    with pytest.raises(error, match=match):
+                        itd(stereo)
 
 
 @pytest.mark.parametrize("rig", [human_head(), full_dummy(), semi_dummy(), jecklin(), ortf()],
@@ -354,6 +391,12 @@ def test_calibration_time_skew_fails(pink_5s):
     assert not verdict.passed
     assert abs(verdict.delay_s) > 0.5 / SR
     assert verdict.max_abs_deviation_db < 0.5  # level match alone was fine
+
+
+def test_calibration_band_between_two_bins_is_an_error(pink_2s):
+    # 8192-point bins are 5.86 Hz apart at 48 kHz: none lies in 100..101 Hz
+    with pytest.raises(AnalysisError, match="no analysis bins inside the 100.0..101.0 Hz band"):
+        calibration_check(pink_2s, pink_2s, band=(100.0, 101.0))
 
 
 # --- ild_spectrum_summary ---------------------------------------------------
@@ -626,7 +669,6 @@ def test_welch_spectra_do_not_depend_on_how_the_capture_is_cut(fft_size, overlap
     assert got.size == whole.size and welch.length == n
     for field in ("freqs", "s_xx", "s_yy", "s_xy"):
         assert np.array_equal(getattr(got, field), getattr(whole, field), equal_nan=True), field
-    np.testing.assert_allclose(welch.energy, (np.dot(x, x), np.dot(y, y)), rtol=1e-12)
 
 
 # --- analyze_capture is its three stages ------------------------------------------
@@ -700,7 +742,7 @@ def _high_tone(stereo):
     (0.43e-3, _loud, dict(weighting="x"), ValidationError, "weighting must be"),
     (0.43e-3, _loud, dict(max_lag=np.inf), ValidationError, "finite"),
     (0.43e-3, _loud, dict(max_lag=1e-6), ValidationError, "under one sample"),
-    (0.43e-3, _loud, dict(max_lag=3.0), ValidationError, "exceeds the buffer length"),
+    (0.43e-3, _loud, dict(max_lag=3.0), ValidationError, "unweighted lag window"),
     (0.43e-3, None, dict(weighting="phat", max_lag=2049 / SR, high_hz=3e4),
      ValidationError, "PHAT lag window"),
     (3.3e-3, None, dict(weighting="phat", high_hz=3e4), AnalysisError, "outside the lag window"),
@@ -718,6 +760,17 @@ def test_analyze_capture_error_precedence(pink_2s, delay, make, kwargs, error, m
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, delay))
     with np.errstate(all="ignore"), pytest.raises(error, match=match):
         analyze_capture(make(stereo) if make else stereo, **kwargs)
+
+
+@pytest.mark.parametrize("blocks, length, match", [
+    (lambda x: [(x.reshape(2, -1), x.reshape(2, -1))], SR, "1-D and of equal length"),
+    (lambda x: [(x, x[:-1])], SR, "1-D and of equal length"),
+    (lambda x: [(x, x)], SR + 1, f"hold {SR} samples per channel, not {SR + 1}"),
+    (lambda x: [(x, x)], SR - 1, f"hold {SR} samples per channel, not {SR - 1}"),
+], ids=["2-D", "unequal", "too few", "too many"])
+def test_analyze_blocks_rejects_blocks_that_break_its_contract(pink_2s, blocks, length, match):
+    with pytest.raises(ValidationError, match=match):
+        analysis.analyze_blocks(blocks(pink_2s.samples[:SR]), length, SR)
 
 
 # --- the broadband delay from the averaged cross-spectrum ---------------------------

@@ -60,6 +60,16 @@ def test_generate_impulse(tmp_path):
     assert np.count_nonzero(buf.samples) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("sine", "--freq", 220, "--amplitude", 1.5),
+    ("impulse", "--seconds", 0.1, "--offset", 4800),
+], ids=["amplitude", "offset"])
+def test_generate_out_of_range_flag_is_usage_error(argv, tmp_path, capsys):
+    assert run("generate", *argv, "--out", tmp_path / "x.wav") == EXIT_USAGE
+    assert f"error: {argv[-2]} must lie in" in capsys.readouterr().err
+    assert not (tmp_path / "x.wav").exists()
+
+
 def test_generate_requires_out(capsys):
     assert run("generate", "pink") == EXIT_USAGE
     assert "--out" in capsys.readouterr().err
@@ -191,6 +201,18 @@ def write_delayed_noise(path, seconds, delay=10, seed=0):
             tail = joined[left.size :]
 
 
+def test_analyze_of_sound_after_the_last_segment_is_a_silent_channel(tmp_path, capsys):
+    # 1 s holds nine whole 8192-sample segments; the right channel sounds only after the last
+    pink = gen_pink_noise(1.0, seed=1)
+    right = pink.samples.copy()
+    right[:45056] = 0.0
+    path = tmp_path / "partial.wav"
+    write_wav(path, StereoBuffer(pink, SampleBuffer(right, 48000)))
+    assert run("analyze", path, "--out", tmp_path / "r.json") == EXIT_ANALYSIS
+    assert "right channel is silent" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_analyze_streams_the_capture(tmp_path):
     # The file goes through one reader step and the Welch sums, so a 120 s capture peaks
     # where a 30 s one does, under 6 MiB, far below its 92 MiB of float64 channels.
@@ -312,6 +334,17 @@ def test_simulate_repeated_config_key_is_validation_failure(tmp_path, capsys):
                "--out", tmp_path / "x.wav")
     assert code == EXIT_ANALYSIS
     assert capsys.readouterr().err == f"error: {cfg}:3: key 'mic_spacing_m' repeats line 2\n"
+    assert not (tmp_path / "x.wav").exists()
+
+
+def test_simulate_rejects_a_stereo_signal(tmp_path, capsys):
+    pink = gen_pink_noise(0.5, seed=1)
+    path = tmp_path / "st.wav"
+    write_wav(path, StereoBuffer(pink, pink))
+    code = run("simulate", "--rig", "human", "--azimuth", 30, "--signal", path,
+               "--out", tmp_path / "x.wav")
+    assert code == EXIT_ANALYSIS
+    assert "simulation needs a mono test signal" in capsys.readouterr().err
     assert not (tmp_path / "x.wav").exists()
 
 

@@ -494,6 +494,18 @@ def test_rig_config_rejects_a_repeated_key(text, key, lines, tmp_path):
     assert str(caught.value) == f"{path}:{lines[1]}: key '{key}' repeats line {lines[0]}"
 
 
+@pytest.mark.parametrize("text, match", [
+    ("kind = ortf\nmic_spacing_m 0.2\n", r":2: expected 'key = value', got 'mic_spacing_m 0.2'"),
+    ("kind = stereo_bar\n", "unknown rig kind; expected one of: "),
+    ("kind = ortf\nmic_spacing_m = 17 cm\n", "key 'mic_spacing_m' must be a number, got '17 cm'"),
+], ids=["no equals sign", "unknown kind", "not a number"])
+def test_rig_config_rejects_a_malformed_entry(text, match, tmp_path):
+    path = tmp_path / "rig.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=match):
+        load_rig_config(path)
+
+
 def test_rig_config_requires_kind(tmp_path):
     path = tmp_path / "rig.cfg"
     path.write_text("mic_spacing_m = 0.17\n", encoding="utf-8")

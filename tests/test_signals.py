@@ -350,6 +350,19 @@ def test_generators_reject_non_finite_duration(generate, duration):
         generate(duration)
 
 
+@pytest.mark.parametrize("generate", (
+    lambda d: gen_sine(440.0, d, SR), lambda d: gen_pink_noise(d, SR), lambda d: gen_impulse(d, SR),
+), ids=["sine", "pink", "impulse"])
+def test_generators_reject_a_duration_under_one_sample(generate):
+    with pytest.raises(ValidationError, match="shorter than one sample"):
+        generate(0.4 / SR)
+
+
+def test_sample_buffer_rejects_2d_samples():
+    with pytest.raises(ValidationError, match=r"one-dimensional, got shape \(2, 3\)"):
+        SampleBuffer(np.zeros((2, 3)), SR)
+
+
 @pytest.mark.parametrize("delay", (np.nan, np.inf))
 def test_fractional_delay_rejects_non_finite(delay, pink_2s):
     with pytest.raises(ValidationError, match="finite"):

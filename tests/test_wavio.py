@@ -104,9 +104,8 @@ def test_pcm24_payload_is_each_codes_low_three_bytes():
     # random codes of both signs and both full-scale edges, in either channel
     codes = np.random.default_rng(3).integers(-(1 << 23), 1 << 23, (2, 4001))
     codes[:, :4] = [[-(1 << 23), (1 << 23) - 1, -1, 0], [(1 << 23) - 1, -(1 << 23), 0, -1]]
-    payload, tag, bits = wavio._encode([c / float(1 << 23) for c in codes], "pcm24")
+    payload = wavio._encode([c / float(1 << 23) for c in codes], "pcm24")
     want = np.ascontiguousarray(codes.T, "<i4").view(np.uint8).reshape(-1, 4)[:, :3]
-    assert (tag, bits) == (wavio._TAG_PCM, 24)
     assert payload.dtype == np.uint8 and payload.tobytes() == want.tobytes()
 
 
@@ -333,6 +332,24 @@ def test_write_rejects_unknown_encoding(tmp_path):
     buf = SampleBuffer(np.zeros(4), SR)
     with pytest.raises(ValidationError):
         write_wav(tmp_path / "x.wav", buf, encoding="pcm32")
+
+
+def test_write_rejects_what_is_not_a_buffer(tmp_path):
+    with pytest.raises(ValidationError, match="expected SampleBuffer or StereoBuffer, got ndarray"):
+        write_wav(tmp_path / "x.wav", np.zeros(4))
+    assert not (tmp_path / "x.wav").exists()
+
+
+@pytest.mark.parametrize("fmt, match", [
+    (struct.pack("<HHIIH", 1, 1, SR, 2 * SR, 2), "fmt chunk too short"),
+    (struct.pack("<HHIIHHHH", 0xFFFE, 1, SR, 2 * SR, 2, 16, 22, 16),
+     "extensible fmt chunk too short"),
+], ids=["14 bytes", "extensible 20 bytes"])
+def test_read_rejects_a_short_fmt_chunk(fmt, match, tmp_path):
+    path = tmp_path / "short.wav"
+    path.write_bytes(riff((b"fmt ", fmt), (b"data", bytes(8))))
+    with pytest.raises(WavFormatError, match=match):
+        read_wav(path)
 
 
 def _raw_wav(path, fmt_tag, channels, bits, payload, rate=48000):
