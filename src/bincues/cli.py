@@ -2,7 +2,9 @@
 
 Angles are degrees at this boundary and radians inside the library. Exit
 codes are a stable contract: 0 success, 1 usage error, 2 I/O error,
-3 analysis or validation failure. Importing this module loads no numpy and no
+3 analysis or validation failure. Every subcommand writes the file --out names,
+and at most one more: --out with a fixed suffix, simulate's .json sidecar or
+analyze's and compare's .csv. Importing this module loads no numpy and no
 bincues module but errors: a subcommand imports the modules it runs when it
 runs, so a cold process pays only for its own.
 """
@@ -11,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from .errors import AnalysisError, BincuesError, WavFormatError
+from .errors import AnalysisError, BincuesError, ValidationError, WavFormatError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,7 +54,7 @@ _FLAGS = {
     "--temp": dict(type=float, default=20.0, help="air temperature in Celsius (default 20)"),
     "--seed": dict(type=int, help="noise generator seed (default 0)"),
     "--deterministic": dict(action="store_true", help="omit timestamps from reports"),
-    "--out": dict(type=Path, help="output path"),
+    "--out": dict(type=Path, help="output path (required)"),
 }
 # The generate flags that only one kind of signal reads.
 _SIGNAL_FLAGS = {"sine": ("freq", "amplitude"), "pink": ("seed",), "impulse": ("offset",)}
@@ -86,7 +89,6 @@ def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-lag-ms", type=float, default=analysis.DEFAULT_MAX_LAG_S * 1e3,
                    help="ITD lag window in ms either side of zero (default %(default)g)")
     p.add_argument("--name", help="report name (default: input file stem)")
-    p.add_argument("--csv", type=Path, help="spectrum CSV path (default: out with .csv)")
     _common_flags(p)
 
 
@@ -114,7 +116,6 @@ def _render_args(p: argparse.ArgumentParser) -> None:
 def _compare_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("baseline", type=Path)
     p.add_argument("candidates", type=Path, nargs="+")
-    p.add_argument("--csv", type=Path, help="delta table CSV path (default: out with .csv)")
     _common_flags(p)
 
 
@@ -127,10 +128,36 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _require_out(args: argparse.Namespace) -> Path:
-    if args.out is None:
+def _outputs(args: argparse.Namespace, suffix: str | None = None,
+             inputs: Iterable[Path | None] = ()) -> tuple[Path, Path | None]:
+    """--out and the one file a run writes beside it, which is --out with `suffix` (None when
+    the run writes --out alone). Raises UsageError, before the run reads or writes a file, when
+    --out is missing, when the two outputs are one file, or when either is one of `inputs`."""
+    out = args.out
+    if out is None:
         raise UsageError("--out is required for this command")
-    return args.out
+    if not out.name:
+        raise UsageError(f"--out must name a file, got {out}")
+    companion = None if suffix is None else out.with_suffix(suffix)
+    if companion is not None and _file_key(companion) == _file_key(out):
+        raise UsageError(f"--out {out} is the path of the {suffix} file written beside it;"
+                         f" give --out another suffix")
+    read = {_file_key(path): path for path in inputs if path is not None}
+    for path in (out, companion):
+        if path is not None and _file_key(path) in read:
+            raise UsageError(f"output {path} would overwrite the input {read[_file_key(path)]}")
+    return out, companion
+
+
+def _file_key(path: Path) -> object:
+    """What two paths to one file share: an existing file's device and inode, so that a hard
+    link matches too, or else the path with its symlinks and '..' resolved (a symlink loop
+    left as it is, for the write to report)."""
+    try:
+        st = path.stat()
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
 
 
 def _default(value, default):
@@ -152,7 +179,7 @@ def _report_name(doc_path: Path, doc: dict) -> str:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     from . import signals, wavio
-    out = _require_out(args)
+    out, _ = _outputs(args)
     kind, sample_rate = args.signal_kind, _default(args.sample_rate, signals.DEFAULT_SAMPLE_RATE)
     _reject_unread(args, (name for other, names in _SIGNAL_FLAGS.items() if other != kind
                           for name in names), f"by a {kind} signal")
@@ -184,6 +211,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from . import analysis, reports, wavio
+    out, csv_path = _outputs(args, ".csv", [args.wav])
     # The capture streams from the file into the Welch sums; it is never held whole.
     with wavio.WavReader(args.wav) as wav:
         if wav.channels != 2:
@@ -201,10 +229,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     doc = reports.cue_report_doc(report, metadata=meta)
 
-    out = args.out or args.wav.with_suffix(".json")
-    csv_path = args.csv or Path(out).with_suffix(".csv")
-    Path(out).write_text(reports.emit_json(doc), encoding="utf-8")
-    Path(csv_path).write_text(reports.spectrum_csv_text(report.ild_spectrum), encoding="utf-8")
+    out.write_text(reports.emit_json(doc), encoding="utf-8")
+    csv_path.write_text(reports.spectrum_csv_text(report.ild_spectrum), encoding="utf-8")
     print(f"itd {report.itd_s * 1e3:+.3f} ms  (low {report.itd_low_s * 1e3:+.3f} ms, "
           f"high {report.itd_high_s * 1e3:+.3f} ms)")
     print(f"wrote {out} and {csv_path}")
@@ -213,7 +239,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import reports, rigsim, signals, wavio
-    out = _require_out(args)
+    out, sidecar_path = _outputs(args, ".json", [args.signal, args.rig_config])
     if args.signal is not None:
         _reject_unread(args, ("seconds", "seed", "sample_rate"), "with --signal")
     if not 0.0 <= args.azimuth <= 90.0:
@@ -241,7 +267,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         source=str(args.signal) if args.signal else "pink",
     )
     sidecar = reports.simulation_sidecar_doc(rig, args.azimuth, args.temp, itd, anchors, meta)
-    sidecar_path = Path(out).with_suffix(".json")
     sidecar_path.write_text(reports.emit_json(sidecar), encoding="utf-8")
     print(f"predicted itd {itd * 1e3:+.3f} ms")
     print(f"wrote {out} and {sidecar_path}")
@@ -251,7 +276,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     import logging
     from . import render, rigsim, signals, wavio
-    out = _require_out(args)
+    out, _ = _outputs(args, inputs=[args.wav])
     if not -90.0 <= args.azimuth <= 90.0:
         raise UsageError(
             f"--azimuth must lie in -90..90 degrees (rear hemisphere unsupported), "
@@ -278,18 +303,22 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     from . import reports
-    out = _require_out(args)
+    out, csv_path = _outputs(args, ".csv", [args.baseline, *args.candidates])
     baseline = reports.load_report(args.baseline)
     candidates: dict[str, dict] = {}
+    paths: dict[str, Path] = {}  # each candidate's file, by the name that keys its deltas
     for path in args.candidates:
         doc = reports.load_report(path)
-        candidates[_report_name(path, doc)] = doc
+        name = _report_name(path, doc)
+        if name in paths:
+            raise ValidationError(f"{paths[name]} and {path} are both named '{name}'; give each"
+                                  f" candidate its own name with analyze --name")
+        candidates[name], paths[name] = doc, path
     meta = reports.build_metadata(deterministic=args.deterministic)
     doc = reports.comparison_doc(_report_name(args.baseline, baseline), baseline,
                                  candidates, metadata=meta)
-    csv_path = args.csv or Path(out).with_suffix(".csv")
-    Path(out).write_text(reports.emit_json(doc), encoding="utf-8")
-    Path(csv_path).write_text(reports.comparison_csv_text(doc), encoding="utf-8")
+    out.write_text(reports.emit_json(doc), encoding="utf-8")
+    csv_path.write_text(reports.comparison_csv_text(doc), encoding="utf-8")
     sys.stdout.write(reports.comparison_summary_text(doc))
     return EXIT_OK
 

@@ -502,6 +502,11 @@ def test_render_rejects_stereo_input(tmp_path, capsys):
 
 # --- compare -------------------------------------------------------------------
 
+def _cue_report(name, itd_s):
+    return {"schema_version": 1, "kind": "cue_report", "itd_s": itd_s,
+            "ild_octave_db": {"500": 1.5, "4000": 9.0}, "metadata": {"name": name}}
+
+
 def _make_report(tmp_path, name, itd_ms, seed):
     from bincues import apply_fractional_delay
     pink = gen_pink_noise(2.0, seed=seed)
@@ -537,6 +542,21 @@ def test_compare_orders_and_reports_deltas(tmp_path, capsys):
     assert stdout.index("near") < stdout.index("far")
     csv_text = (tmp_path / "cmp.csv").read_text()
     assert csv_text.startswith("candidate,itd_delta_s,")
+
+
+def test_compare_of_two_candidates_with_one_name_is_validation_failure(tmp_path, capsys):
+    # deltas are keyed by report name: a second 'human' would replace the first
+    (tmp_path / "a").mkdir()
+    paths = [tmp_path / "jecklin.report.json", tmp_path / "human.report.json",
+             tmp_path / "a" / "r.json"]
+    for path, name in zip(paths, ("jecklin", "human", "human")):
+        path.write_text(json.dumps(_cue_report(name, 1e-4)), encoding="utf-8")
+    out = tmp_path / "cmp.json"
+    assert run("compare", *paths, "--out", out) == EXIT_ANALYSIS
+    err = capsys.readouterr().err
+    assert f"error: {paths[1]} and {paths[2]} are both named 'human'" in err
+    assert "analyze --name" in err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 def test_compare_missing_baseline_is_io_error(tmp_path):
@@ -612,9 +632,11 @@ def test_full_workflow_simulate_analyze_compare(tmp_path):
         assert run("simulate", "--rig", rig, "--azimuth", 90, "--temp", 18,
                    "--seconds", 2, "--seed", 5, "--out", tmp_path / f"{rig}.wav") == EXIT_OK
         assert run("analyze", tmp_path / f"{rig}.wav", "--name", rig,
-                   "--out", tmp_path / f"{rig}.json") == EXIT_OK
+                   "--out", tmp_path / f"{rig}.report.json") == EXIT_OK
+        # the measurement leaves the sidecar, the prediction it is checked against, in place
+        assert json.loads((tmp_path / f"{rig}.json").read_text())["kind"] == "simulation_sidecar"
     out = tmp_path / "cmp.json"
-    assert run("compare", tmp_path / "human.json", tmp_path / "ortf.json",
+    assert run("compare", tmp_path / "human.report.json", tmp_path / "ortf.report.json",
                "--out", out) == EXIT_OK
     doc = json.loads(out.read_text())
     # spaced-pair ITD sits ~0.17 ms under the head model's broadside value
@@ -744,6 +766,8 @@ def test_help_exits_zero(capsys):
     ("compare", "a.json", "b.json", "--sample-rate", 44100),
     ("compare", "a.json", "b.json", "--temp", 18),
     ("compare", "a.json", "b.json", "--seed", 1),
+    ("analyze", "cap.wav", "--csv", "r.csv"),
+    ("compare", "a.json", "b.json", "--csv", "c.csv"),
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flag_its_handler_does_not_read_is_usage_error(argv, tmp_path, capsys):
     assert run(*argv, "--out", tmp_path / "x") == EXIT_USAGE
@@ -789,6 +813,83 @@ def test_kept_flags_reach_their_handlers(voice_wav, tmp_path):
     for temp, out in ((-20, cold), (50, warm)):
         assert run("render", voice_wav, "--azimuth", 60, "--temp", temp, "--out", out) == EXIT_OK
     assert estimate_itd(read_wav(cold)) > estimate_itd(read_wav(warm))  # sound is slower cold
+
+
+# --- outputs: --out, and at most --out with a fixed suffix ---------------------------
+
+def _files(directory):
+    return {path: path.read_bytes() for path in directory.rglob("*") if path.is_file()}
+
+
+def test_analyze_without_out_is_usage_error_and_keeps_the_sidecar(tmp_path, capsys):
+    capture = tmp_path / "cap.wav"
+    assert run("simulate", "--rig", "human", "--azimuth", 30, "--seconds", 1,
+               "--out", capture) == EXIT_OK
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert run("analyze", capture) == EXIT_USAGE
+    assert "--out is required" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
+def test_out_that_names_no_file_is_usage_error(capture_wav, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    before = _files(tmp_path)
+    assert run("analyze", capture_wav, "--out", ".") == EXIT_USAGE
+    assert "error: --out must name a file, got ." in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
+def test_out_on_a_symlink_loop_is_io_failure(voice_wav, tmp_path, capsys):
+    (tmp_path / "loop").symlink_to("loop")
+    assert run("render", voice_wav, "--azimuth", 30, "--out", tmp_path / "loop") == EXIT_IO
+    assert "Too many levels of symbolic links" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def run_inputs(tmp_path):
+    """A mono signal and a hard link to it, a stereo capture, a rig config and two cue reports:
+    what the runs read."""
+    from bincues import apply_fractional_delay
+    pink = gen_pink_noise(1.0, seed=2)
+    write_wav(tmp_path / "mono.wav", pink)
+    write_wav(tmp_path / "cap.wav", StereoBuffer(pink, apply_fractional_delay(pink, 2e-4)))
+    (tmp_path / "rig.json").write_text("kind = human\n", encoding="utf-8")
+    (tmp_path / "sub").mkdir()
+    os.link(tmp_path / "mono.wav", tmp_path / "link.wav")
+    for name, itd_s in (("a", 1e-4), ("b", 2e-4)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(_cue_report(name, itd_s)),
+                                               encoding="utf-8")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, out, problem", [
+    (("simulate", "--rig", "human", "--azimuth", 30, "--seconds", 1), "clash.json",
+     "is the path of the .json file"),
+    (("simulate", "--rig", "human", "--azimuth", 30, "--signal", "mono.wav"), "mono.wav",
+     "would overwrite the input"),
+    (("simulate", "--rig-config", "rig.json", "--azimuth", 30, "--seconds", 1), "rig.wav",
+     "would overwrite the input"),
+    (("analyze", "cap.wav"), "r.csv", "is the path of the .csv file"),
+    (("analyze", "cap.wav"), "cap.wav", "would overwrite the input"),
+    (("analyze", "cap.wav"), "sub/../cap.wav", "would overwrite the input"),
+    (("render", "mono.wav", "--azimuth", 30), "mono.wav", "would overwrite the input"),
+    (("render", "mono.wav", "--azimuth", 30), "link.wav", "would overwrite the input"),
+    (("compare", "a.json", "b.json"), "b.csv", "is the path of the .csv file"),
+    (("compare", "a.json", "b.json"), "a.json", "would overwrite the input"),
+    (("compare", "a.json", "b.json"), "b.json", "would overwrite the input"),
+], ids=["simulate-sidecar-is-out", "simulate-out-is-signal", "simulate-sidecar-is-config",
+        "analyze-csv-is-out", "analyze-out-is-wav", "analyze-out-resolves-to-wav",
+        "render-out-is-wav", "render-out-is-a-hard-link-of-wav", "compare-csv-is-out",
+        "compare-out-is-baseline", "compare-out-is-candidate"])
+def test_an_output_on_another_output_or_an_input_is_usage_error(argv, out, problem, run_inputs,
+                                                                monkeypatch, capsys):
+    monkeypatch.chdir(run_inputs)
+    before = _files(run_inputs)
+    assert run(*argv, "--out", out) == EXIT_USAGE
+    assert problem in capsys.readouterr().err
+    assert _files(run_inputs) == before
+    assert run(*argv, "--out", "fresh.out") == EXIT_OK  # the same run, on a path of its own
 
 
 def test_unknown_command_is_usage_error(capsys):
