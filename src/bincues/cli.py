@@ -82,10 +82,6 @@ def _analyze_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("wav", type=Path)
     p.add_argument("--fft-size", type=int, default=analysis.DEFAULT_FFT_SIZE)
     p.add_argument("--weighting", choices=analysis.WEIGHTINGS, default="none")
-    p.add_argument("--low-freq", type=float, default=analysis.DEFAULT_LOW_BAND_HZ,
-                   help="low probe-tone band center in Hz (default %(default)g)")
-    p.add_argument("--high-freq", type=float, default=analysis.DEFAULT_HIGH_BAND_HZ,
-                   help="high probe-tone band center in Hz (default %(default)g)")
     p.add_argument("--max-lag-ms", type=float, default=analysis.DEFAULT_MAX_LAG_S * 1e3,
                    help="ITD lag window in ms either side of zero (default %(default)g)")
     p.add_argument("--name", help="report name (default: input file stem)")
@@ -218,8 +214,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             raise AnalysisError(f"{args.wav}: cue analysis needs a stereo capture, got mono")
         report = analysis.analyze_blocks(
             wav.blocks(), wav.frames, wav.sample_rate, fft_size=args.fft_size,
-            weighting=args.weighting, low_hz=args.low_freq, high_hz=args.high_freq,
-            max_lag=args.max_lag_ms / 1000.0,
+            weighting=args.weighting, max_lag=args.max_lag_ms / 1000.0,
         )
     name = args.name or args.wav.stem
     meta = reports.build_metadata(
@@ -326,7 +321,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 # Each subcommand's help line, argument builder and handler, in the order --help lists them.
 _SUBCOMMANDS = {
     "generate": ("write a test-signal WAV", _generate_args, _cmd_generate),
-    "analyze": ("extract ITD/ILD/IPD cues from a stereo WAV", _analyze_args, _cmd_analyze),
+    "analyze": ("extract ITD and ILD cues from a stereo WAV", _analyze_args, _cmd_analyze),
     "simulate": ("synthesize a rig's two-channel capture", _simulate_args, _cmd_simulate),
     "render": ("binauralize a mono WAV", _render_args, _cmd_render),
     "compare": ("delta one or more cue reports against a baseline", _compare_args, _cmd_compare),

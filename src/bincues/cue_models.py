@@ -49,10 +49,6 @@ class HeadGeometry:
             )
         check_temperature(self.temperature_c)
 
-    @property
-    def speed_of_sound(self) -> float:
-        return speed_of_sound(self.temperature_c)
-
 
 @dataclass(frozen=True)
 class DuplexThresholds:
@@ -119,7 +115,7 @@ def itd_simple(geom: HeadGeometry, azimuth: float) -> float:
     derivation holds.
     """
     check_azimuth(azimuth)
-    return geom.radius_m * (azimuth + math.sin(azimuth)) / geom.speed_of_sound
+    return geom.radius_m * (azimuth + math.sin(azimuth)) / speed_of_sound(geom.temperature_c)
 
 
 def itd_modified(geom: HeadGeometry, azimuth: float, freq: float) -> float:

@@ -187,6 +187,7 @@ def gen_impulse(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
         raise ValidationError(f"offset must lie in [0, {n}), got {offset}")
     samples = np.zeros(n)
     samples[offset] = 1.0
+    samples.setflags(write=False)
     return SampleBuffer(samples, sample_rate)
 
 

@@ -258,6 +258,21 @@ def test_analyze_non_finite_max_lag_is_validation_failure(max_lag_ms, capture_wa
     assert "max_lag" in capsys.readouterr().err
 
 
+def test_analyze_lag_window_leaves_the_reports_unchanged(tmp_path):
+    # --max-lag-ms is the one analyze setting the report does not record, so it may bound the
+    # search but not move a number: a compare of two reports reads like for like.
+    capture = tmp_path / "jecklin.wav"
+    assert run("simulate", "--rig", "jecklin", "--azimuth", 45, "--seconds", 2,
+               "--out", capture, "--deterministic") == EXIT_OK
+    outputs = []
+    for max_lag_ms in (2, 5, 10):
+        out = tmp_path / f"lag{max_lag_ms}.json"
+        assert run("analyze", capture, "--max-lag-ms", max_lag_ms, "--name", "jecklin",
+                   "--out", out, "--deterministic") == EXIT_OK
+        outputs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 # --- simulate ------------------------------------------------------------------
 
 def test_simulate_ortf_sidecar_prediction(tmp_path):
@@ -768,11 +783,13 @@ def test_help_exits_zero(capsys):
     ("compare", "a.json", "b.json", "--seed", 1),
     ("analyze", "cap.wav", "--csv", "r.csv"),
     ("compare", "a.json", "b.json", "--csv", "c.csv"),
+    ("analyze", "cap.wav", "--low-freq", 500),
+    ("analyze", "cap.wav", "--high-freq", 4000),
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flag_its_handler_does_not_read_is_usage_error(argv, tmp_path, capsys):
     assert run(*argv, "--out", tmp_path / "x") == EXIT_USAGE
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -112,6 +112,23 @@ def test_impulse_placement():
     assert np.count_nonzero(buf.samples) == 1
 
 
+@pytest.mark.parametrize("seconds, sample_rate, offset",
+                         [(5.0, 48000, 0), (5.0, 48000, 239999), (1.3, 44100, 777)])
+def test_impulse_is_built_in_the_one_array_the_buffer_adopts(seconds, sample_rate, offset):
+    # The zeros are handed over read-only, so the buffer keeps them rather than a copy.
+    gen_impulse(0.01, sample_rate)
+    tracemalloc.start()
+    try:
+        buf = gen_impulse(seconds, sample_rate, offset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * buf.samples.nbytes, peak / buf.samples.nbytes
+    want = np.zeros(round(seconds * sample_rate))
+    want[offset] = 1.0
+    assert_same_bits(buf.samples, want)
+
+
 def test_impulse_offset_out_of_range():
     with pytest.raises(ValidationError):
         gen_impulse(0.1, SR, offset=4800)
