@@ -78,8 +78,8 @@ class CueReport:
     """Binaural cues extracted from one stereo capture.
 
     itd_s is broadband and signed (positive: right lags left); itd_low_s and
-    itd_high_s come from octave-band-weighted estimates around the low and
-    high probe tones; ild_spectrum is the right-vs-left transfer function.
+    itd_high_s are octave-band-weighted estimates at the probe tones, 220 Hz and
+    6 kHz; ild_spectrum is the right-vs-left transfer function.
     All three ITDs are finite and strictly inside their lag window.
     """
 
@@ -417,14 +417,12 @@ def ild_spectrum_summary(tf: TransferFunction,
 
 
 def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
-                    weighting: str = "none",
-                    low_hz: float = DEFAULT_LOW_BAND_HZ,
-                    high_hz: float = DEFAULT_HIGH_BAND_HZ,
-                    max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
+                    weighting: str = "none", max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
     """Full cue extraction for one stereo capture (left = reference channel).
 
     Equals its three stages called alone, sharing one Welch pass: transfer_function of
-    right against left, estimate_itd and band_itd, each with the arguments given here.
+    right against left, estimate_itd and band_itd, each with the arguments given here; the
+    band ITDs are always at the probe tones, DEFAULT_LOW_BAND_HZ and DEFAULT_HIGH_BAND_HZ.
     The broadband and band ITDs and the transfer function read one Welch pass over
     min(DEFAULT_FFT_SIZE, len) samples; at any other fft_size the transfer function takes
     a second pass. Errors come in the stages' order, except that the fft_size checks come
@@ -432,15 +430,12 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
     as one block.
     """
     return analyze_blocks([(stereo.left.samples, stereo.right.samples)], len(stereo),
-                          stereo.sample_rate, fft_size, weighting, low_hz, high_hz, max_lag)
+                          stereo.sample_rate, fft_size, weighting, max_lag)
 
 
 def analyze_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]], length: int,
                    sample_rate: int, fft_size: int = DEFAULT_FFT_SIZE,
-                   weighting: str = "none",
-                   low_hz: float = DEFAULT_LOW_BAND_HZ,
-                   high_hz: float = DEFAULT_HIGH_BAND_HZ,
-                   max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
+                   weighting: str = "none", max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
     """analyze_capture of a capture that arrives as consecutive (left, right) blocks of
     finite float64 or float32 samples, `length` in each channel and `sample_rate` Hz, with
     the same result, bit for bit, however the capture is cut. Each Welch pass holds 1.4 MiB
@@ -462,5 +457,5 @@ def analyze_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]], length: int,
     _require_sound(spectra[0], sample_rate)
     m, cc = _correlation(spectra[0], sample_rate, max_lag, weighting)
     itd = _itd_s(cc, sample_rate)
-    itd_low, itd_high = _band_itds(spectra[0], low_hz, high_hz, m, sample_rate)
-    return CueReport(itd, itd_low, itd_high, _transfer_function(spectra[-1], sample_rate))
+    low, high = _band_itds(spectra[0], DEFAULT_LOW_BAND_HZ, DEFAULT_HIGH_BAND_HZ, m, sample_rate)
+    return CueReport(itd, low, high, _transfer_function(spectra[-1], sample_rate))

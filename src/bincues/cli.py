@@ -196,6 +196,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     elif kind == "pink":
         buf = signals.gen_pink_noise(args.seconds, sample_rate, _default(args.seed, 0))
     else:
+        if args.encoding != "float32":  # a PCM code stops short of the impulse's 1.0
+            raise UsageError(f"--encoding {args.encoding} cannot hold an impulse; use float32")
         offset, n = _default(args.offset, 0), args.seconds * sample_rate
         if math.isfinite(n) and not 0 <= offset < round(n):  # gen_impulse rejects an overflow
             raise UsageError(f"--offset must lie in [0, {round(n)}), got {offset}")

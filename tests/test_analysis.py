@@ -714,52 +714,88 @@ def test_analyze_capture_spectral_passes(pink_2s, monkeypatch, weighting, fft_si
 
 
 def _loud(stereo):
-    return StereoBuffer(*(SampleBuffer(c.samples * 1e160, SR) for c in (stereo.left, stereo.right)))
+    return StereoBuffer(*(SampleBuffer(c.samples * 1e160, c.sample_rate)
+                          for c in (stereo.left, stereo.right)))
 
 
 def _silent_right(stereo):
-    return StereoBuffer(stereo.left, SampleBuffer(np.zeros(len(stereo)), SR))
+    return StereoBuffer(stereo.left, SampleBuffer(np.zeros(len(stereo)), stereo.sample_rate))
 
 
 def _short(stereo):
-    return StereoBuffer(*(SampleBuffer(c.samples[:4096], SR) for c in (stereo.left, stereo.right)))
+    return StereoBuffer(*(SampleBuffer(c.samples[:4096], c.sample_rate)
+                          for c in (stereo.left, stereo.right)))
 
 
-def _high_tone(stereo):
-    tone = gen_sine(6000.0, 2.0, SR)  # nothing in the 220 Hz octave
-    return StereoBuffer(tone, delayed_copy(tone, 0.43e-3))
-
-
-# Each case breaks two or more rules; the first in analyze_capture's order wins: the fft_size
-# checks, a silent channel, the weighting and max_lag, the ITD, then the bands. That is the
-# order of its three stages called in turn, so sharing one Welch pass must not reorder them.
-@pytest.mark.parametrize("delay, make, kwargs, error, match", [
+# The rules analyze_capture checks before the bands, in its order: the fft_size checks, a silent
+# channel, the weighting and max_lag, then the ITD. That is the order of its three stages called
+# in turn, so sharing one Welch pass must not reorder them. Each case breaks one of these rules or
+# more, and the first wins; the parameters hold at 16 kHz as at 48 kHz.
+_BEFORE_THE_BANDS = [
     (0.43e-3, _silent_right, dict(fft_size=3, weighting="x"), ValidationError, "power of two"),
-    (0.43e-3, _silent_right, dict(fft_size=256, weighting="x"), ValidationError, "under 4x"),
+    (0.43e-3, _silent_right, dict(fft_size=64, weighting="x"), ValidationError, "under 4x"),
     (0.43e-3, _short, dict(weighting="x"), ValidationError, "shorter than fft_size"),
-    (0.43e-3, _loud, dict(fft_size=256), ValidationError, "under 4x"),
+    (0.43e-3, _loud, dict(fft_size=64), ValidationError, "under 4x"),
     (0.43e-3, _silent_right, dict(weighting="x", max_lag=np.nan), SilentSignalError, "silent"),
     (0.43e-3, _loud, dict(weighting="x"), ValidationError, "weighting must be"),
     (0.43e-3, _loud, dict(max_lag=np.inf), ValidationError, "finite"),
     (0.43e-3, _loud, dict(max_lag=1e-6), ValidationError, "under one sample"),
     (0.43e-3, _loud, dict(max_lag=3.0), ValidationError, "unweighted lag window"),
-    (0.43e-3, None, dict(weighting="phat", max_lag=2049 / SR, high_hz=3e4),
-     ValidationError, "PHAT lag window"),
-    (3.3e-3, None, dict(weighting="phat", high_hz=3e4), AnalysisError, "outside the lag window"),
-    (0.43e-3, _loud, dict(weighting="phat", high_hz=3e4), AnalysisError, "overflowed"),
-    (0.43e-3, _loud, dict(high_hz=3e4), AnalysisError, "overflowed"),
-    (3.3e-3, None, dict(low_hz=3e4), AnalysisError, "outside the lag window"),
-    (0.43e-3, None, dict(max_lag=2049 / SR, low_hz=3e4), ValidationError, "unweighted lag window"),
-    (0.43e-3, None, dict(low_hz=3e4, high_hz=2e4), ValidationError, "30000.0 Hz.*Nyquist"),
-    (0.43e-3, _high_tone, dict(high_hz=3e4), AnalysisError, "no usable energy in the 220 Hz"),
-    (0.43e-3, None, dict(weighting="phat", high_hz=3e4), ValidationError, "30000.0 Hz.*Nyquist"),
-    (3.3e-3, None, dict(fft_size=512, max_lag=0.005, high_hz=3e4),
-     ValidationError, "30000.0 Hz.*Nyquist"),
-])
+    (0.43e-3, None, dict(weighting="phat", max_lag=0.2), ValidationError, "PHAT lag window"),
+    (3.3e-3, None, dict(weighting="phat"), AnalysisError, "outside the lag window"),
+    (0.43e-3, _loud, dict(weighting="phat"), AnalysisError, "overflowed"),
+    (0.43e-3, _loud, {}, AnalysisError, "overflowed"),
+    (3.3e-3, None, {}, AnalysisError, "outside the lag window"),
+    (0.43e-3, None, dict(max_lag=0.2), ValidationError, "unweighted lag window"),
+]
+
+
+@pytest.mark.parametrize("delay, make, kwargs, error, match", _BEFORE_THE_BANDS)
 def test_analyze_capture_error_precedence(pink_2s, delay, make, kwargs, error, match):
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, delay))
     with np.errstate(all="ignore"), pytest.raises(error, match=match):
         analyze_capture(make(stereo) if make else stereo, **kwargs)
+
+
+def _band_breaking_capture(kind, sample_rate, delay):
+    """2 s of pink noise that fails a band rule: at 16 kHz the 6 kHz octave's top edge is above
+    Nyquist, and high-passed above 5 kHz it leaves the 220 Hz octave silent."""
+    pink = gen_pink_noise(2.0, sample_rate, seed=3)
+    if kind == "high-passed":
+        pink = apply_spectral_gain(pink, lambda f: np.where(f > 5000.0, 0.0, -np.inf))
+    return StereoBuffer(pink, delayed_copy(pink, delay))
+
+
+# The bands come last: each rule before them wins over either band rule, which wins when no
+# earlier rule is broken. The low band is checked first, so a high-passed 16 kHz capture, which
+# breaks both bands, fails at 220 Hz.
+@pytest.mark.parametrize("delay, make, kwargs, error, match", _BEFORE_THE_BANDS + [
+    (0.43e-3, None, {}, None, None),
+    (0.43e-3, None, dict(weighting="phat"), None, None),
+])
+@pytest.mark.parametrize("kind, sample_rate, band_error, band_match", [
+    ("pink", 16000, ValidationError, "octave band around 6000.0 Hz does not fit below Nyquist"),
+    ("high-passed", SR, AnalysisError, "no usable energy in the 220 Hz octave band"),
+    ("high-passed", 16000, AnalysisError, "no usable energy in the 220 Hz octave band"),
+], ids=["pink-16kHz", "high-passed-48kHz", "high-passed-16kHz"])
+def test_analyze_capture_checks_the_bands_last(kind, sample_rate, band_error, band_match,
+                                               delay, make, kwargs, error, match):
+    stereo = _band_breaking_capture(kind, sample_rate, delay)
+    with np.errstate(all="ignore"), pytest.raises(error or band_error, match=match or band_match):
+        analyze_capture(make(stereo) if make else stereo, **kwargs)
+
+
+# ...but before the broadband delay's lag rule, last of all: at the smallest fft_size the checks
+# accept, a 3.3 ms delay is outside the transfer function's window and inside half its segment.
+@pytest.mark.parametrize("kind, sample_rate, fft_size, error, match", [
+    ("pink", 16000, 128, ValidationError, "6000.0 Hz does not fit below Nyquist"),
+    ("high-passed", SR, 512, AnalysisError, "no usable energy in the 220 Hz octave band"),
+], ids=["pink-16kHz", "high-passed-48kHz"])
+def test_analyze_capture_checks_the_bands_before_the_broadband_delay(kind, sample_rate, fft_size,
+                                                                      error, match):
+    stereo = _band_breaking_capture(kind, sample_rate, 3.3e-3)
+    with pytest.raises(error, match=match):
+        analyze_capture(stereo, fft_size=fft_size, max_lag=0.005)
 
 
 @pytest.mark.parametrize("blocks, length, match", [

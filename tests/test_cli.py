@@ -60,6 +60,18 @@ def test_generate_impulse(tmp_path):
     assert np.count_nonzero(buf.samples) == 1
 
 
+@pytest.mark.parametrize("encoding", ["pcm16", "pcm24"])
+def test_generate_impulse_in_pcm_is_usage_error(encoding, tmp_path, capsys):
+    out = tmp_path / "imp.wav"
+    assert run("generate", "impulse", "--seconds", 0.1, "--encoding", encoding,
+               "--out", out) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--encoding" in err and "float32" in err
+    assert not out.exists()
+    assert run("generate", "impulse", "--seconds", 0.1, "--encoding", "float32",
+               "--out", out) == EXIT_OK
+
+
 @pytest.mark.parametrize("argv", [
     ("sine", "--freq", 220, "--amplitude", 1.5),
     ("impulse", "--seconds", 0.1, "--offset", 4800),
@@ -271,6 +283,17 @@ def test_analyze_lag_window_leaves_the_reports_unchanged(tmp_path):
                    "--out", out, "--deterministic") == EXIT_OK
         outputs.append((out.read_bytes(), out.with_suffix(".csv").read_bytes()))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_analyze_of_a_22khz_capture_is_validation_failure(tmp_path, capsys):
+    # a report's top octave, at 8 kHz, reaches 11.31 kHz, past a 22.05 kHz capture's Nyquist
+    capture = tmp_path / "cap.wav"
+    assert run("simulate", "--rig", "jecklin", "--azimuth", 45, "--seconds", 1,
+               "--sample-rate", 22050, "--out", capture) == EXIT_OK
+    out = tmp_path / "r.json"
+    assert run("analyze", capture, "--out", out) == EXIT_ANALYSIS
+    assert "octave band around 8000 Hz is outside the analyzed range" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 # --- simulate ------------------------------------------------------------------
