@@ -402,14 +402,21 @@ def calibration_check(ref: SampleBuffer, meas: SampleBuffer, tolerance_db: float
     return CalibrationVerdict(passed, max_dev, worst_freq, tf.broadband_delay_s)
 
 
+def octave_bands(centers: Iterable[float], lowest_hz: float, highest_hz: float) -> list[tuple]:
+    """(center, center / sqrt 2, center * sqrt 2) Hz per center; ValidationError for the first
+    band that leaves lowest_hz..highest_hz."""
+    bands = [(center, center / np.sqrt(2.0), center * np.sqrt(2.0)) for center in centers]
+    for center, lo, hi in bands:
+        if lo < lowest_hz or hi > highest_hz:
+            raise ValidationError(f"octave band around {center:g} Hz is outside the analyzed range")
+    return bands
+
+
 def ild_spectrum_summary(tf: TransferFunction,
                          bands: tuple[float, ...] = DEFAULT_OCTAVE_CENTERS) -> dict[float, float]:
     """Energy-averaged magnitude per octave band, keyed by band center in Hz."""
     out: dict[float, float] = {}
-    for center in bands:
-        lo, hi = center / np.sqrt(2.0), center * np.sqrt(2.0)
-        if lo < tf.freqs[0] or hi > tf.freqs[-1]:
-            raise ValidationError(f"octave band around {center:g} Hz is outside the analyzed range")
+    for center, lo, hi in octave_bands(bands, tf.freqs[0], tf.freqs[-1]):
         mask = (tf.freqs >= lo) & (tf.freqs < hi)
         power = np.mean(10.0 ** (tf.magnitude_db[mask] / 10.0))
         out[center] = float(10.0 * np.log10(power))

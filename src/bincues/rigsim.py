@@ -2,11 +2,11 @@
 
 Each rig predicts an ITD and, in ear_gains, the two ears' gains for a far-field
 source at a given azimuth: the one level model that the ILD prediction, the
-shadow FIR, the far ear and the capture all read. A rig can synthesize a
-two-channel capture of a test signal so the analysis pipeline can be exercised
-end to end. Head-based rigs use the spherical-head arc model; spaced rigs use
-the free-field path difference, optionally stretched by a fitted path_extension
-that stands in for baffle diffraction.
+shadow FIR, the far ear and the capture all read. place_arrivals, the one path by
+which sources reach the ears, synthesizes a capture, so the analysis pipeline can be
+exercised end to end, and a render. Head-based rigs use the spherical-head arc model;
+spaced rigs use the free-field path difference, optionally stretched by a fitted
+path_extension that stands in for baffle diffraction.
 """
 
 from __future__ import annotations
@@ -171,6 +171,13 @@ def predicted_itd(rig: RigSpec, src: SourceSpec, temperature_c: float = 20.0) ->
     return free_field if rig.path_extension is None else rig.path_extension * free_field
 
 
+def _near_gain(rig: RigSpec, azimuth: float) -> float:
+    """ear_gains' near gain, flat in frequency, so read with no shadow curve evaluated."""
+    if rig.kind is not RigKind.ORTF:
+        return 1.0
+    return 0.5 * (1.0 + math.cos(azimuth - math.radians(rig.capsule_angle_deg / 2.0)))
+
+
 def ear_gains(rig: RigSpec, azimuth: float, freq) -> tuple[float, float | np.ndarray]:
     """The rig's real (near, far) ear gains at azimuth in [0, pi/2] and freq, a scalar or an
     array of positive, finite frequencies: the one level model of a rig. Head and baffled
@@ -180,8 +187,7 @@ def ear_gains(rig: RigSpec, azimuth: float, freq) -> tuple[float, float | np.nda
         return 1.0, 10.0 ** (-head_shadow_ild(rig.shadow, azimuth, freq) / 20.0)
     check_azimuth(azimuth)
     check_frequency(freq)
-    half = math.radians(rig.capsule_angle_deg / 2.0)
-    return 0.5 * (1.0 + math.cos(azimuth - half)), 0.5 * (1.0 + math.cos(azimuth + half))
+    return _near_gain(rig, azimuth), _near_gain(rig, -azimuth)  # far: the mirrored source's near
 
 
 def predicted_ild_db(rig: RigSpec, src: SourceSpec, freq: float) -> float:
@@ -236,25 +242,44 @@ def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
     return _scaled(apply_fractional_delay(signal, itd).samples, kernel)
 
 
-def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,
-                     temperature_c: float = 20.0) -> StereoBuffer:
-    """Synthesize the rig's two-channel capture of a test signal.
-
-    The near (left) channel takes the unit path and the far (right) channel
-    comes from far_ear; a near gain other than 1 (ORTF's) then scales both.
-    At azimuth 0 both channels are identical by construction. A near channel at
-    unit gain shares the signal's array.
-    """
+def place_arrivals(arrivals: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (left, right) ears, as long as the longest signal, of a sum of arrivals
+    (signal, rig, azimuth in [-pi/2, pi/2] and negative to the right, gain, temperature_c):
+    the near ear is the signal times the gain (its own array at unit gain), the far ear
+    far_ear times the gain (the near ear's array at azimuth 0), swapped at a negative
+    azimuth. Later arrivals add into zero-padded copies of the first's ears. On ORTF the
+    callers differ only in the gain: a capture passes the rig's near gain, so both ears take
+    their cardioid gains, and a render its output gain, so the near capsule counts as unit
+    gain. ValidationError: no arrivals, mixed sample rates or an empty signal."""
+    if len(rates := {arrival[0].sample_rate for arrival in arrivals}) != 1:
+        raise ValidationError(f"need arrivals of one sample rate, got rates {sorted(rates)}")
+    if len(arrivals) > 1:  # float64 copies of the first's ears, which the later ones add into
+        n = max(len(arrival[0]) for arrival in arrivals)
+        ears = [np.append(ear, np.zeros(n - ear.size)) for ear in place_arrivals(arrivals[:1])]
+        for arrival in arrivals[1:]:
+            for mix, ear in zip(ears, place_arrivals([arrival])):
+                mix[: ear.size] += ear
+            del ear  # before the next arrival is placed
+        for mix in ears:
+            mix.setflags(write=False)
+        return ears[0], ears[1]
+    [(signal, rig, azimuth, gain, temperature_c)] = arrivals
     if len(signal) == 0:
         raise ValidationError("signal is empty")
-    sr = signal.sample_rate
-    near = signal.samples
-    far = near if src.azimuth_rad == 0.0 else far_ear(rig, src.azimuth_rad, signal, temperature_c)
-    gain = ear_gains(rig, src.azimuth_rad, sr / 2.0)[0]  # every kind's near gain is flat
-    if gain != 1.0:  # both ears; the signal's array stays as it is
-        near = _scaled(near.astype(np.float64), gain)
-        far = near if far is signal.samples else _scaled(far, gain)
-    return StereoBuffer(SampleBuffer(near, sr), SampleBuffer(far, sr))
+    # the far ear first, so that no fresh near ear is held through its convolution
+    far = far_ear(rig, abs(azimuth), signal, temperature_c) if azimuth else None
+    near = signal.samples if gain == 1.0 else np.multiply(gain, signal.samples, dtype=np.float64)
+    near.setflags(write=False)  # a fresh near ear, scaled in one pass, is handed on read-only
+    far = near if far is None else far if gain == 1.0 else _scaled(far, gain)
+    return (far, near) if azimuth < 0 else (near, far)
+
+
+def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,
+                     temperature_c: float = 20.0) -> StereoBuffer:
+    """The rig's capture of a signal, near ear left: one arrival at the rig's near gain."""
+    ears = place_arrivals([(signal, rig, src.azimuth_rad, _near_gain(rig, src.azimuth_rad),
+                            temperature_c)])
+    return StereoBuffer(*(SampleBuffer(ear, signal.sample_rate) for ear in ears))
 
 
 def fit_path_extension(rig_kind: RigKind, measured_itd_s: float, azimuth: float,

@@ -182,6 +182,21 @@ def test_a_hot_solo_render_logs_its_normalization(pink_2s, caplog):
     assert max(np.max(np.abs(out.left.samples)), np.max(np.abs(out.right.samples))) == 1.0
 
 
+@pytest.mark.parametrize("gain_db", (0.0, -6.0))
+def test_a_negative_zero_sample_keeps_its_sign(gain_db, pink_2s):
+    # A near ear is the gain times the source and a scene adds into padded copies of its first
+    # source's ears: a sum into zeros would turn -0.0 into +0.0. Sample 30000 lies past the
+    # end of the shorter second source.
+    samples = pink_2s.samples.copy()
+    samples[[100, 30000]] = -0.0
+    source = SampleBuffer(samples, SR)
+    spec = RenderSpec(azimuth_rad=math.radians(30), gain_db=gain_db)
+    assert np.signbit(binauralize(source, spec).left.samples[100])
+    short = gen_pink_noise(0.5, SR, seed=4)
+    scene = binauralize_scene([(source, spec), (short, RenderSpec(azimuth_rad=-0.5))])
+    assert np.signbit(scene.left.samples[30000])
+
+
 def test_scene_pads_shorter_sources(pink_2s):
     short = gen_pink_noise(0.5, SR, seed=4)
     scene = binauralize_scene([(pink_2s, RenderSpec(gain_db=-6.0)),

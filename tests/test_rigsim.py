@@ -14,10 +14,10 @@ from bincues import (HeadGeometry, RenderSpec, RigKind, RigSpec, SampleBuffer, S
                      ear_gains, estimate_itd, far_ear, fit_path_extension, full_dummy,
                      gen_pink_noise,
                      head_shadow_ild, human_head, ild_spectrum_summary, jecklin, load_rig_config,
-                     ortf, predicted_ild_db, predicted_itd, shadow_filter_kernel, semi_dummy,
-                     simulate_capture, transfer_function)
+                     ortf, predicted_ild_db, predicted_itd, rigsim, shadow_filter_kernel,
+                     semi_dummy, simulate_capture, transfer_function)
 from bincues.reports import rig_to_dict
-from bincues.rigsim import rig_fields
+from bincues.rigsim import place_arrivals, rig_fields
 
 SR = 48000
 HALF_PI = math.pi / 2
@@ -261,6 +261,27 @@ def test_capture_allocates_each_channel_once(rig, held, peak, pink_5s):
 def test_capture_rejects_empty_signal():
     with pytest.raises(ValidationError):
         simulate_capture(ortf(), BROADSIDE, SampleBuffer(np.zeros(0), SR))
+
+
+def test_a_shadowed_capture_evaluates_its_shadow_curve_once(pink_2s, monkeypatch):
+    # The far ear's FIR design reads the shadow curve; the near gain is flat and needs none.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return head_shadow_ild(*args)
+
+    monkeypatch.setattr(rigsim, "head_shadow_ild", counted)
+    simulate_capture(human_head(), SourceSpec(azimuth_rad=math.radians(30.0)), pink_2s)
+    assert len(calls) == 1
+
+
+def test_place_arrivals_needs_arrivals_of_one_rate(pink_2s):
+    other = gen_pink_noise(0.5, 44100, seed=9)
+    for arrivals in ([], [(pink_2s, human_head(), 0.5, 1.0, 20.0),
+                          (other, human_head(), 0.5, 1.0, 20.0)]):
+        with pytest.raises(ValidationError, match="one sample rate"):
+            place_arrivals(arrivals)
 
 
 # --- fit_path_extension -----------------------------------------------------
