@@ -89,16 +89,6 @@ class CueReport:
     ild_spectrum: TransferFunction
 
 
-def _lag_samples(max_lag: float, sample_rate: int) -> int:
-    """The lag window max_lag in whole samples, at least one."""
-    lag = max_lag * sample_rate
-    if not np.isfinite(lag):
-        raise ValidationError(f"max_lag must be finite, got {max_lag}")
-    if round(lag) < 1:
-        raise ValidationError(f"max_lag {max_lag} s is under one sample period")
-    return int(round(lag))
-
-
 @dataclass(frozen=True)
 class _Spectra:
     """Welch's spectral densities of left x and right y."""
@@ -191,10 +181,26 @@ class _Welch:
                         s_xx, s_yy, s_xy)
 
 
-def _fit_window(size: int, max_lag: int, what: str) -> None:
-    if size < 4 * max_lag:
-        raise ValidationError(f"the {what} lag window ({max_lag} samples) does not fit four times"
-                              f" in its {size}-sample segment; narrow max_lag (--max-lag-ms)")
+def _check_args(length: int, sample_rate: int, weighting: str, max_lag: float,
+                centers: Iterable[float] = (), fft_size: int | None = None) -> tuple[int, list]:
+    """An analysis call's argument rules, checked before it reads a sample: fft_size's (else a
+    capture must not be empty), the weighting, max_lag, then the probe bands at `centers`.
+    Returns max_lag in whole samples, four of which fit in the ITDs' segment, and the bands."""
+    if fft_size is not None:
+        _check_fft_size(fft_size, length, sample_rate)
+    elif not length:
+        raise ValidationError("the capture is empty")
+    if weighting not in WEIGHTINGS:
+        raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
+    lag = max_lag * sample_rate
+    if not np.isfinite(lag):
+        raise ValidationError(f"max_lag must be finite, got {max_lag}")
+    if (m := int(round(lag))) < 1:
+        raise ValidationError(f"max_lag {max_lag} s is under one sample period")
+    if (size := min(DEFAULT_FFT_SIZE, length)) < 4 * m:
+        raise ValidationError(f"the lag window ({m} samples) does not fit four times in its"
+                              f" {size}-sample segment; narrow max_lag (--max-lag-ms)")
+    return m, octave_bands(centers, 0.0, sample_rate / 2)
 
 
 def _lag_window(s: np.ndarray, size: int, max_lag: int,
@@ -213,24 +219,17 @@ def _lag_window(s: np.ndarray, size: int, max_lag: int,
 def _welch(stereo: StereoBuffer, fft_size: int = 0) -> _Welch:
     """One accumulator fed both channels whole, as views; by default over the segments the
     ITDs read, DEFAULT_FFT_SIZE samples or all of a shorter capture."""
-    if not len(stereo):
-        raise ValidationError("the capture is empty")
     welch = _Welch(fft_size or min(DEFAULT_FFT_SIZE, len(stereo)), stereo.sample_rate)
     welch.update(stereo.left.samples, stereo.right.samples)
     return welch
 
 
-def _correlation(spectra: _Spectra, sr: int, max_lag: float,
-                 weighting: str) -> tuple[int, np.ndarray]:
-    """(max_lag in samples, window) of cross_correlation, read off `spectra`."""
-    if weighting not in WEIGHTINGS:
-        raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    m = _lag_samples(max_lag, sr)
-    _fit_window(spectra.size, m, "PHAT" if weighting == "phat" else "unweighted")
+def _correlation(spectra: _Spectra, max_lag: int, weighting: str) -> np.ndarray:
+    """The window of cross_correlation over lags -max_lag..max_lag, read off `spectra`."""
     s = spectra.s_xy
     if weighting == "phat":
         s = s / np.maximum(np.abs(s), np.abs(s).max() * 1e-12 + np.finfo(np.float64).tiny)
-    return m, _lag_window(s, spectra.size, m)
+    return _lag_window(s, spectra.size, max_lag)
 
 
 def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
@@ -242,11 +241,11 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     Welch-averaged cross-spectrum over DEFAULT_FFT_SIZE segments (one segment
     when the buffer is shorter), weighted by 1 for "none" and whitened for
     "phat". The window must fit four times in a segment (42.7 ms at 48 kHz)
-    or ValidationError is raised; AnalysisError is raised when the whole
-    circular correlation peaks outside the window.
+    or ValidationError is raised before any sample is read; AnalysisError is
+    raised when the whole circular correlation peaks outside the window.
     """
-    m, cc = _correlation(_welch(stereo).spectra(), stereo.sample_rate, max_lag, weighting)
-    return np.arange(-m, m + 1), cc
+    m, _ = _check_args(len(stereo), stereo.sample_rate, weighting, max_lag)
+    return np.arange(-m, m + 1), _correlation(_welch(stereo).spectra(), m, weighting)
 
 
 def _itd_s(cc: np.ndarray, sample_rate: int, widen: str = "max_lag (--max-lag-ms)") -> float:
@@ -291,34 +290,28 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     the bin width, is under SILENCE_RMS ** 2 raises SilentSignalError; a
     correlation that peaks outside the window, or whose peak is not finite or
     sits on the window's first or last lag, raises AnalysisError."""
+    m, _ = _check_args(len(stereo), stereo.sample_rate, weighting, max_lag)
     spectra, sr = _welch(stereo).spectra(), stereo.sample_rate
     _require_sound(spectra, sr)
-    return _itd_s(_correlation(spectra, sr, max_lag, weighting)[1], sr)
+    return _itd_s(_correlation(spectra, m, weighting), sr)
 
 
-def _octave_response(freqs: np.ndarray, center_hz: float, sample_rate: int) -> np.ndarray:
-    """|H|^2 of butter(2, [c / sqrt(2), c * sqrt(2)], "bandpass"), the fourth-order octave
-    Butterworth: with t = tan(pi f / fs), 1 / (1 + ((t^2 - t_lo t_hi) / (t (t_hi - t_lo)))^4)."""
-    lo, hi, nyq = center_hz / np.sqrt(2.0), center_hz * np.sqrt(2.0), sample_rate / 2.0
-    if not 0.0 < lo < hi < nyq:
-        raise ValidationError(f"octave band around {center_hz} Hz does not fit below Nyquist"
-                              f" ({nyq} Hz)")
+def _octave_response(freqs: np.ndarray, lo: float, hi: float, sample_rate: int) -> np.ndarray:
+    """|H|^2 of butter(2, [lo, hi], "bandpass") over an octave from octave_bands: with
+    t = tan(pi f / fs), 1 / (1 + ((t^2 - t_lo t_hi) / (t (t_hi - t_lo)))^4)."""
     t, t_lo, t_hi = (np.tan(np.pi * f / sample_rate) for f in (freqs, lo, hi))
     passed = (t * (t_hi - t_lo)) ** 4  # multiplied through, so DC reads 0 without dividing by 0
     return passed / (passed + (t * t - t_lo * t_hi) ** 4)
 
 
-def _band_itds(spectra: _Spectra, low_hz: float, high_hz: float, max_lag: int,
-               sample_rate: int) -> tuple[float, float]:
-    _fit_window(spectra.size, max_lag, "band")
+def _band_itds(spectra: _Spectra, bands: list, max_lag: int, sample_rate: int) -> tuple:
     results = []
-    for center in (low_hz, high_hz):
-        w = _octave_response(spectra.freqs, center, sample_rate) ** 2  # |H|^2 forward, backward
+    for center, lo, hi in bands:
+        w = _octave_response(spectra.freqs, lo, hi, sample_rate) ** 2  # |H|^2 forward, backward
         if any(_silent(spectra, sample_rate, w)):
             raise AnalysisError(f"no usable energy in the {center:g} Hz octave band")
-        cc = _lag_window(w * spectra.s_xy, spectra.size, max_lag)
-        results.append(_itd_s(cc, sample_rate))
-    return results[0], results[1]
+        results.append(_itd_s(_lag_window(w * spectra.s_xy, spectra.size, max_lag), sample_rate))
+    return tuple(results)
 
 
 def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
@@ -329,12 +322,12 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
     Band-passing both channels forward and backward with a fourth-order, octave-wide
     Butterworth centered on the tone weights their cross-spectrum by |H|^4, which is
     real and so adds no delay. Each band ITD is estimate_itd's rule on the Welch
-    cross-spectrum of estimate_itd's segments times that weight, so the window must fit four
-    times in a segment, and the band's whole circular correlation must peak inside it.
-    Raises AnalysisError when a band holds no usable energy.
+    cross-spectrum of estimate_itd's segments times that weight. Before any sample is read,
+    ValidationError is raised unless the window fits four times in a segment and each octave
+    lies below Nyquist; AnalysisError is raised when a band holds no usable energy.
     """
-    sr = stereo.sample_rate
-    return _band_itds(_welch(stereo).spectra(), low_hz, high_hz, _lag_samples(max_lag, sr), sr)
+    m, bands = _check_args(len(stereo), stereo.sample_rate, "none", max_lag, (low_hz, high_hz))
+    return _band_itds(_welch(stereo).spectra(), bands, m, stereo.sample_rate)
 
 
 def _check_fft_size(fft_size: int, n: int, sample_rate: int) -> None:
@@ -403,21 +396,26 @@ def calibration_check(ref: SampleBuffer, meas: SampleBuffer, tolerance_db: float
 
 
 def octave_bands(centers: Iterable[float], lowest_hz: float, highest_hz: float) -> list[tuple]:
-    """(center, center / sqrt 2, center * sqrt 2) Hz per center; ValidationError for the first
-    band that leaves lowest_hz..highest_hz."""
+    """(center, center / sqrt 2, center * sqrt 2) Hz per center, the one place an octave's
+    edges live; ValidationError for the first band whose edges do not lie strictly inside
+    lowest_hz..highest_hz, as a NaN or non-positive center's never do."""
     bands = [(center, center / np.sqrt(2.0), center * np.sqrt(2.0)) for center in centers]
     for center, lo, hi in bands:
-        if lo < lowest_hz or hi > highest_hz:
-            raise ValidationError(f"octave band around {center:g} Hz is outside the analyzed range")
+        if not lowest_hz < lo < hi < highest_hz:
+            raise ValidationError(f"octave band around {center:g} Hz is outside the analyzed range"
+                                  f" ({lowest_hz:g}..{highest_hz:g} Hz)")
     return bands
 
 
 def ild_spectrum_summary(tf: TransferFunction,
                          bands: tuple[float, ...] = DEFAULT_OCTAVE_CENTERS) -> dict[float, float]:
-    """Energy-averaged magnitude per octave band, keyed by band center in Hz."""
+    """Energy-averaged magnitude per octave band, keyed by band center in Hz; ValidationError
+    for a band outside the spectrum or holding none of its bins."""
     out: dict[float, float] = {}
     for center, lo, hi in octave_bands(bands, tf.freqs[0], tf.freqs[-1]):
         mask = (tf.freqs >= lo) & (tf.freqs < hi)
+        if not mask.any():
+            raise ValidationError(f"no analysis bin in the octave band around {center:g} Hz")
         power = np.mean(10.0 ** (tf.magnitude_db[mask] / 10.0))
         out[center] = float(10.0 * np.log10(power))
     return out
@@ -432,9 +430,9 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
     band ITDs are always at the probe tones, DEFAULT_LOW_BAND_HZ and DEFAULT_HIGH_BAND_HZ.
     The broadband and band ITDs and the transfer function read one Welch pass over
     min(DEFAULT_FFT_SIZE, len) samples; at any other fft_size the transfer function takes
-    a second pass. Errors come in the stages' order, except that the fft_size checks come
-    first and the broadband delay's lag rule last. It is analyze_blocks of the whole capture
-    as one block.
+    a second pass. Every argument rule comes before any sample is read, then the samples' rules
+    in the stages' order, but for the broadband delay's lag rule last. It is analyze_blocks of
+    the whole capture as one block.
     """
     return analyze_blocks([(stereo.left.samples, stereo.right.samples)], len(stereo),
                           stereo.sample_rate, fft_size, weighting, max_lag)
@@ -446,10 +444,12 @@ def analyze_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]], length: int,
     """analyze_capture of a capture that arrives as consecutive (left, right) blocks of
     finite float64 or float32 samples, `length` in each channel and `sample_rate` Hz, with
     the same result, bit for bit, however the capture is cut. Each Welch pass holds 1.4 MiB
-    at the default fft_size and peaks at 1.76 MiB, whatever the length; ValidationError is
-    raised, after the fft_size checks, when the blocks do not add up to `length`.
+    at the default fft_size and peaks at 1.76 MiB, whatever the length. No block is drawn
+    before the arguments are checked; ValidationError is raised when they do not add up to
+    `length`.
     """
-    _check_fft_size(fft_size, length, sample_rate)
+    m, bands = _check_args(length, sample_rate, weighting, max_lag,
+                           (DEFAULT_LOW_BAND_HZ, DEFAULT_HIGH_BAND_HZ), fft_size)
     # the ITDs' segment size first, then the transfer function's when it differs
     sizes = dict.fromkeys((min(DEFAULT_FFT_SIZE, length), fft_size))
     passes = [_Welch(size, sample_rate) for size in sizes]
@@ -462,7 +462,6 @@ def analyze_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]], length: int,
     spectra = [welch.spectra() for welch in passes]
     del passes, welch  # the accumulators' buffers go before the lag windows are read
     _require_sound(spectra[0], sample_rate)
-    m, cc = _correlation(spectra[0], sample_rate, max_lag, weighting)
-    itd = _itd_s(cc, sample_rate)
-    low, high = _band_itds(spectra[0], DEFAULT_LOW_BAND_HZ, DEFAULT_HIGH_BAND_HZ, m, sample_rate)
+    itd = _itd_s(_correlation(spectra[0], m, weighting), sample_rate)
+    low, high = _band_itds(spectra[0], bands, m, sample_rate)
     return CueReport(itd, low, high, _transfer_function(spectra[-1], sample_rate))

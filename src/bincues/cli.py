@@ -199,7 +199,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         if args.encoding != "float32":  # a PCM code stops short of the impulse's 1.0
             raise UsageError(f"--encoding {args.encoding} cannot hold an impulse; use float32")
         offset, n = _default(args.offset, 0), args.seconds * sample_rate
-        if math.isfinite(n) and not 0 <= offset < round(n):  # gen_impulse rejects an overflow
+        # under one sample or past the float range, gen_impulse's duration rules name the fault
+        if 0.5 < n < math.inf and not 0 <= offset < round(n):
             raise UsageError(f"--offset must lie in [0, {round(n)}), got {offset}")
         buf = signals.gen_impulse(args.seconds, sample_rate, offset)
     wavio.write_wav(out, buf, encoding=args.encoding)
@@ -210,21 +211,17 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from . import analysis, reports, signals, wavio
     out, csv_path = _outputs(args, ".csv", [args.wav])
-    # The capture streams from the file into the Welch sums; it is never held whole.
     with wavio.WavReader(args.wav) as wav:
         if wav.channels != 2:
             raise AnalysisError(f"{args.wav}: cue analysis needs a stereo capture, got mono")
-        # the report's octaves lie in the 0..Nyquist bins: checked before any Welch pass
+        # the report's octaves must lie in the 0..Nyquist bins, and analyze_blocks checks its
+        # own arguments, before the capture streams from the file into the Welch sums
         analysis.octave_bands(signals.DEFAULT_OCTAVE_CENTERS, 0.0, wav.sample_rate / 2)
-        report = analysis.analyze_blocks(
-            wav.blocks(), wav.frames, wav.sample_rate, fft_size=args.fft_size,
-            weighting=args.weighting, max_lag=args.max_lag_ms / 1000.0,
-        )
-    name = args.name or args.wav.stem
+        report = analysis.analyze_blocks(wav, wav.frames, wav.sample_rate, fft_size=args.fft_size,
+                                         weighting=args.weighting, max_lag=args.max_lag_ms / 1000.0)
     meta = reports.build_metadata(
-        deterministic=args.deterministic, name=name, source=str(args.wav),
-        sample_rate=wav.sample_rate, fft_size=args.fft_size,
-        weighting=args.weighting,
+        deterministic=args.deterministic, name=args.name or args.wav.stem, source=str(args.wav),
+        sample_rate=wav.sample_rate, fft_size=args.fft_size, weighting=args.weighting,
     )
     doc = reports.cue_report_doc(report, metadata=meta)
 

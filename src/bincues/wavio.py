@@ -108,8 +108,8 @@ class WavReader:
 
     Opening walks the chunk headers with seeks and checks the format, so `channels`,
     `sample_rate` and `frames` (samples per channel) are known before any sample is read.
-    It is a context manager that closes the file. Raises WavFormatError for malformed
-    files, unsupported encodings, more than two channels or a zero sample rate.
+    It is a context manager that closes the file, and iterating it draws blocks(). Raises
+    WavFormatError for malformed files, unsupported encodings, over two channels or a 0 Hz rate.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -126,6 +126,9 @@ class WavReader:
 
     def __exit__(self, *exc_info: object) -> None:
         self._fh.close()
+
+    def __iter__(self) -> Iterator[list[np.ndarray]]:
+        return self.blocks()
 
     def _read_header(self) -> None:
         path, fh = self.path, self._fh

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -339,10 +340,13 @@ def test_band_itds_of_a_short_capture_land_within_a_sample(rig):
 @pytest.mark.parametrize("center", [220.0, 1000.0, 6000.0])
 def test_octave_response_is_the_butterworth_design(center, sample_rate):
     freqs = np.fft.rfftfreq(8192, 1.0 / sample_rate)
-    edges = np.array([center / np.sqrt(2.0), center * np.sqrt(2.0)]) / (sample_rate / 2.0)
-    sos = scipy_signal.butter(2, edges, btype="bandpass", output="sos")
+    edges = [center / np.sqrt(2.0), center * np.sqrt(2.0)]
+    [band] = analysis.octave_bands((center,), 0.0, sample_rate / 2.0)
+    assert band == (center, *edges)
+    sos = scipy_signal.butter(2, np.array(edges) / (sample_rate / 2.0), btype="bandpass",
+                              output="sos")
     _, h = scipy_signal.sosfreqz(sos, worN=freqs, fs=sample_rate)
-    np.testing.assert_allclose(analysis._octave_response(freqs, center, sample_rate),
+    np.testing.assert_allclose(analysis._octave_response(freqs, *edges, sample_rate),
                                np.abs(h) ** 2, rtol=0, atol=1e-11)
 
 
@@ -351,7 +355,7 @@ def test_band_lag_window_must_fit_four_times_in_its_segment(pink_2s):
     # 8192-sample segments: 2048 lags (42.7 ms at 48 kHz) fit, 2049 do not
     for itd in band_itd(stereo, max_lag=2048 / SR):
         assert itd == pytest.approx(0.43e-3, abs=ONE_SAMPLE)
-    with pytest.raises(ValidationError, match="band lag window.*does not fit four times"):
+    with pytest.raises(ValidationError, match="lag window.*does not fit four times"):
         band_itd(stereo, max_lag=2049 / SR)
     with pytest.raises(ValidationError, match="does not fit four times"):
         analyze_capture(stereo, max_lag=2049 / SR)
@@ -431,6 +435,19 @@ def test_summary_band_outside_range_errors():
     tf = flat_tf(0.0, f_max=10000.0)
     with pytest.raises(ValidationError):
         ild_spectrum_summary(tf, bands=(16000.0,))
+
+
+@pytest.mark.parametrize("center, match", [
+    (np.nan, "octave band around nan Hz is outside"),
+    (0.0, "octave band around 0 Hz is outside"),
+    (1.0, "no analysis bin in the octave band around 1 Hz"),  # 0.71..1.41 Hz, under one bin
+])
+def test_summary_of_a_band_with_no_bin_is_an_error(pink_2s, center, match):
+    tf = transfer_function(pink_2s, pink_2s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no mean of an empty slice
+        with pytest.raises(ValidationError, match=match):
+            ild_spectrum_summary(tf, (center,))
 
 
 # --- analyze_capture --------------------------------------------------------
@@ -727,30 +744,44 @@ def _short(stereo):
                           for c in (stereo.left, stereo.right)))
 
 
-# The rules analyze_capture checks before the bands, in its order: the fft_size checks, a silent
-# channel, the weighting and max_lag, then the ITD. That is the order of its three stages called
-# in turn, so sharing one Welch pass must not reorder them. Each case breaks one of these rules or
-# more, and the first wins; the parameters hold at 16 kHz as at 48 kHz.
-_BEFORE_THE_BANDS = [
-    (0.43e-3, _silent_right, dict(fft_size=3, weighting="x"), ValidationError, "power of two"),
+# The argument rules, in analyze_capture's order: the fft_size checks, the weighting and
+# max_lag; the probe bands' fit against the rate comes last of them, below. Each case breaks one
+# of these rules or more, and the first wins over them and over every rule of the samples. The
+# parameters hold at 16 kHz as at 48 kHz.
+_ARGUMENT_RULES = [
+    (3.3e-3, _silent_right, dict(fft_size=3, weighting="x"), ValidationError, "power of two"),
     (0.43e-3, _silent_right, dict(fft_size=64, weighting="x"), ValidationError, "under 4x"),
     (0.43e-3, _short, dict(weighting="x"), ValidationError, "shorter than fft_size"),
     (0.43e-3, _loud, dict(fft_size=64), ValidationError, "under 4x"),
-    (0.43e-3, _silent_right, dict(weighting="x", max_lag=np.nan), SilentSignalError, "silent"),
+    (0.43e-3, _silent_right, dict(weighting="x", max_lag=np.nan), ValidationError,
+     "weighting must be"),
     (0.43e-3, _loud, dict(weighting="x"), ValidationError, "weighting must be"),
+    (0.43e-3, _silent_right, dict(max_lag=np.nan), ValidationError, "finite"),
     (0.43e-3, _loud, dict(max_lag=np.inf), ValidationError, "finite"),
-    (0.43e-3, _loud, dict(max_lag=1e-6), ValidationError, "under one sample"),
-    (0.43e-3, _loud, dict(max_lag=3.0), ValidationError, "unweighted lag window"),
-    (0.43e-3, None, dict(weighting="phat", max_lag=0.2), ValidationError, "PHAT lag window"),
+    (3.3e-3, _loud, dict(max_lag=1e-6), ValidationError, "under one sample"),
+    (0.43e-3, _loud, dict(max_lag=3.0), ValidationError, "lag window.*does not fit four times"),
+    (0.43e-3, None, dict(weighting="phat", max_lag=0.2), ValidationError,
+     "lag window.*does not fit four times"),
+    (3.3e-3, _silent_right, dict(max_lag=0.2), ValidationError,
+     "lag window.*does not fit four times"),
+]
+
+# The samples' rules that come before the bands', in the stages' order: a silent channel, then
+# the ITD's lag rules. That is the order of estimate_itd and band_itd called in turn, so sharing
+# one Welch pass must not reorder them.
+_SAMPLE_RULES = [
+    (3.3e-3, _silent_right, dict(weighting="phat"), SilentSignalError, "silent"),
+    (3.3e-3, _silent_right, {}, SilentSignalError, "silent"),
     (3.3e-3, None, dict(weighting="phat"), AnalysisError, "outside the lag window"),
     (0.43e-3, _loud, dict(weighting="phat"), AnalysisError, "overflowed"),
     (0.43e-3, _loud, {}, AnalysisError, "overflowed"),
     (3.3e-3, None, {}, AnalysisError, "outside the lag window"),
-    (0.43e-3, None, dict(max_lag=0.2), ValidationError, "unweighted lag window"),
 ]
 
+_NO_RULE = [(0.43e-3, None, {}), (0.43e-3, None, dict(weighting="phat"))]
 
-@pytest.mark.parametrize("delay, make, kwargs, error, match", _BEFORE_THE_BANDS)
+
+@pytest.mark.parametrize("delay, make, kwargs, error, match", _ARGUMENT_RULES + _SAMPLE_RULES)
 def test_analyze_capture_error_precedence(pink_2s, delay, make, kwargs, error, match):
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, delay))
     with np.errstate(all="ignore"), pytest.raises(error, match=match):
@@ -766,36 +797,96 @@ def _band_breaking_capture(kind, sample_rate, delay):
     return StereoBuffer(pink, delayed_copy(pink, delay))
 
 
-# The bands come last: each rule before them wins over either band rule, which wins when no
-# earlier rule is broken. The low band is checked first, so a high-passed 16 kHz capture, which
-# breaks both bands, fails at 220 Hz.
-@pytest.mark.parametrize("delay, make, kwargs, error, match", _BEFORE_THE_BANDS + [
-    (0.43e-3, None, {}, None, None),
-    (0.43e-3, None, dict(weighting="phat"), None, None),
-])
-@pytest.mark.parametrize("kind, sample_rate, band_error, band_match", [
-    ("pink", 16000, ValidationError, "octave band around 6000.0 Hz does not fit below Nyquist"),
-    ("high-passed", SR, AnalysisError, "no usable energy in the 220 Hz octave band"),
-    ("high-passed", 16000, AnalysisError, "no usable energy in the 220 Hz octave band"),
-], ids=["pink-16kHz", "high-passed-48kHz", "high-passed-16kHz"])
-def test_analyze_capture_checks_the_bands_last(kind, sample_rate, band_error, band_match,
-                                               delay, make, kwargs, error, match):
-    stereo = _band_breaking_capture(kind, sample_rate, delay)
-    with np.errstate(all="ignore"), pytest.raises(error or band_error, match=match or band_match):
+_BAND_FIT = (ValidationError,
+             r"octave band around 6000 Hz is outside the analyzed range \(0\.\.8000 Hz\)")
+_BAND_ENERGY = (AnalysisError, "no usable energy in the 220 Hz octave band")
+
+
+# A band's fit against the rate is the last argument rule: each argument rule before it wins,
+# and it wins over every rule of the samples, so a high-passed 16 kHz capture, which breaks
+# both bands, fails at the 6 kHz band's fit.
+@pytest.mark.parametrize("delay, make, kwargs, error, match", _ARGUMENT_RULES + [
+    (*case[:3], *_BAND_FIT) for case in _SAMPLE_RULES + _NO_RULE])
+@pytest.mark.parametrize("kind", ["pink", "high-passed"])
+def test_analyze_capture_checks_the_band_fit_last_of_the_arguments(kind, delay, make, kwargs,
+                                                                   error, match):
+    stereo = _band_breaking_capture(kind, 16000, delay)
+    with np.errstate(all="ignore"), pytest.raises(error, match=match):
         analyze_capture(make(stereo) if make else stereo, **kwargs)
 
 
-# ...but before the broadband delay's lag rule, last of all: at the smallest fft_size the checks
+# A band's energy is a rule of the samples, after the ITD's: every rule above wins over it,
+# and it wins when none is broken.
+@pytest.mark.parametrize("delay, make, kwargs, error, match", _ARGUMENT_RULES + _SAMPLE_RULES + [
+    (*case, *_BAND_ENERGY) for case in _NO_RULE])
+def test_analyze_capture_checks_the_band_energy_after_the_itd(delay, make, kwargs, error, match):
+    stereo = _band_breaking_capture("high-passed", SR, delay)
+    with np.errstate(all="ignore"), pytest.raises(error, match=match):
+        analyze_capture(make(stereo) if make else stereo, **kwargs)
+
+
+# ...and before the broadband delay's lag rule, last of all: at the smallest fft_size the checks
 # accept, a 3.3 ms delay is outside the transfer function's window and inside half its segment.
 @pytest.mark.parametrize("kind, sample_rate, fft_size, error, match", [
-    ("pink", 16000, 128, ValidationError, "6000.0 Hz does not fit below Nyquist"),
-    ("high-passed", SR, 512, AnalysisError, "no usable energy in the 220 Hz octave band"),
+    ("pink", 16000, 128, *_BAND_FIT),
+    ("high-passed", SR, 512, *_BAND_ENERGY),
 ], ids=["pink-16kHz", "high-passed-48kHz"])
 def test_analyze_capture_checks_the_bands_before_the_broadband_delay(kind, sample_rate, fft_size,
                                                                       error, match):
     stereo = _band_breaking_capture(kind, sample_rate, 3.3e-3)
     with pytest.raises(error, match=match):
         analyze_capture(stereo, fft_size=fft_size, max_lag=0.005)
+
+
+@pytest.fixture()
+def no_sample_read(monkeypatch):
+    """Fails the test when a Welch accumulator is fed a block."""
+    def update(self, x, y):
+        raise AssertionError("a sample was read")
+
+    monkeypatch.setattr(analysis._Welch, "update", update)
+
+
+class _UnreadBlocks:
+    """Blocks that fail the test when the first is drawn."""
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        raise AssertionError("a block was drawn")
+
+
+@pytest.mark.parametrize("sample_rate, kwargs, match", [
+    (SR, dict(fft_size=3), "power of two"),
+    (SR, dict(weighting="x"), "weighting must be"),
+    (SR, dict(max_lag=np.nan), "finite"),
+    (SR, dict(max_lag=np.inf), "finite"),
+    (SR, dict(max_lag=1e-6), "under one sample"),
+    (SR, dict(max_lag=0.2), "does not fit four times"),
+    (16000, {}, "octave band around 6000 Hz"),
+])
+def test_analyze_blocks_checks_its_arguments_before_it_draws_a_block(no_sample_read, sample_rate,
+                                                                     kwargs, match):
+    with pytest.raises(ValidationError, match=match):
+        analysis.analyze_blocks(_UnreadBlocks(), 2 * sample_rate, sample_rate, **kwargs)
+
+
+@pytest.mark.parametrize("call, kwargs, match", [
+    (cross_correlation, dict(weighting="x"), "weighting must be"),
+    (cross_correlation, dict(max_lag=0.2), "does not fit four times"),
+    (estimate_itd, dict(weighting="phat", max_lag=np.nan), "finite"),
+    (estimate_itd, dict(max_lag=1e-6), "under one sample"),
+    (band_itd, dict(max_lag=np.inf), "finite"),
+    (band_itd, dict(max_lag=0.2), "does not fit four times"),
+    (band_itd, dict(high_hz=20000.0), "octave band around 20000 Hz"),
+    (band_itd, dict(low_hz=0.0), "octave band around 0 Hz"),
+    (analyze_capture, dict(max_lag=0.2), "does not fit four times"),
+])
+def test_a_stage_checks_its_arguments_before_it_reads_a_sample(pink_2s, no_sample_read, call,
+                                                              kwargs, match):
+    with pytest.raises(ValidationError, match=match):
+        call(StereoBuffer(pink_2s, pink_2s), **kwargs)
 
 
 @pytest.mark.parametrize("blocks, length, match", [
@@ -938,5 +1029,5 @@ def test_phat_lag_window_must_fit_four_times_in_its_segment(pink_2s):
     assert estimate_itd(short, 1200 / SR, "phat") == pytest.approx(0.43e-3, abs=ONE_SAMPLE)
     with pytest.raises(ValidationError, match="in its 4800-sample segment"):
         estimate_itd(short, 1201 / SR, "phat")
-    with pytest.raises(ValidationError, match="unweighted lag window.*4800-sample segment"):
+    with pytest.raises(ValidationError, match=r"lag window \(1201 samples\).*4800-sample segment"):
         estimate_itd(short, 1201 / SR)

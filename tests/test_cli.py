@@ -82,6 +82,16 @@ def test_generate_out_of_range_flag_is_usage_error(argv, tmp_path, capsys):
     assert not (tmp_path / "x.wav").exists()
 
 
+def test_generate_impulse_shorter_than_a_sample_names_the_duration(tmp_path, capsys):
+    # as for pink noise, the duration is the fault, not the default offset 0 past its end
+    out = tmp_path / "x.wav"
+    for kind in ("impulse", "pink"):
+        assert run("generate", kind, "--seconds", 0.00001, "--out", out) == EXIT_ANALYSIS
+        assert ("duration 1e-05 s is shorter than one sample at 48000 Hz"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
 def test_generate_requires_out(capsys):
     assert run("generate", "pink") == EXIT_USAGE
     assert "--out" in capsys.readouterr().err
@@ -462,6 +472,20 @@ def test_analyze_wide_pair_needs_a_wider_lag_window(wide_pair, tmp_path, capsys)
     assert run("analyze", capture, "--out", tmp_path / "r.json") == EXIT_ANALYSIS
     assert "--max-lag-ms" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_analyze_oversized_lag_window_reads_no_sample(wide_pair, tmp_path, capsys, monkeypatch):
+    # a 50 ms window does not fit four times in an 8192-sample segment: the argument rule
+    # fails before the capture's blocks are drawn, and nothing is written
+    def blocks(*args, **kwargs):
+        raise AssertionError("the capture was read")
+
+    monkeypatch.setattr(wavio.WavReader, "blocks", blocks)
+    capture, _ = wide_pair
+    out = tmp_path / "r.json"
+    assert run("analyze", capture, "--max-lag-ms", 50, "--out", out) == EXIT_ANALYSIS
+    assert "--max-lag-ms" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 def test_analyze_wide_pair_under_phat_needs_a_wider_lag_window(wide_pair, tmp_path, capsys):
