@@ -57,10 +57,7 @@ class SampleBuffer:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        rate = self.sample_rate
-        if not float(rate).is_integer() or int(rate) <= 0:
-            raise ValidationError(f"sample_rate must be a positive integer, got {rate!r}")
-        object.__setattr__(self, "sample_rate", int(rate))
+        object.__setattr__(self, "sample_rate", _rate(self.sample_rate))
         samples = self.samples
         if not (type(samples) is np.ndarray and samples.dtype in (np.float64, np.float32)
                 and samples.base is None and not samples.flags.writeable):
@@ -105,8 +102,16 @@ class StereoBuffer:
         return StereoBuffer(left=self.right, right=self.left)
 
 
+def _rate(sample_rate: int) -> int:
+    """sample_rate as an int; ValidationError unless it is a positive integer."""
+    if not float(sample_rate).is_integer() or int(sample_rate) <= 0:
+        raise ValidationError(f"sample_rate must be a positive integer, got {sample_rate!r}")
+    return int(sample_rate)
+
+
 def _num_samples(duration: float, sample_rate: int) -> int:
-    """duration in whole samples, from 1 up to _MAX_SAMPLES."""
+    """duration in whole samples, from 1 up to _MAX_SAMPLES, at a valid sample_rate."""
+    sample_rate = _rate(sample_rate)
     if not 0 < duration < np.inf:
         raise ValidationError(f"duration must be positive and finite, got {duration}")
     if duration * sample_rate > _MAX_SAMPLES:
@@ -125,7 +130,7 @@ def gen_sine(freq: float, duration: float, sample_rate: int = DEFAULT_SAMPLE_RAT
     freq must lie strictly between 0 and the Nyquist frequency; amplitude is
     the peak value in 0..1.
     """
-    if not 0.0 < freq < sample_rate / 2:
+    if not 0.0 < freq < _rate(sample_rate) / 2:
         raise ValidationError(
             f"freq must satisfy 0 < freq < {sample_rate / 2:g} Hz (Nyquist), got {freq}"
         )

@@ -63,7 +63,8 @@ def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
 
     The data chunk is encoded and written in whole-frame steps that hold about 1 MiB: their
     codes and, for PCM, one channel's float64 scaled samples. A PCM sample whose code would
-    overflow raises ClippingError before the file is opened.
+    overflow raises ClippingError, and a byte rate or file size past the header's 32-bit fields
+    ValidationError, before the file is opened.
     """
     if isinstance(buffer, StereoBuffer):
         channels = [buffer.left.samples, buffer.right.samples]
@@ -82,15 +83,21 @@ def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
                 raise ClippingError(f"samples exceed the {bits}-bit PCM range; reduce level or use float32")
     rate, frames = buffer.sample_rate, channels[0].size
     block_align = len(channels) * bits // 8
-    data_bytes = frames * block_align
+    byte_rate, data_bytes = rate * block_align, frames * block_align
+    # "WAVE", the fmt chunk (24 bytes), float32's fact chunk (12), the data chunk's header (8)
+    # and its padded data: the RIFF size, which bounds the data size
+    riff_size = 4 + 24 + 12 * (tag == _TAG_FLOAT) + 8 + data_bytes + data_bytes % 2
+    if max(byte_rate, riff_size) > 2**32 - 1:
+        raise ValidationError(f"a WAV header holds a byte rate and a RIFF size up to 2**32 - 1;"
+                              f" {len(channels)} {encoding} channel(s) of {frames} samples at"
+                              f" {rate} Hz need {byte_rate} and {riff_size}")
 
-    header = b"fmt " + struct.pack("<IHHIIHH", 16, tag, len(channels), rate, rate * block_align,
+    header = b"fmt " + struct.pack("<IHHIIHH", 16, tag, len(channels), rate, byte_rate,
                                    block_align, bits)
     if tag == _TAG_FLOAT:
         header += b"fact" + struct.pack("<II", 4, frames)
     header += b"data" + struct.pack("<I", data_bytes)
     pad = b"\x00" * (data_bytes % 2)
-    riff_size = 4 + len(header) + data_bytes + len(pad)
     # A step's codes and a PCM step's float64 scratch fit in _CHUNK_BYTES; pcm24's byte planes
     # replace the scratch and are smaller.
     step = _CHUNK_BYTES // (len(channels) * np.dtype(dtype).itemsize + 8 * (tag == _TAG_PCM))

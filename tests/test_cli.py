@@ -116,6 +116,30 @@ def test_generate_overlong_seconds_is_validation_failure(kind, tmp_path, capsys)
     assert not (tmp_path / "x.wav").exists()
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("generate", "pink"), EXIT_ANALYSIS, "sample_rate must be a positive integer, got 0"),
+    (("generate", "impulse"), EXIT_ANALYSIS, "sample_rate must be a positive integer, got 0"),
+    (("simulate", "--rig", "human", "--azimuth", 30, "--seconds", 1), EXIT_ANALYSIS,
+     "sample_rate must be a positive integer, got 0"),
+    # a sine's --freq is checked against the rate's Nyquist frequency, so its flag is named
+    (("generate", "sine", "--freq", 100), EXIT_USAGE, "--freq must lie strictly between 0 and"),
+], ids=["pink", "impulse", "simulate", "sine"])
+def test_a_zero_sample_rate_names_the_rule_it_breaks(argv, code, message, tmp_path, capsys):
+    assert run(*argv, "--sample-rate", 0, "--out", tmp_path / "x.wav") == code
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "impulse", "--sample-rate", 5_000_000_000, "--seconds", 1e-9),
+    ("simulate", "--rig", "ortf", "--azimuth", 30, "--sample-rate", 600_000_000, "--seconds", 1e-8),
+], ids=["generate", "simulate"])
+def test_a_rate_past_the_wav_header_fields_is_validation_failure(argv, tmp_path, capsys):
+    assert run(*argv, "--out", tmp_path / "x.wav") == EXIT_ANALYSIS
+    assert "a WAV header holds a byte rate and a RIFF size up to" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # neither the WAV nor the sidecar
+
+
 @pytest.mark.parametrize("argv", [("generate", "pink", "--seed", -1),
                                   ("simulate", "--rig", "human", "--azimuth", 30, "--seconds", 1,
                                    "--seed", -5)])
@@ -149,23 +173,35 @@ def test_analyze_reports_constructed_itd(capture_wav, tmp_path, capsys):
     assert len(csv_lines) > 1000
 
 
-def test_analyze_identical_channels(tmp_path):
+@pytest.mark.parametrize("weighting", ["none", "phat"])
+def test_analyze_identical_channels(tmp_path, weighting):
     pink = gen_pink_noise(3.0, seed=8)
     path = tmp_path / "same.wav"
     write_wav(path, StereoBuffer(pink, pink))
     out = tmp_path / "same.json"
-    assert run("analyze", path, "--out", out) == EXIT_OK
+    assert run("analyze", path, "--weighting", weighting, "--out", out) == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["itd_s"] == 0.0
     assert all(abs(v) < 1e-6 for v in doc["ild_octave_db"].values())
 
 
-def test_analyze_deterministic_outputs_are_byte_identical(capture_wav, tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert run("analyze", capture_wav, "--out", a, "--deterministic") == EXIT_OK
-    assert run("analyze", capture_wav, "--out", b, "--deterministic") == EXIT_OK
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{capture}"),
+    ("simulate", "--rig", "jecklin", "--azimuth", 45, "--signal", "{mono}"),
+    ("simulate", "--rig", "human", "--azimuth", 30, "--seconds", 1),
+    ("render", "{mono}", "--azimuth", 30),
+], ids=["analyze", "simulate-signal", "simulate-pink", "render"])
+def test_deterministic_outputs_are_byte_identical(argv, capture_wav, tmp_path):
+    # every file a run writes, the overlap-add convolutions' WAVs included, has the same bytes
+    # from run to run
+    mono = tmp_path / "pink.wav"
+    write_wav(mono, gen_pink_noise(1.0, seed=1))
+    argv = [{"{capture}": capture_wav, "{mono}": mono}.get(a, a) for a in argv]
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        assert run(*argv, "--out", tmp_path / name / "out.x", "--deterministic") == EXIT_OK
+    outputs = [{path.name: data for path, data in _files(tmp_path / name).items()} for name in "ab"]
+    assert outputs[0] == outputs[1] and len(outputs[0]) == (1 if argv[0] == "render" else 2)
 
 
 def test_analyze_without_deterministic_has_timestamp(capture_wav, tmp_path):
@@ -358,13 +394,17 @@ def test_simulate_with_rig_config(tmp_path):
     assert sidecar["predicted_itd_s"] == pytest.approx(2 * 0.496e-3, abs=2e-6)
 
 
-def test_simulate_bad_config_key_is_validation_failure(tmp_path, capsys):
+@pytest.mark.parametrize("config, key", [("kind = ortf\nnot_a_knob = 1\n", "not_a_knob"),
+                                         ("kind = jecklin\ndisc_diameter_m = 0.33\n",
+                                          "disc_diameter_m")],  # which no model reads
+                         ids=["unknown-key", "disc-diameter"])
+def test_simulate_bad_config_key_is_validation_failure(config, key, tmp_path, capsys):
     cfg = tmp_path / "rig.cfg"
-    cfg.write_text("kind = ortf\nnot_a_knob = 1\n", encoding="utf-8")
+    cfg.write_text(config, encoding="utf-8")
     code = run("simulate", "--rig-config", cfg, "--azimuth", 90,
                "--out", tmp_path / "x.wav")
     assert code == EXIT_ANALYSIS
-    assert "not_a_knob" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_simulate_rig_config_that_is_not_text_is_validation_failure(tmp_path, capsys):
@@ -536,10 +576,11 @@ def test_render_round_trip_at_45_degrees(voice_wav, tmp_path):
 
 
 def test_render_zero_azimuth_identical_channels(voice_wav, tmp_path):
+    # both ears are one array, which the scene loop places and peak-limits once
     out = tmp_path / "mid.wav"
     assert run("render", voice_wav, "--azimuth", 0, "--out", out) == EXIT_OK
     rendered = read_wav(out)
-    assert np.array_equal(rendered.left.samples, rendered.right.samples)
+    assert rendered.left.samples.tobytes() == rendered.right.samples.tobytes()
 
 
 def test_render_rejects_rear_hemisphere(voice_wav, tmp_path, capsys):
@@ -556,17 +597,22 @@ def test_render_nan_gain_is_usage_error(voice_wav, tmp_path, capsys):
     assert not (tmp_path / "x.wav").exists()
 
 
-def test_a_clipping_render_prints_one_warning_each_call(tmp_path, capsys):
+@pytest.mark.parametrize("azimuth", [0, 30])
+def test_a_clipping_render_prints_one_warning_each_call(azimuth, tmp_path, capsys):
     # The render's clip notice reaches stderr through the handler that render attaches for its
-    # call, and only for that call: a second in-process run prints its own line, not two.
+    # call, and only for that call: a second in-process run prints its own line, not two. The
+    # peak rule holds on the median plane too: a source peaking at 1.5 renders at 1.0.
     pink = gen_pink_noise(1.0, seed=1).samples
     hot = tmp_path / "hot.wav"
     write_wav(hot, SampleBuffer(pink * (1.5 / np.max(np.abs(pink))), 48000))
     for _ in range(2):
-        assert run("render", hot, "--azimuth", 30, "--out", tmp_path / "b.wav") == EXIT_OK
+        assert run("render", hot, "--azimuth", azimuth, "--out", tmp_path / "b.wav") == EXIT_OK
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("warning: scene mix clipped; normalized by 0.")
+        rendered = read_wav(tmp_path / "b.wav")
+        peak = max(np.max(np.abs(c.samples)) for c in (rendered.left, rendered.right))
+        assert 0.99 <= peak <= 1.0, peak
 
 
 def test_render_rejects_stereo_input(tmp_path, capsys):
@@ -719,6 +765,61 @@ def test_full_workflow_simulate_analyze_compare(tmp_path):
     assert doc["deltas"]["ortf"]["itd_delta_s"] == pytest.approx(-0.172e-3, abs=0.05e-3)
 
 
+@pytest.mark.parametrize("rig, azimuth, encoding, seconds", [
+    ("jecklin", 45, "float32", 1), ("human", 30, None, 1), ("ortf", 37, "float32", 1),
+    ("jecklin", 45, "pcm16", 30), ("jecklin", 45, "pcm24", 30),
+], ids=["jecklin", "human-builtin", "ortf", "jecklin-pcm16", "jecklin-pcm24"])
+def test_a_simulated_capture_lands_on_its_sidecar(rig, azimuth, encoding, seconds, tmp_path):
+    # The loop under the README's names: simulate writes the capture and its sidecar, and
+    # analyze a report of its own beside them. Under both weightings every ITD lands within a
+    # sample period of the sidecar's prediction, and the two broadband ITDs within one of each
+    # other; every octave ILD lands within 0.5 dB of its predicted_ild_db. The signal is a
+    # generated pink file (a PCM one of 30 s spans many of the reader's 1 MiB steps) or, with
+    # no encoding, simulate's built-in pink.
+    capture = tmp_path / f"{rig}.wav"
+    if encoding is None:
+        signal = ("--seconds", seconds)
+    else:
+        signal = ("--signal", tmp_path / "pink.wav")
+        assert run("generate", "pink", "--seconds", seconds, "--seed", 1, "--encoding", encoding,
+                   "--out", signal[1]) == EXIT_OK
+    assert run("simulate", "--rig", rig, "--azimuth", azimuth, *signal, "--out", capture,
+               "--deterministic") == EXIT_OK
+    reports = {}
+    for weighting in ("none", "phat"):
+        out = tmp_path / f"{rig}.{weighting}.report.json"
+        assert run("analyze", capture, "--weighting", weighting, "--out", out,
+                   "--deterministic") == EXIT_OK
+        reports[weighting] = json.loads(out.read_text())
+    sidecar = json.loads(capture.with_suffix(".json").read_text())
+    assert sidecar["kind"] == "simulation_sidecar"
+    for report in reports.values():
+        for key in ("itd_s", "itd_low_s", "itd_high_s"):
+            assert report[key] == pytest.approx(sidecar["predicted_itd_s"], abs=1 / 48000), key
+    assert abs(reports["none"]["itd_s"] - reports["phat"]["itd_s"]) <= 1 / 48000
+    predicted, measured = sidecar["predicted_ild_db"], reports["none"]["ild_octave_db"]
+    assert len(predicted) == 6 and predicted.keys() == measured.keys()
+    for band, level in measured.items():
+        assert -level == pytest.approx(predicted[band], abs=0.5), band
+
+
+def test_the_readme_rig_config_simulates_and_its_sidecar_echoes_it(tmp_path):
+    # README's example is a valid config, and the sidecar describes the rig with exactly its
+    # keys and values, shadow.* nested under shadow
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(readme.split("### Rig config files", 1)[1].split("```\n", 2)[1],
+                   encoding="utf-8")
+    out = tmp_path / "readme.wav"
+    assert run("simulate", "--rig-config", cfg, "--azimuth", 45, "--seconds", 1, "--out", out,
+               "--deterministic") == EXIT_OK
+    rig = json.loads(out.with_suffix(".json").read_text())["rig"]
+    rig.update({f"shadow.{key}": value for key, value in rig.pop("shadow", {}).items()})
+    lines = (line.split("#", 1)[0] for line in cfg.read_text(encoding="utf-8").splitlines())
+    config = dict((part.strip() for part in line.split("=")) for line in lines if line.strip())
+    assert rig == {key: value if key == "kind" else float(value) for key, value in config.items()}
+
+
 # --- scipy stays out of the runtime ---------------------------------------------
 
 def _python(code, *args):
@@ -771,6 +872,10 @@ print(*sorted(m[8:] for m in sys.modules if m.startswith("bincues.")), "numpy" i
                    *args).splitlines()[-1]
 
 
+# a cold process's code: main on the JSON argv list in sys.argv[1], which must exit 0
+_MAIN = "import json, sys\nfrom bincues.cli import main\nassert main(json.loads(sys.argv[1])) == 0"
+
+
 def test_import_loads_no_numpy_and_no_module_but_cli_and_errors():
     assert _loaded("import bincues") == "False"
     assert _loaded("import bincues.cli") == "cli errors False"
@@ -805,8 +910,16 @@ def cold_inputs(tmp_path_factory):
 def test_a_subcommand_loads_only_the_modules_it_runs(cold_inputs, argv, loaded):
     # Each run is a cold process: compare and --help load no numpy, generate only signals and
     # wavio, analyze no rig model, render no analysis or reports, simulate no analysis.
-    code = "import json, sys\nfrom bincues.cli import main\nassert main(json.loads(sys.argv[1])) == 0"
-    assert _loaded(code, json.dumps([arg.format(d=cold_inputs) for arg in argv])) == loaded
+    assert _loaded(_MAIN, json.dumps([arg.format(d=cold_inputs) for arg in argv])) == loaded
+
+
+def test_a_cold_compare_writes_the_bytes_of_an_in_process_one(cold_inputs, tmp_path):
+    argv = ["compare", str(cold_inputs / "a.json"), str(cold_inputs / "b.json"), "--deterministic"]
+    _python(_MAIN, json.dumps([*argv, "--out", str(tmp_path / "cold.json")]))
+    assert run(*argv, "--out", tmp_path / "warm.json") == EXIT_OK
+    for suffix in (".json", ".csv"):
+        cold, warm = ((tmp_path / name).with_suffix(suffix) for name in ("cold", "warm"))
+        assert cold.read_bytes() == warm.read_bytes()
 
 
 def test_every_exported_name_resolves_and_dir_lists_it():

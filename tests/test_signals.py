@@ -375,6 +375,23 @@ def test_generators_reject_a_duration_under_one_sample(generate):
         generate(0.4 / SR)
 
 
+@pytest.mark.parametrize("rate", (0, -5, 48000.5))
+@pytest.mark.parametrize("generate", (
+    lambda r: gen_sine(100.0, 1.0, r), lambda r: gen_pink_noise(1.0, r), lambda r: gen_impulse(1.0, r),
+), ids=["sine", "pink", "impulse"])
+def test_generators_check_the_sample_rate_before_they_read_it(generate, rate):
+    # the rate's own rule, not a duration or freq rule that reads it, and before any signal
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError,
+                           match=rf"^sample_rate must be a positive integer, got {rate}$"):
+            generate(rate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
+
+
 def test_sample_buffer_rejects_2d_samples():
     with pytest.raises(ValidationError, match=r"one-dimensional, got shape \(2, 3\)"):
         SampleBuffer(np.zeros((2, 3)), SR)

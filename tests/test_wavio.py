@@ -300,6 +300,18 @@ def test_a_clip_in_the_last_write_step_leaves_no_file(tmp_path, encoding):
         assert not path.exists()
 
 
+def test_a_rate_past_the_header_fields_leaves_no_file(tmp_path):
+    # 600 MHz stereo float32 is 4.8e9 bytes a second, past the header's 32-bit byte rate; mono,
+    # at 2.4e9, still fits
+    path = tmp_path / "fast.wav"
+    channel = SampleBuffer(np.zeros(4), 600_000_000)
+    with pytest.raises(ValidationError, match=r"byte rate and a RIFF size up to 2\*\*32 - 1"):
+        write_wav(path, StereoBuffer(channel, channel))
+    assert not path.exists()
+    write_wav(path, channel)
+    assert read_wav(path).sample_rate == 600_000_000
+
+
 def riff(*chunks):
     """A RIFF/WAVE file from (tag, body) chunks, each padded to an even length."""
     body = b"WAVE" + b"".join(tag + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) % 2)
