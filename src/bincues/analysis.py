@@ -209,7 +209,7 @@ def _lag_window(s: np.ndarray, size: int, max_lag: int,
     0..max_lag from s, the negative lags from conj(s), so equal channels (s real) give an
     exactly symmetric window.
     A window that misses the delay holds only sidelobes, so the whole correlation must peak
-    inside it; an overflow makes every lag NaN and argmax read lag 0, so _itd_s sees to that."""
+    inside it; an overflow makes every lag NaN and argmax read lag 0, so _itd sees to that."""
     pos, neg = (np.fft.irfft(c, size) for c in (s, s.conj()))
     if max_lag < int(np.argmax(pos)) < size - max_lag:
         raise AnalysisError(f"the correlation peaks outside the lag window; widen {widen}")
@@ -224,12 +224,11 @@ def _welch(stereo: StereoBuffer, fft_size: int = 0) -> _Welch:
     return welch
 
 
-def _correlation(spectra: _Spectra, max_lag: int, weighting: str) -> np.ndarray:
-    """The window of cross_correlation over lags -max_lag..max_lag, read off `spectra`."""
-    s = spectra.s_xy
+def _weighted(s: np.ndarray, weighting: str) -> np.ndarray:
+    """Cross-spectrum s as the weighting takes it: as it is for "none", whitened for "phat"."""
     if weighting == "phat":
         s = s / np.maximum(np.abs(s), np.abs(s).max() * 1e-12 + np.finfo(np.float64).tiny)
-    return _lag_window(s, spectra.size, max_lag)
+    return s
 
 
 def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
@@ -245,24 +244,27 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     raised when the whole circular correlation peaks outside the window.
     """
     m, _ = _check_args(len(stereo), stereo.sample_rate, weighting, max_lag)
-    return np.arange(-m, m + 1), _correlation(_welch(stereo).spectra(), m, weighting)
+    spectra = _welch(stereo).spectra()
+    return np.arange(-m, m + 1), _lag_window(_weighted(spectra.s_xy, weighting), spectra.size, m)
 
 
-def _itd_s(cc: np.ndarray, sample_rate: int, widen: str = "max_lag (--max-lag-ms)") -> float:
-    """The ITD rule: the peak of a finite correlation over lags -m..m, strictly inside the
-    window, refined by a parabola through it and its neighbors."""
+def _itd(s: np.ndarray, size: int, max_lag: int, sample_rate: int,
+         widen: str = "max_lag (--max-lag-ms)") -> float:
+    """The ITD rule on _lag_window of cross-spectrum s: the peak of a finite correlation, strictly
+    inside the window, refined by a parabola through it and its neighbors."""
+    cc = _lag_window(s, size, max_lag, widen)
     if not np.isfinite(cc).all():
         raise AnalysisError("the cross-correlation overflowed; scale the input down")
     k = int(np.argmax(cc))
     if k in (0, cc.size - 1):
-        raise AnalysisError(f"ITD peak on the edge of the {cc.size // 2 / sample_rate * 1e3:g}"
+        raise AnalysisError(f"ITD peak on the edge of the {max_lag / sample_rate * 1e3:g}"
                             f" ms lag window; widen {widen}")
     offset = 0.0
     denom = cc[k - 1] - 2.0 * cc[k] + cc[k + 1]
     if denom != 0.0:
         offset = 0.5 * (cc[k - 1] - cc[k + 1]) / denom
-        offset = offset if -1.0 < offset < 1.0 else 0.0
-    return float((k - cc.size // 2 + offset) / sample_rate)
+        offset = offset if -1.0 < offset < 1.0 else 0.0  # NaN where neighbors near 1e308 overflow
+    return float((k - max_lag + offset) / sample_rate)
 
 
 def _silent(spectra: _Spectra, sample_rate: int, w: float | np.ndarray = 1.0) -> list[bool]:
@@ -293,7 +295,7 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     m, _ = _check_args(len(stereo), stereo.sample_rate, weighting, max_lag)
     spectra, sr = _welch(stereo).spectra(), stereo.sample_rate
     _require_sound(spectra, sr)
-    return _itd_s(_correlation(spectra, m, weighting), sr)
+    return _itd(_weighted(spectra.s_xy, weighting), spectra.size, m, sr)
 
 
 def _octave_response(freqs: np.ndarray, lo: float, hi: float, sample_rate: int) -> np.ndarray:
@@ -310,7 +312,7 @@ def _band_itds(spectra: _Spectra, bands: list, max_lag: int, sample_rate: int) -
         w = _octave_response(spectra.freqs, lo, hi, sample_rate) ** 2  # |H|^2 forward, backward
         if any(_silent(spectra, sample_rate, w)):
             raise AnalysisError(f"no usable energy in the {center:g} Hz octave band")
-        results.append(_itd_s(_lag_window(w * spectra.s_xy, spectra.size, max_lag), sample_rate))
+        results.append(_itd(w * spectra.s_xy, spectra.size, max_lag, sample_rate))
     return tuple(results)
 
 
@@ -332,7 +334,7 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
 
 def _check_fft_size(fft_size: int, n: int, sample_rate: int) -> None:
     m = max(int(round(DEFAULT_MAX_LAG_S * sample_rate)), 1)
-    if fft_size < 2 or fft_size & (fft_size - 1):
+    if not isinstance(fft_size, (int, np.integer)) or fft_size < 2 or fft_size & (fft_size - 1):
         raise ValidationError(f"fft_size must be a power of two, got {fft_size}")
     if fft_size < 4 * m:
         raise ValidationError(f"fft_size {fft_size} is under 4x the {DEFAULT_MAX_LAG_S * 1e3:g} ms"
@@ -349,10 +351,8 @@ def _transfer_function(spectra: _Spectra, sample_rate: int) -> TransferFunction:
     phase_deg = np.degrees(np.angle(h))
     phase_deg[phase_deg == -180.0] = 180.0
     coherence = np.clip(np.abs(s_xy) ** 2 / np.maximum(s_xx * s_yy, tiny), 0.0, 1.0)
-    widen = "fft_size (--fft-size)"  # the window is the widest the transform holds
-    cc = _lag_window(s_xy, spectra.size, spectra.size // 4, widen)
-    return TransferFunction(spectra.freqs, magnitude_db, phase_deg, coherence,
-                            _itd_s(cc, sample_rate, widen))
+    delay = _itd(s_xy, spectra.size, spectra.size // 4, sample_rate, "fft_size (--fft-size)")
+    return TransferFunction(spectra.freqs, magnitude_db, phase_deg, coherence, delay)
 
 
 def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
@@ -462,6 +462,6 @@ def analyze_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]], length: int,
     spectra = [welch.spectra() for welch in passes]
     del passes, welch  # the accumulators' buffers go before the lag windows are read
     _require_sound(spectra[0], sample_rate)
-    itd = _itd_s(_correlation(spectra[0], m, weighting), sample_rate)
+    itd = _itd(_weighted(spectra[0].s_xy, weighting), spectra[0].size, m, sample_rate)
     low, high = _band_itds(spectra[0], bands, m, sample_rate)
     return CueReport(itd, low, high, _transfer_function(spectra[-1], sample_rate))

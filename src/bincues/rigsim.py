@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -126,32 +126,12 @@ class RigSpec:
             )
 
 
-def human_head(radius_m: float = HeadGeometry.radius_m,
-               shadow: ShadowParams | None = None) -> RigSpec:
-    return RigSpec(RigKind.HUMAN_HEAD, radius_m=radius_m, shadow=shadow)
-
-
-def full_dummy(radius_m: float = HeadGeometry.radius_m,
-               shadow: ShadowParams | None = None) -> RigSpec:
-    return RigSpec(RigKind.FULL_DUMMY, radius_m=radius_m, shadow=shadow)
-
-
-def semi_dummy(mic_spacing_m: float | None = None, path_extension: float | None = None,
-               shadow: ShadowParams | None = None) -> RigSpec:
-    return RigSpec(RigKind.SEMI_DUMMY, mic_spacing_m=mic_spacing_m,
-                   path_extension=path_extension, shadow=shadow)
-
-
-def jecklin(mic_spacing_m: float | None = None, path_extension: float | None = None,
-            shadow: ShadowParams | None = None) -> RigSpec:
-    return RigSpec(RigKind.JECKLIN, mic_spacing_m=mic_spacing_m,
-                   path_extension=path_extension, shadow=shadow)
-
-
-def ortf(mic_spacing_m: float | None = None,
-         capsule_angle_deg: float | None = None) -> RigSpec:
-    return RigSpec(RigKind.ORTF, mic_spacing_m=mic_spacing_m,
-                   capsule_angle_deg=capsule_angle_deg)
+#: One factory per kind, RigSpec with the kind bound: keyword fields of its _DEFAULTS row only.
+human_head = partial(RigSpec, RigKind.HUMAN_HEAD)
+full_dummy = partial(RigSpec, RigKind.FULL_DUMMY)
+semi_dummy = partial(RigSpec, RigKind.SEMI_DUMMY)
+jecklin = partial(RigSpec, RigKind.JECKLIN)
+ortf = partial(RigSpec, RigKind.ORTF)
 
 
 def default_rig(kind: RigKind) -> RigSpec:

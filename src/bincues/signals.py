@@ -157,7 +157,7 @@ def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
     start-up transient, which the buffer adopts without a copy: no white array is held.
     """
     n = _num_samples(duration, sample_rate)
-    if seed < 0:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     rng, white = np.random.default_rng(seed), np.empty(0)
 
@@ -188,8 +188,8 @@ def gen_impulse(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
                 offset: int = 0) -> SampleBuffer:
     """Unit impulse: a single 1.0 sample at `offset`, zeros elsewhere."""
     n = _num_samples(duration, sample_rate)
-    if not 0 <= offset < n:
-        raise ValidationError(f"offset must lie in [0, {n}), got {offset}")
+    if not isinstance(offset, (int, np.integer)) or not 0 <= offset < n:
+        raise ValidationError(f"offset must be an integer in [0, {n}), got {offset!r}")
     samples = np.zeros(n)
     samples[offset] = 1.0
     samples.setflags(write=False)
@@ -291,6 +291,7 @@ def apply_fractional_delay(buf: SampleBuffer, delay: float,
     """
     if not 0 <= delay < np.inf:
         raise ValidationError(f"delay must be finite and non-negative, got {delay}")
+    fir = None if fir is None else np.asarray(fir)
     if fir is not None and (fir.ndim != 1 or fir.size % 2 == 0 or not np.isfinite(fir).all()):
         raise ValidationError(f"fir must be finite, 1-D and of odd length, got shape {fir.shape}")
     x = buf.samples

@@ -12,8 +12,8 @@ from bincues import analysis
 from bincues import (AnalysisError, BincuesError, SampleBuffer, ShadowParams, SilentSignalError,
                      SourceSpec, StereoBuffer, TransferFunction, ValidationError,
                      analyze_capture, apply_fractional_delay, band_itd, calibration_check,
-                     cross_correlation, estimate_itd, full_dummy, gen_pink_noise, gen_sine,
-                     head_shadow_ild, human_head, ild_spectrum_summary, jecklin, ortf,
+                     cross_correlation, estimate_itd, full_dummy, gen_impulse, gen_pink_noise,
+                     gen_sine, head_shadow_ild, human_head, ild_spectrum_summary, jecklin, ortf,
                      predicted_itd, semi_dummy, simulate_capture, transfer_function)
 
 SR = 48000
@@ -110,6 +110,37 @@ def test_tf_validation():
         transfer_function(a, b)
     with pytest.raises(ValidationError):
         transfer_function(a, a, fft_size=1000)  # not a power of two
+
+
+def _pink_1s():
+    return gen_pink_noise(1.0, SR, seed=2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: transfer_function(_pink_1s(), _pink_1s(), 4096.0), "fft_size"),
+    (lambda: analyze_capture(StereoBuffer(_pink_1s(), _pink_1s()), 4096.0), "fft_size"),
+    (lambda: calibration_check(_pink_1s(), _pink_1s(), fft_size=4096.0), "fft_size"),
+    (lambda: gen_pink_noise(1.0, seed=None), "seed"),
+    (lambda: gen_pink_noise(1.0, seed=3.0), "seed"),
+    (lambda: gen_impulse(1.0, offset=2.0), "offset"),
+    (lambda: apply_fractional_delay(_pink_1s(), 1e-3, [0.5, 0.5]), "fir"),
+], ids=["transfer_function", "analyze_capture", "calibration_check", "seed-None", "seed-float",
+        "offset-float", "fir-list"])
+def test_a_mistyped_integer_argument_is_a_validation_error(call, name):
+    with pytest.raises(ValidationError, match=f"^{name} must"):
+        call()
+
+
+def test_integer_arguments_take_numpy_integers_and_fir_takes_a_list():
+    pink, fir = _pink_1s(), [0.25, 0.5, 0.25]
+    pairs = [(transfer_function(pink, pink, np.int64(4096)).magnitude_db,
+              transfer_function(pink, pink, 4096).magnitude_db),
+             (gen_pink_noise(0.1, seed=np.uint8(3)).samples, gen_pink_noise(0.1, seed=3).samples),
+             (gen_impulse(0.1, offset=np.int32(7)).samples, gen_impulse(0.1, offset=7).samples),
+             (apply_fractional_delay(pink, 1e-3, fir).samples,
+              apply_fractional_delay(pink, 1e-3, np.array(fir)).samples)]
+    for got, want in pairs:
+        assert np.array_equal(got, want)
 
 
 # --- estimate_itd -----------------------------------------------------------
@@ -492,8 +523,11 @@ def test_delay_past_the_lag_window_never_reads_as_an_itd(pink_2s, delay_ms, weig
 @pytest.mark.parametrize("delay_ms", [0.5, 1.9])
 def test_delay_inside_the_lag_window_passes_the_direct_rule(pink_2s, delay_ms):
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, delay_ms * 1e-3))
-    _, cc = cross_correlation(stereo)
-    itd = analysis._itd_s(cc, SR)  # the ITD rule on the unweighted window alone
+    lags, cc = cross_correlation(stereo)
+    # the documented rule on the unweighted window alone: its argmax, refined by a parabola
+    k = int(np.argmax(cc))
+    a, b, c = cc[k - 1 : k + 2]
+    itd = float((lags[k] + 0.5 * (a - c) / (a - 2.0 * b + c)) / SR)
     assert itd == pytest.approx(delay_ms * 1e-3, abs=ONE_SAMPLE)
     assert estimate_itd(stereo) == itd
     assert analyze_capture(stereo).itd_s == itd

@@ -337,6 +337,8 @@ KIND_FIELDS = {
 #: One valid value per field, so only the kind can make a setting stray.
 FIELD_VALUES = {"radius_m": 0.09, "mic_spacing_m": 0.2, "capsule_angle_deg": 90.0,
                 "path_extension": 1.2, "shadow": ShadowParams()}
+FACTORIES = {RigKind.HUMAN_HEAD: human_head, RigKind.FULL_DUMMY: full_dummy,
+             RigKind.SEMI_DUMMY: semi_dummy, RigKind.JECKLIN: jecklin, RigKind.ORTF: ortf}
 STRAY = [(kind, name) for kind in RigKind for name in FIELD_VALUES
          if name not in KIND_FIELDS[kind]]
 
@@ -352,12 +354,9 @@ def test_rig_spec_settings_are_the_kind_fields():
 
 @pytest.mark.parametrize("kind, name", STRAY, ids=lambda v: getattr(v, "value", v))
 def test_rig_spec_rejects_a_field_of_another_kind(kind, name):
-    with pytest.raises(ValidationError, match=f"'{kind.value}' has no field {name}$"):
-        RigSpec(kind, **{name: FIELD_VALUES[name]})
-
-
-FACTORIES = {RigKind.HUMAN_HEAD: human_head, RigKind.FULL_DUMMY: full_dummy,
-             RigKind.SEMI_DUMMY: semi_dummy, RigKind.JECKLIN: jecklin, RigKind.ORTF: ortf}
+    for build in (lambda **kw: RigSpec(kind, **kw), FACTORIES[kind]):
+        with pytest.raises(ValidationError, match=f"'{kind.value}' has no field {name}$"):
+            build(**{name: FIELD_VALUES[name]})
 
 
 @pytest.mark.parametrize("kind", list(RigKind), ids=lambda k: k.value)
