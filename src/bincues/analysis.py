@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, SilentSignalError, ValidationError
+from .errors import AnalysisError, SilentSignalError, ValidationError, check_number
 from .signals import DEFAULT_OCTAVE_CENTERS, SampleBuffer, StereoBuffer
 
 DEFAULT_FFT_SIZE = 8192
@@ -46,7 +46,8 @@ class TransferFunction:
     """Per-bin measurement/reference comparison plus a broadband delay.
 
     magnitude_db is measurement minus reference; phase_deg is wrapped to
-    (-180, +180]; broadband_delay_s is positive when the measurement lags.
+    (-180, +180]; broadband_delay_s is positive when the measurement lags. Every value is
+    finite and the coherence lies in [0, 1], or ValidationError is raised.
     """
 
     freqs: np.ndarray
@@ -59,8 +60,11 @@ class TransferFunction:
         n = self.freqs.size
         if not (self.magnitude_db.size == self.phase_deg.size == self.coherence.size == n):
             raise ValidationError("transfer function arrays must all have equal length")
-        if np.any(self.coherence < 0) or np.any(self.coherence > 1):
+        if not all(np.isfinite(a).all() for a in (self.freqs, self.magnitude_db, self.phase_deg)):
+            raise ValidationError("freqs, magnitude_db and phase_deg must be finite")
+        if not np.all((self.coherence >= 0) & (self.coherence <= 1)):  # NaN fails both
             raise ValidationError("coherence must lie in [0, 1]")
+        check_number("broadband_delay_s", self.broadband_delay_s, ends="()")
         if np.any(np.diff(self.freqs) <= 0):
             raise ValidationError("freqs must be strictly ascending")
 
@@ -192,15 +196,13 @@ def _check_args(length: int, sample_rate: int, weighting: str, max_lag: float,
         raise ValidationError("the capture is empty")
     if weighting not in WEIGHTINGS:
         raise ValidationError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    lag = max_lag * sample_rate
-    if not np.isfinite(lag):
-        raise ValidationError(f"max_lag must be finite, got {max_lag}")
-    if (m := int(round(lag))) < 1:
+    m = np.round(check_number("max_lag", max_lag, ends="()") * sample_rate)  # inf on overflow
+    if m < 1:
         raise ValidationError(f"max_lag {max_lag} s is under one sample period")
     if (size := min(DEFAULT_FFT_SIZE, length)) < 4 * m:
-        raise ValidationError(f"the lag window ({m} samples) does not fit four times in its"
+        raise ValidationError(f"the lag window ({m:.0f} samples) does not fit four times in its"
                               f" {size}-sample segment; narrow max_lag (--max-lag-ms)")
-    return m, octave_bands(centers, 0.0, sample_rate / 2)
+    return int(m), octave_bands(centers, 0.0, sample_rate / 2)
 
 
 def _lag_window(s: np.ndarray, size: int, max_lag: int,
@@ -325,16 +327,19 @@ def band_itd(stereo: StereoBuffer, low_hz: float = DEFAULT_LOW_BAND_HZ,
     Butterworth centered on the tone weights their cross-spectrum by |H|^4, which is
     real and so adds no delay. Each band ITD is estimate_itd's rule on the Welch
     cross-spectrum of estimate_itd's segments times that weight. Before any sample is read,
-    ValidationError is raised unless the window fits four times in a segment and each octave
-    lies below Nyquist; AnalysisError is raised when a band holds no usable energy.
+    ValidationError is raised unless max_lag, low_hz and high_hz are numbers, the window fits
+    four times in a segment and each octave lies below Nyquist; AnalysisError is raised when a
+    band holds no usable energy.
     """
+    check_number("low_hz", low_hz)
+    check_number("high_hz", high_hz)
     m, bands = _check_args(len(stereo), stereo.sample_rate, "none", max_lag, (low_hz, high_hz))
     return _band_itds(_welch(stereo).spectra(), bands, m, stereo.sample_rate)
 
 
 def _check_fft_size(fft_size: int, n: int, sample_rate: int) -> None:
     m = max(int(round(DEFAULT_MAX_LAG_S * sample_rate)), 1)
-    if not isinstance(fft_size, (int, np.integer)) or fft_size < 2 or fft_size & (fft_size - 1):
+    if check_number("fft_size", fft_size, 2, ends="[)", integer=True) & (fft_size - 1):
         raise ValidationError(f"fft_size must be a power of two, got {fft_size}")
     if fft_size < 4 * m:
         raise ValidationError(f"fft_size {fft_size} is under 4x the {DEFAULT_MAX_LAG_S * 1e3:g} ms"
@@ -379,10 +384,12 @@ def calibration_check(ref: SampleBuffer, meas: SampleBuffer, tolerance_db: float
     """Verify a microphone pair: level match within tolerance and no time skew.
 
     Passes iff the worst absolute magnitude deviation over the band stays
-    within tolerance_db and the broadband delay stays within half a sample.
+    within tolerance_db and the broadband delay stays within half a sample. tolerance_db and
+    each band edge must be a number, or ValidationError is raised before any sample is read.
     """
+    check_number("tolerance_db", tolerance_db)
+    lo, hi = (check_number("band", edge) for edge in band)
     tf = transfer_function(ref, meas, fft_size=fft_size)
-    lo, hi = band
     mask = (tf.freqs >= lo) & (tf.freqs <= hi)
     if not np.any(mask):
         raise AnalysisError(f"no analysis bins inside the {lo}..{hi} Hz band")
@@ -397,9 +404,10 @@ def calibration_check(ref: SampleBuffer, meas: SampleBuffer, tolerance_db: float
 
 def octave_bands(centers: Iterable[float], lowest_hz: float, highest_hz: float) -> list[tuple]:
     """(center, center / sqrt 2, center * sqrt 2) Hz per center, the one place an octave's
-    edges live; ValidationError for the first band whose edges do not lie strictly inside
-    lowest_hz..highest_hz, as a NaN or non-positive center's never do."""
-    bands = [(center, center / np.sqrt(2.0), center * np.sqrt(2.0)) for center in centers]
+    edges live; ValidationError for the first center that is not a number, then for the first
+    band whose edges do not lie strictly inside lowest_hz..highest_hz, as a non-positive
+    center's never do."""
+    bands = [(check_number("center", c), c / np.sqrt(2.0), c * np.sqrt(2.0)) for c in centers]
     for center, lo, hi in bands:
         if not lowest_hz < lo < hi < highest_hz:
             raise ValidationError(f"octave band around {center:g} Hz is outside the analyzed range"

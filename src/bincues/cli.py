@@ -18,7 +18,7 @@ import sys
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
-from .errors import AnalysisError, BincuesError, ValidationError, WavFormatError
+from .errors import AnalysisError, BincuesError, ValidationError, WavFormatError, check_number
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -179,19 +179,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     kind, sample_rate = args.signal_kind, _default(args.sample_rate, signals.DEFAULT_SAMPLE_RATE)
     _reject_unread(args, (name for other, names in _SIGNAL_FLAGS.items() if other != kind
                           for name in names), f"by a {kind} signal")
-    if not 0 < args.seconds < math.inf:
-        raise UsageError(f"--seconds must be positive and finite, got {args.seconds}")
+    check_number("--seconds", args.seconds, 0, ends="()", error=UsageError)
     if kind == "sine":
         amplitude = _default(args.amplitude, 1.0)
         if args.freq is None:
             raise UsageError("--freq is required for sine")
-        if not 0 < args.freq < sample_rate / 2:
-            raise UsageError(
-                f"--freq must lie strictly between 0 and the Nyquist frequency "
-                f"({sample_rate / 2:g} Hz), got {args.freq}"
-            )
-        if not 0 <= amplitude <= 1:
-            raise UsageError(f"--amplitude must lie in 0..1, got {amplitude}")
+        check_number("--freq", args.freq, 0, sample_rate / 2, "()", error=UsageError)
+        check_number("--amplitude", amplitude, 0, 1, error=UsageError)
         buf = signals.gen_sine(args.freq, args.seconds, sample_rate, amplitude)
     elif kind == "pink":
         buf = signals.gen_pink_noise(args.seconds, sample_rate, _default(args.seed, 0))
@@ -200,8 +194,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise UsageError(f"--encoding {args.encoding} cannot hold an impulse; use float32")
         offset, n = _default(args.offset, 0), args.seconds * sample_rate
         # under one sample or past the float range, gen_impulse's duration rules name the fault
-        if 0.5 < n < math.inf and not 0 <= offset < round(n):
-            raise UsageError(f"--offset must lie in [0, {round(n)}), got {offset}")
+        if 0.5 < n < math.inf:
+            check_number("--offset", offset, 0, round(n), "[)", error=UsageError)
         buf = signals.gen_impulse(args.seconds, sample_rate, offset)
     wavio.write_wav(out, buf, encoding=args.encoding)
     print(f"wrote {out}")
@@ -238,8 +232,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out, sidecar_path = _outputs(args, ".json", [args.signal, args.rig_config])
     if args.signal is not None:
         _reject_unread(args, ("seconds", "seed", "sample_rate"), "with --signal")
-    if not 0.0 <= args.azimuth <= 90.0:
-        raise UsageError(f"--azimuth must lie in 0..90 degrees, got {args.azimuth}")
+    check_number("--azimuth", args.azimuth, 0, 90, error=UsageError)
     rig = (rigsim.load_rig_config(args.rig_config) if args.rig_config is not None
            else rigsim.default_rig(rigsim.RigKind(args.rig)))
     src = rigsim.SourceSpec(azimuth_rad=math.radians(args.azimuth))
@@ -273,13 +266,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
     import logging
     from . import render, rigsim, signals, wavio
     out, _ = _outputs(args, inputs=[args.wav])
-    if not -90.0 <= args.azimuth <= 90.0:
-        raise UsageError(
-            f"--azimuth must lie in -90..90 degrees (rear hemisphere unsupported), "
-            f"got {args.azimuth}"
-        )
-    if not args.gain_db <= 0:
-        raise UsageError(f"--gain-db must be <= 0, got {args.gain_db}")
+    check_number("--azimuth", args.azimuth, -90, 90, error=UsageError)  # no rear hemisphere
+    check_number("--gain-db", args.gain_db, -math.inf, 0, error=UsageError)
     sig = wavio.read_wav(args.wav)
     if not isinstance(sig, signals.SampleBuffer):
         raise AnalysisError(f"{args.wav}: rendering needs a mono source, got stereo")

@@ -8,12 +8,12 @@ far (shadowed) ear. ITD values are positive when the far ear lags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 
 #: Frequency threshold shape of the head-shadow curve, in logistic units per
 #: log-frequency octave. Chosen so a 16 dB ceiling passes through 6 dB at
@@ -30,9 +30,8 @@ def speed_of_sound(temperature_c: float) -> float:
 
 
 def check_temperature(temperature_c: float) -> None:
-    """Raise ValidationError unless the air temperature lies in -20..50 C."""
-    if not -20.0 <= temperature_c <= 50.0:
-        raise ValidationError(f"temperature_c must lie in -20..50, got {temperature_c}")
+    """Raise ValidationError unless the air temperature is a number in -20..50 C."""
+    check_number("temperature_c", temperature_c, -20.0, 50.0)
 
 
 @dataclass(frozen=True)
@@ -43,10 +42,7 @@ class HeadGeometry:
     temperature_c: float = 20.0
 
     def __post_init__(self) -> None:
-        if not 0.05 <= self.radius_m <= 0.15:
-            raise ValidationError(
-                f"radius_m must lie in 0.05..0.15 m (plausible human range), got {self.radius_m}"
-            )
+        check_number("radius_m", self.radius_m, 0.05, 0.15)  # m, the plausible human range
         check_temperature(self.temperature_c)
 
 
@@ -63,6 +59,8 @@ class DuplexThresholds:
     ild_effective_hz: float = 4000.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            check_number(f.name, getattr(self, f.name))
         if not self.itd_limit_hz < self.ild_start_hz <= self.ild_effective_hz:
             raise ValidationError(
                 f"band edges must satisfy itd_limit_hz < ild_start_hz <= ild_effective_hz, "
@@ -95,16 +93,17 @@ def duplex_classify(freq: float, thresholds: DuplexThresholds | None = None) -> 
 
 
 def check_azimuth(azimuth: float) -> None:
-    """Raise ValidationError unless azimuth lies in [0, pi/2], the models' domain."""
-    if not 0.0 <= azimuth <= math.pi / 2:
-        raise ValidationError(f"azimuth must lie in [0, pi/2], got {azimuth}")
+    """Raise ValidationError unless azimuth is a number in [0, pi/2], the models' domain."""
+    check_number("azimuth", azimuth, 0.0, math.pi / 2)
 
 
 def check_frequency(freq) -> None:
-    """Raise ValidationError unless freq, a scalar or an array, is all positive and finite."""
-    f = np.asarray(freq, dtype=np.float64)
-    if not np.all((f > 0.0) & (f < math.inf)):
-        raise ValidationError(f"freq must be positive and finite, got {freq}")
+    """Raise ValidationError unless freq, a number or an array, is all in (0, inf): a number by
+    the number rule, an array element by element."""
+    if np.isscalar(freq):
+        check_number("freq", freq, 0.0, ends="()")
+    elif not np.all(((f := np.asarray(freq, dtype=np.float64)) > 0.0) & (f < math.inf)):
+        raise ValidationError(f"freq must be a finite number in (0, inf), got {freq}")
 
 
 def itd_simple(geom: HeadGeometry, azimuth: float) -> float:
@@ -159,16 +158,9 @@ class ShadowParams:
     azimuth_exponent: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.max_attenuation_db <= 30.0:
-            raise ValidationError(
-                f"max_attenuation_db must lie in 0..30, got {self.max_attenuation_db}"
-            )
-        if not 0 < self.corner_hz < math.inf:
-            raise ValidationError(f"corner_hz must be positive and finite, got {self.corner_hz}")
-        if not 0 < self.azimuth_exponent < math.inf:
-            raise ValidationError(
-                f"azimuth_exponent must be positive and finite, got {self.azimuth_exponent}"
-            )
+        check_number("max_attenuation_db", self.max_attenuation_db, 0.0, 30.0)
+        check_number("corner_hz", self.corner_hz, 0.0, ends="()")
+        check_number("azimuth_exponent", self.azimuth_exponent, 0.0, ends="()")
 
 
 def head_shadow_ild(params: ShadowParams, azimuth: float, freq) -> float | np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cue_models import check_temperature
-from .errors import ValidationError
+from .errors import check_number
 from .rigsim import RigSpec, human_head, place_arrivals
 from .signals import DEFAULT_SAMPLE_RATE, SampleBuffer, StereoBuffer
 
@@ -36,12 +36,8 @@ class RenderSpec:
     gain_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if not abs(self.azimuth_rad) <= math.pi / 2:
-            raise ValidationError(
-                f"azimuth must lie in [-pi/2, pi/2] (rear hemisphere unsupported), got {self.azimuth_rad}"
-            )
-        if not self.gain_db <= 0:
-            raise ValidationError(f"gain_db must be <= 0, got {self.gain_db}")
+        check_number("azimuth_rad", self.azimuth_rad, -math.pi / 2, math.pi / 2)  # no rear
+        check_number("gain_db", self.gain_db, -math.inf, 0.0)
         check_temperature(self.temperature_c)
 
 

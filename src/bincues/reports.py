@@ -117,7 +117,12 @@ def comparison_doc(baseline_name: str, baseline: dict[str, Any],
 
 
 def emit_json(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The document's JSON text, written only if parse_json can read it back: ValidationError
+    for a NaN or an infinity, which JSON has no number for."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"report is not writable as JSON: {exc}") from None
 
 
 def _reject_constant(name: str) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cue_models import (HeadGeometry, ShadowParams, check_azimuth, check_frequency,
                          check_temperature, head_shadow_ild, itd_simple, speed_of_sound)
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .signals import SampleBuffer, StereoBuffer, apply_fractional_delay
 
 
@@ -112,18 +112,12 @@ class RigSpec:
                 object.__setattr__(self, name, value)
         if self.radius_m is not None:
             HeadGeometry(self.radius_m)
-        if self.mic_spacing_m is not None and not 0 < self.mic_spacing_m < math.inf:
-            raise ValidationError(
-                f"mic_spacing_m must be positive and finite, got {self.mic_spacing_m}"
-            )
-        if self.path_extension is not None and not 1.0 <= self.path_extension < math.inf:
-            raise ValidationError(
-                f"path_extension must be >= 1 and finite, got {self.path_extension}"
-            )
-        if self.capsule_angle_deg is not None and not 0.0 < self.capsule_angle_deg <= 180.0:
-            raise ValidationError(
-                f"capsule_angle_deg must lie in (0, 180], got {self.capsule_angle_deg}"
-            )
+        if self.mic_spacing_m is not None:
+            check_number("mic_spacing_m", self.mic_spacing_m, 0.0, ends="()")
+        if self.path_extension is not None:
+            check_number("path_extension", self.path_extension, 1.0, ends="[)")
+        if self.capsule_angle_deg is not None:
+            check_number("capsule_angle_deg", self.capsule_angle_deg, 0.0, 180.0, "(]")
 
 
 #: One factory per kind, RigSpec with the kind bound: keyword fields of its _DEFAULTS row only.
@@ -268,15 +262,14 @@ def fit_path_extension(rig_kind: RigKind, measured_itd_s: float, azimuth: float,
 
     The one empirical knob of the spaced rigs: it absorbs baffle diffraction
     that the geometry alone cannot explain. Only defined for rigs with a mic
-    spacing and away from azimuth 0, where the free-field path vanishes.
+    spacing and at an azimuth in (0, pi/2]: at 0 the free-field path vanishes.
     """
     spacing = _DEFAULTS[rig_kind].get("mic_spacing_m")
     if spacing is None:
         raise ValidationError(f"{rig_kind.value} has no spaced-pair path to fit")
-    check_azimuth(azimuth)
-    if azimuth == 0.0:
-        raise ValidationError("cannot fit at azimuth 0: the free-field path difference is zero")
-    return measured_itd_s / _free_field_itd(spacing, azimuth, temperature_c)
+    check_number("azimuth", azimuth, 0.0, math.pi / 2, "(]")
+    return (check_number("measured_itd_s", measured_itd_s, ends="()")
+            / _free_field_itd(spacing, azimuth, temperature_c))
 
 
 # --- rig config files: flat "key = value" text -----------------------------

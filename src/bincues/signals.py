@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 
 DEFAULT_SAMPLE_RATE = 48000
 # The octave band centers in Hz of a cue report's ILD table and of a simulation's model ILDs
@@ -103,17 +103,14 @@ class StereoBuffer:
 
 
 def _rate(sample_rate: int) -> int:
-    """sample_rate as an int; ValidationError unless it is a positive integer."""
-    if not float(sample_rate).is_integer() or int(sample_rate) <= 0:
-        raise ValidationError(f"sample_rate must be a positive integer, got {sample_rate!r}")
-    return int(sample_rate)
+    """sample_rate as an int; ValidationError unless it is a positive whole number."""
+    return check_number("sample_rate", sample_rate, 1, ends="[)", integer="whole")
 
 
 def _num_samples(duration: float, sample_rate: int) -> int:
     """duration in whole samples, from 1 up to _MAX_SAMPLES, at a valid sample_rate."""
     sample_rate = _rate(sample_rate)
-    if not 0 < duration < np.inf:
-        raise ValidationError(f"duration must be positive and finite, got {duration}")
+    check_number("duration", duration, 0.0, ends="()")
     if duration * sample_rate > _MAX_SAMPLES:
         raise ValidationError(
             f"duration {duration} s is over {_MAX_SAMPLES} samples at {sample_rate} Hz")
@@ -130,12 +127,8 @@ def gen_sine(freq: float, duration: float, sample_rate: int = DEFAULT_SAMPLE_RAT
     freq must lie strictly between 0 and the Nyquist frequency; amplitude is
     the peak value in 0..1.
     """
-    if not 0.0 < freq < _rate(sample_rate) / 2:
-        raise ValidationError(
-            f"freq must satisfy 0 < freq < {sample_rate / 2:g} Hz (Nyquist), got {freq}"
-        )
-    if not 0.0 <= amplitude <= 1.0:
-        raise ValidationError(f"amplitude must be within 0..1, got {amplitude}")
+    check_number("freq", freq, 0.0, _rate(sample_rate) / 2, "()")
+    check_number("amplitude", amplitude, 0.0, 1.0)
     # in place, in the order amplitude * sin(2 pi freq t) evaluates: one array, its bits
     t = np.arange(_num_samples(duration, sample_rate), dtype=np.float64)
     t /= sample_rate
@@ -157,8 +150,7 @@ def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
     start-up transient, which the buffer adopts without a copy: no white array is held.
     """
     n = _num_samples(duration, sample_rate)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    check_number("seed", seed, 0, ends="[)", integer=True)
     rng, white = np.random.default_rng(seed), np.empty(0)
 
     def draw(a: int, b: int) -> np.ndarray:  # read in order from 0: the next b - a normals
@@ -188,8 +180,7 @@ def gen_impulse(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
                 offset: int = 0) -> SampleBuffer:
     """Unit impulse: a single 1.0 sample at `offset`, zeros elsewhere."""
     n = _num_samples(duration, sample_rate)
-    if not isinstance(offset, (int, np.integer)) or not 0 <= offset < n:
-        raise ValidationError(f"offset must be an integer in [0, {n}), got {offset!r}")
+    check_number("offset", offset, 0, n, "[)", integer=True)
     samples = np.zeros(n)
     samples[offset] = 1.0
     samples.setflags(write=False)
@@ -283,17 +274,19 @@ def apply_fractional_delay(buf: SampleBuffer, delay: float,
     Integer-sample delays are exact shifts. Fractional residues go through a
     65-tap Kaiser-windowed sinc interpolator, which keeps the phase of any
     steady-state sine below 0.9 Nyquist within well under a degree of the
-    ideal 360*f*delay lag. An optional odd-length zero-phase `fir` joins the
+    ideal 360*f*delay lag. An optional odd-length zero-phase `fir` of finite taps joins the
     interpolator, or for an integer delay is the whole kernel, in one convolution
     whose window, centred on the kernel's middle tap, is the output: the exact response
     of the zero-extended input cropped to its length, and all zeros once the delay
     passes the end plus the kernel's reach.
     """
-    if not 0 <= delay < np.inf:
-        raise ValidationError(f"delay must be finite and non-negative, got {delay}")
-    fir = None if fir is None else np.asarray(fir)
-    if fir is not None and (fir.ndim != 1 or fir.size % 2 == 0 or not np.isfinite(fir).all()):
-        raise ValidationError(f"fir must be finite, 1-D and of odd length, got shape {fir.shape}")
+    check_number("delay", delay, 0.0, ends="[)")
+    if fir is not None:
+        fir = np.asarray(fir)
+        if fir.ndim != 1 or fir.size % 2 == 0:
+            raise ValidationError(f"fir must be 1-D and of odd length, got shape {fir.shape}")
+        for tap in (fir.min(), fir.max()) if fir.dtype.kind in "iuf" else fir:  # extremes carry NaN
+            check_number("fir", tap, ends="()")
     x = buf.samples
     # Past the buffer and the kernel's reach the output is all zeros: cap there, as int(inf) fails.
     total = min(delay * buf.sample_rate, x.size + _FD_TAPS + (0 if fir is None else fir.size))

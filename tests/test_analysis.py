@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,12 +10,13 @@ from hypothesis import strategies as st
 from scipy import signal as scipy_signal
 
 from bincues import analysis
-from bincues import (AnalysisError, BincuesError, SampleBuffer, ShadowParams, SilentSignalError,
-                     SourceSpec, StereoBuffer, TransferFunction, ValidationError,
-                     analyze_capture, apply_fractional_delay, band_itd, calibration_check,
-                     cross_correlation, estimate_itd, full_dummy, gen_impulse, gen_pink_noise,
-                     gen_sine, head_shadow_ild, human_head, ild_spectrum_summary, jecklin, ortf,
-                     predicted_itd, semi_dummy, simulate_capture, transfer_function)
+from bincues import (AnalysisError, BincuesError, DuplexThresholds, HeadGeometry, RenderSpec,
+                     SampleBuffer, ShadowParams, SilentSignalError, SourceSpec, StereoBuffer,
+                     TransferFunction, ValidationError, analyze_capture, apply_fractional_delay,
+                     band_itd, calibration_check, cross_correlation, estimate_itd, full_dummy,
+                     gen_impulse, gen_pink_noise, gen_sine, head_shadow_ild, human_head,
+                     ild_spectrum_summary, jecklin, ortf, predicted_itd, semi_dummy,
+                     simulate_capture, transfer_function)
 
 SR = 48000
 ONE_SAMPLE = 1.0 / SR
@@ -100,6 +102,21 @@ def test_tf_parseval(pink_5s):
     assert abs(10.0 * np.log10(band_power / time_power)) < 0.1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("freqs", np.nan), ("magnitude_db", np.nan), ("phase_deg", np.inf), ("coherence", np.nan),
+    ("broadband_delay_s", np.nan), ("broadband_delay_s", np.inf),
+])
+def test_tf_rejects_a_non_finite_value_or_a_coherence_outside_0_1(field, value):
+    arrays = dict(freqs=np.linspace(20.0, 16000.0, 4), magnitude_db=np.zeros(4),
+                  phase_deg=np.zeros(4), coherence=np.ones(4), broadband_delay_s=0.0)
+    if field == "broadband_delay_s":
+        arrays[field] = value
+    else:
+        arrays[field][-1] = value
+    with pytest.raises(ValidationError, match=field):
+        TransferFunction(**arrays)
+
+
 def test_tf_validation():
     short = gen_pink_noise(0.05, SR, seed=2)
     with pytest.raises(ValidationError):
@@ -141,6 +158,42 @@ def test_integer_arguments_take_numpy_integers_and_fir_takes_a_list():
               apply_fractional_delay(pink, 1e-3, np.array(fir)).samples)]
     for got, want in pairs:
         assert np.array_equal(got, want)
+
+
+def _stereo_1s():
+    return StereoBuffer(_pink_1s(), _pink_1s())
+
+
+# None, a string, a bool or NaN where a number goes: the parameter's own rule names it, where a
+# comparison or a product raised TypeError, and a bool offset gave an impulse of all ones.
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: gen_sine(None, 1.0), "freq", None),
+    (lambda: gen_sine("440", 1.0), "freq", "440"),
+    (lambda: gen_pink_noise(None), "duration", None),
+    (lambda: apply_fractional_delay(_pink_1s(), None), "delay", None),
+    (lambda: apply_fractional_delay(_pink_1s(), 1e-3, ["a"]), "fir", np.str_("a")),
+    (lambda: estimate_itd(_stereo_1s(), max_lag=None), "max_lag", None),
+    (lambda: calibration_check(_pink_1s(), _pink_1s(), tolerance_db=None), "tolerance_db", None),
+    (lambda: calibration_check(_pink_1s(), _pink_1s(), tolerance_db=math.nan), "tolerance_db",
+     math.nan),
+    (lambda: SourceSpec(None), "azimuth", None),
+    (lambda: human_head(radius_m="0.1"), "radius_m", "0.1"),
+    (lambda: ortf(capsule_angle_deg="110"), "capsule_angle_deg", "110"),
+    (lambda: RenderSpec(azimuth_rad=None), "azimuth_rad", None),
+    (lambda: RenderSpec(gain_db=None), "gain_db", None),
+    (lambda: ShadowParams(max_attenuation_db=None), "max_attenuation_db", None),
+    (lambda: HeadGeometry(temperature_c=None), "temperature_c", None),
+    (lambda: DuplexThresholds(itd_limit_hz=None), "itd_limit_hz", None),
+    (lambda: band_itd(_stereo_1s(), low_hz=None), "low_hz", None),
+    (lambda: gen_impulse(0.01, 48000, True), "offset", True),
+], ids=["sine-None", "sine-str", "pink-None", "delay-None", "fir-str", "max_lag-None",
+        "tolerance-None", "tolerance-nan", "source-None", "radius-str", "capsule-str",
+        "render-azimuth-None", "render-gain-None", "shadow-None", "temperature-None",
+        "duplex-None", "band-None", "impulse-bool"])
+def test_a_mistyped_number_argument_is_a_validation_error(call, name, value):
+    rule = rf"^{name} must be (a|an|a finite) (number|integer) in .*, got "
+    with pytest.raises(ValidationError, match=rule + re.escape(repr(value)) + "$"):
+        call()
 
 
 # --- estimate_itd -----------------------------------------------------------
@@ -469,7 +522,7 @@ def test_summary_band_outside_range_errors():
 
 
 @pytest.mark.parametrize("center, match", [
-    (np.nan, "octave band around nan Hz is outside"),
+    (np.nan, r"center must be a number in \[-inf, inf\], got nan"),
     (0.0, "octave band around 0 Hz is outside"),
     (1.0, "no analysis bin in the octave band around 1 Hz"),  # 0.71..1.41 Hz, under one bin
 ])

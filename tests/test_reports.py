@@ -29,6 +29,14 @@ def test_json_round_trip_equality(cue_doc):
     assert parse_json(emit_json(doc)) == doc
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_emit_refuses_a_number_that_parse_would_refuse(cue_doc, value):
+    report, _ = cue_doc
+    nan_report = type(report)(value, report.itd_low_s, report.itd_high_s, report.ild_spectrum)
+    with pytest.raises(ValidationError, match="not writable as JSON"):
+        emit_json(cue_report_doc(nan_report))
+
+
 def test_emit_is_deterministic(cue_doc):
     _, doc = cue_doc
     assert emit_json(doc) == emit_json(doc)
