@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AnalysisError, SilentSignalError, ValidationError, check_number
-from .signals import DEFAULT_OCTAVE_CENTERS, SampleBuffer, StereoBuffer
+from .signals import DEFAULT_OCTAVE_CENTERS, SampleBuffer, StereoBuffer, check_rate
 
 DEFAULT_FFT_SIZE = 8192
 DEFAULT_OVERLAP = 0.5
@@ -187,9 +187,11 @@ class _Welch:
 
 def _check_args(length: int, sample_rate: int, weighting: str, max_lag: float,
                 centers: Iterable[float] = (), fft_size: int | None = None) -> tuple[int, list]:
-    """An analysis call's argument rules, checked before it reads a sample: fft_size's (else a
-    capture must not be empty), the weighting, max_lag, then the probe bands at `centers`.
-    Returns max_lag in whole samples, four of which fit in the ITDs' segment, and the bands."""
+    """An analysis call's argument rules, checked before it reads a sample: the rate's, length's,
+    fft_size's (else a capture must not be empty), the weighting's, max_lag's, then the octaves
+    at `centers`. Returns max_lag in whole samples (four fit in the ITDs' segment) and the bands."""
+    sample_rate = check_rate(sample_rate)
+    check_number("length", length, 0, ends="[)", integer=True)
     if fft_size is not None:
         _check_fft_size(fft_size, length, sample_rate)
     elif not length:
@@ -433,12 +435,13 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
                     weighting: str = "none", max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
     """Full cue extraction for one stereo capture (left = reference channel).
 
-    Equals its three stages called alone, sharing one Welch pass: transfer_function of
-    right against left, estimate_itd and band_itd, each with the arguments given here; the
-    band ITDs are always at the probe tones, DEFAULT_LOW_BAND_HZ and DEFAULT_HIGH_BAND_HZ.
-    The broadband and band ITDs and the transfer function read one Welch pass over
-    min(DEFAULT_FFT_SIZE, len) samples; at any other fft_size the transfer function takes
-    a second pass. Every argument rule comes before any sample is read, then the samples' rules
+    Equals its three stages called alone, sharing one Welch pass: transfer_function of right
+    against left, estimate_itd and band_itd, each with the arguments given here; the band ITDs
+    are always at the probe tones, DEFAULT_LOW_BAND_HZ and DEFAULT_HIGH_BAND_HZ. The broadband
+    and band ITDs and the transfer function read one Welch pass over min(DEFAULT_FFT_SIZE, len)
+    samples; at any other fft_size the transfer function takes a second pass. Every argument
+    rule comes before any sample is read, last the octaves of the probe tones and of
+    cue_report_doc's table (DEFAULT_OCTAVE_CENTERS) inside 0..Nyquist; then the samples' rules
     in the stages' order, but for the broadband delay's lag rule last. It is analyze_blocks of
     the whole capture as one block.
     """
@@ -449,15 +452,15 @@ def analyze_capture(stereo: StereoBuffer, fft_size: int = DEFAULT_FFT_SIZE,
 def analyze_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]], length: int,
                    sample_rate: int, fft_size: int = DEFAULT_FFT_SIZE,
                    weighting: str = "none", max_lag: float = DEFAULT_MAX_LAG_S) -> CueReport:
-    """analyze_capture of a capture that arrives as consecutive (left, right) blocks of
-    finite float64 or float32 samples, `length` in each channel and `sample_rate` Hz, with
-    the same result, bit for bit, however the capture is cut. Each Welch pass holds 1.4 MiB
-    at the default fft_size and peaks at 1.76 MiB, whatever the length. No block is drawn
-    before the arguments are checked; ValidationError is raised when they do not add up to
-    `length`.
+    """analyze_capture of a capture that arrives as consecutive (left, right) blocks of finite
+    float64 or float32 samples, `length` in each channel and `sample_rate` Hz, with the same
+    result, bit for bit, however the capture is cut. Each Welch pass holds 1.4 MiB at the
+    default fft_size and peaks at 1.76 MiB, whatever the length. No block is drawn before the
+    arguments are checked, the rate by check_rate and `length` as an integer >= 0 first;
+    ValidationError is raised when the blocks do not add up to `length`.
     """
-    m, bands = _check_args(length, sample_rate, weighting, max_lag,
-                           (DEFAULT_LOW_BAND_HZ, DEFAULT_HIGH_BAND_HZ), fft_size)
+    centers = (DEFAULT_LOW_BAND_HZ, DEFAULT_HIGH_BAND_HZ, *DEFAULT_OCTAVE_CENTERS)  # probes, report
+    m, bands = _check_args(length, sample_rate, weighting, max_lag, centers, fft_size)
     # the ITDs' segment size first, then the transfer function's when it differs
     sizes = dict.fromkeys((min(DEFAULT_FFT_SIZE, length), fft_size))
     passes = [_Welch(size, sample_rate) for size in sizes]
@@ -471,5 +474,5 @@ def analyze_blocks(blocks: Iterable[tuple[np.ndarray, np.ndarray]], length: int,
     del passes, welch  # the accumulators' buffers go before the lag windows are read
     _require_sound(spectra[0], sample_rate)
     itd = _itd(_weighted(spectra[0].s_xy, weighting), spectra[0].size, m, sample_rate)
-    low, high = _band_itds(spectra[0], bands, m, sample_rate)
+    low, high = _band_itds(spectra[0], bands[:2], m, sample_rate)
     return CueReport(itd, low, high, _transfer_function(spectra[-1], sample_rate))

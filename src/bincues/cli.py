@@ -203,14 +203,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    from . import analysis, reports, signals, wavio
+    from . import analysis, reports, wavio
     out, csv_path = _outputs(args, ".csv", [args.wav])
     with wavio.WavReader(args.wav) as wav:
         if wav.channels != 2:
             raise AnalysisError(f"{args.wav}: cue analysis needs a stereo capture, got mono")
-        # the report's octaves must lie in the 0..Nyquist bins, and analyze_blocks checks its
-        # own arguments, before the capture streams from the file into the Welch sums
-        analysis.octave_bands(signals.DEFAULT_OCTAVE_CENTERS, 0.0, wav.sample_rate / 2)
         report = analysis.analyze_blocks(wav, wav.frames, wav.sample_rate, fft_size=args.fft_size,
                                          weighting=args.weighting, max_lag=args.max_lag_ms / 1000.0)
     meta = reports.build_metadata(

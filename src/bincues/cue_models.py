@@ -25,13 +25,13 @@ _HEAD_SHADOW_CORNER_HZ = 2000.0 * (5.0 / 3.0) ** (1.0 / SHADOW_LOG_SLOPE)
 
 
 def speed_of_sound(temperature_c: float) -> float:
-    """Speed of sound in air, m/s, as 331 + 0.6 T with T in degrees Celsius."""
-    return 331.0 + 0.6 * temperature_c
+    """Speed of sound in air, m/s, as 331 + 0.6 T, T in degrees Celsius by check_temperature."""
+    return 331.0 + 0.6 * check_temperature(temperature_c)
 
 
-def check_temperature(temperature_c: float) -> None:
-    """Raise ValidationError unless the air temperature is a number in -20..50 C."""
-    check_number("temperature_c", temperature_c, -20.0, 50.0)
+def check_temperature(temperature_c: float) -> float:
+    """The air temperature as it is; ValidationError unless it is a number in -20..50 C."""
+    return check_number("temperature_c", temperature_c, -20.0, 50.0)
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,9 @@ def wrap_phase_deg(deg):
 
 
 def ipd_from_itd(freq: float, itd: float) -> float:
-    """Interaural phase difference implied by a time difference at one frequency."""
+    """IPD in degrees implied by an ITD at one frequency; ValidationError unless finite, freq > 0."""
     check_frequency(freq)
-    return float(wrap_phase_deg(360.0 * freq * itd))
+    return float(wrap_phase_deg(360.0 * freq * check_number("itd", itd, ends="()")))
 
 
 @dataclass(frozen=True)

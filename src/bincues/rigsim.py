@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .cue_models import (HeadGeometry, ShadowParams, check_azimuth, check_frequency,
-                         check_temperature, head_shadow_ild, itd_simple, speed_of_sound)
+                         head_shadow_ild, itd_simple, speed_of_sound)
 from .errors import ValidationError, check_number
-from .signals import SampleBuffer, StereoBuffer, apply_fractional_delay
+from .signals import SampleBuffer, StereoBuffer, apply_fractional_delay, check_rate
 
 
 class RigKind(Enum):
@@ -133,7 +133,6 @@ def default_rig(kind: RigKind) -> RigSpec:
 
 
 def _free_field_itd(mic_spacing_m: float, azimuth: float, temperature_c: float) -> float:
-    check_temperature(temperature_c)
     return mic_spacing_m * math.sin(azimuth) / speed_of_sound(temperature_c)
 
 
@@ -176,13 +175,13 @@ def predicted_ild_db(rig: RigSpec, src: SourceSpec, freq: float) -> float:
 def shadow_filter_kernel(rig: RigSpec, azimuth: float, sample_rate: int) -> np.ndarray | float:
     """Zero-phase FIR whose magnitude matches the far-to-near gain ratio of ear_gains.
 
-    The kernel is symmetric, so applying it centered adds no group delay at
-    any frequency: the capture's time cue comes only from the explicit ITD
-    delay. (A minimum-phase realization was tried first and rejected: its
-    low-frequency group delay shifted broadband correlation peaks by more
-    than a sample.) A ratio flat in frequency, as ORTF's, is returned as that gain.
+    The kernel is symmetric, so applying it centered adds no group delay at any frequency: the
+    capture's time cue comes only from the explicit ITD delay. (A minimum-phase realization was
+    tried first and rejected: its low-frequency group delay shifted broadband correlation peaks
+    by more than a sample.) A ratio flat in frequency, as ORTF's, is returned as that gain.
+    ValidationError is raised for a rate that check_rate refuses or an azimuth outside [0, pi/2].
     """
-    freqs = np.fft.rfftfreq(_SHADOW_DESIGN_FFT, 1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(_SHADOW_DESIGN_FFT, 1.0 / check_rate(sample_rate))
     freqs[0] = freqs[1]  # DC takes the lowest bin's (vanishing) attenuation
     near, far = ear_gains(rig, azimuth, freqs)
     target = far / near

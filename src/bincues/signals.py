@@ -57,7 +57,7 @@ class SampleBuffer:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sample_rate", _rate(self.sample_rate))
+        object.__setattr__(self, "sample_rate", check_rate(self.sample_rate))
         samples = self.samples
         if not (type(samples) is np.ndarray and samples.dtype in (np.float64, np.float32)
                 and samples.base is None and not samples.flags.writeable):
@@ -102,14 +102,14 @@ class StereoBuffer:
         return StereoBuffer(left=self.right, right=self.left)
 
 
-def _rate(sample_rate: int) -> int:
-    """sample_rate as an int; ValidationError unless it is a positive whole number."""
+def check_rate(sample_rate: int) -> int:
+    """sample_rate as an int; ValidationError unless an integer >= 1 or a whole float (48000.0)."""
     return check_number("sample_rate", sample_rate, 1, ends="[)", integer="whole")
 
 
 def _num_samples(duration: float, sample_rate: int) -> int:
     """duration in whole samples, from 1 up to _MAX_SAMPLES, at a valid sample_rate."""
-    sample_rate = _rate(sample_rate)
+    sample_rate = check_rate(sample_rate)
     check_number("duration", duration, 0.0, ends="()")
     if duration * sample_rate > _MAX_SAMPLES:
         raise ValidationError(
@@ -125,9 +125,9 @@ def gen_sine(freq: float, duration: float, sample_rate: int = DEFAULT_SAMPLE_RAT
     """Sine tone starting at phase zero.
 
     freq must lie strictly between 0 and the Nyquist frequency; amplitude is
-    the peak value in 0..1.
+    the peak value in 0..1; else, or for a bad rate or duration, ValidationError.
     """
-    check_number("freq", freq, 0.0, _rate(sample_rate) / 2, "()")
+    check_number("freq", freq, 0.0, check_rate(sample_rate) / 2, "()")
     check_number("amplitude", amplitude, 0.0, 1.0)
     # in place, in the order amplitude * sin(2 pi freq t) evaluates: one array, its bits
     t = np.arange(_num_samples(duration, sample_rate), dtype=np.float64)

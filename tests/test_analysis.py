@@ -15,8 +15,9 @@ from bincues import (AnalysisError, BincuesError, DuplexThresholds, HeadGeometry
                      TransferFunction, ValidationError, analyze_capture, apply_fractional_delay,
                      band_itd, calibration_check, cross_correlation, estimate_itd, full_dummy,
                      gen_impulse, gen_pink_noise, gen_sine, head_shadow_ild, human_head,
-                     ild_spectrum_summary, jecklin, ortf, predicted_itd, semi_dummy,
-                     simulate_capture, transfer_function)
+                     ild_spectrum_summary, ipd_from_itd, jecklin, ortf, predicted_itd,
+                     semi_dummy, shadow_filter_kernel, simulate_capture, speed_of_sound,
+                     transfer_function)
 
 SR = 48000
 ONE_SAMPLE = 1.0 / SR
@@ -186,10 +187,25 @@ def _stereo_1s():
     (lambda: DuplexThresholds(itd_limit_hz=None), "itd_limit_hz", None),
     (lambda: band_itd(_stereo_1s(), low_hz=None), "low_hz", None),
     (lambda: gen_impulse(0.01, 48000, True), "offset", True),
+    (lambda: shadow_filter_kernel(human_head(), 0.5, None), "sample_rate", None),
+    (lambda: shadow_filter_kernel(human_head(), 0.5, 0), "sample_rate", 0),
+    (lambda: shadow_filter_kernel(human_head(), 0.5, 48000.5), "sample_rate", 48000.5),
+    (lambda: analysis.analyze_blocks([], None, 48000), "length", None),
+    (lambda: analysis.analyze_blocks([], 96000, None), "sample_rate", None),
+    (lambda: analysis.analyze_blocks([], 96000, 0), "sample_rate", 0),
+    (lambda: analysis.analyze_blocks([], -5, 48000), "length", -5),
+    (lambda: analysis.analyze_blocks([], 9000.5, 48000), "length", 9000.5),
+    (lambda: speed_of_sound(None), "temperature_c", None),
+    (lambda: speed_of_sound(math.nan), "temperature_c", math.nan),
+    (lambda: ipd_from_itd(500.0, None), "itd", None),
+    (lambda: ipd_from_itd(500.0, math.nan), "itd", math.nan),
 ], ids=["sine-None", "sine-str", "pink-None", "delay-None", "fir-str", "max_lag-None",
         "tolerance-None", "tolerance-nan", "source-None", "radius-str", "capsule-str",
         "render-azimuth-None", "render-gain-None", "shadow-None", "temperature-None",
-        "duplex-None", "band-None", "impulse-bool"])
+        "duplex-None", "band-None", "impulse-bool", "kernel-rate-None", "kernel-rate-0",
+        "kernel-rate-fraction", "blocks-length-None", "blocks-rate-None", "blocks-rate-0",
+        "blocks-length-negative", "blocks-length-fraction", "sound-speed-None",
+        "sound-speed-nan", "ipd-itd-None", "ipd-itd-nan"])
 def test_a_mistyped_number_argument_is_a_validation_error(call, name, value):
     rule = rf"^{name} must be (a|an|a finite) (number|integer) in .*, got "
     with pytest.raises(ValidationError, match=rule + re.escape(repr(value)) + "$"):
@@ -952,6 +968,7 @@ class _UnreadBlocks:
     (SR, dict(max_lag=1e-6), "under one sample"),
     (SR, dict(max_lag=0.2), "does not fit four times"),
     (16000, {}, "octave band around 6000 Hz"),
+    (22050, {}, r"octave band around 8000 Hz is outside the analyzed range \(0\.\.11025 Hz\)"),
 ])
 def test_analyze_blocks_checks_its_arguments_before_it_draws_a_block(no_sample_read, sample_rate,
                                                                      kwargs, match):

@@ -344,15 +344,15 @@ def test_analyze_of_a_22khz_capture_is_validation_failure(tmp_path, capsys):
 
 
 def test_analyze_checks_the_report_octaves_from_the_header(tmp_path, capsys, monkeypatch):
-    # the header's 22.05 kHz rate rules the report out before the capture is analyzed
+    # the header's 22.05 kHz rate rules the report out before a sample is read
     capture = tmp_path / "cap.wav"
     assert run("simulate", "--rig", "jecklin", "--azimuth", 45, "--seconds", 1,
                "--sample-rate", 22050, "--out", capture) == EXIT_OK
 
-    def welch_pass(*args, **kwargs):
-        raise AssertionError("analyze_blocks ran")
+    def update(self, x, y):
+        raise AssertionError("a sample was read")
 
-    monkeypatch.setattr(bincues.analysis, "analyze_blocks", welch_pass)
+    monkeypatch.setattr(bincues.analysis._Welch, "update", update)
     assert run("analyze", capture, "--out", tmp_path / "r.json") == EXIT_ANALYSIS
     assert "octave band around 8000 Hz is outside the analyzed range" in capsys.readouterr().err
 

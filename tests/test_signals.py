@@ -1,3 +1,5 @@
+import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
+import bincues
 from bincues import signals
 from bincues import (SampleBuffer, StereoBuffer, ValidationError, apply_fractional_delay,
                      gen_impulse, gen_pink_noise, gen_sine)
@@ -390,6 +393,30 @@ def test_generators_check_the_sample_rate_before_they_read_it(generate, rate):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16, peak
+
+
+# Valid arguments but the rate, by name, for every exported callable that takes a sample_rate.
+_RATE_TAKERS = {
+    "SampleBuffer": dict(samples=np.zeros(4)),
+    "gen_sine": dict(freq=100.0, duration=0.01),
+    "gen_pink_noise": dict(duration=0.01),
+    "gen_impulse": dict(duration=0.01),
+    "shadow_filter_kernel": dict(rig=bincues.human_head(), azimuth=0.5),
+    "analyze_blocks": dict(blocks=[], length=SR),
+}
+
+
+@pytest.mark.parametrize("rate", [None, 0, 48000.5, True, "48000"])
+def test_every_exported_callable_that_takes_a_sample_rate_checks_it(rate):
+    # a new public entry with a sample_rate parameter needs a row above, so it meets this rule
+    takers = {name for name in bincues.__all__ if callable(obj := getattr(bincues, name))
+              and not (isinstance(obj, type) and issubclass(obj, BaseException))
+              and "sample_rate" in inspect.signature(obj).parameters}
+    assert takers == set(_RATE_TAKERS)
+    for name, kwargs in _RATE_TAKERS.items():
+        with pytest.raises(ValidationError, match=r"^sample_rate must be an integer in \[1, inf\),"
+                                                  rf" got {re.escape(repr(rate))}$"):
+            getattr(bincues, name)(**kwargs, sample_rate=rate)
 
 
 def test_sample_buffer_rejects_2d_samples():
