@@ -79,10 +79,13 @@ def duplex_classify(freq: float, thresholds: DuplexThresholds | None = None) -> 
     """Classify a frequency by its dominant localization cue.
 
     Boundaries are inclusive on the low side: f == itd_limit_hz is still
-    ITD_EFFECTIVE and the inefficient band includes both of its edges.
+    ITD_EFFECTIVE and the inefficient band includes both of its edges. ValidationError for a
+    freq that check_frequency refuses or thresholds that are neither None nor DuplexThresholds.
     """
     check_frequency(freq)
-    t = thresholds or DuplexThresholds()
+    t = DuplexThresholds() if thresholds is None else thresholds
+    if not isinstance(t, DuplexThresholds):
+        raise ValidationError(f"thresholds must be DuplexThresholds or None, got {t!r}")
     if freq <= t.itd_limit_hz:
         return CueBand.ITD_EFFECTIVE
     if freq < t.ild_start_hz:
@@ -132,7 +135,12 @@ def itd_modified(geom: HeadGeometry, azimuth: float, freq: float) -> float:
 
 
 def wrap_phase_deg(deg):
-    """Wrap degrees into (-180, +180]; works on scalars and arrays."""
+    """Wrap degrees into (-180, +180]; works on scalars and arrays. ValidationError unless deg
+    is finite: a number by the number rule, an array element by element."""
+    if np.isscalar(deg):
+        check_number("deg", deg, ends="()")
+    elif not np.all(np.isfinite(np.asarray(deg, dtype=np.float64))):
+        raise ValidationError(f"deg must be a finite number in (-inf, inf), got {deg}")
     return -(((-np.asarray(deg) + 180.0) % 360.0) - 180.0)
 
 

@@ -47,9 +47,12 @@ def binauralize(signal: SampleBuffer, spec: RenderSpec) -> StereoBuffer:
 
 
 def binauralize_scene(sources: list[tuple[SampleBuffer, RenderSpec]]) -> StereoBuffer:
-    """Mix sources, each an arrival of rigsim.place_arrivals at its spec's gain. No source is
-    normalized on its own, so levels keep their ratios: a mix that would peak above 1.0 is
-    scaled down, both channels together so the interaural cues survive, and logged."""
+    """Mix sources, each an arrival of rigsim.place_arrivals at its spec's gain. The far ears
+    that land in one channel from signals of one length run through one overlap-add, so a
+    channel that sums several of them matches the sum of the sources' solo renders to rounding,
+    and a channel with one far ear matches it bit for bit. No source is normalized on its own,
+    so levels keep their ratios: a mix that would peak above 1.0 is scaled down, both channels
+    together so the interaural cues survive, and logged."""
     if not sources:
         empty = SampleBuffer(np.zeros(0), DEFAULT_SAMPLE_RATE)
         return StereoBuffer(empty, empty)

@@ -22,7 +22,8 @@ import numpy as np
 from .cue_models import (HeadGeometry, ShadowParams, check_azimuth, check_frequency,
                          head_shadow_ild, itd_simple, speed_of_sound)
 from .errors import ValidationError, check_number
-from .signals import SampleBuffer, StereoBuffer, apply_fractional_delay, check_rate
+from .signals import (SampleBuffer, StereoBuffer, apply_fractional_delay, check_rate,
+                      mix_delayed)
 
 
 class RigKind(Enum):
@@ -199,6 +200,15 @@ def _scaled(owned: np.ndarray, gain: float) -> np.ndarray:
     return owned
 
 
+def _far_filter(rig: RigSpec, azimuth: float, signal: SampleBuffer,
+                temperature_c: float) -> tuple[float, np.ndarray | None, float]:
+    """far_ear's (delay, zero-phase FIR, flat gain): the FIR when the far-to-near ratio varies
+    in frequency, else None and that ratio (ORTF's) as the gain."""
+    itd = predicted_itd(rig, SourceSpec(azimuth_rad=azimuth), temperature_c)
+    kernel = shadow_filter_kernel(rig, azimuth, signal.sample_rate)
+    return (itd, kernel, 1.0) if np.ndim(kernel) else (itd, None, kernel)
+
+
 def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
             temperature_c: float = 20.0) -> np.ndarray:
     """The far ear's samples of a source at azimuth in [0, pi/2], near ear at unit gain,
@@ -208,11 +218,9 @@ def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
     ear_gains: its zero-phase FIR fit, run in the delay's one convolution and so exact at
     the edges, or a ratio flat in frequency (ORTF's) multiplied in after the delay.
     """
-    itd = predicted_itd(rig, SourceSpec(azimuth_rad=azimuth), temperature_c)
-    kernel = shadow_filter_kernel(rig, azimuth, signal.sample_rate)
-    if np.ndim(kernel):
-        return apply_fractional_delay(signal, itd, kernel).samples
-    return _scaled(apply_fractional_delay(signal, itd).samples, kernel)
+    delay, fir, ratio = _far_filter(rig, azimuth, signal, temperature_c)
+    far = apply_fractional_delay(signal, delay, fir).samples
+    return far if fir is not None else _scaled(far, ratio)
 
 
 def place_arrivals(arrivals: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -220,31 +228,80 @@ def place_arrivals(arrivals: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     (signal, rig, azimuth in [-pi/2, pi/2] and negative to the right, gain, temperature_c):
     the near ear is the signal times the gain (its own array at unit gain), the far ear
     far_ear times the gain (the near ear's array at azimuth 0), swapped at a negative
-    azimuth. Later arrivals add into zero-padded copies of the first's ears. On ORTF the
-    callers differ only in the gain: a capture passes the rig's near gain, so both ears take
-    their cardioid gains, and a render its output gain, so the near capsule counts as unit
-    gain. ValidationError: no arrivals, mixed sample rates or an empty signal."""
+    azimuth. On ORTF the callers differ only in the gain: a capture passes the rig's near
+    gain, so both ears take their cardioid gains, and a render its output gain, so the near
+    capsule counts as unit gain.
+
+    A scene of several arrivals adds each ear, in arrival order, into zero-padded float64
+    copies of the first arrival's ears, or into the first's own fresh ear where it is full
+    length. The far ears that share an output channel and a signal length are one group: a
+    group of one is far_ear times its gain, bit for bit a lone arrival's, and a larger group is
+    one signals.mix_delayed call, added where its first member's far ear would go. So a scene
+    of N sources of one length runs N forward FFTs and at most two inverse FFTs per block, and
+    a channel that sums several far ears agrees with the sum of the lone arrivals' ears to
+    rounding. ValidationError: no arrivals, mixed sample rates or an empty signal."""
     if len(rates := {arrival[0].sample_rate for arrival in arrivals}) != 1:
         raise ValidationError(f"need arrivals of one sample rate, got rates {sorted(rates)}")
-    if len(arrivals) > 1:  # float64 copies of the first's ears, which the later ones add into
-        n = max(len(arrival[0]) for arrival in arrivals)
-        ears = [np.append(ear, np.zeros(n - ear.size)) for ear in place_arrivals(arrivals[:1])]
-        for arrival in arrivals[1:]:
-            for mix, ear in zip(ears, place_arrivals([arrival])):
-                mix[: ear.size] += ear
-            del ear  # before the next arrival is placed
-        for mix in ears:
-            mix.setflags(write=False)
-        return ears[0], ears[1]
-    [(signal, rig, azimuth, gain, temperature_c)] = arrivals
-    if len(signal) == 0:
+    if any(len(arrival[0]) == 0 for arrival in arrivals):
         raise ValidationError("signal is empty")
-    # the far ear first, so that no fresh near ear is held through its convolution
-    far = far_ear(rig, abs(azimuth), signal, temperature_c) if azimuth else None
+    if len(arrivals) == 1:
+        [(signal, _, azimuth, gain, _)] = arrivals
+        # the far ear first, so that no fresh near ear is held through its convolution
+        far = _far_ears(arrivals) if azimuth else None
+        near = _near_ear(signal, gain)
+        return (near, near) if far is None else (far, near) if azimuth < 0 else (near, far)
+    n = max(len(arrival[0]) for arrival in arrivals)
+    groups: dict[tuple[bool, int], list[int]] = {}  # (far ear on the right, length) -> arrivals
+    for i, (signal, _, azimuth, _, _) in enumerate(arrivals):
+        if azimuth:
+            groups.setdefault((azimuth > 0, len(signal)), []).append(i)
+    ears: list[np.ndarray | None] = [None, None]
+
+    def add(channel: int, ear: np.ndarray, ours: bool) -> None:
+        if ears[channel] is not None:
+            ears[channel][: ear.size] += ear
+        elif ours and ear.size == n:  # the first arrival's fresh ear at full length: no copy
+            ears[channel] = ear
+            ear.setflags(write=True)
+        else:  # the first arrival's ear, as a zero-padded float64 copy
+            ears[channel] = np.append(ear, np.zeros(n - ear.size))
+
+    for i, (signal, _, azimuth, gain, _) in enumerate(arrivals):
+        side = int(azimuth > 0)  # the far ear's channel
+        if azimuth and (group := groups[azimuth > 0, len(signal)])[0] == i:
+            # the group's far ears, before the near ear: no two fresh ears are held
+            add(side, _far_ears([arrivals[m] for m in group]), True)
+        near = _near_ear(signal, gain)
+        add(1 - side, near, near is not signal.samples)
+        if not azimuth:
+            add(side, near, False)
+        del near  # before the next group's far ears
+    for mix in ears:
+        mix.setflags(write=False)
+    return ears[0], ears[1]
+
+
+def _far_ears(arrivals: list[tuple]) -> np.ndarray:
+    """The sum of the arrivals' far ears, each times its gain, for signals of one length, as a
+    fresh read-only array: a lone arrival's is far_ear's own array, scaled in place, and more
+    than one run through one mix_delayed call."""
+    if len(arrivals) == 1:
+        [(signal, rig, azimuth, gain, temperature_c)] = arrivals
+        far = far_ear(rig, abs(azimuth), signal, temperature_c)
+        return far if gain == 1.0 else _scaled(far, gain)
+    parts = []
+    for signal, rig, azimuth, gain, temperature_c in arrivals:
+        delay, fir, ratio = _far_filter(rig, abs(azimuth), signal, temperature_c)
+        parts.append((signal, delay, fir, ratio * gain))
+    return mix_delayed(parts)
+
+
+def _near_ear(signal: SampleBuffer, gain: float) -> np.ndarray:
+    """The signal times the gain, read-only: its own samples at unit gain, else a fresh array
+    scaled in one pass."""
     near = signal.samples if gain == 1.0 else np.multiply(gain, signal.samples, dtype=np.float64)
-    near.setflags(write=False)  # a fresh near ear, scaled in one pass, is handed on read-only
-    far = near if far is None else far if gain == 1.0 else _scaled(far, gain)
-    return (far, near) if azimuth < 0 else (near, far)
+    near.setflags(write=False)
+    return near
 
 
 def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,

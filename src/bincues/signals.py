@@ -5,10 +5,11 @@ at a fixed integer sample rate. Buffers are finite and immutable: a NaN or
 infinite sample is rejected when a buffer is built, so no later stage sees
 one. Producers hand their fresh arrays over read-only, which a buffer adopts without a
 copy. Generators and transforms always return new buffers, so concurrent use on distinct
-buffers is safe. Every FIR runs on fft_convolve, so numpy is all it needs; it computes only
-the window its caller keeps, so no temporary but that window grows with the signal. Its loop
-reads the long operand a step at a time, so pink noise draws its white noise block by block
-and holds only the pink window.
+buffers is safe. Every FIR runs on fft_convolve's overlap-add loop, so numpy is all it needs;
+it computes only the window its caller keeps, so no temporary but that window grows with the
+signal. The loop reads its long operands a step at a time, so pink noise draws its white noise
+block by block and holds only the pink window, and mix_delayed sums several delayed and
+filtered buffers with one inverse FFT per block for all of them.
 """
 
 from __future__ import annotations
@@ -76,12 +77,16 @@ class SampleBuffer:
 
 @dataclass(frozen=True)
 class StereoBuffer:
-    """Two equal-length, equal-rate channels; left is the reference channel."""
+    """Two equal-length, equal-rate channels; left is the reference channel. ValidationError
+    unless both are SampleBuffers of one length and rate."""
 
     left: SampleBuffer
     right: SampleBuffer
 
     def __post_init__(self) -> None:
+        for name, channel in (("left", self.left), ("right", self.right)):
+            if not isinstance(channel, SampleBuffer):
+                raise ValidationError(f"{name} must be a SampleBuffer, got {type(channel).__name__}")
         if self.left.sample_rate != self.right.sample_rate:
             raise ValidationError(
                 f"channel sample rates differ: {self.left.sample_rate} vs {self.right.sample_rate}"
@@ -160,7 +165,7 @@ def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
         return rng.standard_normal(out=white[: b - a])
 
     taps, spectrum = _pink_filter()
-    pink = _overlap_add(draw, n + _PINK_WARMUP, taps, _PINK_WARMUP, n, spectrum)
+    pink = _overlap_add([draw], n + _PINK_WARMUP, taps[None], _PINK_WARMUP, n, spectrum[None])
     pink *= _PINK_PEAK / max(pink.max(), -pink.min())  # the peak of |pink|, with no |pink| array
     pink.setflags(write=False)
     return SampleBuffer(pink, sample_rate)
@@ -197,16 +202,24 @@ def fft_convolve(x: np.ndarray, kernel: np.ndarray, start: int = 0,
     with the signal. Each sample is a block's output plus at most the previous block's tail.
     float32 operands widen to float64 exactly, the longer one a step at a time."""
     x, kernel = sorted((x, kernel), key=len, reverse=True)
-    return _overlap_add(lambda a, b: x[a:b].astype(np.float64, copy=False), x.size,
-                        kernel.astype(np.float64, copy=False), start, count)
+    return _overlap_add([_reader(x)], x.size, kernel.astype(np.float64, copy=False)[None],
+                        start, count)
 
 
-def _overlap_add(read: Callable[[int, int], np.ndarray], n: int, kernel: np.ndarray,
+def _reader(x: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """_overlap_add's read of x: samples a..b, float32 widened to float64 a step at a time."""
+    return lambda a, b: x[a:b].astype(np.float64, copy=False)
+
+
+def _overlap_add(reads: list[Callable[[int, int], np.ndarray]], n: int, kernels: np.ndarray,
                  start: int, count: int | None, h: np.ndarray | None = None) -> np.ndarray:
-    """fft_convolve's loop over a long operand of n >= kernel.size samples that it reads a step
-    at a time, as read(a, b) -> samples a..b, calls that run in order and join end to end. h is
-    the kernel's rfft at the block size, if the caller keeps one."""
-    taps = kernel.size
+    """fft_convolve's loop, summed over long operands of n samples each, one per read and per
+    row of the 2-D kernels: each read(a, b) -> samples a..b of its operand, calls that run in
+    order and join end to end. In each block the operands' spectra, each weighted by its
+    kernel's, add up before one irfft, so k operands cost k forward transforms and one inverse;
+    one operand runs fft_convolve's arithmetic. h is the kernels' rfft at the block size, if
+    the caller keeps one."""
+    taps = kernels.shape[1]
     full = n + taps - 1 if taps else 0
     out = np.zeros(full - start if count is None else count)
     lo, hi = max(start, 0), min(start + out.size, full)  # the window's part of the convolution
@@ -214,19 +227,24 @@ def _overlap_add(read: Callable[[int, int], np.ndarray], n: int, kernel: np.ndar
         return out
     size = 1 << max(2 * taps - 2, 4095).bit_length()
     step = size - taps + 1  # >= taps, so a tail reaches one block on
-    h = np.fft.rfft(kernel, size) if h is None else h
+    h = np.fft.rfft(kernels, size) if h is None else h
     batch = max(_CONV_BYTES // (8 * size), 1)
     spectra, y = np.empty((batch, size // 2 + 1), complex), np.empty((batch, size))
+    spare = np.empty_like(spectra) if len(reads) > 1 else None  # the later operands' spectra
     first, stop = max(lo // step - 1, 0), min((hi - 1) // step + 1, -(-n // step))
     tail = np.full(taps - 1, -0.0)  # v + -0.0 is v, signed zeros too: block `first` has no tail
     for j in range(first, stop, batch):
         k = min(batch, stop - j)
-        seg = read(j * step, min((j + k) * step, n))  # a partial last block is its own rfft
-        whole = seg.size // step
-        np.fft.rfft(seg[: whole * step].reshape(whole, step), size, out=spectra[:whole])
-        if whole < k:
-            np.fft.rfft(seg[whole * step :], size, out=spectra[whole])
-        spectra[:k] *= h
+        end = min((j + k) * step, n)
+        whole = (end - j * step) // step  # a partial last block is its own rfft
+        for i, read in enumerate(reads):
+            seg, into = read(j * step, end), spare if i else spectra
+            np.fft.rfft(seg[: whole * step].reshape(whole, step), size, out=into[:whole])
+            if whole < k:
+                np.fft.rfft(seg[whole * step :], size, out=into[whole])
+            into[:k] *= h[i]
+            if i:
+                spectra[:k] += into[:k]
         np.fft.irfft(spectra[:k], size, out=y[:k])
         y[0, : taps - 1] += tail
         y[1:k, : taps - 1] += y[: k - 1, step:]
@@ -253,9 +271,16 @@ def _fd_kernel(mu: float) -> np.ndarray:
     """Windowed-sinc interpolation kernel delaying by _FD_HALF + mu samples."""
     t = np.arange(_FD_TAPS) - _FD_HALF - mu
     edge = _FD_HALF + 1.0
-    window = np.i0(_FD_BETA * np.sqrt(1.0 - (t / edge) ** 2)) / np.i0(_FD_BETA)
+    window = np.i0(_FD_BETA * np.sqrt(1.0 - (t / edge) ** 2)) / _kaiser_norm()
     kernel = np.sinc(t) * window
     return kernel / kernel.sum()
+
+
+@functools.cache
+def _kaiser_norm() -> float:
+    """np.i0(_FD_BETA), the Kaiser window's normalizer: made on the first call, not at import,
+    where numpy's first i0 raises the peak RSS of every process that imports this module."""
+    return float(np.i0(_FD_BETA))
 
 
 def _shifted(x: np.ndarray, shift: int) -> np.ndarray:
@@ -280,6 +305,48 @@ def apply_fractional_delay(buf: SampleBuffer, delay: float,
     of the zero-extended input cropped to its length, and all zeros once the delay
     passes the end plus the kernel's reach.
     """
+    kernel, start = _delay_kernel(buf, delay, fir)
+    if kernel is None:
+        return SampleBuffer(_shifted(buf.samples, -start), buf.sample_rate)
+    out = fft_convolve(buf.samples, kernel, start, len(buf))
+    out.setflags(write=False)
+    return SampleBuffer(out, buf.sample_rate)
+
+
+def mix_delayed(parts: list[tuple[SampleBuffer, float, np.ndarray | None, float]]) -> np.ndarray:
+    """The sum over parts (buf, delay, fir, gain), buffers of one length and one rate, of gain
+    times apply_fractional_delay(buf, delay, fir).samples, as a fresh read-only array: the
+    same kernels and windows, in one overlap-add. Each part's kernel, times its gain, sits in
+    one shared frame moved by its whole-sample delay, so the spread of the delays widens the
+    frame and its blocks. Each block costs one rfft per part and one irfft in all, and no
+    part's delayed buffer is ever made. It agrees with the sum of the parts' own delays to
+    rounding, not bit for bit. ValidationError: no parts, buffers of unequal length or rate,
+    a delay or fir that apply_fractional_delay refuses, or a gain that is not a finite
+    number."""
+    if not parts:
+        raise ValidationError("need at least one part to mix")
+    if len(shapes := {(len(part[0]), part[0].sample_rate) for part in parts}) != 1:
+        raise ValidationError(f"need buffers of one (length, sample rate), got {sorted(shapes)}")
+    rows = []  # (kernel times gain, the convolution's index of the window's first sample)
+    for buf, delay, fir, gain in parts:
+        kernel, start = _delay_kernel(buf, delay, fir)
+        kernel = np.ones(1) if kernel is None else kernel  # an exact shift is a one-tap kernel
+        rows.append((kernel * check_number("gain", gain, ends="()"), start))
+    top = max(start for _, start in rows)  # the frame's window starts here for every part
+    kernels = np.zeros((len(rows), max(top - start + kernel.size for kernel, start in rows)))
+    for row, (kernel, start) in zip(kernels, rows):
+        row[top - start : top - start + kernel.size] = kernel
+    [(n, _)] = shapes
+    out = _overlap_add([_reader(part[0].samples) for part in parts], n, kernels, top, n)
+    out.setflags(write=False)
+    return out
+
+
+def _delay_kernel(buf: SampleBuffer, delay: float,
+                  fir: np.ndarray | None) -> tuple[np.ndarray | None, int]:
+    """apply_fractional_delay's checks and its kernel: (kernel, start), where the delayed buffer
+    is the window from sample start of its convolution with buf, or (None, -shift) for an exact
+    shift by whole samples."""
     check_number("delay", delay, 0.0, ends="[)")
     if fir is not None:
         fir = np.asarray(fir)
@@ -287,18 +354,15 @@ def apply_fractional_delay(buf: SampleBuffer, delay: float,
             raise ValidationError(f"fir must be 1-D and of odd length, got shape {fir.shape}")
         for tap in (fir.min(), fir.max()) if fir.dtype.kind in "iuf" else fir:  # extremes carry NaN
             check_number("fir", tap, ends="()")
-    x = buf.samples
     # Past the buffer and the kernel's reach the output is all zeros: cap there, as int(inf) fails.
-    total = min(delay * buf.sample_rate, x.size + _FD_TAPS + (0 if fir is None else fir.size))
+    total = min(delay * buf.sample_rate, len(buf) + _FD_TAPS + (0 if fir is None else fir.size))
     d_int = int(np.floor(total))
     mu = total - d_int
     if _FD_SNAP <= mu <= 1.0 - _FD_SNAP:
         kernel = _fd_kernel(mu) if fir is None else np.convolve(_fd_kernel(mu), fir)
     elif fir is None:
-        return SampleBuffer(_shifted(x, int(round(total))), buf.sample_rate)
+        return None, -int(round(total))
     else:
         d_int, kernel = int(round(total)), fir
-    # conv lags x by kernel.size // 2 (+ mu), so its window from there delays by d_int (+ mu)
-    out = fft_convolve(x, kernel, kernel.size // 2 - d_int, x.size)
-    out.setflags(write=False)
-    return SampleBuffer(out, buf.sample_rate)
+    # conv lags buf by kernel.size // 2 (+ mu), so its window from there delays by d_int (+ mu)
+    return kernel, kernel.size // 2 - d_int

@@ -13,11 +13,11 @@ from bincues import analysis
 from bincues import (AnalysisError, BincuesError, DuplexThresholds, HeadGeometry, RenderSpec,
                      SampleBuffer, ShadowParams, SilentSignalError, SourceSpec, StereoBuffer,
                      TransferFunction, ValidationError, analyze_capture, apply_fractional_delay,
-                     band_itd, calibration_check, cross_correlation, estimate_itd, full_dummy,
-                     gen_impulse, gen_pink_noise, gen_sine, head_shadow_ild, human_head,
-                     ild_spectrum_summary, ipd_from_itd, jecklin, ortf, predicted_itd,
-                     semi_dummy, shadow_filter_kernel, simulate_capture, speed_of_sound,
-                     transfer_function)
+                     band_itd, calibration_check, cross_correlation, duplex_classify,
+                     estimate_itd, full_dummy, gen_impulse, gen_pink_noise, gen_sine,
+                     head_shadow_ild, human_head, ild_spectrum_summary, ipd_from_itd, jecklin,
+                     ortf, predicted_itd, semi_dummy, shadow_filter_kernel, simulate_capture,
+                     speed_of_sound, transfer_function, wrap_phase_deg)
 
 SR = 48000
 ONE_SAMPLE = 1.0 / SR
@@ -209,6 +209,22 @@ def _stereo_1s():
 def test_a_mistyped_number_argument_is_a_validation_error(call, name, value):
     rule = rf"^{name} must be (a|an|a finite) (number|integer) in .*, got "
     with pytest.raises(ValidationError, match=rule + re.escape(repr(value)) + "$"):
+        call()
+
+
+# A container or an object of the wrong kind, where a TypeError or AttributeError came out of
+# the first use of it: the parameter's own check names it.
+@pytest.mark.parametrize("call, name", [
+    (lambda: wrap_phase_deg(None), "deg"),
+    (lambda: ild_spectrum_summary(transfer_function(_pink_1s(), _pink_1s()), bands=None), "bands"),
+    (lambda: calibration_check(_pink_1s(), _pink_1s(), band=None), "band"),
+    (lambda: duplex_classify(1000.0, 1), "thresholds"),
+    (lambda: StereoBuffer(_pink_1s(), None), "right"),
+    (lambda: StereoBuffer(None, _pink_1s()), "left"),
+], ids=["wrap-None", "summary-bands-None", "calibration-band-None", "duplex-thresholds-int",
+        "stereo-right-None", "stereo-left-None"])
+def test_a_mistyped_container_or_object_argument_is_a_validation_error(call, name):
+    with pytest.raises(ValidationError, match=rf"^{name} must be "):
         call()
 
 

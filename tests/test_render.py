@@ -7,7 +7,7 @@ import pytest
 from bincues import (RenderSpec, SampleBuffer, SourceSpec, ValidationError, binauralize,
                      binauralize_scene, estimate_itd, full_dummy, gen_pink_noise, human_head,
                      ild_spectrum_summary, jecklin, ortf, predicted_ild_db, predicted_itd,
-                     transfer_function)
+                     semi_dummy, transfer_function)
 
 SR = 48000
 HALF_PI = math.pi / 2
@@ -172,6 +172,71 @@ def test_a_scene_that_does_not_clip_is_the_sum_of_its_solo_renders(pink_2s):
                       (scene.right, (first.right, second.right))):
         assert np.array_equal(got.samples, np.pad(ears[0].samples, (0, pad)) + ears[1].samples)
     assert not np.array_equal(scene.left.samples, scene.right.samples)
+
+
+def _azimuth_of_a_whole_sample_itd(rig, samples):
+    """The azimuth in (0, pi/2] whose model ITD is `samples` whole samples, by bisection."""
+    lo, hi = 0.0, HALF_PI
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        below = predicted_itd(rig, SourceSpec(azimuth_rad=mid)) * SR < samples
+        lo, hi = (mid, hi) if below else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("rig", [human_head(), full_dummy(), semi_dummy(), jecklin(), ortf()],
+                         ids=lambda rig: rig.kind.value)
+def test_a_channel_of_several_far_ears_is_the_sum_of_its_solo_renders(rig, pink_2s):
+    # Each channel sums two or more far ears, so the scene runs them through one overlap-add;
+    # that rounds otherwise than the solo renders, but only by FFT rounding. The right channel
+    # sums two 2 s far ears at distinct gains, one of whose ITDs is 12 whole samples, which
+    # takes the shift or FIR-only kernel; the left sums two 0.5 s far ears, whose sum ends at
+    # their own length, and a 2 s one.
+    whole = _azimuth_of_a_whole_sample_itd(rig, 12)
+    assert abs(predicted_itd(rig, SourceSpec(azimuth_rad=whole)) * SR - 12) < 1e-9
+    short = [gen_pink_noise(0.5, SR, seed=seed) for seed in (4, 5)]
+    sources = [(pink_2s, math.radians(40), -12.0), (gen_pink_noise(2.0, SR, seed=8), whole, -16.0),
+               (short[0], math.radians(-25), -14.0), (short[1], math.radians(-80), -20.0),
+               (gen_pink_noise(2.0, SR, seed=9), math.radians(-60), -18.0)]
+    scene = [(signal, RenderSpec(rig=rig, azimuth_rad=azimuth, gain_db=gain_db))
+             for signal, azimuth, gain_db in sources]
+    mix = binauralize_scene(scene)
+    for channel in ("left", "right"):
+        want = np.zeros(len(pink_2s))
+        for signal, spec in scene:  # in order, the sum a mix of solo renders would make
+            want[: len(signal)] += getattr(binauralize(signal, spec), channel).samples
+        assert np.max(np.abs(want)) < 1.0  # so the mix is not normalized
+        np.testing.assert_allclose(getattr(mix, channel).samples, want, rtol=0, atol=1e-14)
+
+
+def count_inverse_transforms(monkeypatch):
+    """The input shapes of np.fft.irfft's batched calls, the overlap-add's: the shadow FIR's
+    design transform is 1-D and not counted."""
+    calls, irfft = [], np.fft.irfft
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            calls.append(np.shape(a))
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", spy)
+    return calls
+
+
+@pytest.mark.parametrize("rig", [human_head(), ortf()], ids=lambda rig: rig.kind.value)
+def test_a_group_of_far_ears_runs_one_inverse_transform_per_block(rig, monkeypatch):
+    # All sources on the right and of one length: one group of far ears, whose blocks each take
+    # one irfft however many sources the group holds.
+    counts = []
+    for k in (1, 2, 5):
+        scene = [(gen_pink_noise(2.0, SR, seed=seed),
+                  RenderSpec(rig=rig, azimuth_rad=math.radians(10 + 15 * seed), gain_db=-20.0))
+                 for seed in range(k)]
+        calls = count_inverse_transforms(monkeypatch)
+        binauralize_scene(scene)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts == [counts[0]] * 3
 
 
 def test_a_hot_solo_render_logs_its_normalization(pink_2s, caplog):

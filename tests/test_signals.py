@@ -270,6 +270,38 @@ def test_fractional_delay_is_the_crop_of_the_full_convolution(delay_samples, fir
     assert_same_bits(apply_fractional_delay(pink_2s, delay_samples / SR, fir).samples, want)
 
 
+@pytest.mark.parametrize("delays", [(0.37, 3.0), (40.5, 0.0, 12.25, 7.0), (95990.25, 1.5),
+                                    (96050.5, 96010.75)])
+def test_mix_delayed_is_the_sum_of_its_parts_delays(delays, pink_2s):
+    # Every kernel apply_fractional_delay picks: interpolator, interpolator and fir, fir alone
+    # and an exact shift, float32 samples too, and delays that reach past the buffer's end.
+    # One overlap-add for all rounds otherwise than one per part, by FFT rounding only.
+    fir = np.random.default_rng(1).standard_normal(255)
+    bufs = [pink_2s, SampleBuffer(gen_pink_noise(2.0, SR, seed=6).samples.astype(np.float32), SR)]
+    parts = [(bufs[i % 2], d / SR, fir if i % 3 == 1 else None, 0.5 - 0.3 * i)
+             for i, d in enumerate(delays)]
+    want = np.zeros(len(pink_2s))
+    for buf, delay, part_fir, gain in parts:
+        want += gain * apply_fractional_delay(buf, delay, part_fir).samples
+    got = signals.mix_delayed(parts)
+    assert got.base is None and not got.flags.writeable
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize("parts, message", [
+    ([], "need at least one part"),
+    ([(SampleBuffer(np.ones(10), SR), 0.0, None, 1.0),
+      (SampleBuffer(np.ones(11), SR), 0.0, None, 1.0)], "need buffers of one"),
+    ([(SampleBuffer(np.ones(10), SR), 0.0, None, 1.0),
+      (SampleBuffer(np.ones(10), 44100), 0.0, None, 1.0)], "need buffers of one"),
+    ([(SampleBuffer(np.ones(10), SR), 0.0, None, float("nan"))], "gain must be"),
+    ([(SampleBuffer(np.ones(10), SR), -1.0, None, 1.0)], "delay must be"),
+], ids=["no-parts", "lengths", "rates", "gain-nan", "delay-negative"])
+def test_mix_delayed_checks_its_parts(parts, message):
+    with pytest.raises(ValidationError, match=message):
+        signals.mix_delayed(parts)
+
+
 def test_pink_noise_holds_the_white_noise_and_its_window():
     # The convolution draws the white noise a block at a time, so the window it writes
     # (1 channel) is the one array that grows with the signal, and the buffer adopts it; the
