@@ -101,12 +101,22 @@ def check_azimuth(azimuth: float) -> None:
 
 
 def check_frequency(freq) -> None:
-    """Raise ValidationError unless freq, a number or an array, is all in (0, inf): a number by
-    the number rule, an array element by element."""
-    if np.isscalar(freq):
-        check_number("freq", freq, 0.0, ends="()")
-    elif not np.all(((f := np.asarray(freq, dtype=np.float64)) > 0.0) & (f < math.inf)):
-        raise ValidationError(f"freq must be a finite number in (0, inf), got {freq}")
+    """Raise ValidationError unless freq, a number or an array, is all in (0, inf)."""
+    _check_values("freq", freq, 0.0)
+
+
+def _check_values(name: str, value, lo: float) -> None:
+    """The array rule: ValidationError naming the parameter unless value is a number in
+    (lo, inf) by the number rule, or an array of such numbers, which a string is not."""
+    if np.isscalar(value):
+        check_number(name, value, lo, ends="()")
+        return
+    try:
+        ok = np.all(((v := np.asarray(value, dtype=np.float64)) > lo) & (v < math.inf))
+    except (TypeError, ValueError):  # a ragged list, a string or a mapping is no float64 array
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be a finite number in ({lo:g}, inf), got {value}")
 
 
 def itd_simple(geom: HeadGeometry, azimuth: float) -> float:
@@ -136,11 +146,8 @@ def itd_modified(geom: HeadGeometry, azimuth: float, freq: float) -> float:
 
 def wrap_phase_deg(deg):
     """Wrap degrees into (-180, +180]; works on scalars and arrays. ValidationError unless deg
-    is finite: a number by the number rule, an array element by element."""
-    if np.isscalar(deg):
-        check_number("deg", deg, ends="()")
-    elif not np.all(np.isfinite(np.asarray(deg, dtype=np.float64))):
-        raise ValidationError(f"deg must be a finite number in (-inf, inf), got {deg}")
+    is finite, by check_frequency's array rule."""
+    _check_values("deg", deg, -math.inf)
     return -(((-np.asarray(deg) + 180.0) % 360.0) - 180.0)
 
 

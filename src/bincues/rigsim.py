@@ -22,8 +22,7 @@ import numpy as np
 from .cue_models import (HeadGeometry, ShadowParams, check_azimuth, check_frequency,
                          head_shadow_ild, itd_simple, speed_of_sound)
 from .errors import ValidationError, check_number
-from .signals import (SampleBuffer, StereoBuffer, apply_fractional_delay, check_rate,
-                      mix_delayed)
+from .signals import SampleBuffer, StereoBuffer, check_rate, mix_delayed
 
 
 class RigKind(Enum):
@@ -192,124 +191,87 @@ def shadow_filter_kernel(rig: RigSpec, azimuth: float, sample_rate: int) -> np.n
     return impulse[:_SHADOW_FIR_TAPS] * np.hanning(_SHADOW_FIR_TAPS + 2)[1:-1]
 
 
-def _scaled(owned: np.ndarray, gain: float) -> np.ndarray:
-    """A fresh array of this module's, scaled in place by gain and handed on read-only."""
-    owned.setflags(write=True)
-    owned *= gain
-    owned.setflags(write=False)
-    return owned
-
-
-def _far_filter(rig: RigSpec, azimuth: float, signal: SampleBuffer,
-                temperature_c: float) -> tuple[float, np.ndarray | None, float]:
-    """far_ear's (delay, zero-phase FIR, flat gain): the FIR when the far-to-near ratio varies
-    in frequency, else None and that ratio (ORTF's) as the gain."""
+def _far_part(signal: SampleBuffer, rig: RigSpec, azimuth: float, gain: float,
+              temperature_c: float) -> tuple[SampleBuffer, float, np.ndarray | None, float]:
+    """The far ear of a source at azimuth in [0, pi/2], times gain, as one mix_delayed part
+    (signal, ITD, FIR, gain): the zero-phase FIR of ear_gains' far-to-near ratio, or None when
+    that ratio is flat in frequency (ORTF's) and multiplied into the gain."""
     itd = predicted_itd(rig, SourceSpec(azimuth_rad=azimuth), temperature_c)
-    kernel = shadow_filter_kernel(rig, azimuth, signal.sample_rate)
-    return (itd, kernel, 1.0) if np.ndim(kernel) else (itd, None, kernel)
+    fir = shadow_filter_kernel(rig, azimuth, signal.sample_rate)
+    return (signal, itd, fir, gain) if np.ndim(fir) else (signal, itd, None, fir * gain)
 
 
 def far_ear(rig: RigSpec, azimuth: float, signal: SampleBuffer,
             temperature_c: float = 20.0) -> np.ndarray:
-    """The far ear's samples of a source at azimuth in [0, pi/2], near ear at unit gain,
-    as a fresh read-only array.
-
-    The signal is delayed by the rig's predicted ITD and scaled by the far-to-near ratio of
-    ear_gains: its zero-phase FIR fit, run in the delay's one convolution and so exact at
-    the edges, or a ratio flat in frequency (ORTF's) multiplied in after the delay.
-    """
-    delay, fir, ratio = _far_filter(rig, azimuth, signal, temperature_c)
-    far = apply_fractional_delay(signal, delay, fir).samples
-    return far if fir is not None else _scaled(far, ratio)
+    """The far ear's samples of a source at azimuth in [0, pi/2], near ear at unit gain, as a
+    fresh read-only array: one mix_delayed call, as every far ear is, that delays the signal by
+    the rig's predicted ITD and scales it by ear_gains' far-to-near ratio, exact at the edges."""
+    return mix_delayed([_far_part(signal, rig, azimuth, 1.0, temperature_c)])
 
 
 def place_arrivals(arrivals: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (left, right) ears, as long as the longest signal, of a sum of arrivals
     (signal, rig, azimuth in [-pi/2, pi/2] and negative to the right, gain, temperature_c):
     the near ear is the signal times the gain (its own array at unit gain), the far ear
-    far_ear times the gain (the near ear's array at azimuth 0), swapped at a negative
-    azimuth. On ORTF the callers differ only in the gain: a capture passes the rig's near
-    gain, so both ears take their cardioid gains, and a render its output gain, so the near
-    capsule counts as unit gain.
+    far_ear times the gain, swapped at a negative azimuth; at azimuth 0 the near ear is both.
 
-    A scene of several arrivals adds each ear, in arrival order, into zero-padded float64
-    copies of the first arrival's ears, or into the first's own fresh ear where it is full
-    length. The far ears that share an output channel and a signal length are one group: a
-    group of one is far_ear times its gain, bit for bit a lone arrival's, and a larger group is
-    one signals.mix_delayed call, added where its first member's far ear would go. So a scene
-    of N sources of one length runs N forward FFTs and at most two inverse FFTs per block, and
-    a channel that sums several far ears agrees with the sum of the lone arrivals' ears to
-    rounding. ValidationError: no arrivals, mixed sample rates or an empty signal."""
+    The far ears of one output channel and signal length are one group, and each group, of one
+    far ear or more, is one signals.mix_delayed call where its first member arrives: N sources
+    of one length run N forward FFTs and at most two inverse FFTs per block. A channel keeps
+    its first ear and adds each later one, in arrival order, into it, or into a zero-padded
+    float64 copy if it is short, a caller's array or the other channel's too. So a channel of
+    several far ears is the sum of the lone arrivals' ears to rounding. ValidationError: no
+    arrivals, mixed sample rates or an empty signal."""
     if len(rates := {arrival[0].sample_rate for arrival in arrivals}) != 1:
         raise ValidationError(f"need arrivals of one sample rate, got rates {sorted(rates)}")
     if any(len(arrival[0]) == 0 for arrival in arrivals):
         raise ValidationError("signal is empty")
-    if len(arrivals) == 1:
-        [(signal, _, azimuth, gain, _)] = arrivals
-        # the far ear first, so that no fresh near ear is held through its convolution
-        far = _far_ears(arrivals) if azimuth else None
-        near = _near_ear(signal, gain)
-        return (near, near) if far is None else (far, near) if azimuth < 0 else (near, far)
     n = max(len(arrival[0]) for arrival in arrivals)
-    groups: dict[tuple[bool, int], list[int]] = {}  # (far ear on the right, length) -> arrivals
-    for i, (signal, _, azimuth, _, _) in enumerate(arrivals):
+    groups: dict[tuple[bool, int], list[tuple]] = {}  # (far ear on the right, length) -> parts
+    for signal, rig, azimuth, gain, temperature_c in arrivals:
         if azimuth:
-            groups.setdefault((azimuth > 0, len(signal)), []).append(i)
+            groups.setdefault((azimuth > 0, len(signal)), []).append(
+                _far_part(signal, rig, abs(azimuth), gain, temperature_c))
+    theirs = {id(arrival[0].samples) for arrival in arrivals}  # the callers' arrays
     ears: list[np.ndarray | None] = [None, None]
 
-    def add(channel: int, ear: np.ndarray, ours: bool) -> None:
-        if ears[channel] is not None:
-            ears[channel][: ear.size] += ear
-        elif ours and ear.size == n:  # the first arrival's fresh ear at full length: no copy
+    def add(channel: int, ear: np.ndarray) -> None:
+        if (held := ears[channel]) is None:
             ears[channel] = ear
-            ear.setflags(write=True)
-        else:  # the first arrival's ear, as a zero-padded float64 copy
-            ears[channel] = np.append(ear, np.zeros(n - ear.size))
+        else:
+            if held.size < n or held is ears[1 - channel] or id(held) in theirs:
+                held = ears[channel] = np.append(held, np.zeros(n - held.size))
+            held.setflags(write=True)
+            held[: ear.size] += ear
 
-    for i, (signal, _, azimuth, gain, _) in enumerate(arrivals):
+    for signal, _, azimuth, gain, _ in arrivals:
         side = int(azimuth > 0)  # the far ear's channel
-        if azimuth and (group := groups[azimuth > 0, len(signal)])[0] == i:
-            # the group's far ears, before the near ear: no two fresh ears are held
-            add(side, _far_ears([arrivals[m] for m in group]), True)
-        near = _near_ear(signal, gain)
-        add(1 - side, near, near is not signal.samples)
-        if not azimuth:
-            add(side, near, False)
+        if azimuth and (parts := groups.pop((azimuth > 0, len(signal)), None)):
+            add(side, mix_delayed(parts))  # before the near ear: no two fresh ears are held
+        near = signal.samples if gain == 1.0 else np.multiply(gain, signal.samples, dtype=float)
+        for channel in (1 - side,) if azimuth else (0, 1):
+            add(channel, near)
         del near  # before the next group's far ears
-    for mix in ears:
-        mix.setflags(write=False)
+    for ear in ears:
+        ear.setflags(write=False)
     return ears[0], ears[1]
-
-
-def _far_ears(arrivals: list[tuple]) -> np.ndarray:
-    """The sum of the arrivals' far ears, each times its gain, for signals of one length, as a
-    fresh read-only array: a lone arrival's is far_ear's own array, scaled in place, and more
-    than one run through one mix_delayed call."""
-    if len(arrivals) == 1:
-        [(signal, rig, azimuth, gain, temperature_c)] = arrivals
-        far = far_ear(rig, abs(azimuth), signal, temperature_c)
-        return far if gain == 1.0 else _scaled(far, gain)
-    parts = []
-    for signal, rig, azimuth, gain, temperature_c in arrivals:
-        delay, fir, ratio = _far_filter(rig, abs(azimuth), signal, temperature_c)
-        parts.append((signal, delay, fir, ratio * gain))
-    return mix_delayed(parts)
-
-
-def _near_ear(signal: SampleBuffer, gain: float) -> np.ndarray:
-    """The signal times the gain, read-only: its own samples at unit gain, else a fresh array
-    scaled in one pass."""
-    near = signal.samples if gain == 1.0 else np.multiply(gain, signal.samples, dtype=np.float64)
-    near.setflags(write=False)
-    return near
 
 
 def simulate_capture(rig: RigSpec, src: SourceSpec, signal: SampleBuffer,
                      temperature_c: float = 20.0) -> StereoBuffer:
-    """The rig's capture of a signal, near ear left: one arrival at the rig's near gain."""
-    ears = place_arrivals([(signal, rig, src.azimuth_rad, _near_gain(rig, src.azimuth_rad),
-                            temperature_c)])
-    return StereoBuffer(*(SampleBuffer(ear, signal.sample_rate) for ear in ears))
+    """The rig's capture of a signal, near ear left: one arrival at unit gain, whose two ears
+    are then scaled by the rig's near gain (ORTF's near cardioid; 1 for the other kinds), the
+    fresh far ear in place and the near ear, the signal's array, into one new array."""
+    near, far = place_arrivals([(signal, rig, src.azimuth_rad, 1.0, temperature_c)])
+    if (gain := _near_gain(rig, src.azimuth_rad)) != 1.0:
+        if far is not near:
+            far.setflags(write=True)
+            far *= gain
+            far.setflags(write=False)
+        scaled = np.multiply(gain, near, dtype=np.float64)
+        scaled.setflags(write=False)
+        near, far = scaled, scaled if far is near else far
+    return StereoBuffer(*(SampleBuffer(ear, signal.sample_rate) for ear in (near, far)))
 
 
 def fit_path_extension(rig_kind: RigKind, measured_itd_s: float, azimuth: float,

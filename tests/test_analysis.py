@@ -221,8 +221,13 @@ def test_a_mistyped_number_argument_is_a_validation_error(call, name, value):
     (lambda: duplex_classify(1000.0, 1), "thresholds"),
     (lambda: StereoBuffer(_pink_1s(), None), "right"),
     (lambda: StereoBuffer(None, _pink_1s()), "left"),
+    (lambda: wrap_phase_deg(["a"]), "deg"),
+    (lambda: wrap_phase_deg({}), "deg"),
+    (lambda: head_shadow_ild(ShadowParams(), 0.5, ["a"]), "freq"),
+    (lambda: head_shadow_ild(ShadowParams(), 0.5, [[500.0], [500.0, 1000.0]]), "freq"),
 ], ids=["wrap-None", "summary-bands-None", "calibration-band-None", "duplex-thresholds-int",
-        "stereo-right-None", "stereo-left-None"])
+        "stereo-right-None", "stereo-left-None", "wrap-str", "wrap-dict", "shadow-freq-str",
+        "shadow-freq-ragged"])
 def test_a_mistyped_container_or_object_argument_is_a_validation_error(call, name):
     with pytest.raises(ValidationError, match=rf"^{name} must be "):
         call()

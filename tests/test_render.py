@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bincues import rigsim, signals
 from bincues import (RenderSpec, SampleBuffer, SourceSpec, ValidationError, binauralize,
                      binauralize_scene, estimate_itd, full_dummy, gen_pink_noise, human_head,
                      ild_spectrum_summary, jecklin, ortf, predicted_ild_db, predicted_itd,
-                     semi_dummy, transfer_function)
+                     semi_dummy, simulate_capture, transfer_function)
 
 SR = 48000
 HALF_PI = math.pi / 2
@@ -239,6 +240,29 @@ def test_a_group_of_far_ears_runs_one_inverse_transform_per_block(rig, monkeypat
     assert counts[0] > 0 and counts == [counts[0]] * 3
 
 
+@pytest.mark.parametrize("rig", [human_head(), ortf()], ids=lambda rig: rig.kind.value)
+def test_every_far_ear_is_one_mix_delayed_call(rig, pink_2s, monkeypatch):
+    # far_ear, a capture, a solo render and each group of a scene's far ears, lone or not, run
+    # the one far-ear path: one mix_delayed call, of as many parts as the far ears it sums.
+    calls = []
+
+    def spy(parts):
+        calls.append(len(parts))
+        return signals.mix_delayed(parts)
+
+    monkeypatch.setattr(rigsim, "mix_delayed", spy)
+    rigsim.far_ear(rig, 0.5, pink_2s)
+    simulate_capture(rig, SourceSpec(azimuth_rad=0.5), pink_2s)
+    binauralize(pink_2s, RenderSpec(rig=rig, azimuth_rad=-0.5, gain_db=-6.0))
+    binauralize(pink_2s, RenderSpec(rig=rig))  # the median plane has no far ear
+    assert calls == [1, 1, 1]
+    short = gen_pink_noise(0.5, SR, seed=4)
+    scene = [(pink_2s, 0.3), (short, 0.4), (pink_2s, -0.6), (pink_2s, 0.0), (pink_2s, 0.9)]
+    binauralize_scene([(signal, RenderSpec(rig=rig, azimuth_rad=azimuth, gain_db=-20.0))
+                       for signal, azimuth in scene])
+    assert calls[3:] == [2, 1, 1]  # the right's 2 s pair, the 0.5 s one, the left's
+
+
 def test_a_hot_solo_render_logs_its_normalization(pink_2s, caplog):
     hot = SampleBuffer(pink_2s.samples * (1.5 / np.max(np.abs(pink_2s.samples))), SR)
     with caplog.at_level("WARNING", logger="bincues.render"):
@@ -281,9 +305,10 @@ def _traced_channels(render, channel_bytes):
 
 
 def test_render_peaks_stay_near_their_outputs(pink_5s):
-    # binauralize holds its two ears, and the far ear peaks at 1.35 channels inside far_ear's
-    # convolution: 2.35 in all, as far_ear's array is scaled in place and the peak taken with
-    # no |x| copy. A scene holds its two-channel mix and one source's render at a time: 4.35.
+    # binauralize makes its far ear first, in one mix_delayed call with the gain in its kernel,
+    # which peaks at 1.35 channels, and then its near ear: 2.00 in all, the peak taken with no
+    # |x| copy. A scene holds its two-channel mix, one group's far ears or one near ear at a
+    # time, and a group's block buffers: 3.52.
     specs = [RenderSpec(rig=full_dummy(), azimuth_rad=math.radians(azimuth), gain_db=-12.0)
              for azimuth in (-60.0, -20.0, 30.0, 75.0)]
     channel = pink_5s.samples.nbytes

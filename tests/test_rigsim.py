@@ -208,8 +208,9 @@ def test_capture_swap_negates_itd(pink_2s):
 @pytest.mark.parametrize("degrees", (5.0, 30.0, 60.0, 90.0))
 @pytest.mark.parametrize("rig", ALL_RIGS, ids=lambda r: r.kind.value)
 def test_capture_and_render_share_the_far_ear(rig, degrees, pink_2s):
-    # Both build the far ear through far_ear; an ORTF capture then scales both
-    # channels by the near capsule's cardioid gain, which binauralize leaves at 1.
+    # Both place one arrival at unit gain, whose far ear is one mix_delayed call of the same
+    # part; an ORTF capture then scales both channels by the near capsule's cardioid gain,
+    # which binauralize leaves at 1.
     azimuth = math.radians(degrees)
     near_gain = 1.0
     if rig.kind is RigKind.ORTF:
@@ -246,7 +247,7 @@ def test_capture_near_ear_is_the_source_array(rig, pink_2s):
 def test_capture_allocates_each_channel_once(rig, held, peak, pink_5s):
     # A head rig's capture holds one new channel, the far ear, as its near ear is the
     # source's array; ORTF's gain makes both channels new. The far ear's convolution writes
-    # only that channel, through block buffers of about a quarter MiB: 1.42 channels for the
+    # only that channel, through block buffers of about a quarter MiB: 1.35 channels for the
     # head. ORTF scales its fresh far channel in place and builds one scaled near channel,
     # so it peaks at 2.00. A copy of each channel as the buffers wrap it would add 1x to both.
     channel = pink_5s.samples.nbytes
