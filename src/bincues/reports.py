@@ -84,11 +84,14 @@ def comparison_doc(baseline_name: str, baseline: dict[str, Any],
     """Deltas of each candidate cue report against the baseline.
 
     Each itd_s and ild_octave_db value is a number, not a bool, under 1e300 in magnitude, so
-    every delta is finite. Band grids must match the baseline's; deltas are candidate - baseline.
+    every delta is finite. An ild_octave_db is non-empty and keyed by whole Hz in decimal, as
+    cue_report_doc writes it. Band grids must match the baseline's; deltas are candidate - baseline.
     """
     for name, doc in [(baseline_name, baseline), *candidates.items()]:
         bands = doc.get("ild_octave_db")
-        numbers = [doc.get("itd_s"), *bands.values()] if isinstance(bands, dict) else [None]
+        table = isinstance(bands, dict) and bands and all(
+            isinstance(band, str) and band.isascii() and band.isdecimal() for band in bands)
+        numbers = [doc.get("itd_s"), *bands.values()] if table else [None]
         if not all(type(v) in (int, float) and abs(v) < 1e300 for v in numbers):
             raise ValidationError(f"'{name}' is not a cue report with finite itd_s and ild_octave_db")
     base_bands = set(baseline["ild_octave_db"])

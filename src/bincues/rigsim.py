@@ -313,9 +313,10 @@ def rig_fields(spec: RigSpec) -> dict[str, float]:
 
 
 def load_rig_config(path: str | Path) -> RigSpec:
-    """Parse a flat key = value rig config; unknown keys are named in the error."""
+    """Parse a flat key = value rig config, UTF-8 text with or without a byte-order mark;
+    unknown keys are named in the error."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: a rig config must be UTF-8 text") from None
     entries: dict[str, str] = {}

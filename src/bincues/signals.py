@@ -5,11 +5,12 @@ at a fixed integer sample rate. Buffers are finite and immutable: a NaN or
 infinite sample is rejected when a buffer is built, so no later stage sees
 one. Producers hand their fresh arrays over read-only, which a buffer adopts without a
 copy. Generators and transforms always return new buffers, so concurrent use on distinct
-buffers is safe. Every FIR runs on fft_convolve's overlap-add loop, so numpy is all it needs;
-it computes only the window its caller keeps, so no temporary but that window grows with the
+buffers is safe. Every FIR runs on one overlap-add loop, so numpy is all it needs; it
+computes only the window its caller keeps, so no temporary but that window grows with the
 signal. The loop reads its long operands a step at a time, so pink noise draws its white noise
-block by block and holds only the pink window, and mix_delayed sums several delayed and
-filtered buffers with one inverse FFT per block for all of them.
+block by block and holds only the pink window. Every delay is one mix_delayed call, which sums
+several delayed and filtered buffers with one inverse FFT per block for all of them; a
+whole-sample delay with no FIR is an exact shift.
 """
 
 from __future__ import annotations
@@ -192,37 +193,23 @@ def gen_impulse(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
     return SampleBuffer(samples, sample_rate)
 
 
-def fft_convolve(x: np.ndarray, kernel: np.ndarray, start: int = 0,
-                 count: int | None = None) -> np.ndarray:
-    """Samples start..start+count of the full linear convolution of real 1-D arrays, zeros where
-    it has none, as a fresh array; by default the whole convolution. Overlap-add (Stockham 1966)
-    cuts the longer operand into blocks of size - taps + 1 samples, size being the next power of
-    two at or above max(2 * taps - 1, 4096), and filters about _CONV_BYTES of blocks per step by
-    the shorter in preallocated rfft and irfft buffers, so the window is the one array that grows
-    with the signal. Each sample is a block's output plus at most the previous block's tail.
-    float32 operands widen to float64 exactly, the longer one a step at a time."""
-    x, kernel = sorted((x, kernel), key=len, reverse=True)
-    return _overlap_add([_reader(x)], x.size, kernel.astype(np.float64, copy=False)[None],
-                        start, count)
-
-
 def _reader(x: np.ndarray) -> Callable[[int, int], np.ndarray]:
     """_overlap_add's read of x: samples a..b, float32 widened to float64 a step at a time."""
     return lambda a, b: x[a:b].astype(np.float64, copy=False)
 
 
 def _overlap_add(reads: list[Callable[[int, int], np.ndarray]], n: int, kernels: np.ndarray,
-                 start: int, count: int | None, h: np.ndarray | None = None) -> np.ndarray:
-    """fft_convolve's loop, summed over long operands of n samples each, one per read and per
-    row of the 2-D kernels: each read(a, b) -> samples a..b of its operand, calls that run in
-    order and join end to end. In each block the operands' spectra, each weighted by its
-    kernel's, add up before one irfft, so k operands cost k forward transforms and one inverse;
-    one operand runs fft_convolve's arithmetic. h is the kernels' rfft at the block size, if
-    the caller keeps one."""
+                 start: int, count: int, h: np.ndarray | None = None) -> np.ndarray:
+    """Samples start..start+count, zeros where it has none, of the summed full convolutions of
+    operands of n samples each, one per read and per row of the 2-D kernels, as a fresh array:
+    read(a, b) -> samples a..b of its operand, in calls that run in order. Overlap-add (Stockham
+    1966) filters blocks of size - taps + 1 samples, size the next power of two at or above
+    max(2 * taps - 1, 4096), about _CONV_BYTES a step in preallocated buffers, and sums the
+    operands' weighted spectra before one irfft per block: k operands cost k rffts and one
+    irfft. h is the kernels' rfft at the block size, if the caller keeps one."""
     taps = kernels.shape[1]
-    full = n + taps - 1 if taps else 0
-    out = np.zeros(full - start if count is None else count)
-    lo, hi = max(start, 0), min(start + out.size, full)  # the window's part of the convolution
+    out = np.zeros(count)
+    lo, hi = max(start, 0), min(start + count, n + taps - 1)  # the window's nonzero span
     if lo >= hi:
         return out
     size = 1 << max(2 * taps - 2, 4095).bit_length()
@@ -283,61 +270,57 @@ def _kaiser_norm() -> float:
     return float(np.i0(_FD_BETA))
 
 
-def _shifted(x: np.ndarray, shift: int) -> np.ndarray:
-    """x delayed by shift >= 0 whole samples, cut to its length, zeros in front: a fresh
-    read-only array, which a SampleBuffer adopts without a copy."""
-    out = np.zeros(x.size)
-    out[shift:] = x[: max(x.size - shift, 0)]
-    out.setflags(write=False)
-    return out
-
-
 def apply_fractional_delay(buf: SampleBuffer, delay: float,
                            fir: np.ndarray | None = None) -> SampleBuffer:
-    """Delay a buffer by an arbitrary finite non-negative time, sub-sample accurate.
+    """Delay a buffer by an arbitrary finite non-negative time, sub-sample accurate: mix_delayed
+    of the one part (buf, delay, fir, 1.0).
 
-    Integer-sample delays are exact shifts. Fractional residues go through a
-    65-tap Kaiser-windowed sinc interpolator, which keeps the phase of any
-    steady-state sine below 0.9 Nyquist within well under a degree of the
-    ideal 360*f*delay lag. An optional odd-length zero-phase `fir` of finite taps joins the
-    interpolator, or for an integer delay is the whole kernel, in one convolution
-    whose window, centred on the kernel's middle tap, is the output: the exact response
-    of the zero-extended input cropped to its length, and all zeros once the delay
-    passes the end plus the kernel's reach.
+    Integer-sample delays are exact shifts. Fractional residues go through a 65-tap
+    Kaiser-windowed sinc interpolator, which keeps the phase of any steady-state sine below 0.9
+    Nyquist within well under a degree of the ideal 360*f*delay lag. An optional odd-length
+    zero-phase `fir` of finite taps joins the interpolator, or for an integer delay is the whole
+    kernel, in one convolution whose window, centred on the kernel's middle tap, is the output:
+    the exact response of the zero-extended input cropped to its length, and all zeros once the
+    delay passes the end plus the kernel's reach.
     """
-    kernel, start = _delay_kernel(buf, delay, fir)
-    if kernel is None:
-        return SampleBuffer(_shifted(buf.samples, -start), buf.sample_rate)
-    out = fft_convolve(buf.samples, kernel, start, len(buf))
-    out.setflags(write=False)
-    return SampleBuffer(out, buf.sample_rate)
+    return SampleBuffer(mix_delayed([(buf, delay, fir, 1.0)]), buf.sample_rate)
 
 
 def mix_delayed(parts: list[tuple[SampleBuffer, float, np.ndarray | None, float]]) -> np.ndarray:
     """The sum over parts (buf, delay, fir, gain), buffers of one length and one rate, of gain
-    times apply_fractional_delay(buf, delay, fir).samples, as a fresh read-only array: the
-    same kernels and windows, in one overlap-add. Each part's kernel, times its gain, sits in
-    one shared frame moved by its whole-sample delay, so the spread of the delays widens the
-    frame and its blocks. Each block costs one rfft per part and one irfft in all, and no
-    part's delayed buffer is ever made. It agrees with the sum of the parts' own delays to
-    rounding, not bit for bit. ValidationError: no parts, buffers of unequal length or rate,
-    a delay or fir that apply_fractional_delay refuses, or a gain that is not a finite
-    number."""
+    times buf delayed by apply_fractional_delay's rule, as a fresh read-only array; a lone part
+    of gain 1 is apply_fractional_delay bit for bit. Parts with a kernel have it, times the
+    gain, in one frame moved by each whole-sample delay, so the spread of their delays widens
+    its blocks, and run one overlap-add: one rfft per part and one irfft per block. A part with
+    no kernel (a whole-sample delay and no fir) is an exact shift times its gain, added after;
+    alone it is written into the zeroed output, with no FFT and no temporary. ValidationError:
+    no parts, buffers of unequal length or rate, a delay or fir that apply_fractional_delay
+    refuses, or a gain that is not a finite number."""
     if not parts:
         raise ValidationError("need at least one part to mix")
     if len(shapes := {(len(part[0]), part[0].sample_rate) for part in parts}) != 1:
         raise ValidationError(f"need buffers of one (length, sample rate), got {sorted(shapes)}")
-    rows = []  # (kernel times gain, the convolution's index of the window's first sample)
+    [(n, _)] = shapes
+    rows, shifts = [], []  # (samples, kernel times gain, start) and (samples, shift, gain)
     for buf, delay, fir, gain in parts:
         kernel, start = _delay_kernel(buf, delay, fir)
-        kernel = np.ones(1) if kernel is None else kernel  # an exact shift is a one-tap kernel
-        rows.append((kernel * check_number("gain", gain, ends="()"), start))
-    top = max(start for _, start in rows)  # the frame's window starts here for every part
-    kernels = np.zeros((len(rows), max(top - start + kernel.size for kernel, start in rows)))
-    for row, (kernel, start) in zip(kernels, rows):
-        row[top - start : top - start + kernel.size] = kernel
-    [(n, _)] = shapes
-    out = _overlap_add([_reader(part[0].samples) for part in parts], n, kernels, top, n)
+        gain = check_number("gain", gain, ends="()")
+        if kernel is None:
+            shifts.append((buf.samples, -start, gain))
+        else:
+            rows.append((buf.samples, np.multiply(gain, kernel, dtype=np.float64), start))
+    if rows:
+        top = max(start for *_, start in rows)  # the frame's window starts here for every part
+        kernels = np.zeros((len(rows), max(top - start + k.size for _, k, start in rows)))
+        for row, (_, kernel, start) in zip(kernels, rows):
+            row[top - start : top - start + kernel.size] = kernel
+        out = _overlap_add([_reader(samples) for samples, *_ in rows], n, kernels, top, n)
+    else:  # float32 samples widen before the gain, and -0.0 stays -0.0 at gain 1
+        (samples, shift, gain), *shifts = shifts
+        out = np.zeros(n)
+        np.multiply(gain, samples[: max(n - shift, 0)], out=out[shift:], dtype=np.float64)
+    for samples, shift, gain in shifts:
+        out[shift:] += np.multiply(gain, samples[: max(n - shift, 0)], dtype=np.float64)
     out.setflags(write=False)
     return out
 

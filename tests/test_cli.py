@@ -700,7 +700,9 @@ def _not_a_cue_report(tmp_path, kind):
                          "text_itd": '{"schema_version": 1, "kind": "cue_report", "itd_s": "0",'
                                      ' "ild_octave_db": {}}',
                          "number_metadata": report + ', "metadata": 5}',
-                         "number_name": report + ', "metadata": {"name": 5}}'}[kind],
+                         "number_name": report + ', "metadata": {"name": 5}}',
+                         "empty_bands": report + "}",
+                         "text_band": report.replace("{}", '{"abc": 1.5}') + "}"}[kind],
                         encoding="utf-8")
     return path
 
@@ -713,6 +715,8 @@ def _not_a_cue_report(tmp_path, kind):
     ("text_itd", "'text_itd' is not a cue report"),
     ("number_metadata", "report metadata must be an object"),
     ("number_name", "report metadata must be an object, and its name a string"),
+    ("empty_bands", "'empty_bands' is not a cue report"),
+    ("text_band", "'text_band' is not a cue report"),
 ])
 def test_compare_of_a_file_that_is_not_a_cue_report_is_validation_failure(kind, problem,
                                                                           tmp_path, capsys):

@@ -12,7 +12,7 @@ from bincues import (RenderSpec, RigKind, SampleBuffer, SourceSpec, StereoBuffer
                      binauralize, binauralize_scene, calibration_check, cross_correlation,
                      default_rig, estimate_itd, gen_pink_noise, human_head, ortf, read_wav,
                      shadow_filter_kernel, simulate_capture, transfer_function, write_wav)
-from bincues.signals import fft_convolve
+from bincues.signals import mix_delayed
 
 SR = 48000
 
@@ -107,14 +107,15 @@ def test_apply_fractional_delay(pink, delay_samples, fir):
 
 
 @pytest.mark.parametrize("taps", [1, 65, 575])
-def test_fft_convolve(pink, taps):
+def test_fft_convolve(pink, taps, convolve):
     kernel = np.hanning(taps + 2)[1:-1]
     narrow, wide = (sig.samples for sig in pink)
-    assert_same_bits(fft_convolve(narrow, kernel), fft_convolve(wide, kernel))
-    assert_same_bits(fft_convolve(kernel, narrow, 100, 5000), fft_convolve(kernel, wide, 100, 5000))
-    # a float32 kernel widens too
+    assert_same_bits(convolve(narrow, kernel), convolve(wide, kernel))
+    assert_same_bits(convolve(kernel, narrow, 100, 5000), convolve(kernel, wide, 100, 5000))
+    # a float32 kernel widens too, and so does a float32 fir in a delay, before its gain
     short = twins(narrow[:taps])
-    assert_same_bits(*(fft_convolve(wide, k.samples) for k in short))
+    assert_same_bits(*(convolve(wide, k.samples) for k in short))
+    assert_same_bits(*(mix_delayed([(pink[1], 0.0, k.samples, 0.3)]) for k in short))
 
 
 @pytest.mark.parametrize("encoding", ["float32", "pcm16", "pcm24"])

@@ -210,6 +210,22 @@ def test_a_channel_of_several_far_ears_is_the_sum_of_its_solo_renders(rig, pink_
         np.testing.assert_allclose(getattr(mix, channel).samples, want, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("samples", (3, 12, 20))
+def test_an_ortf_far_ear_at_a_whole_sample_itd_is_an_exact_shift(samples, pink_2s, monkeypatch):
+    # ORTF's far-to-near ratio is flat, so at a whole-sample ITD its far ear has no kernel: the
+    # signal shifted by the ITD and times the ratio, bit for bit, with no FFT.
+    rig = ortf()
+    azimuth = _azimuth_of_a_whole_sample_itd(rig, samples)
+    ratio = rigsim.shadow_filter_kernel(rig, azimuth, SR)
+    assert np.ndim(ratio) == 0
+    calls, rfft = [], np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+    got = rigsim.far_ear(rig, azimuth, pink_2s)
+    want = np.zeros(len(pink_2s))
+    want[samples:] = ratio * pink_2s.samples[:-samples]
+    assert got.tobytes() == want.tobytes() and not calls
+
+
 def count_inverse_transforms(monkeypatch):
     """The input shapes of np.fft.irfft's batched calls, the overlap-add's: the shadow FIR's
     design transform is 1-D and not counted."""

@@ -472,6 +472,19 @@ def test_rig_config_overrides_and_comments(tmp_path):
     assert spec.shadow == RigSpec(RigKind.JECKLIN).shadow  # untouched default
 
 
+def test_rig_config_with_a_byte_order_mark_loads_as_without_one(tmp_path):
+    # Some editors save UTF-8 with a byte-order mark, which must not hide the first key.
+    text = "kind = jecklin\nmic_spacing_m = 0.2\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_rig_config(marked) == load_rig_config(plain) != RigSpec(RigKind.JECKLIN)
+    marked.write_bytes(marked.read_bytes() + b"\xff")
+    with pytest.raises(ValidationError, match="a rig config must be UTF-8 text"):
+        load_rig_config(marked)
+
+
 def test_rig_config_unknown_key_is_named(tmp_path):
     path = tmp_path / "rig.cfg"
     path.write_text("kind = ortf\nbogus_knob = 3\n", encoding="utf-8")

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
@@ -149,24 +149,22 @@ def test_impulse_pair_correlates_at_lag_33():
 
 
 @pytest.mark.parametrize("taps", (65, 511, 8193))
-@pytest.mark.parametrize("n", (0, 1, 2, 97, 4801, 1_440_000))
-def test_fft_convolve_matches_scipy_fftconvolve(taps, n):
+@pytest.mark.parametrize("n", (1, 2, 97, 4801, 1_440_000))
+def test_fft_convolve_matches_scipy_fftconvolve(taps, n, convolve):
     # Overlap-add rounds otherwise than fftconvolve's one transform, so the two agree to
     # rounding, relative to the output's peak.
     rng = np.random.default_rng(n + taps)
     x, kernel = rng.standard_normal(n), rng.standard_normal(taps)
     for a, b in ((x, kernel), (kernel, x)):
-        ours, ref = signals.fft_convolve(a, b), sps.fftconvolve(a, b)
-        assert ours.shape == ref.shape == (n + taps - 1 if n else 0,)
+        ours, ref = convolve(a, b), sps.fftconvolve(a, b)
+        assert ours.shape == ref.shape == (n + taps - 1,)
         np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-14 * np.abs(ref).max(initial=0))
 
 
 def one_pass_overlap_add(x, kernel):
-    """The whole convolution as fft_convolve made it before it took a window: every block's
+    """The whole convolution as the overlap-add made it before it took a window: every block's
     rfft and irfft in one batch, then the heads padded by a row and the tails added a row on."""
     x, kernel = sorted((x, kernel), key=len, reverse=True)
-    if kernel.size == 0:
-        return np.zeros(0)
     taps = kernel.size
     size = 1 << max(2 * taps - 2, 4095).bit_length()
     step = size - taps + 1
@@ -204,39 +202,40 @@ STEPS = {1: 4096, 65: 4032, 575: 3522, 8193: 24576}  # block length per kernel l
 @given(taps=st.sampled_from(sorted(STEPS)), blocks=st.integers(0, 3), offset=st.integers(-2, 2),
        swap=st.booleans(), zeros=st.sampled_from((0.0, -0.0, None)), data=st.data())
 def test_fft_convolve_window_is_the_slice_of_the_full_convolution(taps, blocks, offset, swap,
-                                                                  zeros, data):
+                                                                  zeros, data, convolve):
     # Bit for bit, signed zeros included: the window runs the one-pass convolution's FFTs and
     # adds the same two overlap-add terms per sample. Lengths and window edges straddle block
     # boundaries and the tails that reach over them, and a run of +-0.0 in the input gives
     # the output signed zeros.
     step = STEPS[taps]
-    n = max(blocks * step + offset, 0)
+    n = blocks * step + offset
+    assume(n > 0)  # two non-empty operands
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     x, kernel = rng.standard_normal(n), rng.standard_normal(taps)
     if zeros is not None:
         x[data.draw(st.integers(0, n), label="zeros_from") :] = zeros
     if swap:
         x, kernel = kernel, x
-    full = n + taps - 1 if n else 0
+    full = n + taps - 1
     near_a_block_edge = st.builds(lambda m, d: m * step + d, st.integers(-1, 4),
                                   st.integers(-taps - 1, taps + 1))
     start = data.draw(st.integers(-full - 5, full + 5) | near_a_block_edge, label="start")
     count = data.draw(st.integers(0, full + 10), label="count")
-    got = signals.fft_convolve(x, kernel, start, count)
+    got = convolve(x, kernel, start, count)
     assert_same_bits(got, crop_of_the_full_convolution(x, kernel, start, count))
     assert got.base is None and got.flags.writeable
-    assert_same_bits(signals.fft_convolve(x, kernel), one_pass_overlap_add(x, kernel))
+    assert_same_bits(convolve(x, kernel), one_pass_overlap_add(x, kernel))
 
 
 @pytest.mark.parametrize("taps, seed, n", [(575, 7, 3519), (8193, 120, 24573)])
-def test_fft_convolve_keeps_a_negative_zero_where_no_tail_is_added(taps, seed, n):
+def test_fft_convolve_keeps_a_negative_zero_where_no_tail_is_added(taps, seed, n, convolve):
     # With numpy 2.4's pocketfft on x86-64, these all -0.0 inputs give a -0.0 among the first
     # block's taps - 1 samples, which no earlier tail reaches; adding a zero there would turn
     # it to +0.0.
     x, kernel = np.full(n, -0.0), np.random.default_rng(seed).standard_normal(taps)
-    assert_same_bits(signals.fft_convolve(x, kernel), one_pass_overlap_add(x, kernel))
+    assert_same_bits(convolve(x, kernel), one_pass_overlap_add(x, kernel))
     for start in (-3, 0, 5):
-        assert_same_bits(signals.fft_convolve(x, kernel, start, taps),
+        assert_same_bits(convolve(x, kernel, start, taps),
                          crop_of_the_full_convolution(x, kernel, start, taps))
 
 
@@ -286,6 +285,24 @@ def test_mix_delayed_is_the_sum_of_its_parts_delays(delays, pink_2s):
     got = signals.mix_delayed(parts)
     assert got.base is None and not got.flags.writeable
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(1.0, np.abs(want).max()))
+
+
+def test_mix_delayed_of_whole_sample_shifts_is_exact_and_runs_no_fft(pink_2s, monkeypatch):
+    # Parts with no kernel are exact shifts times their gains, float32 samples widened before
+    # the gain, and a delay past the end adds nothing; a lone shift keeps a -0.0 at gain 1.
+    narrow = SampleBuffer(gen_pink_noise(2.0, SR, seed=6).samples.astype(np.float32), SR)
+    want = np.zeros(len(pink_2s))
+    want[3:] = 0.7 * pink_2s.samples[:-3]
+    want[40:] += -1.3 * narrow.samples[:-40].astype(np.float64)
+    calls, rfft = [], np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *a, **k: calls.append(1) or rfft(*a, **k))
+    parts = [(pink_2s, 3 / SR, None, 0.7), (narrow, 40 / SR, None, -1.3),
+             (pink_2s, 2.5, None, 2.0)]
+    assert_same_bits(signals.mix_delayed(parts), want)
+    zeros = SampleBuffer(np.full(5, -0.0), SR)
+    assert_same_bits(apply_fractional_delay(zeros, 2 / SR).samples,
+                     np.array([0.0, 0.0, -0.0, -0.0, -0.0]))
+    assert not calls
 
 
 @pytest.mark.parametrize("parts, message", [
