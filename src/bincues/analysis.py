@@ -13,7 +13,8 @@ cut, in 1.4 MiB whatever its length (1.76 MiB at the peak). Every correlation is
 Carter's GCC on its one averaged cross-spectrum, negative lags from the conjugate, and must
 peak inside its lag window: the broadband delay and the "none" ITD read it as it is, the "phat"
 ITD whitened and each band ITD weighted by an octave band-pass's |H|^4, so no transform spans
-the capture and no filter runs.
+the capture and no filter runs. A correlation whose trough in the window outweighs its peak
+twice over, an inverted channel's, is named and never read as a cue.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ DEFAULT_HIGH_BAND_HZ = 6000.0
 SILENCE_RMS = 1e-6
 
 WEIGHTINGS = ("none", "phat")
+_INVERTED = 2.0  # a trough this many times the peak is an inverted channel's (see _lag_window)
 
 # Welch segments per batched FFT and per sum added to the total: the windowed segments and
 # their spectra hold 1 MiB at 8192 points.
@@ -215,9 +217,20 @@ def _lag_window(s: np.ndarray, size: int, max_lag: int,
     0..max_lag from s, the negative lags from conj(s), so equal channels (s real) give an
     exactly symmetric window.
     A window that misses the delay holds only sidelobes, so the whole correlation must peak
-    inside it; an overflow makes every lag NaN and argmax read lag 0, so _itd sees to that."""
+    inside it. An inverted channel turns the peak at the delay into a trough: a trough inside the
+    window that outweighs the whole correlation's peak _INVERTED times raises AnalysisError
+    naming the polarity. On pink noise captured by every rig, at both weightings, a clean
+    broadband correlation's deepest trough is under a third of its peak and a band's under
+    its peak, and a tone's about equals its peak, while an inverted capture's broadband
+    trough is 3 or more times its peak. An overflow makes every lag NaN and argmax read lag 0,
+    so _itd sees to that."""
     pos, neg = (np.fft.irfft(c, size) for c in (s, s.conj()))
-    if max_lag < int(np.argmax(pos)) < size - max_lag:
+    k, j = int(np.argmax(pos)), int(np.argmin(pos))
+    if -pos[j] > _INVERTED * pos[k] and not max_lag < j < size - max_lag:
+        lag = j if j <= max_lag else j - size
+        raise AnalysisError(f"the correlation peaks negative, {pos[j]:.3g} at lag {lag} samples:"
+                            f" one channel's polarity is inverted; flip it and analyze again")
+    if max_lag < k < size - max_lag:
         raise AnalysisError(f"the correlation peaks outside the lag window; widen {widen}")
     return np.concatenate([neg[max_lag:0:-1], pos[: max_lag + 1]])
 
@@ -247,7 +260,8 @@ def cross_correlation(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     when the buffer is shorter), weighted by 1 for "none" and whitened for
     "phat". The window must fit four times in a segment (42.7 ms at 48 kHz)
     or ValidationError is raised before any sample is read; AnalysisError is
-    raised when the whole circular correlation peaks outside the window.
+    raised when the whole circular correlation peaks outside the window, or when
+    a trough inside it outweighs that peak twice over, as one inverted channel's does.
     """
     m, _ = _check_args(len(stereo), stereo.sample_rate, weighting, max_lag)
     spectra = _welch(stereo).spectra()
@@ -296,8 +310,10 @@ def estimate_itd(stereo: StereoBuffer, max_lag: float = DEFAULT_MAX_LAG_S,
     window must fit four times in a segment, as cross_correlation says. A
     channel whose Hann-windowed segments' mean square, its auto-spectrum times
     the bin width, is under SILENCE_RMS ** 2 raises SilentSignalError; a
-    correlation that peaks outside the window, or whose peak is not finite or
-    sits on the window's first or last lag, raises AnalysisError."""
+    correlation that peaks outside the window, whose trough in the window
+    outweighs its peak twice over (a channel of inverted polarity), or whose
+    peak is not finite or sits on the window's first or last lag, raises
+    AnalysisError."""
     m, _ = _check_args(len(stereo), stereo.sample_rate, weighting, max_lag)
     spectra, sr = _welch(stereo).spectra(), stereo.sample_rate
     _require_sound(spectra, sr)
@@ -373,7 +389,9 @@ def transfer_function(reference: SampleBuffer, measurement: SampleBuffer,
     measurement lags; 0 for identical inputs) is the averaged S_xy's inverse
     transform read by estimate_itd's rule over the widest window that circular
     transform holds, fft_size // 4 lags: AnalysisError is raised when its
-    whole circular correlation peaks outside that window or on its edge.
+    whole circular correlation peaks outside that window or on its edge, or
+    when a trough in it outweighs that peak twice over, as an inverted
+    measurement's does.
     fft_size must hold four DEFAULT_MAX_LAG_S windows (512 at 48 kHz), or
     ValidationError is raised.
     """
@@ -390,7 +408,8 @@ def calibration_check(ref: SampleBuffer, meas: SampleBuffer, tolerance_db: float
     Passes iff the worst absolute magnitude deviation over the band stays
     within tolerance_db and the broadband delay stays within half a sample. tolerance_db must
     be a number and band a pair of numbers, or ValidationError is raised before any sample is
-    read.
+    read. A capsule of inverted polarity raises transfer_function's AnalysisError, which names
+    it: its magnitudes match, so no verdict could.
     """
     check_number("tolerance_db", tolerance_db)
     edges = tuple(band) if np.iterable(band) else ()

@@ -186,18 +186,37 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise UsageError("--freq is required for sine")
         check_number("--freq", args.freq, 0, sample_rate / 2, "()", error=UsageError)
         check_number("--amplitude", amplitude, 0, 1, error=UsageError)
-        buf = signals.gen_sine(args.freq, args.seconds, sample_rate, amplitude)
-    elif kind == "pink":
-        buf = signals.gen_pink_noise(args.seconds, sample_rate, _default(args.seed, 0))
-    else:
+    elif kind == "impulse":
         if args.encoding != "float32":  # a PCM code stops short of the impulse's 1.0
             raise UsageError(f"--encoding {args.encoding} cannot hold an impulse; use float32")
         offset, n = _default(args.offset, 0), args.seconds * sample_rate
         # under one sample or past the float range, gen_impulse's duration rules name the fault
         if 0.5 < n < math.inf:
             check_number("--offset", offset, 0, round(n), "[)", error=UsageError)
-        buf = signals.gen_impulse(args.seconds, sample_rate, offset)
-    wavio.write_wav(out, buf, encoding=args.encoding)
+    if kind == "impulse":  # np.zeros maps its pages lazily: a whole impulse costs about a page
+        wavio.write_wav(out, signals.gen_impulse(args.seconds, sample_rate, offset), args.encoding)
+    else:
+        # The signal streams from its generator to the file. Its length, the header's rules and
+        # the generator's rules are checked before a sample is drawn, and a PCM clip, from a
+        # first pass's extremes, before the file is opened.
+        frames = signals.num_samples(args.seconds, sample_rate)
+        writer = wavio.WavWriter(out, 1, sample_rate, frames, args.encoding)
+        if kind == "sine":
+            def draw():
+                return signals.sine_blocks(args.freq, args.seconds, sample_rate, amplitude,
+                                           writer.step)
+            blocks = draw()
+            if args.encoding != "float32":
+                lows, highs = zip(*((block.min(), block.max()) for block in blocks))
+                writer.check_range(min(lows), max(highs))
+                blocks = draw()
+        else:
+            extremes, blocks = signals.pink_noise_blocks(args.seconds, sample_rate,
+                                                         _default(args.seed, 0))
+            writer.check_range(*extremes)
+        with writer:
+            for block in blocks:
+                writer.write([block])
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -6,17 +6,18 @@ infinite sample is rejected when a buffer is built, so no later stage sees
 one. Producers hand their fresh arrays over read-only, which a buffer adopts without a
 copy. Generators and transforms always return new buffers, so concurrent use on distinct
 buffers is safe. Every FIR runs on one overlap-add loop, so numpy is all it needs; it
-computes only the window its caller keeps, so no temporary but that window grows with the
-signal. The loop reads its long operands a step at a time, so pink noise draws its white noise
-block by block and holds only the pink window. Every delay is one mix_delayed call, which sums
-several delayed and filtered buffers with one inverse FFT per block for all of them; a
-whole-sample delay with no FIR is an exact shift.
+yields only the window its caller keeps, a block row at a time, so nothing it holds grows with
+the signal. The loop reads its long operands a step at a time, so pink noise draws its white
+noise block by block. Sine and pink have block forms that stream their samples, and the
+in-memory generator is the same arithmetic filled into one array. Every delay is one
+mix_delayed call, which sums several delayed and filtered buffers with one inverse FFT per
+block for all of them; a whole-sample delay with no FIR is an exact shift.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +114,9 @@ def check_rate(sample_rate: int) -> int:
     return check_number("sample_rate", sample_rate, 1, ends="[)", integer="whole")
 
 
-def _num_samples(duration: float, sample_rate: int) -> int:
-    """duration in whole samples, from 1 up to _MAX_SAMPLES, at a valid sample_rate."""
+def num_samples(duration: float, sample_rate: int) -> int:
+    """duration in whole samples, from 1 up to _MAX_SAMPLES, at a valid sample_rate: the length
+    of a generated signal, known before a sample is drawn."""
     sample_rate = check_rate(sample_rate)
     check_number("duration", duration, 0.0, ends="()")
     if duration * sample_rate > _MAX_SAMPLES:
@@ -128,21 +130,36 @@ def _num_samples(duration: float, sample_rate: int) -> int:
 
 def gen_sine(freq: float, duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
              amplitude: float = 1.0) -> SampleBuffer:
-    """Sine tone starting at phase zero.
+    """Sine tone starting at phase zero: sine_blocks in one block.
 
     freq must lie strictly between 0 and the Nyquist frequency; amplitude is
     the peak value in 0..1; else, or for a bad rate or duration, ValidationError.
     """
+    [samples] = sine_blocks(freq, duration, sample_rate, amplitude, _MAX_SAMPLES)
+    samples.setflags(write=False)
+    return SampleBuffer(samples, sample_rate)
+
+
+def sine_blocks(freq: float, duration: float, sample_rate: int, amplitude: float,
+                step: int) -> Iterator[np.ndarray]:
+    """gen_sine's samples in consecutive fresh arrays of `step` samples, the last shorter. Each
+    is built in place, in the order amplitude * sin(2 pi freq t) evaluates, so every cut gives
+    gen_sine's bits. gen_sine's rules and step's (an integer >= 1) are checked before this
+    returns, and ValidationError raised."""
     check_number("freq", freq, 0.0, check_rate(sample_rate) / 2, "()")
     check_number("amplitude", amplitude, 0.0, 1.0)
-    # in place, in the order amplitude * sin(2 pi freq t) evaluates: one array, its bits
-    t = np.arange(_num_samples(duration, sample_rate), dtype=np.float64)
-    t /= sample_rate
-    np.multiply(t, 2.0 * np.pi * freq, out=t)
-    np.sin(t, out=t)
-    t *= amplitude
-    t.setflags(write=False)
-    return SampleBuffer(t, sample_rate)
+    n = num_samples(duration, sample_rate)
+    step = check_number("step", step, 1, ends="[)", integer=True)
+
+    def block(a: int) -> np.ndarray:
+        t = np.arange(a, min(a + step, n), dtype=np.float64)
+        t /= sample_rate
+        np.multiply(t, 2.0 * np.pi * freq, out=t)
+        np.sin(t, out=t)
+        t *= amplitude
+        return t
+
+    return map(block, range(0, n, step))
 
 
 def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
@@ -152,11 +169,38 @@ def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
     White noise from a PCG64 generator is shaped by a fixed pinking IIR (J. O. Smith,
     "Spectral Audio Signal Processing") run as a truncated FIR, so a given (duration,
     sample_rate, seed) triple is bit-reproducible. The convolution draws the white noise one
-    block at a time, the same stream as one draw, and returns only the window after the
-    start-up transient, which the buffer adopts without a copy: no white array is held.
+    block at a time, the same stream as one draw, and its window after the start-up transient
+    is filled into one array, which is scaled in place and which the buffer adopts without a
+    copy: no white array is held.
     """
-    n = _num_samples(duration, sample_rate)
+    n = num_samples(duration, sample_rate)
     check_number("seed", seed, 0, ends="[)", integer=True)
+    pink = _filled(_pink(n, seed), n)
+    pink *= _pink_scale(pink.min(), pink.max())  # the peak of |pink|, with no |pink| array
+    pink.setflags(write=False)
+    return SampleBuffer(pink, sample_rate)
+
+
+def pink_noise_blocks(duration: float, sample_rate: int,
+                      seed: int) -> tuple[tuple[float, float], Iterator[np.ndarray]]:
+    """gen_pink_noise in two passes over its one seeded stream, which hold a few blocks
+    whatever the length. This call checks gen_pink_noise's rules, then runs the first pass,
+    which keeps only the extremes, and returns the scaled samples' (min, max) and an iterator
+    that runs the second: it scales each piece of the convolution in place and yields it, so
+    the consecutive arrays, each valid until the next is drawn, hold gen_pink_noise's bits.
+    Scaling by a positive number is monotone, so the extremes are exact.
+    """
+    n = num_samples(duration, sample_rate)
+    check_number("seed", seed, 0, ends="[)", integer=True)
+    low, high = np.inf, -np.inf
+    for piece in _pink(n, seed):
+        low, high = min(low, piece.min()), max(high, piece.max())
+    scale = _pink_scale(low, high)
+    return (low * scale, high * scale), (np.multiply(p, scale, out=p) for p in _pink(n, seed))
+
+
+def _pink(n: int, seed: int) -> Iterator[np.ndarray]:
+    """The n unscaled pink samples, as _overlap_add's pieces, of a fresh seeded white stream."""
     rng, white = np.random.default_rng(seed), np.empty(0)
 
     def draw(a: int, b: int) -> np.ndarray:  # read in order from 0: the next b - a normals
@@ -166,10 +210,12 @@ def gen_pink_noise(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
         return rng.standard_normal(out=white[: b - a])
 
     taps, spectrum = _pink_filter()
-    pink = _overlap_add([draw], n + _PINK_WARMUP, taps[None], _PINK_WARMUP, n, spectrum[None])
-    pink *= _PINK_PEAK / max(pink.max(), -pink.min())  # the peak of |pink|, with no |pink| array
-    pink.setflags(write=False)
-    return SampleBuffer(pink, sample_rate)
+    return _overlap_add([draw], n + _PINK_WARMUP, taps[None], _PINK_WARMUP, n, spectrum[None])
+
+
+def _pink_scale(low: float, high: float) -> float:
+    """The gain that takes pink whose samples span low..high to a peak magnitude of 0.9."""
+    return _PINK_PEAK / max(high, -low)
 
 
 @functools.cache
@@ -185,7 +231,7 @@ def _pink_filter() -> tuple[np.ndarray, np.ndarray]:
 def gen_impulse(duration: float, sample_rate: int = DEFAULT_SAMPLE_RATE,
                 offset: int = 0) -> SampleBuffer:
     """Unit impulse: a single 1.0 sample at `offset`, zeros elsewhere."""
-    n = _num_samples(duration, sample_rate)
+    n = num_samples(duration, sample_rate)
     check_number("offset", offset, 0, n, "[)", integer=True)
     samples = np.zeros(n)
     samples[offset] = 1.0
@@ -199,21 +245,24 @@ def _reader(x: np.ndarray) -> Callable[[int, int], np.ndarray]:
 
 
 def _overlap_add(reads: list[Callable[[int, int], np.ndarray]], n: int, kernels: np.ndarray,
-                 start: int, count: int, h: np.ndarray | None = None) -> np.ndarray:
+                 start: int, count: int, h: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Samples start..start+count, zeros where it has none, of the summed full convolutions of
-    operands of n samples each, one per read and per row of the 2-D kernels, as a fresh array:
-    read(a, b) -> samples a..b of its operand, in calls that run in order. Overlap-add (Stockham
-    1966) filters blocks of size - taps + 1 samples, size the next power of two at or above
-    max(2 * taps - 1, 4096), about _CONV_BYTES a step in preallocated buffers, and sums the
-    operands' weighted spectra before one irfft per block: k operands cost k rffts and one
+    operands of n samples each, one per read and per row of the 2-D kernels, yielded in
+    consecutive pieces: read(a, b) -> samples a..b of its operand, in calls that run in order.
+    A piece is a view of one row of the work buffers, or fresh zeros, which the caller may write
+    over until it draws the next: no array but the caller's grows with the window. Overlap-add
+    (Stockham 1966) filters blocks of size - taps + 1 samples, size the next power of two at or
+    above max(2 * taps - 1, 4096), about _CONV_BYTES a step in preallocated buffers, and sums
+    the operands' weighted spectra before one irfft per block: k operands cost k rffts and one
     irfft. h is the kernels' rfft at the block size, if the caller keeps one."""
     taps = kernels.shape[1]
-    out = np.zeros(count)
-    lo, hi = max(start, 0), min(start + count, n + taps - 1)  # the window's nonzero span
-    if lo >= hi:
-        return out
     size = 1 << max(2 * taps - 2, 4095).bit_length()
     step = size - taps + 1  # >= taps, so a tail reaches one block on
+    lo, hi = max(start, 0), min(start + count, n + taps - 1)  # the window's nonzero span
+    if lo >= hi:
+        yield from _zeros(count, step)
+        return
+    yield from _zeros(lo - start, step)
     h = np.fft.rfft(kernels, size) if h is None else h
     batch = max(_CONV_BYTES // (8 * size), 1)
     spectra, y = np.empty((batch, size // 2 + 1), complex), np.empty((batch, size))
@@ -236,21 +285,27 @@ def _overlap_add(reads: list[Callable[[int, int], np.ndarray]], n: int, kernels:
         y[0, : taps - 1] += tail
         y[1:k, : taps - 1] += y[: k - 1, step:]
         tail = y[k - 1, step:].copy()
-        # the step's heads, y[:k, :step] read row after row, cover a..b of the window: whole
-        # rows go through a 2-D view of it, the partial first and last rows apart
-        base = j * step - start
-        a, b = max(lo, j * step) - j * step, max(lo, min(hi, (j + k) * step)) - j * step
-        r0, r1 = a // step, (b - 1) // step  # the first and last rows in a..b
-        if a < b and r0 == r1:
-            out[base + a : base + b] = y[r0, a - r0 * step : b - r0 * step]
-        elif a < b:
-            out[base + a : base + (r0 + 1) * step] = y[r0, a - r0 * step : step]
-            whole = out[base + (r0 + 1) * step : base + r1 * step].reshape(-1, step)
-            whole[...] = y[r0 + 1 : r1, :step]
-            out[base + r1 * step : base + b] = y[r1, : b - r1 * step]
+        # block j + r's head, y[r, :step], holds samples (j + r) * step on
+        for r in range(max(lo // step - j, 0), min((hi - 1) // step - j + 1, k)):
+            yield y[r, max(lo - (j + r) * step, 0) : min(hi - (j + r) * step, step)]
     if hi > stop * step:  # past the last block only its tail reaches: zero plus the tail
-        a = max(lo, stop * step)
-        out[a - start : hi - start] += tail[a - stop * step : hi - stop * step]
+        tail += 0.0  # -0.0 + 0.0 is +0.0, as in the zeroed block that the tail is added to
+        yield tail[max(lo - stop * step, 0) : hi - stop * step]
+    yield from _zeros(start + count - hi, step)
+
+
+def _zeros(count: int, step: int) -> Iterator[np.ndarray]:
+    """count zeros, in fresh pieces of up to step samples."""
+    for a in range(0, count, step):
+        yield np.zeros(min(step, count - a))
+
+
+def _filled(pieces: Iterable[np.ndarray], count: int) -> np.ndarray:
+    """The count samples that consecutive pieces hold, copied into one fresh array."""
+    out, at = np.empty(count), 0
+    for piece in pieces:
+        out[at : at + piece.size] = piece
+        at += piece.size
     return out
 
 
@@ -314,7 +369,7 @@ def mix_delayed(parts: list[tuple[SampleBuffer, float, np.ndarray | None, float]
         kernels = np.zeros((len(rows), max(top - start + k.size for _, k, start in rows)))
         for row, (_, kernel, start) in zip(kernels, rows):
             row[top - start : top - start + kernel.size] = kernel
-        out = _overlap_add([_reader(samples) for samples, *_ in rows], n, kernels, top, n)
+        out = _filled(_overlap_add([_reader(s) for s, *_ in rows], n, kernels, top, n), n)
     else:  # float32 samples widen before the gain, and -0.0 stays -0.0 at gain 1
         (samples, shift, gain), *shifts = shifts
         out = np.zeros(n)

@@ -3,13 +3,17 @@
 Supports little-endian PCM (16- and 24-bit integer) and 32-bit float, mono
 or stereo, at any sample rate. Integer samples map to amplitude by 1/32768
 (16-bit) or 1/8388608 (24-bit); writing a value whose quantized code would
-overflow the integer range raises ClippingError, before the file is opened,
-rather than saturating. Every encoding's samples are exact in float32, so a read
-holds float32 channels, which its buffers adopt: about 1x a float32 file plus one
-step of about 1 MiB of file bytes, never the whole file. WavReader.blocks also
-streams float64 samples with no channel arrays at all. A write likewise holds
-about 1 MiB: it encodes and writes the data chunk in whole-frame steps whose
-codes, and for PCM one channel's float64 scaled samples, fit in 1 MiB.
+overflow the integer range raises ClippingError rather than saturating:
+write_wav and WavWriter.check_range before the file is opened, and for a
+stream whose range was not checked WavWriter.write before the block is
+written. Every encoding's samples are exact in float32, so a read holds float32
+channels, which its buffers adopt: about 1x a float32 file plus one step of
+about 1 MiB of file bytes, never the whole file. WavReader.blocks also streams
+float64 samples with no channel arrays at all. Every write goes through a
+WavWriter, which writes the header first and then encodes block after block,
+so a stream of any length holds only its blocks; write_wav feeds it
+whole-frame steps whose codes, and for PCM one channel's float64 scaled
+samples, fit in 1 MiB.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ClippingError, ValidationError, WavFormatError
-from .signals import SampleBuffer, StereoBuffer
+from .errors import ClippingError, ValidationError, WavFormatError, check_number
+from .signals import SampleBuffer, StereoBuffer, check_rate
 
 _TAG_PCM = 0x0001
 _TAG_FLOAT = 0x0003
@@ -59,12 +63,11 @@ def _encode(channels: list[np.ndarray], encoding: str) -> np.ndarray:
 
 def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
               encoding: str = "float32") -> None:
-    """Write a mono or stereo buffer as a RIFF/WAVE file.
+    """Write a mono or stereo buffer as a RIFF/WAVE file: a WavWriter fed the buffer in its
+    steps of about 1 MiB.
 
-    The data chunk is encoded and written in whole-frame steps that hold about 1 MiB: their
-    codes and, for PCM, one channel's float64 scaled samples. A PCM sample whose code would
-    overflow raises ClippingError, and a byte rate or file size past the header's 32-bit fields
-    ValidationError, before the file is opened.
+    A byte rate or file size past the header's 32-bit fields raises ValidationError, and a PCM
+    sample whose code would overflow ClippingError, before the file is opened.
     """
     if isinstance(buffer, StereoBuffer):
         channels = [buffer.left.samples, buffer.right.samples]
@@ -72,42 +75,115 @@ def write_wav(path: str | Path, buffer: SampleBuffer | StereoBuffer,
         channels = [buffer.samples]
     else:
         raise ValidationError(f"expected SampleBuffer or StereoBuffer, got {type(buffer).__name__}")
-    if encoding not in _FORMATS:
-        raise ValidationError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
-    tag, bits, dtype, scale = _FORMATS[encoding]
-    if tag == _TAG_PCM:  # scaling and rounding are monotone: a channel's extremes bound its codes
+    writer = WavWriter(path, len(channels), buffer.sample_rate, channels[0].size, encoding)
+    if encoding != "float32":  # a buffer's samples are finite, but a PCM code can overflow
         for samples in channels:
-            extremes = np.array([samples.min(initial=0.0), samples.max(initial=0.0)])
-            low, high = np.round(extremes * scale)
-            if low < -scale or high > scale - 1:
-                raise ClippingError(f"samples exceed the {bits}-bit PCM range; reduce level or use float32")
-    rate, frames = buffer.sample_rate, channels[0].size
-    block_align = len(channels) * bits // 8
-    byte_rate, data_bytes = rate * block_align, frames * block_align
-    # "WAVE", the fmt chunk (24 bytes), float32's fact chunk (12), the data chunk's header (8)
-    # and its padded data: the RIFF size, which bounds the data size
-    riff_size = 4 + 24 + 12 * (tag == _TAG_FLOAT) + 8 + data_bytes + data_bytes % 2
-    if max(byte_rate, riff_size) > 2**32 - 1:
-        raise ValidationError(f"a WAV header holds a byte rate and a RIFF size up to 2**32 - 1;"
-                              f" {len(channels)} {encoding} channel(s) of {frames} samples at"
-                              f" {rate} Hz need {byte_rate} and {riff_size}")
+            _check_range(encoding, samples.min(initial=0.0), samples.max(initial=0.0))
+    writer._checked = True  # every block is a slice of the channels checked here
+    with writer:
+        for start in range(0, writer.frames, writer.step):
+            writer.write([c[start : start + writer.step] for c in channels])
 
-    header = b"fmt " + struct.pack("<IHHIIHH", 16, tag, len(channels), rate, byte_rate,
-                                   block_align, bits)
-    if tag == _TAG_FLOAT:
-        header += b"fact" + struct.pack("<II", 4, frames)
-    header += b"data" + struct.pack("<I", data_bytes)
-    pad = b"\x00" * (data_bytes % 2)
-    # A step's codes and a PCM step's float64 scratch fit in _CHUNK_BYTES; pcm24's byte planes
-    # replace the scratch and are smaller.
-    step = _CHUNK_BYTES // (len(channels) * np.dtype(dtype).itemsize + 8 * (tag == _TAG_PCM))
-    # Each step's codes go out in their own write, so they are never copied into a bytes
-    # object, and are dropped before the next step is encoded.
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + header)
-        for start in range(0, frames, step):
-            fh.write(_encode([c[start : start + step] for c in channels], encoding))
-        fh.write(pad)
+
+def _check_range(encoding: str, low: float, high: float) -> None:
+    """ValidationError unless samples from low to high are finite, and for PCM ClippingError
+    when one's code would overflow: scaling and rounding are monotone, so the extremes of the
+    samples bound their codes."""
+    _, bits, _, scale = _FORMATS[encoding]
+    check_number("samples", low, ends="()")
+    check_number("samples", high, ends="()")
+    if encoding != "float32" and (round(low * scale) < -scale or round(high * scale) > scale - 1):
+        raise ClippingError(f"samples exceed the {bits}-bit PCM range; reduce level or use float32")
+
+
+class WavWriter:
+    """A RIFF/WAVE file of `frames` frames, written block by block in about 1 MiB whatever its
+    length.
+
+    Constructing it checks the encoding, the channel count (1 or 2), the rate, the frame count
+    and the header's 32-bit size fields, and raises ValidationError; it opens no file, so a
+    caller can check its samples' range before the file exists. Entering it, as a context
+    manager, opens the file and writes the whole header. write() encodes each block through the
+    one encoder and writes it, checking its samples unless check_range has passed the stream's
+    range; a clean exit pads the data chunk and raises ValidationError unless exactly `frames`
+    frames were written. `step` is the frames of a block whose codes and, for PCM, one
+    channel's float64 scaled samples fit in 1 MiB.
+    """
+
+    def __init__(self, path: str | Path, channels: int, sample_rate: int, frames: int,
+                 encoding: str) -> None:
+        if encoding not in _FORMATS:
+            raise ValidationError(f"unknown encoding {encoding!r}; expected one of {ENCODINGS}")
+        channels = check_number("channels", channels, 1, 2, integer=True)
+        rate = check_rate(sample_rate)
+        frames = check_number("frames", frames, 0, ends="[)", integer=True)
+        tag, bits, dtype, _ = _FORMATS[encoding]
+        block_align = channels * bits // 8
+        byte_rate, data_bytes = rate * block_align, frames * block_align
+        # "WAVE", the fmt chunk (24 bytes), float32's fact chunk (12), the data chunk's header
+        # (8) and its padded data: the RIFF size, which bounds the data size
+        riff_size = 4 + 24 + 12 * (tag == _TAG_FLOAT) + 8 + data_bytes + data_bytes % 2
+        if max(byte_rate, riff_size) > 2**32 - 1:
+            raise ValidationError(f"a WAV header holds a byte rate and a RIFF size up to 2**32 - 1;"
+                                  f" {channels} {encoding} channel(s) of {frames} samples at"
+                                  f" {rate} Hz need {byte_rate} and {riff_size}")
+        header = b"fmt " + struct.pack("<IHHIIHH", 16, tag, channels, rate, byte_rate,
+                                       block_align, bits)
+        if tag == _TAG_FLOAT:
+            header += b"fact" + struct.pack("<II", 4, frames)
+        self._header = (b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + header + b"data"
+                        + struct.pack("<I", data_bytes))
+        self._pad = b"\x00" * (data_bytes % 2)
+        self.path, self.channels, self.frames, self.encoding = path, channels, frames, encoding
+        # pcm24's byte planes replace the PCM scratch and are smaller
+        self.step = _CHUNK_BYTES // (channels * np.dtype(dtype).itemsize + 8 * (tag == _TAG_PCM))
+        self._fh, self._written, self._checked = None, 0, False
+
+    def __enter__(self) -> "WavWriter":
+        self._fh = open(self.path, "wb")
+        try:
+            self._fh.write(self._header)
+        except BaseException:
+            self._fh.close()
+            raise
+        return self
+
+    def __exit__(self, exc_type: type | None, *exc_info: object) -> None:
+        try:
+            if exc_type is None:
+                if self._written != self.frames:
+                    raise ValidationError(f"{self.path}: {self._written} frames written, but"
+                                          f" the header holds {self.frames}")
+                self._fh.write(self._pad)
+        finally:
+            self._fh.close()
+
+    def check_range(self, low: float, high: float) -> None:
+        """_check_range's errors unless samples from low to high can be written. The range that
+        passes is the stream's: write() takes every block to lie in it and no longer scans its
+        samples."""
+        _check_range(self.encoding, low, high)
+        self._checked = True
+
+    def write(self, channels: list[np.ndarray]) -> None:
+        """Encodes and writes the next block: one 1-D array per channel, all of one length.
+        ValidationError for the wrong shape or a block past `frames`, and, unless check_range
+        has passed the stream's range, _check_range's errors for its samples, before a byte of
+        the block is written. Each block's codes go out in their own write, so they are never
+        copied into a bytes object."""
+        channels = [np.asarray(c) for c in channels]
+        if len(channels) != self.channels or any(c.shape != channels[0].shape or c.ndim != 1
+                                                 for c in channels):
+            raise ValidationError(f"a block must be {self.channels} 1-D array(s) of one length,"
+                                  f" got shapes {[c.shape for c in channels]}")
+        if self._written + channels[0].size > self.frames:
+            raise ValidationError(f"{self.path}: {self._written + channels[0].size} frames past"
+                                  f" the header's {self.frames}")
+        if not self._checked:
+            for samples in channels:
+                _check_range(self.encoding, samples.min(initial=0.0), samples.max(initial=0.0))
+        self._fh.write(_encode(channels, self.encoding))
+        self._written += channels[0].size
 
 
 class WavReader:

@@ -22,6 +22,6 @@ def convolve():
     def convolve(a, b, start=0, count=None):
         x, kernel = sorted((a, b), key=len, reverse=True)
         count = x.size + kernel.size - 1 - start if count is None else count
-        return signals._overlap_add([signals._reader(x)], x.size,
-                                    kernel.astype(np.float64, copy=False)[None], start, count)
+        return signals._filled(signals._overlap_add([signals._reader(x)], x.size,
+                               kernel.astype(np.float64, copy=False)[None], start, count), count)
     return convolve

@@ -610,6 +610,58 @@ def test_delay_past_the_lag_window_never_reads_as_an_itd(pink_2s, delay_ms, weig
             call(stereo, weighting=weighting)
 
 
+@pytest.fixture(scope="module")
+def inverted_captures(pink_2s):
+    """Every default rig's capture of 2 s pink at seven azimuths, its right channel negated."""
+    from bincues.rigsim import RIG_NAMES, RigKind, default_rig
+    captures = {}
+    for rig in RIG_NAMES:
+        for azimuth in (0, 10, 30, 45, 60, 80, 90):
+            capture = simulate_capture(default_rig(RigKind(rig)),
+                                       SourceSpec(math.radians(azimuth)), pink_2s)
+            captures[rig, azimuth] = StereoBuffer(capture.left, SampleBuffer(
+                -capture.right.samples, SR))
+    return captures
+
+
+@pytest.mark.parametrize("weighting", ["none", "phat"])
+def test_an_inverted_channel_is_named_never_read_as_a_cue(inverted_captures, weighting):
+    # The true peak of an inverted capture's correlation is a trough at the delay. Read as
+    # argmax it was a sidelobe: "widen max_lag", or under phat a report whose ITDs missed by up
+    # to 1.9 ms. Its trough in the window is 3 to 28 times the peak, which names the fault.
+    for (rig, azimuth), stereo in inverted_captures.items():
+        with pytest.raises(AnalysisError, match="correlation peaks negative.*polarity is inverted"):
+            analyze_capture(stereo, weighting=weighting)
+        with pytest.raises(AnalysisError, match="polarity is inverted"):
+            estimate_itd(stereo, weighting=weighting)
+
+
+def test_a_deep_trough_outside_the_window_is_no_inversion():
+    # Independent channels share no delay: this pair's deepest trough is 2.64 times its peak,
+    # but 1092 samples from lag 0, so it asks for a wider window, as a missed delay does.
+    stereo = StereoBuffer(gen_pink_noise(1.0, SR, 17), gen_pink_noise(1.0, SR, 1017))
+    with pytest.raises(AnalysisError, match="peaks outside the lag window; widen max_lag"):
+        estimate_itd(stereo)
+
+
+@pytest.mark.parametrize("freq, delay_ms", [(500.0, 0.656), (1000.0, 0.266)])
+def test_a_clean_tone_delayed_past_a_quarter_period_reads_its_delay(freq, delay_ms):
+    # A tone's correlation is a cosine under an envelope centred on lag 0, not on the delay:
+    # past a quarter period, the trough half a period before the delay is the nearer to lag 0
+    # and outweighs the peak by about 1e-4. It must not read as an inverted channel.
+    tone = gen_sine(freq, 1.0, SR, 0.5)
+    stereo = StereoBuffer(tone, delayed_copy(tone, delay_ms * 1e-3))
+    report = analyze_capture(stereo)
+    for itd in (estimate_itd(stereo), report.itd_s, report.itd_low_s, report.itd_high_s):
+        assert itd == pytest.approx(delay_ms * 1e-3, abs=1e-6)
+
+
+def test_calibration_names_an_inverted_capsule(pink_2s):
+    # its broadband delay read a sidelobe tens of ms away, or asked to widen fft_size
+    with pytest.raises(AnalysisError, match=r"peaks negative, -\S+ at lag 0 samples.*inverted"):
+        calibration_check(pink_2s, SampleBuffer(-pink_2s.samples, SR))
+
+
 @pytest.mark.parametrize("delay_ms", [0.5, 1.9])
 def test_delay_inside_the_lag_window_passes_the_direct_rule(pink_2s, delay_ms):
     stereo = StereoBuffer(pink_2s, delayed_copy(pink_2s, delay_ms * 1e-3))

@@ -101,6 +101,54 @@ def test_generate_pcm16_clipping_is_validation_failure(tmp_path, capsys):
     code = run("generate", "sine", "--freq", 220, "--encoding", "pcm16",
                "--out", tmp_path / "c.wav")
     assert code == EXIT_ANALYSIS  # full-scale sine cannot be coded losslessly
+    assert "16-bit PCM range" in capsys.readouterr().err
+    assert not (tmp_path / "c.wav").exists()  # a first pass finds the clip before the file opens
+
+
+# Lengths in samples: one sample, a pink overlap-add step (24576 samples) and a sample either
+# side, 0.05 s, 5 s (two PCM write steps), and two float32 write steps and a sample.
+GENERATE_LENGTHS = (1, 24575, 24576, 24577, 2400, 240000, 2 * 2**18 + 1)
+
+
+@pytest.mark.parametrize("kind, encoding", [("pink", "float32"), ("pink", "pcm16"),
+                                            ("pink", "pcm24"), ("sine", "float32"),
+                                            ("sine", "pcm16"), ("sine", "pcm24"),
+                                            ("impulse", "float32")])
+def test_generate_streams_the_bytes_of_the_whole_buffer(kind, encoding, tmp_path, capsys):
+    # The CLI streams each signal from its block form into a WavWriter; the file must be the
+    # in-memory generator's buffer written whole, byte for byte.
+    from bincues import gen_impulse
+    for n in GENERATE_LENGTHS:
+        seconds = n / 48000
+        flags, buffer = {
+            "pink": (("--seed", 5), lambda: gen_pink_noise(seconds, 48000, 5)),
+            "sine": (("--freq", 997, "--amplitude", 0.7),
+                     lambda: gen_sine(997, seconds, 48000, 0.7)),
+            "impulse": (("--offset", n - 1), lambda: gen_impulse(seconds, 48000, n - 1)),
+        }[kind]
+        out, want = tmp_path / f"{n}.wav", tmp_path / f"{n}.want.wav"
+        assert run("generate", kind, "--seconds", seconds, *flags, "--encoding", encoding,
+                   "--out", out) == EXIT_OK
+        write_wav(want, buffer(), encoding=encoding)
+        assert out.read_bytes() == want.read_bytes(), n
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm24"])
+def test_generate_pink_holds_a_fixed_few_blocks_at_any_length(encoding, tmp_path, capsys):
+    # Both pink passes and the writer hold one overlap-add block each, whatever the length: 0.88
+    # MiB traced at 1 and 60 s in float32, 1.07 in pcm24. Generating the buffer whole and
+    # writing it peaked at 1.2 MiB at 1 s and 23 MiB at 60 s.
+    out = tmp_path / "pink.wav"
+    run("generate", "pink", "--seconds", 0.1, "--out", out)  # the taps and FFT state, untraced
+    for seconds in (1, 60):
+        tracemalloc.start()
+        try:
+            assert run("generate", "pink", "--seconds", seconds, "--encoding", encoding,
+                       "--out", out) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20, (seconds, peak / 2**20)
 
 
 @pytest.mark.parametrize("kind, seconds", [("pink", "nan"), ("pink", "inf"), ("impulse", "nan")])
@@ -536,6 +584,22 @@ def test_analyze_wide_pair_under_phat_needs_a_wider_lag_window(wide_pair, tmp_pa
     assert run("analyze", capture, "--weighting", "phat", "--out", out) == EXIT_ANALYSIS
     assert "outside the lag window" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("weighting", ["none", "phat"])
+def test_analyze_names_an_inverted_channel_and_writes_no_report(weighting, tmp_path, capsys):
+    # A human-head capture at 30 deg with its right channel negated: under phat this wrote a
+    # report whose ITD read +0.298 ms (the model says 0.266) and whose 220 Hz band read -1.9
+    # ms; under none it asked to widen the lag window.
+    capture = tmp_path / "cap.wav"
+    assert run("simulate", "--rig", "human", "--azimuth", 30, "--seconds", 1, "--out", capture,
+               "--deterministic") == EXIT_OK
+    stereo = read_wav(capture)
+    write_wav(capture, StereoBuffer(stereo.left, SampleBuffer(-stereo.right.samples, 48000)))
+    out = tmp_path / "inv.json"
+    assert run("analyze", capture, "--weighting", weighting, "--out", out) == EXIT_ANALYSIS
+    assert "polarity is inverted" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 def test_analyze_fft_size_under_four_lag_windows_is_validation_failure(capture_wav, tmp_path,

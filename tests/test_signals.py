@@ -319,6 +319,21 @@ def test_mix_delayed_checks_its_parts(parts, message):
         signals.mix_delayed(parts)
 
 
+@pytest.mark.parametrize("n", (1, 24575, 24576, 24577, 2400, 240000))
+@pytest.mark.parametrize("step", (1000, 24576, 262144))
+def test_each_block_form_yields_its_generators_bits(n, step):
+    # However the blocks are cut, they join to the in-memory buffer bit for bit; pink's first
+    # pass gives the scaled samples' exact extremes, and its pieces are its overlap-add rows.
+    seconds = n / SR
+    pairs = [(signals.sine_blocks(997.0, seconds, SR, 0.7, step),
+              gen_sine(997.0, seconds, SR, 0.7))]
+    extremes, pink = signals.pink_noise_blocks(seconds, SR, 4)
+    pairs.append((pink, gen_pink_noise(seconds, SR, 4)))
+    for blocks, buffer in pairs:
+        assert_same_bits(np.concatenate([block.copy() for block in blocks]), buffer.samples)
+    assert extremes == (buffer.samples.min(), buffer.samples.max())
+
+
 def test_pink_noise_holds_the_white_noise_and_its_window():
     # The convolution draws the white noise a block at a time, so the window it writes
     # (1 channel) is the one array that grows with the signal, and the buffer adopts it; the
@@ -552,9 +567,9 @@ def test_generators_reject_more_samples_than_a_wav_chunk_holds(generate, duratio
 
 def test_sample_count_cap_is_one_float32_wav_chunk():
     cap = (2**32 - 1) // 4  # checked without allocating: no generator runs
-    assert signals._num_samples(cap / SR, SR) == cap
+    assert signals.num_samples(cap / SR, SR) == cap
     with pytest.raises(ValidationError, match="samples"):
-        signals._num_samples((cap + 1) / SR, SR)
+        signals.num_samples((cap + 1) / SR, SR)
 
 
 def test_sample_buffer_immutable():

@@ -312,6 +312,27 @@ def test_a_rate_past_the_header_fields_leaves_no_file(tmp_path):
     assert read_wav(path).sample_rate == 600_000_000
 
 
+def test_wav_writer_writes_exactly_the_frames_its_header_holds(tmp_path):
+    # The header, sizes and all, goes out first, so a stream that ends short or runs past it
+    # raises; a block it refuses (past the end, the wrong shape, out of range) writes nothing.
+    path, whole = tmp_path / "blocks.wav", tmp_path / "whole.wav"
+    samples = np.linspace(-0.5, 0.5, 11)
+    with pytest.raises(ValidationError, match="10 frames written, but the header holds 11"):
+        with wavio.WavWriter(path, 1, SR, 11, "pcm24") as writer:
+            writer.write([samples[:10]])
+    with wavio.WavWriter(path, 1, SR, 11, "pcm24") as writer:
+        writer.write([samples[:6]])
+        for block, error in (([samples[:6]], "12 frames past the header's 11"),
+                             ([samples[6:], samples[6:]], "1 1-D array"),
+                             ([np.full(5, np.nan)], "samples must be a finite number"),
+                             ([np.full(5, 1.0)], "24-bit PCM range")):
+            with pytest.raises(ValidationError, match=error):
+                writer.write(block)
+        writer.write([samples[6:]])
+    write_wav(whole, SampleBuffer(samples, SR), encoding="pcm24")
+    assert path.read_bytes() == whole.read_bytes()
+
+
 def riff(*chunks):
     """A RIFF/WAVE file from (tag, body) chunks, each padded to an even length."""
     body = b"WAVE" + b"".join(tag + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) % 2)
